@@ -213,7 +213,8 @@ pub fn flat_store() -> String {
             continue;
         }
         txs += packed.block.transactions.len();
-        let result = exec.execute_block_delta_with_dag(db.as_ref(), &packed.block, &packed.graph);
+        let result =
+            exec.execute_block_delta_with_dag_hints(db.as_ref(), &packed.block, &packed.graph, &[]);
         db.absorb(&result.delta, height);
         pool.observe_committed(db.as_ref());
         flush.request_flush(height.saturating_sub(2));

@@ -26,7 +26,6 @@
 //! admission-time rw-set hints can warm.
 
 use crate::harness::render_table;
-use mtpu::sched::SlotKey;
 use mtpu_accountsdb::AccountsDb;
 use mtpu_asm::Assembler;
 use mtpu_contracts::{call_data, selector, Fixture};
@@ -321,25 +320,6 @@ fn pack_workload(db: &AccountsDb, txs: &[Transaction]) -> PackedBlock {
     packed
 }
 
-/// Admission-time read sets, converted to prefetch hints exactly the way
-/// `NodeDriver::run_flat` does.
-fn hints_of(packed: &PackedBlock) -> Vec<TxHints> {
-    packed
-        .rw_sets
-        .iter()
-        .map(|rw| {
-            let mut h = TxHints::default();
-            for key in &rw.reads {
-                match *key {
-                    SlotKey::Storage(addr, slot) => h.storage.push((addr, slot)),
-                    SlotKey::Balance(addr) => h.accounts.push(addr),
-                }
-            }
-            h
-        })
-        .collect()
-}
-
 /// Fixture-scale parity: sequential oracle vs flat store with prefetch
 /// off and on; receipts and roots must agree three ways per workload.
 fn parity(base: &State, workloads: &[Workload]) -> usize {
@@ -353,7 +333,7 @@ fn parity(base: &State, workloads: &[Workload]) -> usize {
     let mut checked = 0usize;
     for w in workloads {
         let packed = pack_workload(&db, &w.txs);
-        let hints = hints_of(&packed);
+        let hints = packed.prefetch_hints();
 
         let mut oracle_state = base.clone();
         let oracle_receipts = execute_block(&mut oracle_state, &packed.block);
@@ -437,7 +417,7 @@ pub fn prefetch_gate() -> String {
         .iter()
         .map(|w| pack_workload(&db, &w.txs))
         .collect();
-    let all_hints: Vec<Vec<TxHints>> = packed.iter().map(hints_of).collect();
+    let all_hints: Vec<Vec<TxHints>> = packed.iter().map(PackedBlock::prefetch_hints).collect();
 
     let time_block = |p: &PackedBlock, hints: &[TxHints]| -> (Duration, Vec<Receipt>) {
         let mut receipts: Vec<Receipt> = Vec::new();

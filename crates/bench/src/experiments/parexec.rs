@@ -69,7 +69,8 @@ pub fn sweep() -> String {
             let exec = ParExecutor::new(threads);
             let mut reexec = 0;
             let wall = best_wall(|| {
-                let result = exec.execute_block_with_dag(base, &block.block, &block.graph);
+                let result =
+                    exec.execute_block_delta_with_dag_hints(base, &block.block, &block.graph, &[]);
                 reexec = result.stats.reexecutions;
                 result.stats.wall
             });

@@ -10,17 +10,19 @@
 //! behind — so at steady state the pool is being refilled, block *h* is
 //! executing, and block *h−1* is still hashing, simultaneously.
 
-use crate::packer::{BlockPacker, PackedBlock};
+use crate::backend::{Backend, FlatBackend};
+use crate::packer::BlockPacker;
 use crate::pool::{Mempool, PoolStats};
-use mtpu::sched::SlotKey;
 use mtpu_accountsdb::{AccountsDb, DbStats, FlushService};
-use mtpu_evm::commit::{delta_updates, MemStore, StateCommitter};
+use mtpu_evm::commit::{MemStore, StateCommitter};
+use mtpu_evm::overlay::StateRead;
 use mtpu_evm::state::State;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
 use mtpu_evm::{commit_full, AsyncCommitter, BlockDelta, CommitHandle};
-use mtpu_parexec::{ChainStats, ParExecutor, TxHints};
+use mtpu_parexec::{ChainStats, ParExecutor};
 use mtpu_primitives::B256;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -215,158 +217,23 @@ impl NodeDriver {
         &self.pool
     }
 
-    /// Runs a session from `genesis`, consuming `source`.
+    /// Runs a session from `genesis` on the in-memory backend: every
+    /// block clones the previous `State` snapshot and applies its delta,
+    /// and the sink is handed the materialized post-block state.
     pub fn run<S: TxSource>(
         &self,
         genesis: State,
         source: S,
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
-        let started = Instant::now();
-        let mut committer =
-            StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
-        commit_full(&mut committer, &genesis);
-        let genesis_root = committer.commit();
-        let committer = AsyncCommitter::new(committer);
-
-        let snapshot: RwLock<Arc<State>> = RwLock::new(Arc::new(genesis));
-        let stop = AtomicBool::new(false);
-        let exhausted = AtomicBool::new(false);
-
-        let mut report = DriverReport {
-            blocks: Vec::with_capacity(self.cfg.blocks),
-            chain: ChainStats::default(),
-            pool: PoolStats::default(),
-            genesis_root,
-            final_root: genesis_root,
-            wall: Duration::ZERO,
-            source_exhausted: false,
-            flat: None,
-        };
-
-        std::thread::scope(|scope| {
-            let mut source = source;
-            let mut inline_source: Option<&mut S> = None;
-            if self.cfg.background_ingest {
-                let pool = &self.pool;
-                let snapshot = &snapshot;
-                let stop = &stop;
-                let exhausted = &exhausted;
-                let batch = self.cfg.ingest_batch.max(1);
-                let high_water = self.pool_high_water();
-                scope.spawn(move || {
-                    if mtpu_telemetry::enabled() {
-                        mtpu_telemetry::name_thread("ingest");
-                    }
-                    while !stop.load(Ordering::Relaxed) {
-                        if pool.len() >= high_water {
-                            // Backpressure: the packer is behind; admitting
-                            // more now would just evict what we admitted.
-                            std::thread::sleep(Duration::from_micros(200));
-                            continue;
-                        }
-                        if !ingest_slice(pool, snapshot, &mut source, batch) {
-                            exhausted.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                });
-            } else {
-                inline_source = Some(&mut source);
-            }
-
-            // Prefill so block 1 packs from a warm pool.
-            if let Some(src) = inline_source.as_deref_mut() {
-                if !ingest_slice(&self.pool, &snapshot, src, self.cfg.prefill) {
-                    exhausted.store(true, Ordering::Relaxed);
-                }
-            } else {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while self.pool.len() < self.cfg.prefill
-                    && !exhausted.load(Ordering::Relaxed)
-                    && Instant::now() < deadline
-                {
-                    std::thread::yield_now();
-                }
-            }
-
-            let mut pending: Option<(usize, CommitHandle)> = None;
-            while report.blocks.len() < self.cfg.blocks {
-                let height = report.blocks.len() as u64 + 1;
-                let packed = self.packer.pack(&self.pool, header_of(height));
-                if packed.block.transactions.is_empty() {
-                    if let Some(src) = inline_source.as_deref_mut() {
-                        if !ingest_slice(&self.pool, &snapshot, src, self.cfg.ingest_batch.max(1)) {
-                            exhausted.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    if exhausted.load(Ordering::Relaxed) && self.pool.ready_chains().is_empty() {
-                        break; // drained: parked leftovers can never run
-                    }
-                    if !self.cfg.background_ingest && !exhausted.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    std::thread::yield_now();
-                    continue;
-                }
-
-                let base = snapshot.read().expect("snapshot poisoned").clone();
-                let result =
-                    self.executor
-                        .execute_block_with_dag(&base, &packed.block, &packed.graph);
-                // Pipeline the commitment; resolve the *previous* block's
-                // root now that its hashing had a whole block to overlap.
-                let handle = result.submit_commit(&committer, &base, false);
-                self.resolve_pending(&mut report, &mut pending);
-                pending = Some((report.blocks.len(), handle));
-
-                let new_state = Arc::new(result.state);
-                *snapshot.write().expect("snapshot poisoned") = new_state.clone();
-                self.pool.observe_committed(new_state.as_ref());
-
-                report.chain.absorb(&result.stats);
-                report.blocks.push(summary_of(height, &packed));
-
-                // Publish the committed block to the read layer the moment
-                // its state is live; the root follows via `on_root` once
-                // the pipelined commit resolves.
-                if let Some(sink) = &self.sink {
-                    sink.on_block(CommittedBlock {
-                        height,
-                        block: Arc::new(packed.block),
-                        receipts: Arc::new(result.receipts),
-                        state: Some(new_state),
-                        delta: Arc::new(result.delta),
-                    });
-                }
-
-                // Inline mode: refill between blocks (background mode
-                // refills concurrently the whole time).
-                if let Some(src) = inline_source.as_deref_mut() {
-                    if !ingest_slice(&self.pool, &snapshot, src, self.cfg.ingest_batch.max(1)) {
-                        exhausted.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.resolve_pending(&mut report, &mut pending);
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        report.pool = self.pool.stats();
-        report.source_exhausted = exhausted.load(Ordering::Relaxed);
-        if let Some(last) = report.blocks.last() {
-            report.final_root = last.merkle_root;
-        }
-        report.wall = started.elapsed();
-        report
+        let genesis = Arc::new(genesis);
+        self.session(genesis.clone(), &RwLock::new(genesis), source, header_of)
     }
 
     /// Runs a session against the flat accounts store: execution reads
     /// hit `db` (write cache → index → storage files) instead of a cloned
-    /// in-memory `State`, the MPT is maintained commitment-only behind
-    /// the pipelined [`AsyncCommitter`], and the write cache drains
-    /// through `flush` in the background, [`DriverConfig::flush_lag`]
-    /// blocks behind the head.
+    /// in-memory `State`, and the write cache drains through `flush` in
+    /// the background, [`DriverConfig::flush_lag`] blocks behind the head.
     ///
     /// `genesis` seeds the commitment trie; `db` must already hold the
     /// same state (freshly bootstrapped via
@@ -381,168 +248,169 @@ impl NodeDriver {
         source: S,
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
+        let backend = FlatBackend::new(db, flush, self.cfg.flush_lag);
+        let mut report = self.session(genesis, &backend, source, header_of);
+        report.flat = Some(db.stats());
+        report
+    }
+
+    /// The one session loop: pack → execute → submit commit → absorb →
+    /// observe → publish, joining each block's root one block behind.
+    /// Where state lives is the backend's business; the MPT is maintained
+    /// commitment-only behind the pipelined [`AsyncCommitter`] either way.
+    /// `genesis` only seeds the trie and is dropped right after, so an
+    /// in-memory session does not pin it.
+    fn session<B: Backend, S: TxSource>(
+        &self,
+        genesis: impl Deref<Target = State>,
+        backend: &B,
+        source: S,
+        header_of: impl Fn(u64) -> BlockHeader,
+    ) -> DriverReport {
         let started = Instant::now();
-        let prefetch = mtpu_evm::prefetch_enabled();
-        if prefetch {
-            db.enable_prefetch();
-        }
         let mut committer =
             StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
-        commit_full(&mut committer, genesis);
+        commit_full(&mut committer, &genesis);
+        drop(genesis);
         let genesis_root = committer.commit();
         let committer = AsyncCommitter::new(committer);
 
         let stop = AtomicBool::new(false);
         let exhausted = AtomicBool::new(false);
-
-        let mut report = DriverReport {
-            blocks: Vec::with_capacity(self.cfg.blocks),
-            chain: ChainStats::default(),
-            pool: PoolStats::default(),
-            genesis_root,
-            final_root: genesis_root,
-            wall: Duration::ZERO,
-            source_exhausted: false,
-            flat: None,
-        };
+        let offered = AtomicUsize::new(0);
+        let batch = self.cfg.ingest_batch.max(1);
+        let mut blocks: Vec<BlockSummary> = Vec::with_capacity(self.cfg.blocks);
+        let mut chain = ChainStats::default();
 
         std::thread::scope(|scope| {
             let mut source = source;
             let mut inline_source: Option<&mut S> = None;
             if self.cfg.background_ingest {
-                let pool = &self.pool;
-                let db = db.clone();
-                let stop = &stop;
-                let exhausted = &exhausted;
-                let batch = self.cfg.ingest_batch.max(1);
                 let high_water = self.pool_high_water();
+                let (pool, stop, exhausted, offered) = (&self.pool, &stop, &exhausted, &offered);
                 scope.spawn(move || {
                     if mtpu_telemetry::enabled() {
                         mtpu_telemetry::name_thread("ingest");
                     }
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load(Ordering::Relaxed) && !exhausted.load(Ordering::Relaxed) {
                         if pool.len() >= high_water {
+                            // Backpressure: the packer is behind; admitting
+                            // more now would just evict what we admitted.
                             std::thread::sleep(Duration::from_micros(200));
                             continue;
                         }
-                        if !ingest_slice_flat(pool, &db, &mut source, batch) {
-                            exhausted.store(true, Ordering::Relaxed);
-                            return;
-                        }
+                        ingest_slice(pool, &backend.reads(), &mut source, batch, exhausted);
+                        offered.fetch_add(batch, Ordering::Relaxed);
                     }
                 });
-            } else {
-                inline_source = Some(&mut source);
-            }
-
-            if let Some(src) = inline_source.as_deref_mut() {
-                if !ingest_slice_flat(&self.pool, db, src, self.cfg.prefill) {
-                    exhausted.store(true, Ordering::Relaxed);
-                }
-            } else {
+                // Prefill so block 1 packs from a warm pool. Ingestion
+                // pauses at the high-water mark and a source may be mostly
+                // rejects, so wait only for what can arrive: the pool at
+                // `min(prefill, high_water)`, or `prefill` transactions
+                // offered — what inline mode's prefill does.
+                let target = self.cfg.prefill.min(high_water);
                 let deadline = Instant::now() + Duration::from_secs(5);
-                while self.pool.len() < self.cfg.prefill
+                while self.pool.len() < target
+                    && offered.load(Ordering::Relaxed) < self.cfg.prefill
                     && !exhausted.load(Ordering::Relaxed)
                     && Instant::now() < deadline
                 {
                     std::thread::yield_now();
                 }
+            } else {
+                inline_source = Some(&mut source);
             }
+            // Inline mode prefills here, then refills between blocks and
+            // when a pack comes up empty; background mode refills
+            // concurrently the whole time.
+            let mut refill = |n: usize| {
+                if let Some(src) = inline_source.as_deref_mut() {
+                    ingest_slice(&self.pool, &backend.reads(), src, n, &exhausted);
+                }
+            };
+            refill(self.cfg.prefill);
 
-            let mut pending: Option<(usize, CommitHandle)> = None;
-            while report.blocks.len() < self.cfg.blocks {
-                let height = report.blocks.len() as u64 + 1;
+            let mut pending: Option<CommitHandle> = None;
+            while blocks.len() < self.cfg.blocks {
+                let height = blocks.len() as u64 + 1;
                 let packed = self.packer.pack(&self.pool, header_of(height));
                 if packed.block.transactions.is_empty() {
-                    if let Some(src) = inline_source.as_deref_mut() {
-                        if !ingest_slice_flat(&self.pool, db, src, self.cfg.ingest_batch.max(1)) {
-                            exhausted.store(true, Ordering::Relaxed);
-                        }
-                    }
+                    refill(batch);
                     if exhausted.load(Ordering::Relaxed) && self.pool.ready_chains().is_empty() {
-                        break;
+                        break; // drained: parked leftovers can never run
                     }
-                    if !self.cfg.background_ingest && !exhausted.load(Ordering::Relaxed) {
-                        continue;
+                    if self.cfg.background_ingest || exhausted.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
                     }
-                    std::thread::yield_now();
                     continue;
                 }
 
-                // Execute against the flat store; the db stays at the
-                // pre-block state until absorb, so the delta's base reads
-                // and the trie updates both see exactly block h-1. The
-                // admission-time read sets ride along as prefetch hints:
-                // the store starts pulling a transaction's slots off disk
-                // the moment its DAG parents commit.
-                let hints = if prefetch {
-                    hints_of(&packed)
-                } else {
-                    Vec::new()
-                };
+                // The backend stays at the pre-block state until absorb, so
+                // execution's base reads and the trie updates both see
+                // exactly block h-1.
+                let hints = backend.hints(&packed);
+                let base = backend.reads();
                 let result = self.executor.execute_block_delta_with_dag_hints(
-                    db.as_ref(),
+                    &base,
                     &packed.block,
                     &packed.graph,
                     &hints,
                 );
-                let updates = delta_updates(db.as_ref(), &result.delta);
-                let handle = committer.submit_updates(updates, false);
-                self.resolve_pending(&mut report, &mut pending);
-                pending = Some((report.blocks.len(), handle));
+                // Pipeline the commitment; resolve the *previous* block's
+                // root now that its hashing had a whole block to overlap.
+                let handle = committer.submit(&base, &result.delta, false);
+                self.resolve_pending(&mut blocks, pending.replace(handle));
 
-                db.absorb(&result.delta, height);
-                self.pool.observe_committed(db.as_ref());
-                flush.request_flush(height.saturating_sub(self.cfg.flush_lag));
+                let state = backend.absorb(&result.delta, height);
+                self.pool.observe_committed(&backend.reads());
 
-                report.chain.absorb(&result.stats);
-                report.blocks.push(summary_of(height, &packed));
+                chain.absorb(&result.stats);
+                blocks.push(BlockSummary {
+                    height,
+                    txs: packed.block.transactions.len(),
+                    independent: packed.independent,
+                    conflict_skips: packed.conflict_skips,
+                    dependent_ratio: packed.graph.dependent_ratio(),
+                    merkle_root: B256::ZERO, // resolved one block behind
+                });
 
-                // Publish delta-only: the flat store mutates in place, so
-                // the read layer anchors snapshots at its own frozen base
-                // and extends the delta chain per block.
+                // Publish the committed block to the read layer the moment
+                // its state is live; the root follows via `on_root` once
+                // the pipelined commit resolves.
                 if let Some(sink) = &self.sink {
                     sink.on_block(CommittedBlock {
                         height,
                         block: Arc::new(packed.block),
                         receipts: Arc::new(result.receipts),
-                        state: None,
+                        state,
                         delta: Arc::new(result.delta),
                     });
                 }
-
-                if let Some(src) = inline_source.as_deref_mut() {
-                    if !ingest_slice_flat(&self.pool, db, src, self.cfg.ingest_batch.max(1)) {
-                        exhausted.store(true, Ordering::Relaxed);
-                    }
-                }
+                refill(batch);
             }
-            self.resolve_pending(&mut report, &mut pending);
+            self.resolve_pending(&mut blocks, pending.take());
             stop.store(true, Ordering::Relaxed);
         });
 
-        report.pool = self.pool.stats();
-        report.source_exhausted = exhausted.load(Ordering::Relaxed);
-        if let Some(last) = report.blocks.last() {
-            report.final_root = last.merkle_root;
+        DriverReport {
+            final_root: blocks.last().map_or(genesis_root, |b| b.merkle_root),
+            blocks,
+            chain,
+            pool: self.pool.stats(),
+            genesis_root,
+            wall: started.elapsed(),
+            source_exhausted: exhausted.load(Ordering::Relaxed),
+            flat: None,
         }
-        report.flat = Some(db.stats());
-        report.wall = started.elapsed();
-        report
     }
 
-    /// Joins the previous block's pipelined commit, records its root and
-    /// notifies the sink (if any) that the root is final.
-    fn resolve_pending(
-        &self,
-        report: &mut DriverReport,
-        pending: &mut Option<(usize, CommitHandle)>,
-    ) {
-        if let Some((idx, h)) = pending.take() {
-            let root = h.wait().expect("in-memory commit cannot fail");
-            report.blocks[idx].merkle_root = root;
+    /// Joins the latest block's pipelined commit (if one is in flight),
+    /// records its root and tells the sink (if any) the root is final.
+    fn resolve_pending(&self, blocks: &mut [BlockSummary], pending: Option<CommitHandle>) {
+        if let (Some(handle), Some(last)) = (pending, blocks.last_mut()) {
+            last.merkle_root = handle.wait().expect("in-memory commit cannot fail");
             if let Some(sink) = &self.sink {
-                sink.on_root(report.blocks[idx].height, root);
+                sink.on_root(last.height, last.merkle_root);
             }
         }
     }
@@ -559,77 +427,20 @@ impl NodeDriver {
     }
 }
 
-/// Converts a packed block's admission-time read sets into per-transaction
-/// prefetch hints for the execution stage. Only reads matter — a write's
-/// prior value is loaded on demand by the SSTORE refund logic through the
-/// same path, and most written slots are read first anyway (and thus in
-/// the read set).
-fn hints_of(packed: &PackedBlock) -> Vec<TxHints> {
-    packed
-        .rw_sets
-        .iter()
-        .map(|rw| {
-            let mut h = TxHints::default();
-            for key in &rw.reads {
-                match *key {
-                    SlotKey::Storage(addr, slot) => h.storage.push((addr, slot)),
-                    SlotKey::Balance(addr) => h.accounts.push(addr),
-                }
-            }
-            h
-        })
-        .collect()
-}
-
-fn summary_of(height: u64, packed: &PackedBlock) -> BlockSummary {
-    BlockSummary {
-        height,
-        txs: packed.block.transactions.len(),
-        independent: packed.independent,
-        conflict_skips: packed.conflict_skips,
-        dependent_ratio: packed.graph.dependent_ratio(),
-        merkle_root: B256::ZERO,
-    }
-}
-
-/// Admits up to `batch` transactions against the current snapshot.
-/// Returns `false` when the source ran dry.
+/// Admits up to `batch` transactions against `state`, the backend's
+/// committed snapshot, raising `exhausted` when the source runs dry.
 fn ingest_slice<S: TxSource>(
     pool: &Mempool,
-    snapshot: &RwLock<Arc<State>>,
+    state: &impl StateRead,
     source: &mut S,
     batch: usize,
-) -> bool {
-    let state = snapshot.read().expect("snapshot poisoned").clone();
-    let span = mtpu_telemetry::span("node.ingest", "mempool");
+    exhausted: &AtomicBool,
+) {
+    let _span = mtpu_telemetry::span("node.ingest", "mempool");
     for _ in 0..batch {
         let Some(tx) = source.next_tx() else {
-            drop(span);
-            return false;
+            return exhausted.store(true, Ordering::Relaxed);
         };
-        let _ = pool.admit(tx, state.as_ref());
+        let _ = pool.admit(tx, state);
     }
-    drop(span);
-    true
-}
-
-/// Flat-backend ingestion: the store itself is the committed snapshot
-/// (absorbed deltas are immediately visible), so admission reads go
-/// straight to it.
-fn ingest_slice_flat<S: TxSource>(
-    pool: &Mempool,
-    db: &AccountsDb,
-    source: &mut S,
-    batch: usize,
-) -> bool {
-    let span = mtpu_telemetry::span("node.ingest", "mempool");
-    for _ in 0..batch {
-        let Some(tx) = source.next_tx() else {
-            drop(span);
-            return false;
-        };
-        let _ = pool.admit(tx, db);
-    }
-    drop(span);
-    true
 }

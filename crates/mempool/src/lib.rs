@@ -19,6 +19,7 @@
 
 pub mod obs;
 
+mod backend;
 mod driver;
 mod packer;
 mod pool;

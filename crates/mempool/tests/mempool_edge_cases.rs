@@ -157,16 +157,23 @@ fn commit_reanchors_chains_and_rejects_stale_readmission() {
     let packer = BlockPacker::new(PackerConfig::default());
     let packed = packer.pack(&pool, BlockHeader::default());
     assert_eq!(packed.block.transactions.len(), 3);
-    let result = ParExecutor::new(2).execute_block_with_dag(&state, &packed.block, &packed.graph);
+    let result = ParExecutor::new(2).execute_block_delta_with_dag_hints(
+        &state,
+        &packed.block,
+        &packed.graph,
+        &[],
+    );
     assert!(result.receipts.iter().all(|r| r.success));
+    let mut committed = state.clone();
+    result.delta.apply_to(&mut committed);
 
-    pool.observe_committed(&result.state);
+    pool.observe_committed(&committed);
     // The gap at nonce 2 still blocks the parked nonce 3.
     assert!(pool.ready_chains().is_empty());
     assert_eq!(pool.len(), 1);
 
     // Back-fill against the *new* committed state: both become ready.
-    assert_eq!(pool.admit(tx(1, 2, 10), &result.state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(1, 2, 10), &committed), Ok(Admitted::Ready));
     let chains = pool.ready_chains();
     assert_eq!(chains.len(), 1);
     let nonces: Vec<u64> = chains[0].txs.iter().map(|p| p.tx.nonce).collect();
@@ -174,7 +181,7 @@ fn commit_reanchors_chains_and_rejects_stale_readmission() {
 
     // Consumed nonces can never re-enter.
     assert_eq!(
-        pool.admit(tx(1, 0, 10), &result.state),
+        pool.admit(tx(1, 0, 10), &committed),
         Err(Rejected::StaleNonce)
     );
 }

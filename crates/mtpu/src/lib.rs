@@ -15,6 +15,6 @@ pub mod stream;
 pub use config::{DbCacheConfig, LatencyModel, MtpuConfig};
 pub use dbcache::DbCacheStats;
 pub use hotspot::ContractTable;
-pub use node::{BlockReport, Node, PendingBlock};
+pub use node::{BlockReport, Node};
 pub use pu::{Pu, PuStats, StateBuffer, StateBufferStats, TxJob, TxTiming};
 pub use sched::{simulate_sequential, simulate_st, simulate_sync, DepGraph, ScheduleResult};

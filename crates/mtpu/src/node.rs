@@ -15,7 +15,7 @@
 use crate::config::MtpuConfig;
 use crate::hotspot::ContractTable;
 use crate::sched::{simulate_sequential, simulate_st, DepGraph, ScheduleResult};
-use mtpu_evm::commit::{AsyncCommitter, CommitHandle, MemStore, StateCommitter};
+use mtpu_evm::commit::{commit_block_delta, commit_full, MemStore, StateCommitter};
 use mtpu_evm::overlay::{BlockDelta, OverlayedView, StateOverlay, StateRead};
 use mtpu_evm::state::State;
 use mtpu_evm::trace_transaction;
@@ -86,60 +86,6 @@ impl core::fmt::Display for BlockError {
 
 impl std::error::Error for BlockError {}
 
-/// A block fully executed but whose state commitment may still be
-/// running on the node's background commit thread.
-///
-/// Returned by [`Node::process_block_pipelined`]: everything except the
-/// merkle roots is final, and [`PendingBlock::wait`] joins the
-/// commitment at the point the caller actually needs the root — usually
-/// after the *next* block has executed, which is the execute/commit
-/// overlap.
-#[derive(Debug)]
-pub struct PendingBlock {
-    height: u64,
-    receipts: Vec<Receipt>,
-    state_root: B256,
-    dependent_ratio: f64,
-    schedule: ScheduleResult,
-    baseline_cycles: u64,
-    hotspot_coverage: f64,
-    parent_root: CommitHandle,
-    root: CommitHandle,
-}
-
-impl PendingBlock {
-    /// Block height.
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    /// The claim check for this block's merkle root (shared with the
-    /// node's own chaining).
-    pub fn root_handle(&self) -> &CommitHandle {
-        &self.root
-    }
-
-    /// Joins the commitment and assembles the final [`BlockReport`].
-    pub fn wait(self) -> BlockReport {
-        let parent_merkle_root = self
-            .parent_root
-            .wait()
-            .expect("in-memory commit cannot fail");
-        let merkle_root = self.root.wait().expect("in-memory commit cannot fail");
-        BlockReport {
-            height: self.height,
-            receipts: self.receipts,
-            state_root: self.state_root,
-            merkle_root,
-            parent_merkle_root,
-            dependent_ratio: self.dependent_ratio,
-            schedule: self.schedule,
-            baseline_cycles: self.baseline_cycles,
-            hotspot_coverage: self.hotspot_coverage,
-        }
-    }
-}
-
 /// A validating node with an attached MTPU.
 #[derive(Debug)]
 pub struct Node {
@@ -152,27 +98,26 @@ pub struct Node {
     /// Number of hotspot entries retained per relearn pass.
     pub hotspot_capacity: usize,
     height: u64,
-    /// Worker threads the committer fans storage-trie hashing across.
-    commit_threads: usize,
-    /// The persistent incremental committer, on its background thread.
-    committer: AsyncCommitter<MemStore>,
-    /// Claim check for the latest submitted commit — block *h*'s root,
-    /// which becomes block *h+1*'s parent linkage.
-    root: CommitHandle,
+    /// The persistent incremental committer: each block re-hashes only
+    /// the trie paths of the accounts it touched.
+    committer: StateCommitter<MemStore>,
+    /// Block *h*'s merkle root, which becomes block *h+1*'s parent linkage.
+    root: B256,
 }
 
 impl Node {
     /// Creates a node over `genesis` state with the given configuration.
     pub fn new(genesis: State, config: MtpuConfig) -> Self {
-        let commit_threads = default_commit_threads();
-        let (committer, root) = seed_committer(&genesis, commit_threads);
+        let mut committer =
+            StateCommitter::new(MemStore::new()).with_threads(default_commit_threads());
+        commit_full(&mut committer, &genesis);
+        let root = committer.commit();
         Node {
             state: genesis,
             config,
             contract_table: ContractTable::new(),
             hotspot_capacity: 32,
             height: 0,
-            commit_threads,
             committer,
             root,
         }
@@ -183,14 +128,14 @@ impl Node {
         self.height
     }
 
-    /// Merkle Patricia Trie root of the node's current state. Joins the
-    /// in-flight commitment, if one is pending.
+    /// Merkle Patricia Trie root of the node's current state.
     pub fn merkle_root(&self) -> B256 {
-        self.root.wait().expect("in-memory commit cannot fail")
+        self.root
     }
 
-    /// Processes one block end to end, returning once its commitment has
-    /// resolved. Equivalent to `process_block_pipelined(block)?.wait()`.
+    /// Processes one block end to end: verify, accelerate, relearn, then
+    /// commit the block's delta incrementally (only the touched accounts'
+    /// trie paths re-hash) before returning.
     ///
     /// # Errors
     ///
@@ -198,25 +143,6 @@ impl Node {
     /// (invalid nonce, unaffordable gas); the node's state is left at the
     /// pre-block state in that case.
     pub fn process_block(&mut self, block: &Block) -> Result<BlockReport, BlockError> {
-        Ok(self.process_block_pipelined(block)?.wait())
-    }
-
-    /// Processes one block, overlapping its state commitment with
-    /// whatever the caller does next.
-    ///
-    /// Execution, scheduling and hotspot learning complete synchronously
-    /// — on return the node's state *is* the post-block state and the
-    /// next block may be processed immediately — but the merkle
-    /// commitment (incremental, over the block's touched accounts only)
-    /// runs on the node's background commit thread. The returned
-    /// [`PendingBlock`] joins it on demand; commits resolve in block
-    /// order, so the parent linkage is preserved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BlockError`] when a transaction fails validation; the
-    /// node's state is left at the pre-block state in that case.
-    pub fn process_block_pipelined(&mut self, block: &Block) -> Result<PendingBlock, BlockError> {
         // Stage 1: consensus-grade sequential execution with tracing,
         // accumulated as a BlockDelta over the immutable pre-block state
         // (no full-state clone; an invalid block leaves no trace).
@@ -302,58 +228,23 @@ impl Node {
         }
         self.contract_table.retain_top(self.hotspot_capacity);
 
-        // Advance: extract the commit work while the delta still refers
-        // to the pre-block state, then fold the delta in and hand the
-        // hashing to the background committer.
-        let updates = mtpu_evm::delta_updates(&self.state, &delta);
+        // Advance: commit while the delta still refers to the pre-block
+        // state, then fold the delta in.
+        let merkle_root = commit_block_delta(&mut self.committer, &self.state, &delta);
+        let parent_merkle_root = std::mem::replace(&mut self.root, merkle_root);
         delta.apply_to(&mut self.state);
         self.height += 1;
-        let root = self.committer.submit_updates(updates, false);
-        let parent_root = std::mem::replace(&mut self.root, root.clone());
-        Ok(PendingBlock {
+        Ok(BlockReport {
             height: self.height,
             receipts,
             state_root: self.state.state_root(),
+            merkle_root,
+            parent_merkle_root,
             dependent_ratio: graph.dependent_ratio(),
             schedule,
             baseline_cycles: baseline.makespan,
             hotspot_coverage: coverage,
-            parent_root,
-            root,
         })
-    }
-}
-
-/// A committer seeded with a full commit of `state`, moved onto its
-/// background thread, plus the resolved handle for that root.
-fn seed_committer(state: &State, threads: usize) -> (AsyncCommitter<MemStore>, CommitHandle) {
-    let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
-    mtpu_evm::commit_full(&mut committer, state);
-    let root = committer.commit();
-    (AsyncCommitter::new(committer), CommitHandle::ready(root))
-}
-
-impl Clone for Node {
-    /// Clones the node, draining any in-flight commitment first (the
-    /// background committer is rebuilt from the cloned state).
-    fn clone(&self) -> Node {
-        let root = self.merkle_root();
-        let (committer, seeded_root) = seed_committer(&self.state, self.commit_threads);
-        debug_assert_eq!(
-            seeded_root.wait().expect("in-memory commit cannot fail"),
-            root,
-            "rebuilt committer must agree with the chained root"
-        );
-        Node {
-            state: self.state.clone(),
-            config: self.config.clone(),
-            contract_table: self.contract_table.clone(),
-            hotspot_capacity: self.hotspot_capacity,
-            height: self.height,
-            commit_threads: self.commit_threads,
-            committer,
-            root: seeded_root,
-        }
     }
 }
 

@@ -265,20 +265,6 @@ impl BlockResult {
     pub fn delta_merkle_root(&self, base: &State) -> B256 {
         mtpu_evm::delta_merkle_root(base, &self.delta)
     }
-
-    /// Queues this block's incremental commitment on `committer`'s
-    /// background thread, returning a [`mtpu_evm::CommitHandle`]
-    /// immediately — the caller can start executing the next block while
-    /// this block's trie hashing (and, with `persist`, store sync) runs.
-    /// `base` must be the pre-block state this result was executed from.
-    pub fn submit_commit<S: mtpu_evm::commit::NodeStore + Send + 'static>(
-        &self,
-        committer: &mtpu_evm::AsyncCommitter<S>,
-        base: &State,
-        persist: bool,
-    ) -> mtpu_evm::CommitHandle {
-        committer.submit(base, &self.delta, persist)
-    }
 }
 
 /// A multi-threaded optimistic block executor.
@@ -323,28 +309,12 @@ impl ParExecutor {
 
     /// Executes `block` against `base` using the sender-nonce-order DAG —
     /// the weakest dependency information a node can always derive without
-    /// consensus-stage traces. Conflicts the DAG misses are caught by
-    /// read-set validation and repaired by re-execution.
+    /// consensus-stage traces — and materializes the post-block [`State`].
+    /// Conflicts the DAG misses are caught by read-set validation and
+    /// repaired by re-execution.
     pub fn execute_block(&self, base: &State, block: &Block) -> BlockResult {
         let dag = DepGraph::sender_order(&block.transactions);
-        self.execute_block_with_dag(base, block, &dag)
-    }
-
-    /// Executes `block` with an explicit dependency DAG (normally
-    /// [`DepGraph::from_conflicts`] built from consensus-stage traces, per
-    /// the paper's §2.2.2). A more precise DAG means fewer validation
-    /// failures, not different results.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dag.len() != block.transactions.len()`.
-    pub fn execute_block_with_dag(
-        &self,
-        base: &State,
-        block: &Block,
-        dag: &DepGraph,
-    ) -> BlockResult {
-        let r = self.execute_block_delta_with_dag(base, block, dag);
+        let r = self.execute_block_delta_with_dag_hints(base, block, &dag, &[]);
         let mut state = base.clone();
         r.delta.apply_to(&mut state);
         BlockResult {
@@ -355,35 +325,17 @@ impl ParExecutor {
         }
     }
 
-    /// [`ParExecutor::execute_block`] against an arbitrary [`StateRead`]
-    /// backend, returning only receipts + delta (no state clone).
-    pub fn execute_block_delta<B: StateRead + Sync>(&self, base: &B, block: &Block) -> DeltaResult {
-        let dag = DepGraph::sender_order(&block.transactions);
-        self.execute_block_delta_with_dag(base, block, &dag)
-    }
-
-    /// [`ParExecutor::execute_block_with_dag`] against an arbitrary
-    /// [`StateRead`] backend (an in-memory [`State`], the flat accounts-DB,
-    /// …), returning only receipts + delta. The base is never cloned; the
-    /// caller absorbs the delta into its backend.
+    /// Executes `block` against an arbitrary [`StateRead`] backend (an
+    /// in-memory [`State`], the flat accounts-DB, …) with an explicit
+    /// dependency DAG — normally [`DepGraph::from_conflicts`] built from
+    /// consensus-stage traces (the paper's §2.2.2) or the packer's
+    /// admission-time footprints. A more precise DAG means fewer validation
+    /// failures, not different results. Returns only receipts + delta: the
+    /// base is never cloned; the caller absorbs the delta into its backend.
     ///
-    /// # Panics
-    ///
-    /// Panics when `dag.len() != block.transactions.len()`.
-    pub fn execute_block_delta_with_dag<B: StateRead + Sync>(
-        &self,
-        base: &B,
-        block: &Block,
-        dag: &DepGraph,
-    ) -> DeltaResult {
-        self.execute_block_delta_with_dag_hints(base, block, dag, &[])
-    }
-
-    /// [`ParExecutor::execute_block_delta_with_dag`] plus per-transaction
-    /// prefetch hints: when transaction `i` becomes ready, `hints[i]` is
-    /// forwarded to the backend (see [`TxHints`]) before any worker claims
-    /// it, overlapping backend reads with scheduling. Pass an empty slice
-    /// for no hints.
+    /// When transaction `i` becomes ready, `hints[i]` is forwarded to the
+    /// backend (see [`TxHints`]) before any worker claims it, overlapping
+    /// backend reads with scheduling. Pass an empty slice for no hints.
     ///
     /// # Panics
     ///
@@ -966,9 +918,16 @@ mod tests {
                 assert_eq!(with_sender.receipts, seq_receipts);
                 assert_eq!(with_sender.state.state_root(), seq_state.state_root());
 
-                let with_dag = exec.execute_block_with_dag(&base, &prepared.block, &prepared.graph);
+                let with_dag = exec.execute_block_delta_with_dag_hints(
+                    &base,
+                    &prepared.block,
+                    &prepared.graph,
+                    &[],
+                );
                 assert_eq!(with_dag.receipts, seq_receipts);
-                assert_eq!(with_dag.state.state_root(), seq_state.state_root());
+                let mut state = base.clone();
+                with_dag.delta.apply_to(&mut state);
+                assert_eq!(state.state_root(), seq_state.state_root());
             }
         }
     }

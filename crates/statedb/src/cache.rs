@@ -21,12 +21,79 @@ use std::hash::Hash;
 /// bounds the cache to a few MiB.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
-/// Bounded FIFO cache mapping node hash → decoded node.
+/// A bounded FIFO map: the one eviction loop behind both [`NodeCache`]
+/// and the committer's memo of `keccak(address)` / `keccak(slot)`
+/// secure-key hashing, which would otherwise re-hash the same 20/32
+/// bytes on every touch of a hot account or slot.
+#[derive(Debug, Clone)]
+pub struct BoundedMemo<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
+    /// A memo holding at most `capacity` entries (0 disables memoizing).
+    pub fn new(capacity: usize) -> Self {
+        BoundedMemo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Entries currently memoized.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` when nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The memoized value for `key`, if present.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// Memoizes `value` under `key` unless the key is already present (or
+    /// memoizing is disabled), evicting the oldest entries at capacity.
+    /// Returns how many entries were evicted.
+    pub fn insert(&mut self, key: K, value: V) -> u64 {
+        if self.capacity == 0 || self.map.contains_key(&key) {
+            return 0;
+        }
+        let mut evicted = 0;
+        while self.map.len() >= self.capacity {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&old);
+            evicted += 1;
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, value);
+        evicted
+    }
+
+    /// The memoized value for `key`, computing and inserting it with `f`
+    /// on a miss.
+    pub fn get_or_insert_with(&mut self, key: &K, f: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.map.get(key) {
+            return v.clone();
+        }
+        let v = f();
+        self.insert(key.clone(), v.clone());
+        v
+    }
+}
+
+/// Bounded FIFO cache mapping node hash → decoded node: a
+/// [`BoundedMemo`] plus the hit/miss/eviction accounting.
 #[derive(Debug, Clone)]
 pub struct NodeCache {
-    nodes: HashMap<B256, Node>,
-    order: VecDeque<B256>,
-    capacity: usize,
+    nodes: BoundedMemo<B256, Node>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -42,9 +109,7 @@ impl NodeCache {
     /// A cache holding at most `capacity` nodes (0 disables caching).
     pub fn new(capacity: usize) -> Self {
         NodeCache {
-            nodes: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
+            nodes: BoundedMemo::new(capacity),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -63,7 +128,7 @@ impl NodeCache {
 
     /// Capacity in nodes.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.nodes.capacity
     }
 
     /// Lifetime `(hits, misses, evictions)` counters.
@@ -93,75 +158,11 @@ impl NodeCache {
 
     /// Inserts a decoded node, evicting the oldest entry at capacity.
     pub fn put(&mut self, hash: B256, node: Node) {
-        if self.capacity == 0 || self.nodes.contains_key(&hash) {
-            return;
+        let evicted = self.nodes.insert(hash, node);
+        self.evictions += evicted;
+        if evicted > 0 && mtpu_telemetry::enabled() {
+            crate::obs::metrics().cache_evict.add(evicted);
         }
-        while self.nodes.len() >= self.capacity {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            self.nodes.remove(&old);
-            self.evictions += 1;
-            if mtpu_telemetry::enabled() {
-                crate::obs::metrics().cache_evict.inc();
-            }
-        }
-        self.order.push_back(hash);
-        self.nodes.insert(hash, node);
-    }
-}
-
-/// A bounded FIFO memo map — [`NodeCache`]'s eviction policy generalised
-/// over key and value types. Used by the committer to memoize
-/// `keccak(address)` / `keccak(slot)` secure-key hashing, which would
-/// otherwise re-hash the same 20/32 bytes on every touch of a hot
-/// account or slot.
-#[derive(Debug, Clone)]
-pub struct BoundedMemo<K, V> {
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
-    capacity: usize,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
-    /// A memo holding at most `capacity` entries (0 disables memoizing).
-    pub fn new(capacity: usize) -> Self {
-        BoundedMemo {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Entries currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The memoized value for `key`, computing and inserting it with `f`
-    /// on a miss (evicting the oldest entry at capacity).
-    pub fn get_or_insert_with(&mut self, key: &K, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.map.get(key) {
-            return v.clone();
-        }
-        let v = f();
-        if self.capacity == 0 {
-            return v;
-        }
-        while self.map.len() >= self.capacity {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            self.map.remove(&old);
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key.clone(), v.clone());
-        v
     }
 }
 

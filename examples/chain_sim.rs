@@ -4,12 +4,11 @@
 //!
 //! Each block is additionally executed in parallel (`parexec`) and its
 //! delta committed *incrementally* into a file-backed Merkle Patricia
-//! Trie. Both commitments are **pipelined**: block N's trie hashing and
-//! store sync run on background commit threads while block N+1 is
-//! generated and executed, and the roots are only joined one block later
-//! — where they must match the node's chained commitment bit for bit.
-//! After the run the store is reopened to show the chain survives
-//! restart.
+//! Trie, whose root must match the node's chained commitment bit for
+//! bit. Everything here is synchronous, one block at a time; the
+//! overlapped pipeline (commit joined one block behind) is
+//! `NodeDriver`'s, see `examples/node_pipeline.rs`. After the run the
+//! store is reopened to show the chain survives restart.
 //!
 //! The flat accounts store rides along: every committed delta is also
 //! absorbed into an [`AccountsDb`] whose background flush trails the
@@ -21,8 +20,8 @@
 //! ```
 
 use mtpu_repro::accountsdb::{AccountsDb, FlushService};
-use mtpu_repro::evm::{AsyncCommitter, CommitHandle};
-use mtpu_repro::mtpu::{MtpuConfig, Node, PendingBlock};
+use mtpu_repro::evm::{apply_updates, delta_updates};
+use mtpu_repro::mtpu::{MtpuConfig, Node};
 use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::statedb::{FileStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
@@ -31,43 +30,6 @@ use std::sync::Arc;
 fn short(root: mtpu_repro::primitives::B256) -> String {
     let s = root.to_string();
     format!("{}..{}", &s[..10], &s[s.len() - 4..])
-}
-
-/// One fully executed block whose two commitments (the node's in-memory
-/// chain root and the file store's incremental root) are still in
-/// flight.
-struct InFlight {
-    pending: PendingBlock,
-    store_root: CommitHandle,
-    txs: usize,
-}
-
-/// Joins both commitments of the previous block, checks the chain
-/// linkage and the sequential/parallel root agreement, and prints the
-/// row.
-fn flush(inflight: InFlight, parent_root: &mut mtpu_repro::primitives::B256) {
-    let report = inflight.pending.wait();
-    let incremental = inflight.store_root.wait().expect("persist block");
-
-    // Parent linkage: the chain of commitments must be unbroken.
-    assert_eq!(report.parent_merkle_root, *parent_root, "root chain broken");
-    *parent_root = report.merkle_root;
-
-    // Parallel execution + incremental trie commit must land on the
-    // same 32 bytes as the node's pipelined incremental commitment.
-    assert_eq!(incremental, report.merkle_root, "trie commit diverged");
-
-    println!(
-        "{:>5} {:>6} {:>7.0}% {:>10} {:>8.2}x {:>8.0}% {:>7.0}%  {:<16}",
-        report.height,
-        inflight.txs,
-        100.0 * report.dependent_ratio,
-        report.schedule.makespan,
-        report.speedup(),
-        100.0 * report.hotspot_coverage,
-        100.0 * report.schedule.utilization(),
-        short(report.merkle_root),
-    );
 }
 
 fn main() {
@@ -93,9 +55,6 @@ fn main() {
     mtpu_repro::evm::commit_full(&mut committer, &node.state);
     let genesis_root = committer.persist().expect("persist genesis");
     assert_eq!(genesis_root, node.merkle_root());
-    // From here on the file-backed committer lives on its own thread;
-    // each block's hashing + fsync overlaps the next block's execution.
-    let committer = AsyncCommitter::new(committer);
 
     // The flat accounts store shadows the chain: deltas absorb after
     // each block, the write cache drains in the background.
@@ -110,7 +69,6 @@ fn main() {
         "block", "txs", "dep%", "cycles", "speedup", "hotspot%", "util%", "state root"
     );
     let mut parent_root = genesis_root;
-    let mut inflight: Option<InFlight> = None;
     for height in 1..=blocks as u64 {
         let block = generator.block(&BlockConfig {
             tx_count: 96,
@@ -121,34 +79,37 @@ fn main() {
             focus: None,
         });
         let base = node.state.clone();
-        // The node's state advances synchronously; only the merkle
-        // commitment is left running on its commit thread.
-        let pending = node.process_block_pipelined(&block).expect("valid block");
+        let report = node.process_block(&block).expect("valid block");
         // Keep the generator's fixture state in sync with the chain.
         generator.fx.state = node.state.clone();
 
+        // Parent linkage: the chain of commitments must be unbroken.
+        assert_eq!(report.parent_merkle_root, parent_root, "root chain broken");
+        parent_root = report.merkle_root;
+
+        // Parallel execution + incremental trie commit must land on the
+        // same 32 bytes as the node's own incremental commitment.
         let result = executor.execute_block(&base, &block);
-        let store_root = result.submit_commit(&committer, &base, true);
+        apply_updates(&mut committer, &delta_updates(&base, &result.delta));
+        let incremental = committer.persist().expect("persist block");
+        assert_eq!(incremental, report.merkle_root, "trie commit diverged");
         flat.absorb(&result.delta, height);
         flat_flush.request_flush(height.saturating_sub(1));
 
-        // Only now join the *previous* block — its two commitments have
-        // been hashing while this block executed.
-        if let Some(prev) = inflight.take() {
-            flush(prev, &mut parent_root);
-        }
-        inflight = Some(InFlight {
-            pending,
-            store_root,
-            txs: block.transactions.len(),
-        });
-    }
-    if let Some(last) = inflight.take() {
-        flush(last, &mut parent_root);
+        println!(
+            "{:>5} {:>6} {:>7.0}% {:>10} {:>8.2}x {:>8.0}% {:>7.0}%  {:<16}",
+            report.height,
+            block.transactions.len(),
+            100.0 * report.dependent_ratio,
+            report.schedule.makespan,
+            report.speedup(),
+            100.0 * report.hotspot_coverage,
+            100.0 * report.schedule.utilization(),
+            short(report.merkle_root),
+        );
     }
 
     // Restart survival: reopen the store and resume at the same root.
-    let committer = committer.into_inner();
     let total_nodes = {
         use mtpu_repro::statedb::NodeStore;
         committer.store().node_count()

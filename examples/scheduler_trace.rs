@@ -112,9 +112,16 @@ fn main() {
     // Execute the same block on the real host-thread engine: its workers
     // emit wall-clock exec/commit/fallback spans into WALL_PID lanes.
     let exec = ParExecutor::new(4);
-    let par = exec.execute_block_with_dag(&block.state_before, &block.block, &block.graph);
+    let par = exec.execute_block_delta_with_dag_hints(
+        &block.state_before,
+        &block.block,
+        &block.graph,
+        &[],
+    );
+    let mut par_state = block.state_before.clone();
+    par.delta.apply_to(&mut par_state);
     assert_eq!(
-        par.state.state_root(),
+        par_state.state_root(),
         block.state_after.state_root(),
         "parallel result must match"
     );

@@ -19,11 +19,9 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> fusion differential fuzz (fused vs unfused observational equality)"
-cargo test -q --test fusion_differential
-
-echo "==> readserve crate tests (MVCC snapshot read layer)"
-cargo test -q -p mtpu-readserve
+echo "==> spine (the benchmark is its own workspace: an API break in crates/* fails here)"
+cargo build --release --offline --manifest-path spine/Cargo.toml
+cargo test -q --offline --manifest-path spine/Cargo.toml
 
 echo "==> statedb fuzz smoke (randomized trie vs model, incremental vs scratch)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke

@@ -24,6 +24,7 @@ use mtpu_repro::evm::{
     delta_merkle_root, execute_block, execute_transaction, set_fusion_enabled,
     set_prefetch_enabled, StateRead,
 };
+use mtpu_repro::mtpu::sched::DepGraph;
 use mtpu_repro::parexec::{ParExecutor, TxHints};
 use mtpu_repro::primitives::{Address, SplitMix64, B256, U256};
 use std::sync::{Arc, Mutex};
@@ -453,7 +454,8 @@ fn prefetch_grid_is_observationally_identical() {
             if prefetch {
                 db.enable_prefetch();
             }
-            let r = exec.execute_block_delta(db.as_ref(), &block);
+            let dag = DepGraph::sender_order(&block.transactions);
+            let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &[]);
             assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
             assert_eq!(
                 delta_merkle_root(&base, &r.delta),
@@ -531,7 +533,7 @@ fn stale_prefetch_is_repaired_by_validation() {
                 accounts: vec![contract],
             })
             .collect();
-        let dag = mtpu_repro::mtpu::sched::DepGraph::sender_order(&block.transactions);
+        let dag = DepGraph::sender_order(&block.transactions);
         let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &hints);
         assert!(r.receipts.iter().all(|rc| rc.success));
         db.absorb(&r.delta, 1);

@@ -10,13 +10,15 @@ use mtpu_repro::evm::state::State;
 use mtpu_repro::evm::tx::{BlockHeader, Transaction};
 use mtpu_repro::evm::{apply_updates, commit_full, delta_updates, AsyncCommitter};
 use mtpu_repro::mempool::{
-    BlockPacker, DriverConfig, Mempool, NodeDriver, PackedBlock, PackerConfig, PoolConfig, TxSource,
+    BlockPacker, BlockSink, CommittedBlock, DriverConfig, DriverReport, Mempool, NodeDriver,
+    PackedBlock, PackerConfig, PoolConfig, TxSource,
 };
 use mtpu_repro::parexec::ParExecutor;
-use mtpu_repro::primitives::B256;
+use mtpu_repro::primitives::{Address, B256, U256};
 use mtpu_repro::statedb::{MemStore, StateCommitter};
 use mtpu_repro::workloads::{ZipfConfig, ZipfGen};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const THREADS: [usize; 3] = [1, 4, 8];
 
@@ -106,12 +108,12 @@ fn packed_blocks_parallel_equals_sequential() {
         // Synchronous: recompute the full root after every block.
         let mut state = genesis.clone();
         for (i, p) in packed.iter().enumerate() {
-            let result = exec.execute_block_with_dag(&state, &p.block, &p.graph);
+            let result = exec.execute_block_delta_with_dag_hints(&state, &p.block, &p.graph, &[]);
             assert_eq!(
                 result.receipts, oracle_receipts[i],
                 "receipts diverged at block {i} threads {threads}"
             );
-            state = result.state;
+            result.delta.apply_to(&mut state);
             assert_eq!(
                 state.merkle_root(),
                 oracle_roots[i],
@@ -128,9 +130,9 @@ fn packed_blocks_parallel_equals_sequential() {
         let mut state = genesis.clone();
         let mut handles = Vec::new();
         for p in &packed {
-            let result = exec.execute_block_with_dag(&state, &p.block, &p.graph);
-            handles.push(result.submit_commit(&committer, &state, false));
-            state = result.state;
+            let result = exec.execute_block_delta_with_dag_hints(&state, &p.block, &p.graph, &[]);
+            handles.push(committer.submit(&state, &result.delta, false));
+            result.delta.apply_to(&mut state);
         }
         let roots: Vec<B256> = handles
             .iter()
@@ -223,7 +225,7 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
 
         for (i, p) in packed.iter().enumerate() {
             let height = i as u64 + 1;
-            let result = exec.execute_block_delta_with_dag(&db, &p.block, &p.graph);
+            let result = exec.execute_block_delta_with_dag_hints(&db, &p.block, &p.graph, &[]);
             assert_eq!(
                 result.receipts, oracle_receipts[i],
                 "flat receipts diverged at block {i} threads {threads}"
@@ -306,4 +308,270 @@ fn flat_driver_matches_state_driver_and_survives_snapshot_restore() {
     assert_eq!(restored.snapshot_root(), Some(flat.final_root));
     assert_eq!(restored.head_height(), head);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Which of the driver's two state backends a session runs on.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    State,
+    Flat,
+}
+
+/// Records what the driver publishes, and when the first block landed.
+#[derive(Default)]
+struct Recorder {
+    blocks: Mutex<Vec<CommittedBlock>>,
+    roots: Mutex<Vec<(u64, B256)>>,
+    first_block: Mutex<Option<Instant>>,
+}
+
+impl BlockSink for Recorder {
+    fn on_block(&self, block: CommittedBlock) {
+        self.first_block
+            .lock()
+            .unwrap()
+            .get_or_insert_with(Instant::now);
+        self.blocks.lock().unwrap().push(block);
+    }
+    fn on_root(&self, height: u64, root: B256) {
+        self.roots.lock().unwrap().push((height, root));
+    }
+}
+
+/// One driver session over either backend, with everything it published.
+struct Session {
+    report: DriverReport,
+    blocks: Vec<CommittedBlock>,
+    roots: Vec<(u64, B256)>,
+    /// Session start → first `on_block`.
+    first_block_after: Option<Duration>,
+    /// Ready transactions left in the pool at session end.
+    ready_left: usize,
+}
+
+/// The one session helper: the same pool, packer, config and source on
+/// the in-memory `State` backend or the flat accounts-DB backend.
+fn run_session(
+    backend: Backend,
+    tag: &str,
+    genesis: &State,
+    pool: PoolConfig,
+    cfg: DriverConfig,
+    source: impl TxSource,
+) -> Session {
+    let sink = Arc::new(Recorder::default());
+    let driver = NodeDriver::new(
+        Mempool::new(pool),
+        BlockPacker::new(PackerConfig::default()),
+        cfg,
+    )
+    .with_sink(sink.clone());
+    let started = Instant::now();
+    let report = match backend {
+        Backend::State => driver.run(genesis.clone(), source, header),
+        Backend::Flat => {
+            let dir = scratch_dir(tag);
+            let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+            db.bootstrap_from_state(genesis, 0);
+            let flush = FlushService::start(db.clone());
+            let report = driver.run_flat(genesis, &db, &flush, source, header);
+            flush.quiesce();
+            drop(flush);
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+            report
+        }
+    };
+    let first_block = *sink.first_block.lock().unwrap();
+    let blocks = std::mem::take(&mut *sink.blocks.lock().unwrap());
+    let roots = std::mem::take(&mut *sink.roots.lock().unwrap());
+    Session {
+        report,
+        blocks,
+        roots,
+        first_block_after: first_block.map(|t| t.duration_since(started)),
+        ready_left: driver.pool().ready_chains().len(),
+    }
+}
+
+/// A source that runs dry before `cfg.blocks` ends the session early —
+/// on either backend, with either ingest mode — with the exhaustion
+/// reported, fewer blocks than asked for, and nothing ready left behind.
+#[test]
+fn dry_source_ends_the_session_with_every_ready_tx_committed() {
+    for backend in [Backend::State, Backend::Flat] {
+        for background_ingest in [false, true] {
+            let tag = format!("{backend:?} background={background_ingest}");
+            let source = Bounded {
+                gen: stream(0xD2A1),
+                left: 300,
+            };
+            let genesis = source.gen.genesis_state().clone();
+            let cfg = DriverConfig {
+                blocks: 64,
+                threads: 4,
+                ingest_batch: 64,
+                prefill: 128,
+                background_ingest,
+                ..DriverConfig::default()
+            };
+            let s = run_session(
+                backend,
+                &format!("dry-{backend:?}-{background_ingest}"),
+                &genesis,
+                PoolConfig::default(),
+                cfg,
+                source,
+            );
+
+            assert!(s.report.source_exhausted, "{tag}: exhaustion not reported");
+            assert!(
+                !s.report.blocks.is_empty() && s.report.blocks.len() < 64,
+                "{tag}: {} blocks",
+                s.report.blocks.len()
+            );
+            assert_eq!(s.ready_left, 0, "{tag}: ready transactions left behind");
+            // Everything the pool ever held was either committed or is
+            // still parked behind a nonce gap that can never fill.
+            let packed: usize = s.report.blocks.iter().map(|b| b.txs).sum();
+            assert_eq!(packed, s.report.chain.txs, "{tag}");
+            assert!(packed > 0, "{tag}: nothing committed");
+            assert_eq!(s.blocks.len(), s.report.blocks.len(), "{tag}: sink");
+            assert_eq!(s.roots.len(), s.report.blocks.len(), "{tag}: roots");
+        }
+    }
+}
+
+/// Background ingest races the block loop, so the packed chain is not
+/// reproducible — but whatever chain the session did produce, recorded
+/// through the sink, must replay sequentially to the same receipts at
+/// every height and to the same roots, on either backend.
+#[test]
+fn background_ingest_session_replays_sequentially() {
+    for backend in [Backend::State, Backend::Flat] {
+        let tag = format!("{backend:?}");
+        let source = Bounded {
+            gen: stream(0xB6_1A6E),
+            left: 1500,
+        };
+        let genesis = source.gen.genesis_state().clone();
+        let cfg = DriverConfig {
+            blocks: 5,
+            threads: 4,
+            ingest_batch: 64,
+            prefill: 256,
+            background_ingest: true,
+            ..DriverConfig::default()
+        };
+        let s = run_session(
+            backend,
+            &format!("background-{backend:?}"),
+            &genesis,
+            PoolConfig::default(),
+            cfg,
+            source,
+        );
+        assert_eq!(s.blocks.len(), s.report.blocks.len(), "{tag}: sink");
+        assert!(s.report.chain.txs > 0, "{tag}: nothing committed");
+
+        let mut state = genesis.clone();
+        for (cb, summary) in s.blocks.iter().zip(&s.report.blocks) {
+            assert_eq!(cb.height, summary.height, "{tag}");
+            let receipts = sequential(&mut state, &cb.block);
+            assert_eq!(
+                receipts, *cb.receipts,
+                "{tag}: receipts diverged at height {}",
+                cb.height
+            );
+            assert_eq!(
+                state.merkle_root(),
+                summary.merkle_root,
+                "{tag}: root diverged at height {}",
+                cb.height
+            );
+            match (backend, &cb.state) {
+                (Backend::State, Some(published)) => {
+                    assert_eq!(published.state_root(), state.state_root(), "{tag}")
+                }
+                (Backend::Flat, None) => {}
+                _ => panic!("{tag}: wrong sink payload for the backend"),
+            }
+        }
+        assert_eq!(
+            state.merkle_root(),
+            s.report.final_root,
+            "{tag}: final root"
+        );
+        let reported: Vec<(u64, B256)> = s
+            .report
+            .blocks
+            .iter()
+            .map(|b| (b.height, b.merkle_root))
+            .collect();
+        assert_eq!(s.roots, reported, "{tag}: on_root sequence");
+    }
+}
+
+/// The background-ingest prefill wait must only wait for what can
+/// arrive. Two sources that used to sit out the full 5 s deadline: a
+/// `prefill` above the ingest thread's backpressure mark, and a live
+/// source of (almost) nothing but rejects.
+#[test]
+fn background_prefill_does_not_wait_for_what_cannot_arrive() {
+    let genesis = stream(0x57A11).genesis_state().clone();
+    let cfg = |prefill: usize| DriverConfig {
+        blocks: 1,
+        threads: 2,
+        ingest_batch: 64,
+        prefill,
+        background_ingest: true,
+        ..DriverConfig::default()
+    };
+    let check = |what: &str, s: Session| {
+        assert_eq!(s.report.blocks.len(), 1, "{what}");
+        let waited = s.first_block_after.expect("a block was published");
+        assert!(
+            waited < Duration::from_millis(2500),
+            "{what}: first block took {waited:?}"
+        );
+    };
+
+    // Ingestion pauses at max_txs - ingest_batch = 192 < prefill.
+    let mut gen = stream(0x57A11);
+    let small_pool = PoolConfig {
+        max_txs: 256,
+        ..PoolConfig::default()
+    };
+    let s = run_session(
+        Backend::State,
+        "prefill-high-water",
+        &genesis,
+        small_pool,
+        cfg(1024),
+        move || Some(gen.next_tx()),
+    );
+    check("prefill above the high-water mark", s);
+
+    // 100 good transactions, then an endless stream from an unfunded
+    // sender: the pool never reaches `prefill`, the source never ends.
+    let mut gen = stream(0x57A11);
+    let mut served = 0u64;
+    let rejects = move || {
+        served += 1;
+        Some(if served <= 100 {
+            gen.next_tx()
+        } else {
+            let broke = Address::from_low_u64(0xDEAD_0000 + served);
+            Transaction::transfer(broke, Address::from_low_u64(1), U256::ONE, 0)
+        })
+    };
+    let s = run_session(
+        Backend::State,
+        "prefill-rejects",
+        &genesis,
+        PoolConfig::default(),
+        cfg(256),
+        rejects,
+    );
+    check("a source of rejects", s);
 }

@@ -67,11 +67,14 @@ fn parallel_equals_sequential_with_conflict_dag() {
         let base = &prepared.state_before;
 
         for &threads in &THREADS {
-            let result = ParExecutor::new(threads).execute_block_with_dag(
+            let result = ParExecutor::new(threads).execute_block_delta_with_dag_hints(
                 base,
                 &prepared.block,
                 &prepared.graph,
+                &[],
             );
+            let mut state = base.clone();
+            result.delta.apply_to(&mut state);
             // The generator already ran the block sequentially while
             // preparing it — its recorded receipts and post-state are the
             // oracle here.
@@ -80,7 +83,7 @@ fn parallel_equals_sequential_with_conflict_dag() {
                 "receipts diverged at ratio {ratio} threads {threads}"
             );
             assert_eq!(
-                result.state.state_root(),
+                state.state_root(),
                 prepared.state_after.state_root(),
                 "state root diverged at ratio {ratio} threads {threads}"
             );
@@ -142,7 +145,7 @@ fn merkle_root_matches_across_threads_and_retry_caps() {
 /// The execute/commit-overlap oracle: a multi-block chain is executed
 /// across the thread-count × retry-cap grid and committed two ways —
 /// synchronously after each block, and pipelined through the background
-/// commit thread (`BlockResult::submit_commit` / `AsyncCommitter`) with
+/// commit thread (`AsyncCommitter::submit`) with
 /// the handles only joined after every block was submitted. Every
 /// configuration must produce the same per-block root sequence as the
 /// sequential reference.
@@ -198,7 +201,7 @@ fn async_commit_pipeline_matches_synchronous_roots() {
             let mut handles = Vec::new();
             for block in &blocks {
                 let result = exec.execute_block(&state, block);
-                handles.push(result.submit_commit(&committer, &state, false));
+                handles.push(committer.submit(&state, &result.delta, false));
                 state = result.state;
             }
             let pipe_roots: Vec<B256> = handles
