@@ -336,7 +336,7 @@ impl NodeDriver {
                 let packed = self.packer.pack(&self.pool, header_of(height));
                 if packed.block.transactions.is_empty() {
                     refill(batch);
-                    if exhausted.load(Ordering::Relaxed) && self.pool.ready_chains().is_empty() {
+                    if exhausted.load(Ordering::Relaxed) && !self.pool.has_ready() {
                         break; // drained: parked leftovers can never run
                     }
                     if self.cfg.background_ingest || exhausted.load(Ordering::Relaxed) {

@@ -138,9 +138,7 @@ impl BlockPacker {
     pub fn pack(&self, pool: &Mempool, header: BlockHeader) -> PackedBlock {
         let chains = pool.ready_chains();
         let packed = self.pack_chains(chains, header);
-        for tx in &packed.block.transactions {
-            pool.remove(tx.from, tx.nonce);
-        }
+        pool.remove_packed(&packed.block.transactions);
         if mtpu_telemetry::enabled() {
             let m = obs::metrics();
             m.packer_blocks.inc();

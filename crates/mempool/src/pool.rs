@@ -11,17 +11,18 @@
 //!
 //! Senders are sharded by address so ingestion can run concurrently with
 //! packing: each shard has its own lock, and a sender's whole nonce chain
-//! lives in exactly one shard.
+//! lives in exactly one shard. Entries are immutable once filed and held
+//! by [`Arc`], so a packer snapshot shares them instead of copying them.
 
 use crate::obs;
-use mtpu::sched::{static_rw_set, tx_rw_set, Footprint, RwSet};
+use mtpu::sched::{speculative_rw_set, static_rw_set, Footprint, RwSet};
 use mtpu_evm::overlay::{StateOverlay, StateRead};
 use mtpu_evm::tx::{BlockHeader, Transaction};
-use mtpu_evm::{admission_preflight, trace_transaction, TxError};
+use mtpu_evm::{admission_preflight, TxError};
 use mtpu_primitives::{Address, B256, U256};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Shape and limits of a [`Mempool`].
 #[derive(Debug, Clone)]
@@ -102,7 +103,8 @@ impl Rejected {
 
 /// A pooled transaction: the transaction plus everything admission-time
 /// analysis derived once, so the packer and executor never re-derive it.
-#[derive(Debug, Clone)]
+/// Deliberately not `Clone`: the pool and its snapshots share one copy.
+#[derive(Debug)]
 pub struct PooledTx {
     /// The transaction.
     pub tx: Transaction,
@@ -143,7 +145,7 @@ pub struct PoolStats {
 #[derive(Debug, Default)]
 struct SenderQueue {
     /// Queued transactions keyed by nonce.
-    txs: BTreeMap<u64, PooledTx>,
+    txs: BTreeMap<u64, Arc<PooledTx>>,
     /// The sender's committed account nonce as of the last observation —
     /// the nonce the next executable transaction must carry.
     next_nonce: u64,
@@ -166,14 +168,28 @@ struct Shard {
     senders: HashMap<Address, SenderQueue>,
 }
 
+impl Shard {
+    /// Unfiles one entry, dropping the sender's queue with its last.
+    fn take(&mut self, sender: Address, nonce: u64) -> Option<Arc<PooledTx>> {
+        let queue = self.senders.get_mut(&sender)?;
+        let taken = queue.txs.remove(&nonce)?;
+        if queue.txs.is_empty() {
+            self.senders.remove(&sender);
+        }
+        Some(taken)
+    }
+}
+
 /// A contiguous, executable run of one sender's pooled transactions,
-/// snapshot for the packer.
+/// snapshot for the packer. The entries are shared with the pool, not
+/// copied; a later replacement or removal in the pool files a different
+/// entry and leaves the snapshot as taken.
 #[derive(Debug, Clone)]
 pub struct ReadyChain {
     /// The sender.
     pub sender: Address,
     /// Transactions in nonce order, starting at the committed nonce.
-    pub txs: Vec<PooledTx>,
+    pub txs: Vec<Arc<PooledTx>>,
 }
 
 /// The bounded, sharded transaction pool.
@@ -254,12 +270,23 @@ impl Mempool {
         }
     }
 
-    fn shard_of(&self, sender: Address) -> &Mutex<Shard> {
+    fn shard_index(&self, sender: Address) -> usize {
         // Low address bytes are well-distributed for both fixture users
         // and keccak-derived addresses.
         let b = sender.as_bytes();
         let h = u64::from_le_bytes([b[12], b[13], b[14], b[15], b[16], b[17], b[18], b[19]]);
-        &self.shards[(h as usize) & self.shard_mask]
+        (h as usize) & self.shard_mask
+    }
+
+    fn shard_of(&self, sender: Address) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(sender)]
+    }
+
+    /// Books `count` entries totalling `bytes` out of the budgets.
+    fn release(&self, count: usize, bytes: usize) {
+        self.count.fetch_sub(count, Ordering::Relaxed);
+        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.update_depth_gauge();
     }
 
     fn update_depth_gauge(&self) {
@@ -297,7 +324,7 @@ impl Mempool {
         // Budget enforcement happens before taking the sender's shard
         // lock (the victim scan visits every shard). The incoming fee
         // must beat the cheapest tail it displaces.
-        if !self.make_room(bytes, tx.gas_price) {
+        if !self.make_room(&tx, bytes) {
             return self.reject(Rejected::PoolFull);
         }
 
@@ -319,7 +346,7 @@ impl Mempool {
                 return self.reject(Rejected::Underpriced);
             }
             let old_bytes = old.bytes;
-            queue.txs.insert(nonce, pooled);
+            queue.txs.insert(nonce, Arc::new(pooled));
             drop(shard);
             self.bytes.fetch_add(bytes, Ordering::Relaxed);
             self.bytes.fetch_sub(old_bytes, Ordering::Relaxed);
@@ -339,7 +366,7 @@ impl Mempool {
             return self.reject(Rejected::SenderLimit);
         }
 
-        queue.txs.insert(nonce, pooled);
+        queue.txs.insert(nonce, Arc::new(pooled));
         // Ready iff the transaction landed inside the contiguous
         // executable prefix (a back-fill can make it *and* its parked
         // successors ready at once).
@@ -364,12 +391,13 @@ impl Mempool {
         }
     }
 
-    /// Admission-time footprint extraction: one speculative execution on
-    /// an overlay over committed state (with the sender's nonce pinned to
-    /// the transaction's, so parked chain members still execute). A
-    /// failed execution falls back to the static value-transfer footprint
-    /// — an under-approximation that only costs parallelism, never
-    /// correctness, because parexec re-validates every read at commit.
+    /// Admission-time footprint extraction: one speculative, untraced
+    /// execution on an overlay over committed state (with the sender's
+    /// nonce pinned to the transaction's, so parked chain members still
+    /// execute). A failed execution falls back to the static
+    /// value-transfer footprint — an under-approximation that only costs
+    /// parallelism, never correctness, because parexec re-validates
+    /// every read at commit.
     fn extract<S: StateRead>(&self, tx: Transaction, state: &S, bytes: usize) -> PooledTx {
         let view = NonceView {
             base: state,
@@ -377,9 +405,9 @@ impl Mempool {
             nonce: tx.nonce,
         };
         let mut overlay = StateOverlay::new(&view);
-        let (rw, approximate) = match trace_transaction(&mut overlay, &self.extraction_header, &tx)
+        let (rw, approximate) = match speculative_rw_set(&mut overlay, &self.extraction_header, &tx)
         {
-            Ok((_, trace)) => (tx_rw_set(&tx, &trace), false),
+            Ok(rw) => (rw, false),
             Err(_) => (static_rw_set(&tx), true),
         };
         let footprint = rw.footprint();
@@ -393,23 +421,34 @@ impl Mempool {
         }
     }
 
-    /// Evicts lowest-fee sender tails until one more transaction of
-    /// `incoming_bytes` fits the budgets. Returns `false` when the
-    /// incoming fee does not beat the cheapest tail (the incoming
-    /// transaction is the right victim).
-    fn make_room(&self, incoming_bytes: usize, incoming_fee: U256) -> bool {
+    /// Evicts lowest-fee sender tails until `incoming` (`incoming_bytes`
+    /// of RLP) fits the budgets. Returns `false` when the incoming fee
+    /// does not beat the cheapest tail (the incoming transaction is the
+    /// right victim).
+    fn make_room(&self, incoming: &Transaction, incoming_bytes: usize) -> bool {
+        // A same-nonce resubmission displaces its predecessor instead of
+        // adding an entry: the count does not grow, only the byte
+        // difference needs room, and the predecessor is no victim.
+        let replaced_bytes = {
+            let shard = self.shard_of(incoming.from).lock().expect("shard poisoned");
+            let queue = shard.senders.get(&incoming.from);
+            queue.and_then(|q| Some(q.txs.get(&incoming.nonce)?.bytes))
+        };
+        let spare = replaced_bytes.map(|_| (incoming.from, incoming.nonce));
+        let grows = usize::from(replaced_bytes.is_none());
         loop {
-            let over_count = self.len() + 1 > self.cfg.max_txs;
-            let over_bytes = self.pooled_bytes() + incoming_bytes > self.cfg.max_bytes;
+            let over_count = self.len() + grows > self.cfg.max_txs;
+            let over_bytes = self.pooled_bytes() + incoming_bytes
+                > self.cfg.max_bytes + replaced_bytes.unwrap_or(0);
             if !over_count && !over_bytes {
                 return true;
             }
-            let Some((victim_fee, sender, nonce)) = self.cheapest_tail() else {
+            let Some((victim_fee, sender, nonce)) = self.cheapest_tail(spare) else {
                 // Nothing to evict: the pool is empty yet the incoming
                 // transaction alone busts the byte budget.
                 return false;
             };
-            if victim_fee >= incoming_fee {
+            if victim_fee >= incoming.gas_price {
                 return false;
             }
             self.remove(sender, nonce);
@@ -423,12 +462,16 @@ impl Mempool {
     /// The globally cheapest sender-tail transaction: each sender's
     /// highest-nonce entry is evictable without stranding a gap; among
     /// those, minimum `(gas_price, sender)` — a deterministic victim.
-    fn cheapest_tail(&self) -> Option<(U256, Address, u64)> {
+    /// `spare` exempts one entry.
+    fn cheapest_tail(&self, spare: Option<(Address, u64)>) -> Option<(U256, Address, u64)> {
         let mut best: Option<(U256, Address, u64)> = None;
         for shard in &self.shards {
             let shard = shard.lock().expect("shard poisoned");
             for (&sender, queue) in &shard.senders {
                 if let Some((&nonce, tail)) = queue.txs.iter().next_back() {
+                    if Some((sender, nonce)) == spare {
+                        continue;
+                    }
                     let key = (tail.tx.gas_price, sender, nonce);
                     if best.as_ref().is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
                         best = Some(key);
@@ -440,23 +483,48 @@ impl Mempool {
     }
 
     /// Removes one transaction; returns it if present.
-    pub fn remove(&self, sender: Address, nonce: u64) -> Option<PooledTx> {
+    pub fn remove(&self, sender: Address, nonce: u64) -> Option<Arc<PooledTx>> {
         let mut shard = self.shard_of(sender).lock().expect("shard poisoned");
-        let queue = shard.senders.get_mut(&sender)?;
-        let removed = queue.txs.remove(&nonce)?;
-        if queue.txs.is_empty() {
-            shard.senders.remove(&sender);
-        }
+        let removed = shard.take(sender, nonce)?;
         drop(shard);
-        self.count.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(removed.bytes, Ordering::Relaxed);
-        self.update_depth_gauge();
+        self.release(1, removed.bytes);
         Some(removed)
+    }
+
+    /// Removes a packed block's transactions in one pass: one lock
+    /// acquisition per shard they live in, one budget update for all.
+    pub(crate) fn remove_packed(&self, txs: &[Transaction]) {
+        let mut keys: Vec<(usize, Address, u64)> = txs
+            .iter()
+            .map(|tx| (self.shard_index(tx.from), tx.from, tx.nonce))
+            .collect();
+        keys.sort_unstable_by_key(|&(shard, ..)| shard);
+        let (mut count, mut bytes) = (0, 0);
+        for run in keys.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.shards[run[0].0].lock().expect("shard poisoned");
+            for &(_, sender, nonce) in run {
+                if let Some(removed) = shard.take(sender, nonce) {
+                    count += 1;
+                    bytes += removed.bytes;
+                }
+            }
+        }
+        self.release(count, bytes);
+    }
+
+    /// `true` when some sender has an executable transaction — what
+    /// `!ready_chains().is_empty()` says, without building the snapshot.
+    pub fn has_ready(&self) -> bool {
+        self.shards.iter().any(|shard| {
+            let shard = shard.lock().expect("shard poisoned");
+            shard.senders.values().any(|queue| queue.ready_len() > 0)
+        })
     }
 
     /// Snapshot of every sender's executable prefix (contiguous nonces
     /// starting at the committed account nonce), sorted by sender — the
-    /// packer's deterministic candidate view.
+    /// packer's deterministic candidate view. Costs one reference-count
+    /// bump per ready entry; nothing is deep-copied.
     pub fn ready_chains(&self) -> Vec<ReadyChain> {
         let mut chains = Vec::new();
         for shard in &self.shards {
@@ -524,9 +592,6 @@ impl Mempool {
             });
         }
         if purged + expired > 0 {
-            self.count
-                .fetch_sub((purged + expired) as usize, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed_bytes, Ordering::Relaxed);
             self.stale_purged.fetch_add(purged, Ordering::Relaxed);
             self.expired.fetch_add(expired, Ordering::Relaxed);
             if mtpu_telemetry::enabled() {
@@ -535,7 +600,7 @@ impl Mempool {
                 m.expired.add(expired);
             }
         }
-        self.update_depth_gauge();
+        self.release((purged + expired) as usize, freed_bytes);
     }
 }
 

@@ -55,6 +55,24 @@ fn future_nonce_parks_until_backfilled() {
 }
 
 #[test]
+fn has_ready_sees_only_executable_transactions() {
+    let state = genesis(4);
+    let pool = Mempool::new(PoolConfig::default());
+    assert!(!pool.has_ready(), "empty pool");
+
+    // Only parked transactions: pooled, none executable.
+    assert_eq!(pool.admit(tx(1, 2, 10), &state), Ok(Admitted::Parked));
+    assert_eq!(pool.admit(tx(2, 1, 10), &state), Ok(Admitted::Parked));
+    assert_eq!(pool.len(), 2);
+    assert!(!pool.has_ready());
+
+    // Back-filling one sender's gap start makes that chain executable.
+    assert_eq!(pool.admit(tx(2, 0, 10), &state), Ok(Admitted::Ready));
+    assert!(pool.has_ready());
+    assert_eq!(pool.ready_chains().len(), 1);
+}
+
+#[test]
 fn replace_by_fee_requires_a_real_bump() {
     let state = genesis(2);
     let pool = Mempool::new(PoolConfig {
@@ -109,6 +127,43 @@ fn count_budget_evicts_the_lowest_fee_tail() {
 
     // A cheap extension of a surviving chain cannot displace others.
     assert_eq!(pool.admit(tx(2, 1, 1), &state), Err(Rejected::PoolFull));
+}
+
+#[test]
+fn replacement_at_a_full_pool_neither_evicts_nor_bounces() {
+    let state = genesis(8);
+    let pool = Mempool::new(PoolConfig {
+        max_txs: 3,
+        ..PoolConfig::default()
+    });
+    assert_eq!(pool.admit(tx(1, 0, 10), &state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(2, 0, 20), &state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(3, 0, 30), &state), Ok(Admitted::Ready));
+    let bytes = pool.pooled_bytes();
+
+    // Replacing the globally cheapest tail: it must not be evicted to
+    // make room for its own successor.
+    assert_eq!(pool.admit(tx(1, 0, 25), &state), Ok(Admitted::Replaced));
+    // Replacing with a fee above an unrelated sender's tail: that tail
+    // must stay.
+    assert_eq!(pool.admit(tx(3, 0, 40), &state), Ok(Admitted::Replaced));
+    // Replacing the now-cheapest entry (fee 20) below every other fee:
+    // not `PoolFull` — the count does not grow.
+    assert_eq!(pool.admit(tx(2, 0, 23), &state), Ok(Admitted::Replaced));
+
+    assert_eq!(pool.stats().evicted, 0);
+    assert_eq!(pool.stats().replaced, 3);
+    assert_eq!(pool.len(), 3);
+    assert_eq!(pool.pooled_bytes(), bytes);
+    let fees: Vec<U256> = pool
+        .ready_chains()
+        .iter()
+        .map(|c| c.txs[0].tx.gas_price)
+        .collect();
+    assert_eq!(fees, [25u64, 23, 40].map(U256::from));
+
+    // A genuinely new entry still has to displace the cheapest tail.
+    assert_eq!(pool.admit(tx(4, 0, 5), &state), Err(Rejected::PoolFull));
 }
 
 #[test]

@@ -1,4 +1,6 @@
-//! Read/write-set extraction from recorded transaction traces.
+//! Read/write-set extraction: from recorded transaction traces
+//! ([`tx_rw_set`]) or straight from one untraced execution
+//! ([`speculative_rw_set`]).
 //!
 //! Shared between the consensus-stage DAG construction
 //! ([`super::DepGraph::from_conflicts`]), the wall-clock parallel
@@ -6,8 +8,10 @@
 //! block packer (`mtpu-mempool`), which all drive off the same conflict
 //! keys.
 
-use mtpu_evm::trace::TxTrace;
-use mtpu_evm::tx::Transaction;
+use mtpu_evm::state::StateOps;
+use mtpu_evm::trace::{Tracer, TxTrace};
+use mtpu_evm::tx::{BlockHeader, Transaction};
+use mtpu_evm::{execute_transaction, TxError};
 use mtpu_primitives::{Address, U256};
 use std::collections::HashSet;
 
@@ -29,7 +33,7 @@ pub enum SlotKey {
 }
 
 /// The conflict footprint of one transaction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RwSet {
     /// Keys the transaction observes.
     pub reads: HashSet<SlotKey>,
@@ -198,6 +202,44 @@ pub fn tx_rw_set(tx: &Transaction, trace: &TxTrace) -> RwSet {
         }
     }
     set
+}
+
+/// A [`Tracer`] that keeps the storage conflict keys and nothing else: no
+/// frames, no steps (so fused sites skip their step replay).
+struct StorageKeys(RwSet);
+
+impl Tracer for StorageKeys {
+    fn wants_steps(&self) -> bool {
+        false
+    }
+
+    fn storage_access(&mut self, address: Address, key: U256, write: bool) {
+        let slot = SlotKey::Storage(address, key);
+        if write {
+            self.0.writes.insert(slot);
+        } else {
+            self.0.reads.insert(slot);
+        }
+    }
+}
+
+/// Executes `tx` on `state` once, untraced, and returns the same set
+/// [`tx_rw_set`] derives from a full recorded trace of that execution —
+/// the interpreter reports storage accesses independently of step
+/// recording. Accesses of reverted frames stay in, as they do in a trace.
+///
+/// # Errors
+///
+/// Propagates [`TxError`] from [`execute_transaction`]; callers fall back
+/// to [`static_rw_set`].
+pub fn speculative_rw_set<S: StateOps>(
+    state: &mut S,
+    header: &BlockHeader,
+    tx: &Transaction,
+) -> Result<RwSet, TxError> {
+    let mut keys = StorageKeys(static_rw_set(tx));
+    execute_transaction(state, header, tx, &mut keys)?;
+    Ok(keys.0)
 }
 
 /// The minimal conflict footprint derivable from a transaction alone,
