@@ -1,18 +1,10 @@
-//! Runs every experiment in sequence — regenerates all tables and figures
-//! and writes a consolidated `BENCH_RESULTS.json` snapshot.
+//! Runs every experiment in sequence — regenerates all tables and figures.
+//! Reports go to stdout (the text `crates/bench/golden/all.txt` pins,
+//! byte for byte), progress lines to stderr.
 //!
 //! Flags:
 //!   --only NAME[,NAME..]   run only the named experiments
-//!   --telemetry            enable the telemetry registry and embed its
-//!                          snapshot in the results file
-//!   --json PATH            results file path (default BENCH_RESULTS.json)
-//!   --no-json              skip writing the results file
-//!   --rebake               rewrite checked-in baseline fixtures (e.g.
-//!                          crates/bench/baselines/interp_hot.json) with
-//!                          the numbers measured by this run
 use mtpu_bench::experiments::*;
-use mtpu_bench::results::BenchResults;
-use std::time::Instant;
 
 type Experiment = (&'static str, fn() -> String);
 
@@ -31,14 +23,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig16", sched::fig16),
     ("table8", compare::table8),
     ("table9", compare::table9),
-    ("stateroot", stateroot::per_block),
-    ("stateroot_par", stateroot::threads_sweep),
-    ("block_pipeline", pipeline::block_pipeline),
-    ("accountsdb", accountsdb::flat_store),
-    ("read_qps", readserve::read_qps),
-    ("interp_hot", interp_hot::hot_paths),
-    ("interp_fusion", interp_hot::fusion_gate),
-    ("interp_prefetch", interp_prefetch::prefetch_gate),
     ("hotspot", stat::hotspot_loading),
     ("hotspot-drift", drift::hotspot_drift),
     ("ablations", ablation::all),
@@ -46,8 +30,6 @@ const EXPERIMENTS: &[Experiment] = &[
 
 fn main() {
     let mut only: Option<Vec<String>> = None;
-    let mut telemetry = false;
-    let mut json_path: Option<String> = Some("BENCH_RESULTS.json".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -58,21 +40,9 @@ fn main() {
                 });
                 only = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--telemetry" => telemetry = true,
-            "--json" => {
-                json_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--no-json" => json_path = None,
-            "--rebake" => std::env::set_var("MTPU_REBAKE_BASELINES", "1"),
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: all [--only NAME[,NAME..]] [--telemetry] \
-                     [--json PATH | --no-json] [--rebake]"
-                );
+                eprintln!("usage: all [--only NAME[,NAME..]]");
                 std::process::exit(2);
             }
         }
@@ -89,12 +59,6 @@ fn main() {
         }
     }
 
-    if telemetry {
-        mtpu_telemetry::set_enabled(true);
-        mtpu_telemetry::name_thread("main");
-    }
-
-    let mut results = BenchResults::new();
     for (name, f) in EXPERIMENTS {
         if let Some(names) = &only {
             if !names.iter().any(|n| n == name) {
@@ -102,20 +66,6 @@ fn main() {
             }
         }
         eprintln!("[running {name}]");
-        let started = Instant::now();
-        let text = f();
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        println!("{text}");
-        results.record(name, &text, wall_ns);
-    }
-
-    if let Some(path) = json_path {
-        match results.write(&path, telemetry) {
-            Ok(()) => eprintln!("[wrote {path}: {} experiments]", results.len()),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", f());
     }
 }

@@ -2,15 +2,9 @@
 //! a formatted report comparing measured numbers with the published ones.
 
 pub mod ablation;
-pub mod accountsdb;
 pub mod compare;
 pub mod drift;
 pub mod ilp;
-pub mod interp_hot;
-pub mod interp_prefetch;
 pub mod parexec;
-pub mod pipeline;
-pub mod readserve;
 pub mod sched;
 pub mod stat;
-pub mod stateroot;

@@ -3,4 +3,3 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod results;

@@ -77,7 +77,7 @@ pub const OP_TABLE: [OpInfo; 256] = {
 ///
 /// Replaces the per-frame `Vec<bool>` of [`crate::interpreter::jumpdest_map`]
 /// with a 64x denser, shareable representation. The fusion table is always
-/// built (so toggling `MTPU_NO_FUSION` at runtime needs no cache
+/// built (so toggling the fusion flag at runtime needs no cache
 /// invalidation); whether the dispatch loop consults it is decided per
 /// frame by [`crate::config::fusion_enabled`].
 #[derive(Debug)]

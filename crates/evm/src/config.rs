@@ -1,131 +1,44 @@
-//! Interpreter configuration knobs.
+//! Process-global interpreter switches.
 //!
-//! Fusion is semantics-preserving by construction (receipts, logs and
-//! roots are bit-identical either way — see DESIGN.md §14), so the toggle
-//! exists purely as a bisection and benchmarking escape hatch: if a
-//! miscompare is ever suspected, `MTPU_NO_FUSION=1` pins the interpreter
-//! to plain per-opcode dispatch without rebuilding, and the differential
-//! tests flip the same switch programmatically to compare both modes.
+//! Fusion and prefetch are semantics-preserving by construction
+//! (receipts, logs and roots are bit-identical either way — see DESIGN.md
+//! §14/§15). Both are always on outside tests; the setters exist because
+//! the unfused and unprefetched paths are the reference the differential
+//! tests compare against.
 //!
-//! The flag is process-global rather than per-`Evm` because the analysis
+//! The flags are process-global rather than per-`Evm` because the analysis
 //! cache (which carries the fusion tables) is shared across sequential and
 //! parallel executors; tables are always built, and the dispatch loop
-//! decides per frame whether to consult them, so flipping the flag needs
+//! decides per frame whether to consult them, so flipping a flag needs
 //! no cache invalidation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
-/// Interpreter configuration, sourced from the environment by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvmConfig {
-    /// Whether the dispatch loop consults the per-bytecode fusion table.
-    pub fusion: bool,
-    /// Whether call-frame entry issues the per-bytecode prefetch plan.
-    pub prefetch: bool,
-}
-
-impl Default for EvmConfig {
-    fn default() -> Self {
-        EvmConfig {
-            fusion: true,
-            prefetch: true,
-        }
-    }
-}
-
-fn env_disabled(var: &str) -> bool {
-    std::env::var(var)
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false)
-}
-
-impl EvmConfig {
-    /// Reads the configuration from the environment: `MTPU_NO_FUSION` set
-    /// to anything but `0`/empty disables superinstruction fusion, and
-    /// `MTPU_NO_PREFETCH` likewise disables storage prefetch.
-    pub fn from_env() -> EvmConfig {
-        EvmConfig {
-            fusion: !env_disabled("MTPU_NO_FUSION"),
-            prefetch: !env_disabled("MTPU_NO_PREFETCH"),
-        }
-    }
-
-    /// Applies this configuration to the process-global switches.
-    pub fn apply(self) {
-        set_fusion_enabled(self.fusion);
-        set_prefetch_enabled(self.prefetch);
-    }
-}
-
-fn fusion_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(EvmConfig::from_env().fusion))
-}
+static FUSION: AtomicBool = AtomicBool::new(true);
+static PREFETCH: AtomicBool = AtomicBool::new(true);
 
 /// Whether fused dispatch is currently enabled (one relaxed load; read
 /// once per frame by the interpreter).
 #[inline]
 pub fn fusion_enabled() -> bool {
-    fusion_flag().load(Ordering::Relaxed)
+    FUSION.load(Ordering::Relaxed)
 }
 
-/// Forces fused dispatch on or off, overriding the environment. Used by
-/// the differential tests and benchmarks to run both modes in-process.
+/// Forces fused dispatch on or off. Used by the differential tests to run
+/// both modes in-process.
 pub fn set_fusion_enabled(on: bool) {
-    fusion_flag().store(on, Ordering::Relaxed);
-}
-
-fn prefetch_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(EvmConfig::from_env().prefetch))
+    FUSION.store(on, Ordering::Relaxed);
 }
 
 /// Whether frame-entry storage prefetch is currently enabled (one relaxed
 /// load; read once per frame by the interpreter).
 #[inline]
 pub fn prefetch_enabled() -> bool {
-    prefetch_flag().load(Ordering::Relaxed)
+    PREFETCH.load(Ordering::Relaxed)
 }
 
-/// Forces frame-entry prefetch on or off, overriding the environment. Used
-/// by the differential tests and benchmarks to run both modes in-process.
+/// Forces frame-entry prefetch on or off. Used by the differential tests
+/// to run both modes in-process.
 pub fn set_prefetch_enabled(on: bool) {
-    prefetch_flag().store(on, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_enables_fusion_and_prefetch() {
-        assert!(EvmConfig::default().fusion);
-        assert!(EvmConfig::default().prefetch);
-    }
-
-    #[test]
-    fn apply_round_trips_through_global_flags() {
-        let prior_fusion = fusion_enabled();
-        let prior_prefetch = prefetch_enabled();
-        EvmConfig {
-            fusion: false,
-            prefetch: false,
-        }
-        .apply();
-        assert!(!fusion_enabled());
-        assert!(!prefetch_enabled());
-        EvmConfig {
-            fusion: true,
-            prefetch: true,
-        }
-        .apply();
-        assert!(fusion_enabled());
-        assert!(prefetch_enabled());
-        set_fusion_enabled(prior_fusion);
-        set_prefetch_enabled(prior_prefetch);
-    }
+    PREFETCH.store(on, Ordering::Relaxed);
 }

@@ -430,7 +430,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
             };
         }
         let analysis = analysis::global_cache().get_or_analyze(code_hash, code);
-        // Read once per frame: flipping MTPU_NO_FUSION mid-block affects
+        // Read once per frame: flipping the fusion flag mid-block affects
         // only frames that start afterwards.
         let fusion_on = crate::config::fusion_enabled();
         // Frame-entry storage prefetch: resolve the bytecode's static

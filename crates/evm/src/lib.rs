@@ -51,9 +51,7 @@ pub use commit::{
     apply_updates, commit_block_delta, commit_full, delta_merkle_root, delta_updates,
     AsyncCommitter, CommitError, CommitHandle,
 };
-pub use config::{
-    fusion_enabled, prefetch_enabled, set_fusion_enabled, set_prefetch_enabled, EvmConfig,
-};
+pub use config::{fusion_enabled, prefetch_enabled, set_fusion_enabled, set_prefetch_enabled};
 pub use executor::{
     admission_preflight, call_readonly, execute_block, execute_transaction, max_tx_cost,
     trace_transaction, ReadCall, ReadCallOutcome, TxError,

@@ -140,8 +140,11 @@ pub struct DriverReport {
     pub genesis_root: B256,
     /// Merkle root after the last block.
     pub final_root: B256,
-    /// Wall-clock time of the whole session (ingestion through last
-    /// commit resolution).
+    /// Wall-clock time to build the genesis trie, before the first block;
+    /// not part of [`wall`](Self::wall).
+    pub genesis_wall: Duration,
+    /// Wall-clock time of the block session (ingestion through last
+    /// commit resolution), genesis commit excluded.
     pub wall: Duration,
     /// `true` when the source ran dry before `blocks` were produced.
     pub source_exhausted: bool,
@@ -267,13 +270,15 @@ impl NodeDriver {
         source: S,
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
-        let started = Instant::now();
+        let genesis_started = Instant::now();
         let mut committer =
             StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
         commit_full(&mut committer, &genesis);
         drop(genesis);
         let genesis_root = committer.commit();
         let committer = AsyncCommitter::new(committer);
+        let started = Instant::now();
+        let genesis_wall = started - genesis_started;
 
         let stop = AtomicBool::new(false);
         let exhausted = AtomicBool::new(false);
@@ -398,6 +403,7 @@ impl NodeDriver {
             chain,
             pool: self.pool.stats(),
             genesis_root,
+            genesis_wall,
             wall: started.elapsed(),
             source_exhausted: exhausted.load(Ordering::Relaxed),
             flat: None,

@@ -2,7 +2,9 @@
 //! execution (`speculative_rw_set`). It must be the footprint the recorded
 //! trace of the same execution yields (`tx_rw_set(trace_transaction(..))`,
 //! what the simulator's DAG is built from) for every transaction shape the
-//! repository builds, with superinstruction fusion on and off.
+//! repository builds, with superinstruction fusion on and off — and the
+//! receipts and final Merkle root of those executions must not depend on
+//! the fusion mode either.
 
 use mtpu::sched::{speculative_rw_set, static_rw_set, tx_rw_set, RwSet, SlotKey};
 use mtpu_asm::{parse_asm, Assembler};
@@ -11,7 +13,7 @@ use mtpu_evm::opcode::Opcode;
 use mtpu_evm::overlay::StateOverlay;
 use mtpu_evm::state::State;
 use mtpu_evm::trace::NoopTracer;
-use mtpu_evm::tx::{BlockHeader, Transaction};
+use mtpu_evm::tx::{BlockHeader, Receipt, Transaction};
 use mtpu_evm::{execute_transaction, set_fusion_enabled, trace_transaction};
 use mtpu_mempool::{Admitted, Mempool, PoolConfig};
 use mtpu_primitives::{Address, U256};
@@ -36,13 +38,13 @@ fn untraced(state: &State, tx: &Transaction) -> RwSet {
 
 /// Checks parity for `tx` on `state`, then applies it so the next
 /// transaction of the stream finds its nonce. Returns the footprint and
-/// whether the execution succeeded.
-fn check(state: &mut State, tx: &Transaction, what: &str) -> (RwSet, bool) {
+/// the receipt of the applied execution.
+fn check(state: &mut State, tx: &Transaction, what: &str) -> (RwSet, Receipt) {
     let got = untraced(state, tx);
     assert_eq!(got, traced(state, tx), "{what}: untraced != traced");
     let receipt = execute_transaction(state, &BlockHeader::default(), tx, &mut NoopTracer)
         .unwrap_or_else(|e| panic!("{what}: {e:?}"));
-    (got, receipt.success)
+    (got, receipt)
 }
 
 /// The `interp_hot` factory: `deploy(uint256 salt)` runs CREATE2 on a
@@ -185,6 +187,9 @@ fn nested_contracts(state: &mut State) -> (Address, Address) {
 /// One test, because the fusion flag is process-global.
 #[test]
 fn untraced_footprint_equals_the_traced_one_for_every_shape() {
+    // Per fusion mode: every receipt of the fixture stream, and the root
+    // it leaves behind.
+    let mut outcomes = Vec::new();
     for fusion in [true, false] {
         set_fusion_enabled(fusion);
         let mut fx = Fixture::new();
@@ -195,10 +200,12 @@ fn untraced_footprint_equals_the_traced_one_for_every_shape() {
         let shapes = interp_hot_shapes(&mut fx, factory, 3);
         let mut state = fx.state.clone();
         let mut with_storage = 0;
+        let mut receipts = Vec::new();
         for (name, tx) in &shapes {
-            let (rw, success) = check(&mut state, tx, name);
-            assert!(success, "{name} must succeed (fusion {fusion})");
+            let (rw, receipt) = check(&mut state, tx, name);
+            assert!(receipt.success, "{name} must succeed (fusion {fusion})");
             with_storage += usize::from(!rw.reads.is_empty());
+            receipts.push((name.clone(), receipt));
         }
         assert!(with_storage >= 15, "token shapes must touch storage");
 
@@ -210,8 +217,9 @@ fn untraced_footprint_equals_the_traced_one_for_every_shape() {
             "transfer",
             &[Fixture::user_address(901).to_u256(), U256::MAX >> 8],
         );
-        let (rw, success) = check(&mut state, &broke, "reverting transfer");
-        assert!(!success && !rw.reads.is_empty());
+        let (rw, receipt) = check(&mut state, &broke, "reverting transfer");
+        assert!(!receipt.success && !rw.reads.is_empty());
+        receipts.push(("reverting transfer".to_string(), receipt));
 
         // Storage is attributed to the frame's storage owner, not to the
         // account whose code runs.
@@ -221,8 +229,10 @@ fn untraced_footprint_equals_the_traced_one_for_every_shape() {
             Vec::new(),
             fx.next_nonce(902),
         );
-        let (rw, success) = check(&mut state, &nested, "nested call + delegatecall");
-        assert!(success);
+        let (rw, receipt) = check(&mut state, &nested, "nested call + delegatecall");
+        assert!(receipt.success);
+        receipts.push(("nested call".to_string(), receipt));
+        outcomes.push((receipts, state.merkle_root()));
         let slot = |addr, key: u64| SlotKey::Storage(addr, U256::from(key));
         assert_eq!(rw.reads, HashSet::from([slot(outer, 0), slot(middle, 1)]));
         assert_eq!(rw.writes, HashSet::from([slot(middle, 1), slot(middle, 2)]));
@@ -258,4 +268,9 @@ fn untraced_footprint_equals_the_traced_one_for_every_shape() {
         }
     }
     set_fusion_enabled(true);
+    let (fused, plain) = (&outcomes[0], &outcomes[1]);
+    for (f, p) in fused.0.iter().zip(&plain.0) {
+        assert_eq!(f, p, "receipt diverged fused vs unfused");
+    }
+    assert_eq!(fused.1, plain.1, "merkle root diverged fused vs unfused");
 }

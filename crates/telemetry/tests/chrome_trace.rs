@@ -3,10 +3,17 @@
 //! and keep its `"ph":"X"` events sorted by timestamp.
 
 use mtpu_telemetry as tel;
+use std::sync::Mutex;
 use tel::json;
 use tel::{Registry, TraceArg, TraceEvent, SIM_PID, WALL_PID};
 
+/// Both tests build the fixture by flipping the process-wide enabled
+/// flag; held while it is on so one test cannot disable recording under
+/// the other's `add_event`.
+static ENABLED_GATE: Mutex<()> = Mutex::new(());
+
 fn fixture_registry() -> Registry {
+    let _gate = ENABLED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     tel::set_enabled(true);
     let r = Registry::new();
     // Deliberately pushed out of timestamp order: the exporter must sort.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local mirror of the CI pipeline: formatting, lints, tier-1 build/tests,
-# then the full workspace test suite. Run before pushing.
+# Local mirror of the CI pipeline, step for step: formatting, lints, tier-1
+# build/tests, the full workspace test suite, the spine's build and tests,
+# the statedb fuzz smoke, and the golden diff of the paper's tables. Run
+# before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,7 @@ cargo test -q --offline --manifest-path spine/Cargo.toml
 echo "==> statedb fuzz smoke (randomized trie vs model, incremental vs scratch)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 
-./scripts/bench_smoke.sh
+echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
+cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -
 
 echo "All checks passed."

@@ -16,7 +16,9 @@
 //! and across the in-memory and flat-store backends.
 
 use mtpu_repro::accountsdb::AccountsDb;
-use mtpu_repro::contracts::Fixture;
+use mtpu_repro::asm::Assembler;
+use mtpu_repro::contracts::{call_data, selector, Fixture};
+use mtpu_repro::evm::opcode::Opcode;
 use mtpu_repro::evm::state::State;
 use mtpu_repro::evm::trace::{NoopTracer, TraceRecorder, Tracer, TxTrace};
 use mtpu_repro::evm::tx::{Block, BlockHeader, Receipt, Transaction};
@@ -24,6 +26,7 @@ use mtpu_repro::evm::{
     delta_merkle_root, execute_block, execute_transaction, set_fusion_enabled,
     set_prefetch_enabled, StateRead,
 };
+use mtpu_repro::mempool::{BlockPacker, Mempool, PackerConfig, PoolConfig};
 use mtpu_repro::mtpu::sched::DepGraph;
 use mtpu_repro::parexec::{ParExecutor, TxHints};
 use mtpu_repro::primitives::{Address, SplitMix64, B256, U256};
@@ -399,14 +402,19 @@ fn flat_of(base: &State, tag: &str) -> (Arc<AccountsDb>, std::path::PathBuf) {
     (db, dir)
 }
 
-/// Prefetch on vs off over the TOP8 fixture block: receipts and merkle
-/// roots must be bit-identical across thread counts and across the
-/// in-memory and flat-store backends. Prefetched values are validated at
-/// consume time, so a plan can only ever accelerate execution — never
-/// change it.
-#[test]
-fn prefetch_grid_is_observationally_identical() {
-    let _guard = fusion_guard();
+/// One input of the prefetch grid: a block over `base`, plus the DAG the
+/// flat leg schedules by and the admission hints it warms from.
+struct GridBlock {
+    name: &'static str,
+    base: State,
+    block: Block,
+    dag: DepGraph,
+    hints: Vec<TxHints>,
+}
+
+/// The mixed TOP8 block (keccak-keyed ledgers no plan resolves), in
+/// submission order with no hints.
+fn top8_grid_block() -> GridBlock {
     let mut rng = SplitMix64::seed_from_u64(0x93e7_0b8f);
     let users = mtpu_repro::contracts::fixture::USER_COUNT;
     let mut fx = Fixture::new();
@@ -425,45 +433,230 @@ fn prefetch_grid_is_observationally_identical() {
             }
         }
     }
-    let block = Block {
-        header: BlockHeader::default(),
-        transactions: txs,
-    };
-    let base = fx.state.clone();
+    GridBlock {
+        name: "top8",
+        dag: DepGraph::sender_order(&txs),
+        block: Block {
+            header: BlockHeader::default(),
+            transactions: txs,
+        },
+        base: fx.state,
+        hints: Vec::new(),
+    }
+}
 
-    // Sequential oracle, prefetch off.
-    set_prefetch_enabled(false);
-    let mut seq_state = base.clone();
-    let seq_receipts = execute_block(&mut seq_state, &block);
-    let want_root = seq_state.merkle_root();
+/// `const-ledger`: `settle()` reads 48 constant slots, `settleWide()`
+/// reads 96 from a disjoint range.
+const LEDGER_SLOTS: u64 = 48;
+const LEDGER_BASE: u64 = 0x100;
+const LEDGER_WIDE_SLOTS: u64 = 96;
+const LEDGER_WIDE_BASE: u64 = 0x1000;
+/// `striped-scan`: 8 dispatch arms, 32 slots each, stripes spread apart
+/// so their flat-store locations scatter.
+const STRIPE_ARMS: u64 = 8;
+const STRIPE_SLOTS: u64 = 32;
+const STRIPE_BASE: u64 = 0x4000;
+const STRIPE_GAP: u64 = 0x400;
 
-    for prefetch in [true, false] {
-        set_prefetch_enabled(prefetch);
-        for threads in [1usize, 4, 8] {
-            let exec = ParExecutor::new(threads);
-            let tag = format!("prefetch={prefetch} threads={threads}");
+fn ledger_address() -> Address {
+    Address::from_low_u64(0xC01D_0001)
+}
 
-            // In-memory State backend.
-            let result = exec.execute_block(&base, &block);
-            assert_eq!(result.receipts, seq_receipts, "{tag} state: receipts");
-            assert_eq!(result.merkle_root(), want_root, "{tag} state: root");
+fn scan_address() -> Address {
+    Address::from_low_u64(0xC01D_0002)
+}
 
-            // Flat accounts-DB backend, warmed through the async hint
-            // path as well when prefetch is on.
-            let (db, dir) = flat_of(&base, &format!("grid-{prefetch}-{threads}"));
-            if prefetch {
-                db.enable_prefetch();
-            }
-            let dag = DepGraph::sender_order(&block.transactions);
-            let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &[]);
-            assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
-            assert_eq!(
-                delta_merkle_root(&base, &r.delta),
-                want_root,
-                "{tag} flat: root"
+/// `settle()` / `settleWide()` sum constant storage slots and return the
+/// sum. Every SLOAD key is a push immediate, so the whole read set
+/// resolves into the frame-entry prefetch plan.
+fn ledger_runtime() -> Vec<u8> {
+    use Opcode::*;
+    let mut a = Assembler::new();
+    a.dispatcher(
+        &[
+            (selector("settle()"), "settle"),
+            (selector("settleWide()"), "settle_wide"),
+        ],
+        "fallback",
+    );
+    for (label, base, slots) in [
+        ("settle", LEDGER_BASE, LEDGER_SLOTS),
+        ("settle_wide", LEDGER_WIDE_BASE, LEDGER_WIDE_SLOTS),
+    ] {
+        a.label(label).push(0u64);
+        for k in 0..slots {
+            a.push(base + k).op(Sload).op(Add);
+        }
+        a.return_word();
+    }
+    a.label("fallback").revert_zero();
+    a.revert_anchor();
+    a.assemble().expect("const-ledger assembles")
+}
+
+/// `scan0()..scan7()` each sum a disjoint [`STRIPE_SLOTS`]-slot stripe.
+/// The prefetch plan walks the dispatcher arms, so the calldata selector
+/// picks which stripe gets prefetched at frame entry.
+fn scan_runtime() -> Vec<u8> {
+    use Opcode::*;
+    let mut a = Assembler::new();
+    let names: Vec<String> = (0..STRIPE_ARMS).map(|i| format!("scan{i}()")).collect();
+    let labels: Vec<String> = (0..STRIPE_ARMS).map(|i| format!("arm{i}")).collect();
+    let entries: Vec<([u8; 4], &str)> = names
+        .iter()
+        .zip(&labels)
+        .map(|(n, l)| (selector(n), l.as_str()))
+        .collect();
+    a.dispatcher(&entries, "fallback");
+    for (i, label) in labels.iter().enumerate() {
+        a.label(label).push(0u64);
+        for j in 0..STRIPE_SLOTS {
+            a.push(STRIPE_BASE + i as u64 * STRIPE_GAP + j)
+                .op(Sload)
+                .op(Add);
+        }
+        a.return_word();
+    }
+    a.label("fallback").revert_zero();
+    a.revert_anchor();
+    a.assemble().expect("striped-scan assembles")
+}
+
+/// Installs both synthetic contracts with nonzero values in every slot
+/// their code reads, so the reads resolve through the flat store instead
+/// of short-circuiting on absent keys.
+fn install_contracts(state: &mut State) {
+    state.set_code(ledger_address(), ledger_runtime());
+    for (base, slots) in [
+        (LEDGER_BASE, LEDGER_SLOTS),
+        (LEDGER_WIDE_BASE, LEDGER_WIDE_SLOTS),
+    ] {
+        for k in 0..slots {
+            state.set_storage(ledger_address(), U256::from(base + k), U256::from(k + 7));
+        }
+    }
+    state.set_code(scan_address(), scan_runtime());
+    for i in 0..STRIPE_ARMS {
+        for j in 0..STRIPE_SLOTS {
+            state.set_storage(
+                scan_address(),
+                U256::from(STRIPE_BASE + i * STRIPE_GAP + j),
+                U256::from(i * 100 + j + 3),
             );
-            drop(db);
-            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// 48 calls to `to`, the `i`-th carrying `signature_of(i)`'s selector,
+/// admitted to a fresh pool and packed into one block the way the node
+/// does it — so the hints are the admission footprints the driver would
+/// fire, every plan-resolved key among them.
+fn synthetic_grid_block(
+    name: &'static str,
+    to: Address,
+    signature_of: impl Fn(u64) -> String,
+) -> GridBlock {
+    let mut fx = Fixture::new();
+    install_contracts(&mut fx.state);
+    let base = fx.state.clone();
+    let pool = Mempool::new(PoolConfig::default());
+    for i in 0..48u64 {
+        let user = 1 + i;
+        let tx = Transaction::call(
+            Fixture::user_address(user),
+            to,
+            call_data(&signature_of(i), &[]),
+            fx.next_nonce(user),
+        );
+        pool.admit(tx, &base).expect("grid tx admits");
+    }
+    // Gas budget sized for 48 transactions at the 2M default gas limit.
+    let packer = BlockPacker::new(PackerConfig {
+        gas_limit: 512_000_000,
+        ..PackerConfig::default()
+    });
+    let packed = packer.pack(&pool, BlockHeader::default());
+    assert_eq!(packed.block.transactions.len(), 48, "{name}: packed whole");
+    let hints = packed.prefetch_hints();
+    assert!(
+        hints.iter().all(|h| h.storage.len() as u64 >= STRIPE_SLOTS),
+        "{name}: admission saw every slot the call reads"
+    );
+    GridBlock {
+        name,
+        base,
+        hints,
+        block: packed.block,
+        dag: packed.graph,
+    }
+}
+
+/// Prefetch on vs off over the TOP8 fixture block and two blocks whose
+/// whole read set is plan-resolvable (`const-ledger`: 48/96 constant-slot
+/// SLOADs; `striped-scan`: an 8-arm dispatcher over disjoint stripes):
+/// receipts and merkle roots must be bit-identical across thread counts
+/// and across the in-memory and flat-store backends. Prefetched values
+/// are validated at consume time, so a plan can only ever accelerate
+/// execution — never change it.
+#[test]
+fn prefetch_grid_is_observationally_identical() {
+    let _guard = fusion_guard();
+    let inputs = [
+        top8_grid_block(),
+        synthetic_grid_block("const-ledger", ledger_address(), |i| {
+            (if i % 2 == 0 {
+                "settle()"
+            } else {
+                "settleWide()"
+            })
+            .to_string()
+        }),
+        synthetic_grid_block("striped-scan", scan_address(), |i| {
+            format!("scan{}()", i % STRIPE_ARMS)
+        }),
+    ];
+    for GridBlock {
+        name,
+        base,
+        block,
+        dag,
+        hints,
+    } in &inputs
+    {
+        // Sequential oracle, prefetch off.
+        set_prefetch_enabled(false);
+        let mut seq_state = base.clone();
+        let seq_receipts = execute_block(&mut seq_state, block);
+        let want_root = seq_state.merkle_root();
+        assert!(seq_receipts.iter().all(|r| r.success), "{name}: oracle");
+
+        for prefetch in [true, false] {
+            set_prefetch_enabled(prefetch);
+            for threads in [1usize, 4, 8] {
+                let exec = ParExecutor::new(threads);
+                let tag = format!("{name} prefetch={prefetch} threads={threads}");
+
+                // In-memory State backend.
+                let result = exec.execute_block(base, block);
+                assert_eq!(result.receipts, seq_receipts, "{tag} state: receipts");
+                assert_eq!(result.merkle_root(), want_root, "{tag} state: root");
+
+                // Flat accounts-DB backend, warmed through the async hint
+                // path as well when prefetch is on.
+                let (db, dir) = flat_of(base, &format!("grid-{name}-{prefetch}-{threads}"));
+                if prefetch {
+                    db.enable_prefetch();
+                }
+                let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), block, dag, hints);
+                assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
+                assert_eq!(
+                    delta_merkle_root(base, &r.delta),
+                    want_root,
+                    "{tag} flat: root"
+                );
+                drop(db);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
     set_prefetch_enabled(true);

@@ -195,6 +195,12 @@ fn driver_is_deterministic_with_inline_ingest() {
     let roots_a: Vec<B256> = a.blocks.iter().map(|s| s.merkle_root).collect();
     let roots_b: Vec<B256> = b.blocks.iter().map(|s| s.merkle_root).collect();
     assert_eq!(roots_a, roots_b, "driver runs diverged");
+    // Root linkage: every block moved the chain on from its parent.
+    assert_ne!(roots_a[0], a.genesis_root, "block 1 left the genesis root");
+    assert!(
+        roots_a.windows(2).all(|w| w[0] != w[1]),
+        "a block reported its parent's root: {roots_a:?}"
+    );
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
