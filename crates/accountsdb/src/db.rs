@@ -17,7 +17,7 @@ use crate::index::{CodeLoc, FlatIndex};
 use crate::obs;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
 use mtpu_evm::state::State;
-use mtpu_primitives::{Address, B256, U256};
+use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -30,10 +30,6 @@ use std::sync::{Arc, Mutex, RwLock};
 const MANIFEST_SCHEMA: &str = "mtpu-accountsdb/v1";
 const MANIFEST_FILE: &str = "MANIFEST";
 const STORAGE_DIR: &str = "storage";
-
-fn keccak_empty() -> B256 {
-    B256::keccak(&[])
-}
 
 fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -51,7 +47,13 @@ struct StoredFile {
 /// hints, never the only copy of anything.
 const WARM_CAP: usize = 4096;
 
+/// How long the prefetch worker waits after the hint that woke it before
+/// taking the queue: longer than a block's hints take to arrive, a few
+/// percent of the time the block then takes to execute.
+const PREFETCH_COALESCE: std::time::Duration = std::time::Duration::from_micros(100);
+
 /// One queued request for the background prefetch worker.
+#[derive(Debug)]
 enum PrefetchJob {
     /// Resolve these slots of `addr` into the warm cache.
     Storage(Address, Vec<U256>),
@@ -125,9 +127,15 @@ pub struct AccountsDb {
     /// publishing, so a value read against the pre-flush layout can never
     /// land in the post-flush cache.
     warm_gen: AtomicU64,
-    /// Send half of the prefetch queue, present once
-    /// [`AccountsDb::enable_prefetch`] has run.
-    prefetch_tx: Mutex<Option<std::sync::mpsc::Sender<PrefetchJob>>>,
+    /// Hints the prefetch worker has not taken yet. It takes all of them
+    /// at once, so hints arriving in a burst (a block's worth, before its
+    /// first transaction executes) are one batch however the two threads
+    /// happen to be scheduled.
+    prefetch_jobs: Mutex<Vec<PrefetchJob>>,
+    /// Wakes the prefetch worker, present once
+    /// [`AccountsDb::enable_prefetch`] has run: one token per batch, sent by
+    /// the hint that finds `prefetch_jobs` empty.
+    prefetch_tx: Mutex<Option<std::sync::mpsc::Sender<()>>>,
     /// `true` once the prefetch subsystem is on; [`AccountsDb::read_many`]
     /// then publishes what it reads into the warm cache, so a plan issued
     /// for one transaction serves the rest of the block from memory.
@@ -166,6 +174,7 @@ impl AccountsDb {
             code_cache: RwLock::new(HashMap::new()),
             warm: RwLock::new(HashMap::new()),
             warm_gen: AtomicU64::new(0),
+            prefetch_jobs: Mutex::new(Vec::new()),
             prefetch_tx: Mutex::new(None),
             prefetch_on: AtomicBool::new(false),
             flush_lock: Mutex::new(()),
@@ -326,7 +335,7 @@ impl AccountsDb {
             });
             let (code_hash, new_code) = match &d.code {
                 Some((code, hash)) => (*hash, (!code.is_empty()).then(|| Arc::new(code.clone()))),
-                None if d.shadows_base => (keccak_empty(), None),
+                None if d.shadows_base => (EMPTY_CODE_HASH, None),
                 None => (self.lookup_code_hash(addr), None),
             };
             self.cache.upsert(
@@ -626,7 +635,7 @@ impl AccountsDb {
     /// Resolves a code hash to its blob (empty for the empty-code hashes
     /// and for hashes the store has never seen).
     fn code_for_hash(&self, hash: B256) -> Vec<u8> {
-        if hash == B256::ZERO || hash == keccak_empty() {
+        if hash == B256::ZERO || hash == EMPTY_CODE_HASH {
             return Vec::new();
         }
         if let Some(code) = self
@@ -772,14 +781,22 @@ impl AccountsDb {
         if tx.is_some() {
             return;
         }
-        let (sender, receiver) = std::sync::mpsc::channel::<PrefetchJob>();
+        let (sender, receiver) = std::sync::mpsc::channel::<()>();
         let weak = Arc::downgrade(self);
         std::thread::Builder::new()
             .name("accountsdb-prefetch".into())
             .spawn(move || {
-                while let Ok(job) = receiver.recv() {
+                while receiver.recv().is_ok() {
+                    // The hint that starts a batch is usually the first of
+                    // a block's worth: let the burst land and take it
+                    // whole, instead of draining it hint by hint and being
+                    // woken for each (on the caller's core, at its cost).
+                    std::thread::sleep(PREFETCH_COALESCE);
                     let Some(db) = weak.upgrade() else { return };
-                    db.run_prefetch_job(job);
+                    let jobs = std::mem::take(
+                        &mut *db.prefetch_jobs.lock().expect("prefetch queue poisoned"),
+                    );
+                    db.run_prefetch_jobs(jobs);
                 }
             })
             .expect("spawn accountsdb prefetch worker");
@@ -807,72 +824,107 @@ impl AccountsDb {
             .clone()
     }
 
-    fn run_prefetch_job(&self, job: PrefetchJob) {
-        match job {
-            PrefetchJob::Account(addr) => {
-                // Touching the record pulls its file page into the OS
-                // cache; the metadata itself is cheap to re-decode.
+    /// One batch of hints: accounts and slots named more than once (the
+    /// contract every transaction of the block calls) are resolved once.
+    fn run_prefetch_jobs(&self, jobs: Vec<PrefetchJob>) {
+        let mut accounts: Vec<Address> = Vec::new();
+        let mut slots: HashMap<Address, Vec<U256>> = HashMap::new();
+        for job in jobs {
+            match job {
+                PrefetchJob::Account(addr) => accounts.push(addr),
+                PrefetchJob::Storage(addr, keys) => slots.entry(addr).or_default().extend(keys),
+            }
+        }
+        accounts.sort_unstable();
+        accounts.dedup();
+        for addr in accounts {
+            // Touching the record pulls its file page into the OS cache;
+            // the metadata itself is cheap to re-decode. An account the
+            // write cache holds is never read from a file.
+            if self.cache.with_entry(addr, |_| ()).is_none() {
                 let _ = self.flat_account(addr);
             }
-            PrefetchJob::Storage(addr, keys) => {
-                let gen = self.warm_gen.load(Ordering::Acquire);
-                // Keys the write cache resolves are served without
-                // touching a file — nothing to warm for those.
-                let wanted: Vec<U256> = match self.cache.with_entry(addr, |c| {
-                    keys.iter()
-                        .copied()
-                        .filter(|k| !c.deleted && !c.reset_storage && !c.storage.contains_key(k))
-                        .collect::<Vec<_>>()
-                }) {
-                    Some(w) => w,
-                    None => keys,
-                };
-                if wanted.is_empty() {
-                    return;
-                }
-                let locs: Vec<(U256, Loc)> = {
-                    let ix = self.index.read().expect("index poisoned");
-                    wanted
-                        .iter()
-                        .filter_map(|&k| ix.slot(addr, k).map(|l| (k, l)))
-                        .collect()
-                };
-                if locs.is_empty() {
-                    return;
-                }
-                let mut resolved = Vec::with_capacity(locs.len());
-                for (k, loc) in locs {
-                    let mut buf = [0u8; 32];
-                    self.read_payload(loc, &mut buf);
-                    resolved.push((k, U256::from_be_bytes(buf)));
-                }
-                if mtpu_telemetry::enabled() {
-                    obs::metrics().prefetch_batch.inc();
-                }
-                let mut warm = self.warm.write().expect("warm cache poisoned");
-                if self.warm_gen.load(Ordering::Acquire) != gen {
-                    // A flush moved the flat layout under this read; the
-                    // values may predate it. Drop them — they were hints.
-                    return;
-                }
-                if warm.len() + resolved.len() > WARM_CAP {
-                    warm.clear();
-                }
-                for (k, v) in resolved {
-                    warm.insert((addr, k), v);
-                }
-            }
+        }
+        for (addr, mut keys) in slots {
+            keys.sort_unstable();
+            keys.dedup();
+            self.prefetch_storage(addr, keys);
         }
     }
 
+    /// Resolves `keys` of `addr` against the flat layer into the warm cache.
+    fn prefetch_storage(&self, addr: Address, keys: Vec<U256>) {
+        let gen = self.warm_gen.load(Ordering::Acquire);
+        // Keys the write cache resolves are served without
+        // touching a file — nothing to warm for those.
+        let wanted: Vec<U256> = match self.cache.with_entry(addr, |c| {
+            keys.iter()
+                .copied()
+                .filter(|k| !c.deleted && !c.reset_storage && !c.storage.contains_key(k))
+                .collect::<Vec<_>>()
+        }) {
+            Some(w) => w,
+            None => keys,
+        };
+        if wanted.is_empty() {
+            return;
+        }
+        let locs: Vec<(U256, Loc)> = {
+            let ix = self.index.read().expect("index poisoned");
+            wanted
+                .iter()
+                .filter_map(|&k| ix.slot(addr, k).map(|l| (k, l)))
+                .collect()
+        };
+        if locs.is_empty() {
+            return;
+        }
+        let mut resolved = Vec::with_capacity(locs.len());
+        for (k, loc) in locs {
+            let mut buf = [0u8; 32];
+            self.read_payload(loc, &mut buf);
+            resolved.push((k, U256::from_be_bytes(buf)));
+        }
+        if mtpu_telemetry::enabled() {
+            obs::metrics().prefetch_batch.inc();
+        }
+        let mut warm = self.warm.write().expect("warm cache poisoned");
+        if self.warm_gen.load(Ordering::Acquire) != gen {
+            // A flush moved the flat layout under this read; the
+            // values may predate it. Drop them — they were hints.
+            return;
+        }
+        if warm.len() + resolved.len() > WARM_CAP {
+            warm.clear();
+        }
+        for (k, v) in resolved {
+            warm.insert((addr, k), v);
+        }
+    }
+
+    /// Queues `job` for the worker; a no-op until
+    /// [`AccountsDb::enable_prefetch`] has run. Only the hint that starts a
+    /// batch signals the worker — a signal per hint would park and wake it
+    /// once per hint whenever it drains faster than the caller produces,
+    /// which makes the caller's cost depend on how the two are scheduled.
     fn queue_prefetch(&self, job: PrefetchJob) {
-        if let Some(tx) = self
-            .prefetch_tx
-            .lock()
-            .expect("prefetch queue poisoned")
-            .as_ref()
-        {
-            let _ = tx.send(job);
+        if !self.prefetch_on.load(Ordering::Acquire) {
+            return;
+        }
+        let starts_batch = {
+            let mut jobs = self.prefetch_jobs.lock().expect("prefetch queue poisoned");
+            jobs.push(job);
+            jobs.len() == 1
+        };
+        if starts_batch {
+            if let Some(tx) = self
+                .prefetch_tx
+                .lock()
+                .expect("prefetch queue poisoned")
+                .as_ref()
+            {
+                let _ = tx.send(());
+            }
         }
     }
 
@@ -1429,12 +1481,19 @@ mod tests {
         absorb_tx(&db, &creation(addr(1), 10, 0, None, &[(1, 11), (2, 22)]), 1);
         db.flush_up_to(1).unwrap();
 
-        db.enable_prefetch();
-        db.hint_prefetch_storage(addr(1), &[U256::from(1u64), U256::from(2u64)]);
+        // No worker yet: a hint must not pile up where nothing drains it.
         db.hint_prefetch_account(addr(1));
+        assert!(db.prefetch_jobs.lock().unwrap().is_empty());
+
+        // A block's worth, every transaction naming the same contract.
+        db.enable_prefetch();
+        for _ in 0..128 {
+            db.hint_prefetch_storage(addr(1), &[U256::from(1u64), U256::from(2u64)]);
+            db.hint_prefetch_account(addr(1));
+        }
         let mut warmed = false;
         for _ in 0..2000 {
-            if db.warm_entries() == 2 {
+            if db.warm_entries() == 2 && db.prefetch_jobs.lock().unwrap().is_empty() {
                 warmed = true;
                 break;
             }

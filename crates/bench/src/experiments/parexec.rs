@@ -141,7 +141,11 @@ pub fn metrics_summary() -> String {
         vec![
             "parexec commits".into(),
             format!("{commits}"),
-            String::new(),
+            format!(
+                "{} in place, {} speculated",
+                c("parexec.commit.in_place"),
+                c("parexec.commit.speculated")
+            ),
         ],
         vec![
             "parexec aborts".into(),

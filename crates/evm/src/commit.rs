@@ -10,7 +10,7 @@
 
 use crate::overlay::{BlockDelta, OverlayedView, StateRead};
 use crate::state::{Account, State};
-use mtpu_primitives::{Address, B256};
+use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH};
 use mtpu_statedb::AccountUpdate;
 pub use mtpu_statedb::{MemStore, NodeStore, StateCommitter};
 use std::fmt;
@@ -131,7 +131,7 @@ fn effective_code_hash<B: StateRead>(view: &OverlayedView<'_, B>, addr: Address)
     // State::code_hash reports ZERO for never-coded accounts (EXTCODEHASH
     // semantics); the trie stores keccak("") for code-less accounts.
     if h == B256::ZERO {
-        mtpu_statedb::empty_code_hash()
+        EMPTY_CODE_HASH
     } else {
         h
     }

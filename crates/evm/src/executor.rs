@@ -248,17 +248,17 @@ pub struct ReadCallOutcome {
 
 /// Runs a read-only `eth_call` simulation against an immutable base view.
 ///
-/// The call executes on a throwaway [`StateOverlay`] over `base` — full
-/// interpreter semantics, including nested calls and (simulated) writes —
-/// and the overlay's delta is dropped afterwards, so the base is never
-/// mutated and any number of simulations can run concurrently against the
-/// same snapshot.
+/// The call executes on a throwaway unrecorded [`StateOverlay`] over
+/// `base` — full interpreter semantics, including nested calls and
+/// (simulated) writes — and the overlay's delta is dropped afterwards, so
+/// the base is never mutated and any number of simulations can run
+/// concurrently against the same snapshot.
 pub fn call_readonly<B: StateRead>(
     base: &B,
     header: &BlockHeader,
     call: &ReadCall,
 ) -> ReadCallOutcome {
-    let mut overlay = StateOverlay::new(base);
+    let mut overlay = StateOverlay::unrecorded(base);
     let mut tracer = NoopTracer;
     let mut evm = Evm::new(&mut overlay, header, call.from, U256::ZERO, &mut tracer);
     let result = evm.call(CallParams {

@@ -300,8 +300,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
             };
         }
 
-        let code = self.state.load_code(params.code_address);
-        let code_hash = self.state.code_hash(params.code_address);
+        let (code, code_hash) = self.state.load_code_and_hash(params.code_address);
         let selector = if params.input.len() >= 4 {
             let mut s = [0u8; 4];
             s.copy_from_slice(&params.input[..4]);

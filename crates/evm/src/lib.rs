@@ -60,7 +60,8 @@ pub use fusion::{FusedKind, FusedSpec, FusedTable, SelectorArm};
 pub use interpreter::{CallParams, Evm, FrameResult, Halt, VmError};
 pub use opcode::{OpCategory, Opcode};
 pub use overlay::{
-    AccountDelta, BlockDelta, OverlayedView, ReadSet, StaleRead, StateOverlay, StateRead, TxDelta,
+    AccountDelta, BlockDelta, OverlayedView, ReadLog, ReadSet, StaleRead, StateOverlay, StateRead,
+    TxDelta, Unrecorded,
 };
 pub use prefetch::{resolvable_sload_pcs, PrefetchArm, PrefetchPlan};
 pub use state::{Account, State, StateOps};

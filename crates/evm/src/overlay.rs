@@ -12,13 +12,16 @@
 //! block order, the committed view at transaction *i*'s commit point is
 //! exactly the sequential prefix state, which makes the whole scheme
 //! serializable with a final state bit-identical to sequential execution.
+//! An execution that already runs on that prefix state — or whose result
+//! is thrown away — uses [`StateOverlay::unrecorded`] and keeps no read
+//! set at all.
 //!
 //! This is the paper's Scheduling/Transaction-Table discipline (§3.4)
 //! applied optimistically on host threads, following the Block-STM recipe
 //! for validation and the commutative coinbase accrual.
 
 use crate::state::{Account, Checkpoint, State, StateOps};
-use mtpu_primitives::{Address, B256, U256};
+use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -139,10 +142,6 @@ impl StateRead for State {
     }
 }
 
-fn keccak_empty() -> B256 {
-    B256::keccak(&[])
-}
-
 /// Every base observation a speculative execution made, keyed by location.
 ///
 /// Only the *first* observation of each location is stored; if a later
@@ -173,6 +172,45 @@ impl ReadSet {
     pub fn is_empty(&self) -> bool {
         self.len() == 0 && !self.poisoned
     }
+}
+
+/// What a [`StateOverlay`] does with the base observations it makes: keep
+/// them for commit-time validation ([`ReadSet`]) or drop them
+/// ([`Unrecorded`]). A type parameter of the overlay, so an execution
+/// whose read set nobody will validate pays nothing for one.
+pub trait ReadLog: Default {
+    /// `false` when observations are dropped, which lets the overlay skip
+    /// base reads made only to be recorded.
+    const RECORDS: bool;
+    /// Account existence was observed.
+    fn note_exists(&mut self, addr: Address, v: bool);
+    /// A balance was observed.
+    fn note_balance(&mut self, addr: Address, v: U256);
+    /// A nonce was observed.
+    fn note_nonce(&mut self, addr: Address, v: u64);
+    /// A code hash was observed.
+    fn note_code_hash(&mut self, addr: Address, v: B256);
+    /// A storage slot was observed.
+    fn note_storage(&mut self, addr: Address, key: U256, v: U256);
+}
+
+/// The [`ReadLog`] that keeps nothing: for executions against a view
+/// that cannot move under them (the sequential prefix, a frozen
+/// snapshot), or whose result is thrown away.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unrecorded;
+
+impl ReadLog for Unrecorded {
+    const RECORDS: bool = false;
+    fn note_exists(&mut self, _: Address, _: bool) {}
+    fn note_balance(&mut self, _: Address, _: U256) {}
+    fn note_nonce(&mut self, _: Address, _: u64) {}
+    fn note_code_hash(&mut self, _: Address, _: B256) {}
+    fn note_storage(&mut self, _: Address, _: U256, _: U256) {}
+}
+
+impl ReadLog for ReadSet {
+    const RECORDS: bool = true;
 
     fn note_exists(&mut self, addr: Address, v: bool) {
         match self.exists.get(&addr) {
@@ -218,7 +256,9 @@ impl ReadSet {
             }
         }
     }
+}
 
+impl ReadSet {
     /// `true` when every recorded observation still matches `view` — the
     /// commit-time validation of optimistic concurrency control.
     pub fn validate<B: StateRead>(&self, view: &B) -> bool {
@@ -337,7 +377,7 @@ impl AccountDelta {
         if !self.deleted {
             self.nonce = Some(self.nonce.unwrap_or(0));
             self.balance = Some(self.balance.unwrap_or(U256::ZERO));
-            self.code = Some(self.code.unwrap_or_else(|| (Vec::new(), keccak_empty())));
+            self.code = Some(self.code.unwrap_or_else(|| (Vec::new(), EMPTY_CODE_HASH)));
         }
         self
     }
@@ -345,7 +385,7 @@ impl AccountDelta {
 
 /// The write set of one committed speculative transaction, plus its
 /// commutative accruals (coinbase fees).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxDelta {
     /// Written accounts.
     pub accounts: HashMap<Address, AccountDelta>,
@@ -580,7 +620,7 @@ impl<B: StateRead> StateRead for OverlayedView<'_, B> {
             Some(d) if d.deleted => B256::ZERO,
             Some(d) => match &d.code {
                 Some((_, h)) => *h,
-                None if d.shadows_base => keccak_empty(),
+                None if d.shadows_base => EMPTY_CODE_HASH,
                 None => self.base.read_code_hash(addr),
             },
             None => self.base.read_code_hash(addr),
@@ -677,8 +717,9 @@ impl PrefetchMemo {
     }
 }
 
-/// A journaled, read-set-recording [`StateOps`] implementation over an
-/// immutable base view — the unit of speculative parallel execution.
+/// A journaled [`StateOps`] implementation over an immutable base view —
+/// the unit of speculative parallel execution. By default it records a
+/// [`ReadSet`]; [`StateOverlay::unrecorded`] builds one that does not.
 ///
 /// ```
 /// use mtpu_evm::overlay::StateOverlay;
@@ -699,37 +740,53 @@ impl PrefetchMemo {
 /// assert_eq!(final_state.balance(Address::from_low_u64(2)), U256::from(40u64));
 /// ```
 #[derive(Debug)]
-pub struct StateOverlay<'a, B: StateRead> {
+pub struct StateOverlay<'a, B: StateRead, R: ReadLog = ReadSet> {
     base: &'a B,
     delta: TxDelta,
     destructed: Vec<Address>,
     journal: Vec<OverlayEntry>,
-    reads: RefCell<ReadSet>,
+    reads: RefCell<R>,
     prefetched: RefCell<PrefetchMemo>,
 }
 
 impl<'a, B: StateRead> StateOverlay<'a, B> {
-    /// An empty overlay over `base`.
+    /// An empty overlay over `base` that records a [`ReadSet`].
     pub fn new(base: &'a B) -> Self {
-        StateOverlay {
-            base,
-            delta: TxDelta::default(),
-            destructed: Vec::new(),
-            journal: Vec::new(),
-            reads: RefCell::new(ReadSet::default()),
-            prefetched: RefCell::new(PrefetchMemo::default()),
-        }
-    }
-
-    /// Consumes the overlay, returning the accumulated write set and the
-    /// recorded read set. Call [`StateOps::finalize_tx`] first.
-    pub fn into_parts(self) -> (TxDelta, ReadSet) {
-        (self.delta, self.reads.into_inner())
+        Self::with_log(base)
     }
 
     /// The recorded read set so far (for inspection in tests).
     pub fn read_set(&self) -> ReadSet {
         self.reads.borrow().clone()
+    }
+}
+
+impl<'a, B: StateRead> StateOverlay<'a, B, Unrecorded> {
+    /// An empty overlay over `base` that keeps no read set — for a base
+    /// that cannot change under the execution, or a result nobody
+    /// validates (admission, read-only calls).
+    pub fn unrecorded(base: &'a B) -> Self {
+        Self::with_log(base)
+    }
+}
+
+impl<'a, B: StateRead, R: ReadLog> StateOverlay<'a, B, R> {
+    fn with_log(base: &'a B) -> Self {
+        StateOverlay {
+            base,
+            delta: TxDelta::default(),
+            destructed: Vec::new(),
+            journal: Vec::new(),
+            reads: RefCell::new(R::default()),
+            prefetched: RefCell::new(PrefetchMemo::default()),
+        }
+    }
+
+    /// Consumes the overlay, returning the accumulated write set and the
+    /// read log (a [`ReadSet`], or [`Unrecorded`]). Call
+    /// [`StateOps::finalize_tx`] first.
+    pub fn into_parts(self) -> (TxDelta, R) {
+        (self.delta, self.reads.into_inner())
     }
 
     fn entry(&self, addr: Address) -> Option<&AccountDelta> {
@@ -755,7 +812,7 @@ impl<'a, B: StateRead> StateOverlay<'a, B> {
     }
 }
 
-impl<B: StateRead> StateOps for StateOverlay<'_, B> {
+impl<B: StateRead, R: ReadLog> StateOps for StateOverlay<'_, B, R> {
     fn exists(&self, addr: Address) -> bool {
         match self.entry(addr) {
             Some(d) => !(d.shadows_base && d.deleted),
@@ -810,6 +867,17 @@ impl<B: StateRead> StateOps for StateOverlay<'_, B> {
         }
     }
 
+    fn load_code_and_hash(&self, addr: Address) -> (Vec<u8>, B256) {
+        match self.entry(addr) {
+            Some(d) => match &d.code {
+                Some((c, h)) => (c.clone(), *h),
+                None if d.shadows_base => (Vec::new(), EMPTY_CODE_HASH),
+                None => self.fall_through_code_and_hash(addr),
+            },
+            None => self.fall_through_code_and_hash(addr),
+        }
+    }
+
     fn code_size(&self, addr: Address) -> usize {
         self.load_code(addr).len()
     }
@@ -818,7 +886,7 @@ impl<B: StateRead> StateOps for StateOverlay<'_, B> {
         match self.entry(addr) {
             Some(d) => match &d.code {
                 Some((_, h)) => *h,
-                None if d.shadows_base => keccak_empty(),
+                None if d.shadows_base => EMPTY_CODE_HASH,
                 None => self.fall_through_code_hash(addr),
             },
             None => self.fall_through_code_hash(addr),
@@ -1059,13 +1127,20 @@ impl<B: StateRead> StateOps for StateOverlay<'_, B> {
     }
 }
 
-impl<B: StateRead> StateOverlay<'_, B> {
+impl<B: StateRead, R: ReadLog> StateOverlay<'_, B, R> {
     fn fall_through_code(&self, addr: Address) -> Vec<u8> {
         // Code reads are validated by hash: recording the (much smaller)
         // hash observation suffices because hash equality implies code
-        // equality.
-        self.fall_through_code_hash(addr);
+        // equality. Nothing to validate, no hash read.
+        if R::RECORDS {
+            self.fall_through_code_hash(addr);
+        }
         self.base.read_code(addr)
+    }
+
+    fn fall_through_code_and_hash(&self, addr: Address) -> (Vec<u8>, B256) {
+        let hash = self.fall_through_code_hash(addr);
+        (self.base.read_code(addr), hash)
     }
 
     fn fall_through_storage(&self, addr: Address, key: U256) -> U256 {

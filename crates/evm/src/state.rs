@@ -4,7 +4,7 @@
 //! This plays the role of the paper's *State* data in main memory
 //! (Table 4): address, nonce, balance, code, storage.
 
-use mtpu_primitives::{keccak256, Address, B256, U256};
+use mtpu_primitives::{keccak256, Address, B256, EMPTY_CODE_HASH, U256};
 use std::collections::HashMap;
 
 /// A single account: externally owned (empty code) or contract.
@@ -27,7 +27,7 @@ impl Account {
     pub fn with_balance(balance: U256) -> Self {
         Account {
             balance,
-            code_hash: B256::keccak(&[]),
+            code_hash: EMPTY_CODE_HASH,
             ..Default::default()
         }
     }
@@ -383,6 +383,12 @@ pub trait StateOps {
     fn nonce(&self, addr: Address) -> u64;
     /// Contract code (empty for absent accounts and EOAs).
     fn load_code(&self, addr: Address) -> Vec<u8>;
+    /// Contract code together with its hash — what entering a call frame
+    /// needs. Implementations over a backend with read latency answer it
+    /// with one observation of each.
+    fn load_code_and_hash(&self, addr: Address) -> (Vec<u8>, B256) {
+        (self.load_code(addr), self.code_hash(addr))
+    }
     /// Length of the contract code in bytes.
     fn code_size(&self, addr: Address) -> usize;
     /// Hash of the contract code; zero for absent accounts.

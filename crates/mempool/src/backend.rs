@@ -76,8 +76,8 @@ impl Backend for FlatBackend<'_> {
     }
 
     /// The admission-time read sets ride along as hints: the store starts
-    /// pulling a transaction's slots off disk the moment its DAG parents
-    /// commit.
+    /// pulling the block's slots off disk before its first transaction
+    /// executes.
     fn hints(&self, packed: &PackedBlock) -> Vec<TxHints> {
         if self.prefetch {
             packed.prefetch_hints()

@@ -392,19 +392,19 @@ impl Mempool {
     }
 
     /// Admission-time footprint extraction: one speculative, untraced
-    /// execution on an overlay over committed state (with the sender's
-    /// nonce pinned to the transaction's, so parked chain members still
-    /// execute). A failed execution falls back to the static
+    /// execution on an unrecorded overlay over committed state (with the
+    /// sender's nonce pinned to the transaction's, so parked chain members
+    /// still execute). A failed execution falls back to the static
     /// value-transfer footprint — an under-approximation that only costs
-    /// parallelism, never correctness, because parexec re-validates
-    /// every read at commit.
+    /// parallelism, never correctness, because parexec's commit lane
+    /// validates whatever ran ahead of it.
     fn extract<S: StateRead>(&self, tx: Transaction, state: &S, bytes: usize) -> PooledTx {
         let view = NonceView {
             base: state,
             sender: tx.from,
             nonce: tx.nonce,
         };
-        let mut overlay = StateOverlay::new(&view);
+        let mut overlay = StateOverlay::unrecorded(&view);
         let (rw, approximate) = match speculative_rw_set(&mut overlay, &self.extraction_header, &tx)
         {
             Ok(rw) => (rw, false),

@@ -1,19 +1,21 @@
 //! Wall-clock parallel block execution engine.
 //!
 //! This crate turns the paper's spatial-temporal DAG schedule (§3.4) into
-//! *real* multi-threaded execution on host cores: a pool of worker threads
-//! claims transactions whose DAG parents have committed, executes each one
-//! speculatively on a [`StateOverlay`] over the immutable pre-block
-//! snapshot plus the committed prefix, and commits strictly in canonical
-//! block order after re-validating the recorded read set — re-executing on
-//! conflict (the Block-STM recipe with a consensus-provided DAG instead of
-//! blind speculation).
+//! *real* multi-threaded execution on host cores. The calling thread is
+//! the **commit lane**: it walks the block in canonical order and executes
+//! each transaction *in place* on a [`StateOverlay`] over the immutable
+//! pre-block snapshot plus the committed prefix — unless a **speculator**
+//! (one of `threads − 1` spawned threads running transactions whose DAG
+//! parents have committed, ahead of the lane) already holds it, in which
+//! case the lane validates the speculator's recorded read set once and
+//! re-executes in place on conflict.
 //!
-//! Because commits happen in block order, the committed view at
-//! transaction *i*'s commit point is exactly the sequential prefix state,
-//! so the final state and receipts are bit-identical to
+//! The view an in-place execution reads is exactly the sequential prefix
+//! state, and a speculated outcome commits only if it read what that
+//! state holds, so the final state and receipts are bit-identical to
 //! [`mtpu_evm::execute_block`] — the serializability oracle the
-//! integration tests enforce.
+//! integration tests enforce. With one thread there are no speculators
+//! and the engine is the sequential loop.
 //!
 //! ```
 //! use mtpu_evm::{Block, BlockHeader, State, StateOps, Transaction};
@@ -41,30 +43,30 @@ pub mod obs;
 
 use mtpu::sched::DepGraph;
 use mtpu_evm::executor::execute_transaction;
-use mtpu_evm::overlay::{BlockDelta, OverlayedView, ReadSet, StateOverlay, StateRead, TxDelta};
+use mtpu_evm::overlay::{
+    BlockDelta, OverlayedView, ReadLog, ReadSet, StateOverlay, StateRead, TxDelta,
+};
 use mtpu_evm::state::State;
 use mtpu_evm::trace::NoopTracer;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::collections::BinaryHeap;
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How many times a worker re-executes a transaction speculatively after
-/// a failed pre-validation before parking it for the commit gate's
-/// canonical-order (blocking) re-execution.
+/// How many times a speculator re-executes a transaction after a failed
+/// pre-validation before parking it for the commit lane's in-place
+/// re-execution.
 pub const DEFAULT_RETRY_CAP: usize = 3;
 
 /// Admission-time prefetch hints for one transaction: the state locations
-/// its declared (or trace-derived) read set names. When the transaction
-/// becomes ready — its DAG parents have all committed — the hints are
-/// forwarded to the base backend via [`StateRead::hint_prefetch_storage`]
-/// and [`StateRead::hint_prefetch_account`], so a backend with real read
+/// its declared (or trace-derived) read set names. Before the block's
+/// first execution every transaction's hints are forwarded to the base
+/// backend via [`StateRead::hint_prefetch_storage`] and
+/// [`StateRead::hint_prefetch_account`], so a backend with real read
 /// latency (the flat accounts-DB) can overlap its file reads with the
-/// queue wait and the dispatch of other transactions. Hints are purely
-/// advisory: a wrong or stale hint costs a wasted read, never a wrong
-/// result.
+/// execution of the transactions ahead. Hints are purely advisory: a
+/// wrong or stale hint costs a wasted read, never a wrong result.
 #[derive(Debug, Clone, Default)]
 pub struct TxHints {
     /// Storage slots the transaction is expected to read.
@@ -96,20 +98,21 @@ fn fire_hints<B: StateRead>(base: &B, hints: &TxHints) {
     }
 }
 
-/// Per-worker execution counters.
+/// Per-worker execution counters. Worker 0 is the commit lane, the rest
+/// are speculators.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Speculative executions (including re-executions) this worker ran.
+    /// Executions (including re-executions) this worker ran.
     pub executed: u64,
-    /// Transactions this worker committed while holding the commit gate.
+    /// Transactions this worker committed (all of them, for the lane).
     pub committed: u64,
-    /// Read-set validation failures this worker observed (speculative
-    /// pre-validation and gate validation).
+    /// Read-set validation failures this worker observed (a speculator's
+    /// pre-validation, the lane's validation of a parked outcome).
     pub aborted: u64,
-    /// Time spent executing and committing (excludes idle waits on the
-    /// ready queue).
+    /// Time spent executing, validating and committing.
     pub busy: Duration,
-    /// Time spent parked on the ready queue waiting for work.
+    /// Time spent waiting: a speculator for ready work, the lane for a
+    /// head a speculator holds.
     pub idle: Duration,
 }
 
@@ -120,22 +123,27 @@ pub struct BlockStats {
     pub threads: usize,
     /// Transactions in the block.
     pub txs: usize,
-    /// Total speculative executions (>= `txs`; the excess is re-execution
-    /// work caused by conflicts).
+    /// Total executions (>= `txs`; the excess is re-execution work caused
+    /// by conflicts).
     pub executions: u64,
     /// Executions repeated because read-set validation failed — always
     /// `spec_retries + fallbacks`.
     pub reexecutions: u64,
-    /// Read-set validation failures observed (speculative pre-validation
-    /// plus the commit gate).
+    /// Read-set validation failures observed (speculators'
+    /// pre-validations plus the lane's validations).
     pub conflicts: u64,
-    /// Bounded speculative re-executions: a worker re-ran the transaction
-    /// because its pre-validation found stale reads, up to the retry cap.
+    /// Bounded speculative re-executions: a speculator re-ran the
+    /// transaction because its pre-validation found stale reads, up to
+    /// the retry cap.
     pub spec_retries: u64,
-    /// Canonical-order blocking re-executions: the gate holder re-ran the
-    /// transaction against the frozen committed prefix after the
-    /// speculative retries were exhausted or raced.
+    /// In-place re-executions: the lane re-ran a transaction against the
+    /// frozen committed prefix because its parked outcome was stale.
     pub fallbacks: u64,
+    /// Commits of a delta the lane executed itself — a transaction nobody
+    /// held, or a fallback. `in_place + speculated == txs`.
+    pub in_place: u64,
+    /// Commits of a speculator's delta that passed the lane's validation.
+    pub speculated: u64,
     /// Wall-clock time for the whole block.
     pub wall: Duration,
     /// Per-worker breakdown, indexed by worker id.
@@ -153,7 +161,7 @@ impl BlockStats {
     }
 
     /// Fraction of `threads * wall` the workers spent busy (1.0 = every
-    /// core executing for the whole block).
+    /// core working for the whole block).
     pub fn utilization(&self) -> f64 {
         let denom = self.wall.as_secs_f64() * self.threads as f64;
         if denom == 0.0 {
@@ -173,7 +181,7 @@ pub struct ChainStats {
     pub blocks: usize,
     /// Transactions committed across all blocks.
     pub txs: usize,
-    /// Total speculative executions.
+    /// Total executions.
     pub executions: u64,
     /// Re-executions caused by conflicts.
     pub reexecutions: u64,
@@ -181,8 +189,12 @@ pub struct ChainStats {
     pub conflicts: u64,
     /// Bounded speculative re-executions.
     pub spec_retries: u64,
-    /// Canonical-order blocking re-executions.
+    /// The lane's in-place re-executions of stale outcomes.
     pub fallbacks: u64,
+    /// Commits the lane executed in place.
+    pub in_place: u64,
+    /// Commits of validated speculative outcomes.
+    pub speculated: u64,
     /// Summed per-block execution wall time (excludes inter-block work).
     pub exec_wall: Duration,
 }
@@ -197,6 +209,8 @@ impl ChainStats {
         self.conflicts += s.conflicts;
         self.spec_retries += s.spec_retries;
         self.fallbacks += s.fallbacks;
+        self.in_place += s.in_place;
+        self.speculated += s.speculated;
         self.exec_wall += s.wall;
     }
 
@@ -267,11 +281,13 @@ impl BlockResult {
     }
 }
 
-/// A multi-threaded optimistic block executor.
+/// A multi-threaded block executor: one commit lane, `threads − 1`
+/// speculators.
 ///
-/// Construction is cheap; threads are spawned per block via
+/// Construction is cheap; speculators are spawned per block via
 /// [`std::thread::scope`], so the executor borrows the base state and
-/// block for the duration of the call only.
+/// block for the duration of the call only. With one thread nothing is
+/// spawned and the engine is a sequential loop.
 #[derive(Debug, Clone, Copy)]
 pub struct ParExecutor {
     threads: usize,
@@ -288,16 +304,16 @@ impl ParExecutor {
         }
     }
 
-    /// Sets how many speculative re-executions a worker attempts after a
-    /// failed pre-validation before parking the transaction for the commit
-    /// gate's canonical-order blocking re-execution. `0` disables
+    /// Sets how many speculative re-executions a speculator attempts
+    /// after a failed pre-validation before parking the transaction for
+    /// the commit lane, which repairs it in place. `0` disables
     /// speculative repair entirely (every conflict falls back).
     pub fn with_retry_cap(mut self, cap: usize) -> Self {
         self.retry_cap = cap;
         self
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (the commit lane included).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -329,13 +345,15 @@ impl ParExecutor {
     /// in-memory [`State`], the flat accounts-DB, …) with an explicit
     /// dependency DAG — normally [`DepGraph::from_conflicts`] built from
     /// consensus-stage traces (the paper's §2.2.2) or the packer's
-    /// admission-time footprints. A more precise DAG means fewer validation
-    /// failures, not different results. Returns only receipts + delta: the
-    /// base is never cloned; the caller absorbs the delta into its backend.
+    /// admission-time footprints. The DAG only decides what speculators
+    /// may run ahead of the commit lane: a more precise one means fewer
+    /// validation failures, not different results. Returns only receipts +
+    /// delta: the base is never cloned; the caller absorbs the delta into
+    /// its backend.
     ///
-    /// When transaction `i` becomes ready, `hints[i]` is forwarded to the
-    /// backend (see [`TxHints`]) before any worker claims it, overlapping
-    /// backend reads with scheduling. Pass an empty slice for no hints.
+    /// Every transaction's `hints[i]` is forwarded to the backend (see
+    /// [`TxHints`]) once, in block order, before anything executes. Pass an
+    /// empty slice for no hints.
     ///
     /// # Panics
     ///
@@ -359,92 +377,55 @@ impl ParExecutor {
         );
         let n = block.transactions.len();
         let started = Instant::now();
-        if n == 0 {
-            return DeltaResult {
-                receipts: Vec::new(),
-                delta: BlockDelta::new(),
-                stats: BlockStats {
-                    threads: self.threads,
-                    txs: 0,
-                    executions: 0,
-                    reexecutions: 0,
-                    conflicts: 0,
-                    spec_retries: 0,
-                    fallbacks: 0,
-                    wall: started.elapsed(),
-                    workers: vec![WorkerStats::default(); self.threads],
-                },
-            };
+        for h in hints.iter().take(n) {
+            fire_hints(base, h);
         }
 
-        let shared = Shared::new(
-            base,
-            &block.header,
-            &block.transactions,
-            dag,
-            hints,
-            self.retry_cap,
-        );
-        let workers: Vec<WorkerSlot> = (0..self.threads).map(|_| WorkerSlot::default()).collect();
-
-        std::thread::scope(|scope| {
-            for (w, slot) in workers.iter().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || worker_loop(shared, slot, w));
-            }
+        let shared = Shared::new(base, &block.header, &block.transactions, dag);
+        // The lane runs transaction 0 itself, so a block keeps at most
+        // `n − 1` speculators busy.
+        let speculators = (self.threads - 1).min(n.saturating_sub(1));
+        let retry_cap = self.retry_cap;
+        let (lane, spec_stats) = std::thread::scope(|scope| {
+            let shared = &shared;
+            let handles: Vec<_> = (1..=speculators)
+                .map(|w| scope.spawn(move || speculate(shared, retry_cap, w)))
+                .collect();
+            let lane = commit_lane(shared, started);
+            let join = |h: std::thread::ScopedJoinHandle<'_, WorkerStats>| {
+                h.join().expect("a speculator panicked")
+            };
+            (lane, handles.into_iter().map(join).collect::<Vec<_>>())
         });
 
-        let wall = started.elapsed();
-        let delta = shared.committed.into_inner().expect("no worker panicked");
-        let cursor = shared.gate.into_inner().expect("no worker panicked");
-        debug_assert_eq!(cursor.next, n, "every transaction must commit");
-        let receipts: Vec<Receipt> = cursor
-            .receipts
-            .into_iter()
-            .map(|r| r.expect("committed transactions have receipts"))
-            .collect();
-
+        // Every failed validation is repaired by exactly one re-execution:
+        // a speculator's own bounded retry, or the lane's fallback.
+        let fallbacks = lane.stats.aborted;
+        let mut workers = vec![lane.stats];
+        workers.extend(spec_stats);
+        workers.resize(self.threads, WorkerStats::default());
+        let conflicts: u64 = workers.iter().map(|w| w.aborted).sum();
         DeltaResult {
-            receipts,
-            delta,
+            receipts: lane.receipts,
+            delta: lane.prefix,
             stats: BlockStats {
                 threads: self.threads,
                 txs: n,
-                executions: shared.executions.load(Ordering::Relaxed),
-                reexecutions: shared.reexecutions.load(Ordering::Relaxed),
-                conflicts: shared.conflicts.load(Ordering::Relaxed),
-                spec_retries: shared.spec_retries.load(Ordering::Relaxed),
-                fallbacks: shared.fallbacks.load(Ordering::Relaxed),
-                wall,
-                workers: workers.iter().map(WorkerSlot::snapshot).collect(),
+                executions: workers.iter().map(|w| w.executed).sum(),
+                reexecutions: conflicts,
+                conflicts,
+                spec_retries: conflicts - fallbacks,
+                fallbacks,
+                in_place: n as u64 - lane.speculated,
+                speculated: lane.speculated,
+                wall: started.elapsed(),
+                workers,
             },
         }
     }
 }
 
-/// Atomic per-worker counters, snapshotted into [`WorkerStats`] at the end.
-#[derive(Debug, Default)]
-struct WorkerSlot {
-    executed: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    busy_ns: AtomicU64,
-    idle_ns: AtomicU64,
-}
-
-impl WorkerSlot {
-    fn snapshot(&self) -> WorkerStats {
-        WorkerStats {
-            executed: self.executed.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
-            idle: Duration::from_nanos(self.idle_ns.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// One speculative execution's result, parked until the commit gate
+/// One speculative execution's result, parked until the commit lane
 /// reaches it.
 struct TxOutcome {
     delta: TxDelta,
@@ -452,42 +433,44 @@ struct TxOutcome {
     receipt: Receipt,
 }
 
-/// Commit-order bookkeeping, protected by the gate mutex: the index of the
-/// next transaction to commit and the receipts committed so far.
-struct CommitCursor {
-    next: usize,
-    receipts: Vec<Option<Receipt>>,
+/// Who has a transaction. The lane and the speculators claim through the
+/// slot's mutex, so a transaction is first-executed by exactly one of them.
+enum Slot {
+    /// Nobody yet: the lane takes it when its cursor arrives, a
+    /// speculator when it pops it off the ready queue.
+    Free,
+    /// A speculator is running it; the lane waits on the slot's condvar.
+    Held,
+    /// A speculator's outcome, waiting for the lane's validation.
+    Parked(Box<TxOutcome>),
+    /// The lane has it (executed in place, or took the parked outcome).
+    Taken,
 }
 
-/// Everything the workers share for one block.
+/// The speculators' work queue, fed by the lane as commits release DAG
+/// children. A speculator takes the *highest* ready index: the further
+/// ahead of the lane's cursor it works, the likelier its outcome is parked
+/// by the time the lane arrives, instead of the lane waiting on it.
+struct Ready {
+    queue: BinaryHeap<usize>,
+    /// The lane committed the last transaction: speculators exit.
+    done: bool,
+}
+
+/// Everything the lane and the speculators share for one block.
 struct Shared<'a, B: StateRead + Sync> {
     base: &'a B,
     header: &'a BlockHeader,
     txs: &'a [Transaction],
     dag: &'a DepGraph,
-    /// Per-transaction prefetch hints, forwarded to the base when the
-    /// transaction becomes ready (empty slice = no hints).
-    hints: &'a [TxHints],
-    /// Deltas of the committed transaction prefix. Read-locked per access
-    /// during speculation; write-locked only by the gate holder to merge.
-    committed: RwLock<BlockDelta>,
-    /// The commit gate: whoever holds it advances the canonical commit
-    /// order (validate → maybe re-execute → merge) as far as outcomes are
-    /// available.
-    gate: Mutex<CommitCursor>,
-    /// Parked speculative outcomes, one slot per transaction.
-    outcomes: Vec<Mutex<Option<TxOutcome>>>,
-    /// Uncommitted-parent counts; a transaction becomes ready at zero.
-    parents_left: Vec<AtomicUsize>,
-    ready: Mutex<VecDeque<usize>>,
+    /// The committed deltas, published by the lane one by one in block
+    /// order. The lane reads its own merged [`BlockDelta`]; a speculator
+    /// folds these into a private copy between executions, so nobody
+    /// takes a lock to read state.
+    committed: Vec<OnceLock<TxDelta>>,
+    slots: Vec<(Mutex<Slot>, Condvar)>,
+    ready: Mutex<Ready>,
     wake: Condvar,
-    done: AtomicBool,
-    retry_cap: usize,
-    executions: AtomicU64,
-    reexecutions: AtomicU64,
-    conflicts: AtomicU64,
-    spec_retries: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl<'a, B: StateRead + Sync> Shared<'a, B> {
@@ -496,139 +479,64 @@ impl<'a, B: StateRead + Sync> Shared<'a, B> {
         header: &'a BlockHeader,
         txs: &'a [Transaction],
         dag: &'a DepGraph,
-        hints: &'a [TxHints],
-        retry_cap: usize,
     ) -> Self {
-        let n = txs.len();
-        let parents_left: Vec<AtomicUsize> = (0..n)
-            .map(|i| AtomicUsize::new(dag.parents(i).len()))
+        // Transaction 0 is the lane's first head, never a speculator's.
+        let queue = (1..txs.len())
+            .filter(|&i| dag.parents(i).is_empty())
             .collect();
-        let ready: VecDeque<usize> = (0..n).filter(|&i| dag.parents(i).is_empty()).collect();
-        if !hints.is_empty() {
-            // The initial ready set is known before any worker starts;
-            // hint it now so the backend's reads overlap thread spawn.
-            for &i in &ready {
-                fire_hints(base, &hints[i]);
-            }
-        }
         Shared {
             base,
             header,
             txs,
             dag,
-            hints,
-            committed: RwLock::new(BlockDelta::new()),
-            gate: Mutex::new(CommitCursor {
-                next: 0,
-                receipts: vec![None; n],
-            }),
-            outcomes: (0..n).map(|_| Mutex::new(None)).collect(),
-            parents_left,
-            ready: Mutex::new(ready),
+            committed: (0..txs.len()).map(|_| OnceLock::new()).collect(),
+            slots: (0..txs.len())
+                .map(|_| (Mutex::new(Slot::Free), Condvar::new()))
+                .collect(),
+            ready: Mutex::new(Ready { queue, done: false }),
             wake: Condvar::new(),
-            done: AtomicBool::new(false),
-            retry_cap,
-            executions: AtomicU64::new(0),
-            reexecutions: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            spec_retries: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
+    }
+
+    /// Moves slot `i` from [`Slot::Free`] to `to`; `false` when the other
+    /// side claimed it first.
+    fn claim(&self, i: usize, to: Slot) -> bool {
+        let mut slot = self.slots[i].0.lock().expect("slot poisoned");
+        let free = matches!(*slot, Slot::Free);
+        if free {
+            *slot = to;
+        }
+        free
     }
 
     /// Blocks until a transaction is ready or the block is fully
     /// committed. `None` means "no more work, exit".
     fn next_ready(&self) -> Option<usize> {
-        let mut queue = self.ready.lock().expect("ready queue poisoned");
+        let mut ready = self.ready.lock().expect("ready queue poisoned");
         loop {
-            if let Some(i) = queue.pop_front() {
+            if let Some(i) = ready.queue.pop() {
                 if mtpu_telemetry::enabled() {
-                    obs::metrics().queue_depth.record(queue.len() as u64);
+                    obs::metrics().queue_depth.record(ready.queue.len() as u64);
                 }
                 return Some(i);
             }
-            if self.done.load(Ordering::SeqCst) {
+            if ready.done {
                 return None;
             }
-            queue = self.wake.wait(queue).expect("ready queue poisoned");
+            ready = self.wake.wait(ready).expect("ready queue poisoned");
         }
     }
-
-    /// Enqueues newly-ready transactions and wakes waiters. Holding the
-    /// queue lock across the notify closes the race with a worker that
-    /// just found the queue empty but has not yet parked.
-    fn enqueue(&self, indices: &[usize]) {
-        let mut queue = self.ready.lock().expect("ready queue poisoned");
-        queue.extend(indices.iter().copied());
-        self.wake.notify_all();
-    }
-
-    fn finish(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        let _queue = self.ready.lock().expect("ready queue poisoned");
-        self.wake.notify_all();
-    }
 }
 
-/// The committed-prefix view used during speculation: every read takes a
-/// short read-lock on the committed [`BlockDelta`]. The prefix may advance
-/// *between* reads — [`ReadSet`] poisoning catches executions that
-/// observed an inconsistent cut, and commit-time validation catches the
-/// rest.
-struct LockingView<'a, B: StateRead> {
-    base: &'a B,
-    committed: &'a RwLock<BlockDelta>,
-}
-
-impl<B: StateRead> LockingView<'_, B> {
-    fn with_view<R>(&self, f: impl FnOnce(&OverlayedView<'_, B>) -> R) -> R {
-        let guard = self.committed.read().expect("committed delta poisoned");
-        f(&OverlayedView {
-            base: self.base,
-            delta: &guard,
-        })
-    }
-}
-
-impl<B: StateRead> StateRead for LockingView<'_, B> {
-    fn read_exists(&self, addr: Address) -> bool {
-        self.with_view(|v| v.read_exists(addr))
-    }
-    fn read_balance(&self, addr: Address) -> U256 {
-        self.with_view(|v| v.read_balance(addr))
-    }
-    fn read_nonce(&self, addr: Address) -> u64 {
-        self.with_view(|v| v.read_nonce(addr))
-    }
-    fn read_code(&self, addr: Address) -> Vec<u8> {
-        self.with_view(|v| v.read_code(addr))
-    }
-    fn read_code_hash(&self, addr: Address) -> B256 {
-        self.with_view(|v| v.read_code_hash(addr))
-    }
-    fn read_storage(&self, addr: Address, key: U256) -> U256 {
-        self.with_view(|v| v.read_storage(addr, key))
-    }
-    fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
-        // One read-lock for the whole batch — the point of the batched
-        // path; per-key locking would also let the prefix advance between
-        // keys of one prefetch batch.
-        self.with_view(|v| v.read_storage_many(addr, keys, out));
-    }
-    fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
-        self.base.hint_prefetch_storage(addr, keys);
-    }
-    fn hint_prefetch_account(&self, addr: Address) {
-        self.base.hint_prefetch_account(addr);
-    }
-}
-
-/// Runs one transaction on a fresh overlay over `view`. Invalid
-/// transactions yield the same failed pseudo-receipt as the sequential
-/// executor; their (empty) delta still merges cleanly and their read set
-/// still validates, because the *decision* to reject depends on the reads.
-fn run_tx<B: StateRead>(view: &B, header: &BlockHeader, tx: &Transaction) -> TxOutcome {
-    let mut overlay = StateOverlay::new(view);
+/// Runs one transaction on a fresh `overlay`. Invalid transactions yield
+/// the same failed pseudo-receipt as the sequential executor; their
+/// (empty) delta still merges cleanly and their read set still validates,
+/// because the *decision* to reject depends on the reads.
+fn run_tx<B: StateRead, R: ReadLog>(
+    mut overlay: StateOverlay<'_, B, R>,
+    header: &BlockHeader,
+    tx: &Transaction,
+) -> (TxDelta, R, Receipt) {
     let receipt = match execute_transaction(&mut overlay, header, tx, &mut NoopTracer) {
         Ok(r) => r,
         Err(_) => Receipt {
@@ -640,169 +548,255 @@ fn run_tx<B: StateRead>(view: &B, header: &BlockHeader, tx: &Transaction) -> TxO
         },
     };
     let (delta, reads) = overlay.into_parts();
-    TxOutcome {
-        delta,
-        reads,
-        receipt,
+    (delta, reads, receipt)
+}
+
+/// What the commit lane hands back.
+struct Lane {
+    receipts: Vec<Receipt>,
+    /// Every transaction's delta, merged: the block's delta.
+    prefix: BlockDelta,
+    stats: WorkerStats,
+    /// Commits whose delta a speculator produced and the lane validated.
+    speculated: u64,
+}
+
+/// The commit lane, on the calling thread: walks the block in canonical
+/// order. A transaction nobody holds executes in place against base +
+/// `prefix` — the sequential prefix state, so there is nothing to record
+/// or validate. One a speculator holds is waited for, validated once
+/// against that same view, and re-executed in place if stale. Either way
+/// the delta is merged and published, and the transaction's DAG children
+/// are released to the speculators. `started` is when this thread began
+/// the block (forwarding hints is the lane's work too).
+fn commit_lane<B: StateRead + Sync>(shared: &Shared<'_, B>, started: Instant) -> Lane {
+    let n = shared.txs.len();
+    let mut lane = Lane {
+        receipts: Vec::with_capacity(n),
+        prefix: BlockDelta::new(),
+        stats: WorkerStats::default(),
+        speculated: 0,
+    };
+    let mut parents_left: Vec<usize> = (0..n).map(|i| shared.dag.parents(i).len()).collect();
+    for i in 0..n {
+        let view = OverlayedView {
+            base: shared.base,
+            delta: &lane.prefix,
+        };
+        let in_place = |span: &'static str| {
+            let _span = mtpu_telemetry::span(span, "parexec").arg("tx", i);
+            let (delta, _, receipt) = run_tx(
+                StateOverlay::unrecorded(&view),
+                shared.header,
+                &shared.txs[i],
+            );
+            (delta, receipt)
+        };
+        let (delta, receipt) = if shared.claim(i, Slot::Taken) {
+            lane.stats.executed += 1;
+            in_place("in_place")
+        } else {
+            let parked = take_parked(shared, i, &mut lane.stats.idle);
+            match parked.reads.validate_detailed(&view) {
+                Ok(()) => {
+                    lane.speculated += 1;
+                    (parked.delta, parked.receipt)
+                }
+                Err(kind) => {
+                    lane.stats.aborted += 1;
+                    lane.stats.executed += 1;
+                    if mtpu_telemetry::enabled() {
+                        let m = obs::metrics();
+                        m.aborts.inc();
+                        m.fallbacks.inc();
+                        m.validation_fail(kind).inc();
+                    }
+                    in_place("fallback")
+                }
+            }
+        };
+
+        {
+            let _span = mtpu_telemetry::span("commit", "parexec").arg("tx", i);
+            lane.prefix.merge(&delta, shared.base);
+            shared.committed[i]
+                .set(delta)
+                .expect("only the lane publishes, once per transaction");
+        }
+        lane.receipts.push(receipt);
+
+        // The next index is the lane's own next head: queueing it would
+        // only invite a speculator to race for it, so a serial chain
+        // never leaves this thread.
+        let mut ready = None;
+        for &child in shared.dag.children(i) {
+            let child = child as usize;
+            parents_left[child] -= 1;
+            if parents_left[child] == 0 && child != i + 1 {
+                ready
+                    .get_or_insert_with(|| shared.ready.lock().expect("ready queue poisoned"))
+                    .queue
+                    .push(child);
+            }
+        }
+        if ready.is_some() {
+            shared.wake.notify_all();
+        }
+    }
+    shared.ready.lock().expect("ready queue poisoned").done = true;
+    shared.wake.notify_all();
+
+    lane.stats.committed = n as u64;
+    lane.stats.busy = started.elapsed().saturating_sub(lane.stats.idle);
+    if mtpu_telemetry::enabled() {
+        let m = obs::metrics();
+        m.commits.add(n as u64);
+        m.commit_speculated.add(lane.speculated);
+        m.commit_in_place.add(n as u64 - lane.speculated);
+        m.busy_ns.add(lane.stats.busy.as_nanos() as u64);
+        m.idle_ns.add(lane.stats.idle.as_nanos() as u64);
+    }
+    lane
+}
+
+/// Takes the outcome a speculator parked (or is about to park) for the
+/// lane's head `i`, adding the wait to `idle`.
+fn take_parked<B: StateRead + Sync>(
+    shared: &Shared<'_, B>,
+    i: usize,
+    idle: &mut Duration,
+) -> Box<TxOutcome> {
+    let (slot, parked) = &shared.slots[i];
+    let waited = Instant::now();
+    let mut slot = parked
+        .wait_while(slot.lock().expect("slot poisoned"), |s| {
+            matches!(s, Slot::Held)
+        })
+        .expect("slot poisoned");
+    *idle += waited.elapsed();
+    match std::mem::replace(&mut *slot, Slot::Taken) {
+        Slot::Parked(outcome) => outcome,
+        Slot::Free | Slot::Held | Slot::Taken => unreachable!("the lane waits for a held slot"),
     }
 }
 
-fn worker_loop<B: StateRead + Sync>(shared: &Shared<'_, B>, slot: &WorkerSlot, worker: usize) {
+/// A speculator's private copy of the committed prefix: the deltas the
+/// lane has published so far, merged.
+struct Replica<'a, B: StateRead + Sync> {
+    shared: &'a Shared<'a, B>,
+    prefix: BlockDelta,
+    /// Transactions folded in: `prefix` is the state after `synced − 1`.
+    synced: usize,
+}
+
+impl<B: StateRead + Sync> Replica<'_, B> {
+    /// Folds in what the lane committed since the last call; `true` when
+    /// there was anything.
+    fn catch_up(&mut self) -> bool {
+        let from = self.synced;
+        while let Some(delta) = self
+            .shared
+            .committed
+            .get(self.synced)
+            .and_then(OnceLock::get)
+        {
+            self.prefix.merge(delta, self.shared.base);
+            self.synced += 1;
+        }
+        self.synced > from
+    }
+
+    fn view(&self) -> OverlayedView<'_, B> {
+        OverlayedView {
+            base: self.shared.base,
+            delta: &self.prefix,
+        }
+    }
+}
+
+/// A speculator: runs DAG-ready transactions ahead of the lane's cursor on
+/// recorded overlays over its [`Replica`] of the committed prefix — a
+/// consistent, possibly old cut — and parks each outcome for the lane to
+/// validate.
+fn speculate<B: StateRead + Sync>(
+    shared: &Shared<'_, B>,
+    retry_cap: usize,
+    worker: usize,
+) -> WorkerStats {
     if mtpu_telemetry::enabled() {
         mtpu_telemetry::name_thread(&format!("worker{worker}"));
     }
+    let mut stats = WorkerStats::default();
+    let mut replica = Replica {
+        shared,
+        prefix: BlockDelta::new(),
+        synced: 0,
+    };
     loop {
         let idle_started = Instant::now();
         let claimed = shared.next_ready();
-        let idle = idle_started.elapsed().as_nanos() as u64;
-        slot.idle_ns.fetch_add(idle, Ordering::Relaxed);
-        if mtpu_telemetry::enabled() {
-            obs::metrics().idle_ns.add(idle);
-        }
+        stats.idle += idle_started.elapsed();
         let Some(i) = claimed else {
-            return;
+            break;
         };
+        if !shared.claim(i, Slot::Held) {
+            continue; // the lane got there first
+        }
 
         let busy_started = Instant::now();
         let span = mtpu_telemetry::span("exec", "parexec").arg("tx", i);
-        let view = LockingView {
-            base: shared.base,
-            committed: &shared.committed,
+        let run = |replica: &Replica<'_, B>| {
+            let (delta, reads, receipt) = run_tx(
+                StateOverlay::new(&replica.view()),
+                shared.header,
+                &shared.txs[i],
+            );
+            Box::new(TxOutcome {
+                delta,
+                reads,
+                receipt,
+            })
         };
-        let mut outcome = run_tx(&view, shared.header, &shared.txs[i]);
-        shared.executions.fetch_add(1, Ordering::Relaxed);
-        slot.executed.fetch_add(1, Ordering::Relaxed);
+        replica.catch_up();
+        let mut outcome = run(&replica);
+        stats.executed += 1;
 
-        // Bounded speculative repair: pre-validate against the (moving)
-        // committed prefix and re-execute while it finds stale reads, up
-        // to the cap. A transaction that keeps losing this race parks its
-        // last outcome anyway — the commit gate re-executes it against the
-        // frozen prefix (the canonical-order blocking fallback), so the
-        // cap bounds wasted work without risking livelock or divergence.
-        let mut retries = 0;
-        while retries < shared.retry_cap {
-            let stale = {
-                let committed = shared.committed.read().expect("committed delta poisoned");
-                let view = OverlayedView {
-                    base: shared.base,
-                    delta: &committed,
-                };
-                outcome.reads.validate_detailed(&view)
-            };
-            let Err(kind) = stale else {
+        // Bounded speculative repair: if the lane committed more while
+        // this ran, pre-validate against the longer prefix and re-execute
+        // while it finds stale reads, up to the cap. A transaction that
+        // keeps losing this race parks its last outcome anyway — the lane
+        // re-executes it in place, so the cap bounds wasted work without
+        // risking livelock or divergence.
+        for _ in 0..retry_cap {
+            if !replica.catch_up() {
+                break;
+            }
+            let Err(kind) = outcome.reads.validate_detailed(&replica.view()) else {
                 break;
             };
-            shared.conflicts.fetch_add(1, Ordering::Relaxed);
-            slot.aborted.fetch_add(1, Ordering::Relaxed);
+            stats.aborted += 1;
+            stats.executed += 1;
             if mtpu_telemetry::enabled() {
                 let m = obs::metrics();
                 m.aborts.inc();
                 m.spec_retries.inc();
                 m.validation_fail(kind).inc();
             }
-            retries += 1;
-            shared.spec_retries.fetch_add(1, Ordering::Relaxed);
-            shared.reexecutions.fetch_add(1, Ordering::Relaxed);
-            shared.executions.fetch_add(1, Ordering::Relaxed);
-            slot.executed.fetch_add(1, Ordering::Relaxed);
-            outcome = run_tx(&view, shared.header, &shared.txs[i]);
+            outcome = run(&replica);
         }
-
-        *shared.outcomes[i].lock().expect("outcome slot poisoned") = Some(outcome);
         drop(span);
-        drain_commits(shared, slot);
-        let busy = busy_started.elapsed().as_nanos() as u64;
-        slot.busy_ns.fetch_add(busy, Ordering::Relaxed);
-        if mtpu_telemetry::enabled() {
-            obs::metrics().busy_ns.add(busy);
-        }
+
+        let (slot, parked) = &shared.slots[i];
+        *slot.lock().expect("slot poisoned") = Slot::Parked(outcome);
+        parked.notify_one();
+        stats.busy += busy_started.elapsed();
     }
-}
-
-/// Takes the commit gate and commits as many transactions as have parked
-/// outcomes, in canonical order. Validation failures re-execute under the
-/// gate against the frozen prefix view, which is exactly the sequential
-/// prefix state — so the repaired outcome is definitively correct.
-fn drain_commits<B: StateRead + Sync>(shared: &Shared<'_, B>, slot: &WorkerSlot) {
-    let mut cursor = shared.gate.lock().expect("commit gate poisoned");
-    loop {
-        let i = cursor.next;
-        if i >= shared.txs.len() {
-            shared.finish();
-            return;
-        }
-        let Some(mut outcome) = shared.outcomes[i]
-            .lock()
-            .expect("outcome slot poisoned")
-            .take()
-        else {
-            // Not executed yet; whoever parks it will re-take the gate.
-            return;
-        };
-
-        let stale = {
-            let committed = shared.committed.read().expect("committed delta poisoned");
-            let view = OverlayedView {
-                base: shared.base,
-                delta: &committed,
-            };
-            outcome.reads.validate_detailed(&view)
-        };
-        if let Err(kind) = stale {
-            shared.conflicts.fetch_add(1, Ordering::Relaxed);
-            shared.fallbacks.fetch_add(1, Ordering::Relaxed);
-            shared.reexecutions.fetch_add(1, Ordering::Relaxed);
-            shared.executions.fetch_add(1, Ordering::Relaxed);
-            slot.executed.fetch_add(1, Ordering::Relaxed);
-            slot.aborted.fetch_add(1, Ordering::Relaxed);
-            if mtpu_telemetry::enabled() {
-                let m = obs::metrics();
-                m.aborts.inc();
-                m.fallbacks.inc();
-                m.validation_fail(kind).inc();
-            }
-            // While we hold the gate no one else can merge, so the
-            // committed view is frozen — this re-execution cannot race.
-            let span = mtpu_telemetry::span("fallback", "parexec").arg("tx", i);
-            let committed = shared.committed.read().expect("committed delta poisoned");
-            let view = OverlayedView {
-                base: shared.base,
-                delta: &committed,
-            };
-            outcome = run_tx(&view, shared.header, &shared.txs[i]);
-            drop(span);
-        }
-
-        {
-            let span = mtpu_telemetry::span("commit", "parexec").arg("tx", i);
-            let mut committed = shared.committed.write().expect("committed delta poisoned");
-            committed.merge(&outcome.delta, shared.base);
-            drop(span);
-        }
-        cursor.receipts[i] = Some(outcome.receipt);
-        cursor.next = i + 1;
-        slot.committed.fetch_add(1, Ordering::Relaxed);
-        if mtpu_telemetry::enabled() {
-            obs::metrics().commits.inc();
-        }
-
-        let mut newly_ready = Vec::new();
-        for &child in shared.dag.children(i) {
-            if shared.parents_left[child as usize].fetch_sub(1, Ordering::SeqCst) == 1 {
-                newly_ready.push(child as usize);
-            }
-        }
-        if !newly_ready.is_empty() {
-            if !shared.hints.is_empty() {
-                // Hint before enqueueing: the backend starts its reads
-                // while the waking worker is still claiming the index.
-                for &r in &newly_ready {
-                    fire_hints(shared.base, &shared.hints[r]);
-                }
-            }
-            shared.enqueue(&newly_ready);
-        }
+    if mtpu_telemetry::enabled() {
+        let m = obs::metrics();
+        m.busy_ns.add(stats.busy.as_nanos() as u64);
+        m.idle_ns.add(stats.idle.as_nanos() as u64);
     }
+    stats
 }
 
 #[cfg(test)]
@@ -1081,6 +1075,223 @@ mod tests {
             }
             let aborted: u64 = stats.workers.iter().map(|w| w.aborted).sum();
             assert_eq!(aborted, stats.conflicts);
+        }
+    }
+
+    /// What a [`Probe`] saw, in arrival order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        /// A value-returning read naming this account.
+        Read(Address),
+        /// An account hint.
+        Hint(Address),
+    }
+
+    /// A base that counts value-returning reads per [`StateRead`] method
+    /// and logs which account every read and account hint named.
+    struct Probe<'a> {
+        inner: &'a State,
+        seen: Mutex<Vec<Seen>>,
+        calls: Mutex<[u64; 7]>,
+    }
+
+    impl<'a> Probe<'a> {
+        fn new(inner: &'a State) -> Self {
+            Probe {
+                inner,
+                seen: Mutex::new(Vec::new()),
+                calls: Mutex::new([0; 7]),
+            }
+        }
+
+        fn read<T>(&self, method: usize, addr: Address, f: impl FnOnce(&State) -> T) -> T {
+            self.calls.lock().unwrap()[method] += 1;
+            self.seen.lock().unwrap().push(Seen::Read(addr));
+            f(self.inner)
+        }
+
+        fn calls(&self) -> [u64; 7] {
+            *self.calls.lock().unwrap()
+        }
+    }
+
+    impl StateRead for Probe<'_> {
+        fn read_exists(&self, a: Address) -> bool {
+            self.read(0, a, |s| s.read_exists(a))
+        }
+        fn read_balance(&self, a: Address) -> U256 {
+            self.read(1, a, |s| s.read_balance(a))
+        }
+        fn read_nonce(&self, a: Address) -> u64 {
+            self.read(2, a, |s| s.read_nonce(a))
+        }
+        fn read_code(&self, a: Address) -> Vec<u8> {
+            self.read(3, a, |s| s.read_code(a))
+        }
+        fn read_code_hash(&self, a: Address) -> B256 {
+            self.read(4, a, |s| s.read_code_hash(a))
+        }
+        fn read_storage(&self, a: Address, k: U256) -> U256 {
+            self.read(5, a, |s| s.read_storage(a, k))
+        }
+        fn read_storage_many(&self, a: Address, keys: &[U256], out: &mut Vec<U256>) {
+            self.read(6, a, |s| s.read_storage_many(a, keys, out))
+        }
+        fn hint_prefetch_account(&self, a: Address) {
+            self.seen.lock().unwrap().push(Seen::Hint(a));
+        }
+    }
+
+    fn half_dependent_block() -> mtpu_workloads::PreparedBlock {
+        Generator::new(0xA11E).prepared_block(&BlockConfig {
+            tx_count: 32,
+            dependent_ratio: 0.5,
+            erc20_ratio: None,
+            sct_ratio: 0.9,
+            chain_bias: 0.5,
+            focus: None,
+        })
+    }
+
+    /// 32 distinct senders paying one sink: every pair conflicts.
+    fn one_sink_block() -> (State, Block) {
+        let senders: Vec<Address> = (1..=32).map(Address::from_low_u64).collect();
+        let block = Block {
+            header: BlockHeader::default(),
+            transactions: senders
+                .iter()
+                .map(|&s| Transaction::transfer(s, Address::from_low_u64(999), U256::from(3u64), 0))
+                .collect(),
+        };
+        (funded(&senders), block)
+    }
+
+    #[test]
+    fn one_worker_reads_what_a_sequential_unrecorded_loop_reads() {
+        let prepared = half_dependent_block();
+        let base = &prepared.state_before;
+
+        // The reference: canonical order, one unrecorded overlay per
+        // transaction over base + merged prefix. No validation anywhere.
+        let reference = Probe::new(base);
+        let mut prefix = BlockDelta::new();
+        let mut want_receipts = Vec::new();
+        for tx in &prepared.block.transactions {
+            let view = OverlayedView {
+                base: &reference,
+                delta: &prefix,
+            };
+            let (delta, _, receipt) =
+                run_tx(StateOverlay::unrecorded(&view), &prepared.block.header, tx);
+            prefix.merge(&delta, &reference);
+            want_receipts.push(receipt);
+        }
+
+        for dag in [
+            &prepared.graph,
+            &DepGraph::sender_order(&prepared.block.transactions),
+        ] {
+            let probe = Probe::new(base);
+            let r = ParExecutor::new(1).execute_block_delta_with_dag_hints(
+                &probe,
+                &prepared.block,
+                dag,
+                &[],
+            );
+            assert_eq!(r.receipts, want_receipts);
+            assert_eq!(probe.calls(), reference.calls(), "base reads per method");
+            let stats = &r.stats;
+            assert_eq!(stats.executions, stats.txs as u64);
+            assert_eq!((stats.conflicts, stats.fallbacks), (0, 0));
+            assert_eq!((stats.in_place, stats.speculated), (32, 0));
+        }
+    }
+
+    /// A DAG only steers speculation: one that claims no dependencies, one
+    /// that claims a total order, and one with arbitrary extra edges must
+    /// all give the sequential result.
+    #[test]
+    fn lying_dags_cost_work_never_correctness() {
+        let prepared = half_dependent_block();
+        let (sink_base, sink_block) = one_sink_block();
+        for (base, block, truth) in [
+            (
+                &prepared.state_before,
+                &prepared.block,
+                prepared.graph.clone(),
+            ),
+            (
+                &sink_base,
+                &sink_block,
+                DepGraph::sender_order(&sink_block.transactions),
+            ),
+        ] {
+            let n = block.transactions.len();
+            let mut seq_state = base.clone();
+            let seq_receipts = sequential(&mut seq_state, block);
+
+            let mut chain = DepGraph::new(n);
+            let mut extra = truth;
+            let mut rng = mtpu_primitives::SplitMix64::new(0xD46);
+            for i in 1..n {
+                chain.add_edge(i - 1, i);
+                extra.add_edge(rng.random_index(i), i);
+            }
+            for (name, dag) in [
+                ("edgeless", &DepGraph::new(n)),
+                ("chain", &chain),
+                ("extra edges", &extra),
+            ] {
+                for threads in [2, 4, 8] {
+                    let r = ParExecutor::new(threads).execute_block_delta_with_dag_hints(
+                        base,
+                        block,
+                        dag,
+                        &[],
+                    );
+                    assert_eq!(r.receipts, seq_receipts, "{name} at {threads} threads");
+                    let mut state = base.clone();
+                    r.delta.apply_to(&mut state);
+                    assert_eq!(state.state_root(), seq_state.state_root(), "{name}");
+                    let stats = &r.stats;
+                    assert_eq!(stats.in_place + stats.speculated, n as u64);
+                    assert_eq!(stats.executions, n as u64 + stats.reexecutions);
+                    if name == "chain" {
+                        // No child is ever ready ahead of the cursor.
+                        assert_eq!((stats.speculated, stats.executions), (0, n as u64));
+                        assert!(stats.workers[1..].iter().all(|w| w.executed == 0));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hints_arrive_once_and_before_the_transactions_first_read() {
+        let (base, block) = one_sink_block();
+        let dag = DepGraph::sender_order(&block.transactions);
+        // Each transaction hints its own sender, which it alone reads.
+        let hints: Vec<TxHints> = block
+            .transactions
+            .iter()
+            .map(|tx| TxHints {
+                storage: Vec::new(),
+                accounts: vec![tx.from],
+            })
+            .collect();
+        for threads in [1, 4] {
+            let probe = Probe::new(&base);
+            ParExecutor::new(threads)
+                .execute_block_delta_with_dag_hints(&probe, &block, &dag, &hints);
+            let seen = probe.seen.lock().unwrap();
+            for tx in &block.transactions {
+                let hinted: Vec<usize> = (0..seen.len())
+                    .filter(|&at| seen[at] == Seen::Hint(tx.from))
+                    .collect();
+                let first_read = seen.iter().position(|s| *s == Seen::Read(tx.from));
+                assert_eq!(hinted.len(), 1, "{threads} threads: hinted once");
+                assert!(hinted[0] < first_read.expect("the sender is read"));
+            }
         }
     }
 }

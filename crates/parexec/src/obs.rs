@@ -1,8 +1,9 @@
 //! Telemetry wiring for the parallel executor: cached handles into the
 //! global [`mtpu_telemetry`] registry.
 //!
-//! All recording is gated on [`mtpu_telemetry::enabled`]; the worker hot
-//! paths pay one relaxed atomic load per instrumented point when disabled.
+//! All recording is gated on [`mtpu_telemetry::enabled`]; the lane and
+//! speculator hot paths pay one relaxed atomic load per instrumented point
+//! when disabled.
 
 use mtpu_evm::overlay::StaleRead;
 use mtpu_telemetry::{Counter, Histogram};
@@ -10,22 +11,28 @@ use std::sync::OnceLock;
 
 /// Cached handles for the parallel executor's metrics.
 pub struct ParexecMetrics {
-    /// Transactions committed at the gate (`parexec.commit`).
+    /// Transactions committed by the lane (`parexec.commit`).
     pub commits: Counter,
+    /// Commits the lane executed in place, first run or fallback
+    /// (`parexec.commit.in_place`).
+    pub commit_in_place: Counter,
+    /// Commits of a validated speculative outcome
+    /// (`parexec.commit.speculated`).
+    pub commit_speculated: Counter,
     /// Read-set validations that failed (`parexec.abort`).
     pub aborts: Counter,
     /// Bounded speculative re-executions before parking
     /// (`parexec.reexec.speculative`).
     pub spec_retries: Counter,
-    /// Canonical-order blocking re-executions under the commit gate after
-    /// the retry cap was exhausted (`parexec.reexec.fallback`).
+    /// The lane's in-place re-executions of stale parked outcomes
+    /// (`parexec.reexec.fallback`).
     pub fallbacks: Counter,
     /// Ready-queue depth sampled at each claim (`parexec.queue_depth`).
     pub queue_depth: Histogram,
-    /// Nanoseconds workers spent parked on the ready queue
-    /// (`parexec.worker.idle_ns`).
+    /// Nanoseconds speculators spent parked on the ready queue and the
+    /// lane spent waiting for a held head (`parexec.worker.idle_ns`).
     pub idle_ns: Counter,
-    /// Nanoseconds workers spent executing and committing
+    /// Nanoseconds workers spent executing, validating and committing
     /// (`parexec.worker.busy_ns`).
     pub busy_ns: Counter,
     /// Validation failures by stale-key kind
@@ -64,6 +71,8 @@ pub fn metrics() -> &'static ParexecMetrics {
         .map(|k| reg.counter(&format!("parexec.validation_fail.{}", k.label())));
         ParexecMetrics {
             commits: reg.counter("parexec.commit"),
+            commit_in_place: reg.counter("parexec.commit.in_place"),
+            commit_speculated: reg.counter("parexec.commit.speculated"),
             aborts: reg.counter("parexec.abort"),
             spec_retries: reg.counter("parexec.reexec.speculative"),
             fallbacks: reg.counter("parexec.reexec.fallback"),

@@ -26,7 +26,7 @@ mod u256;
 
 pub use keccak::keccak256;
 pub use prng::SplitMix64;
-pub use types::{Address, ParseBytesError, B256};
+pub use types::{Address, ParseBytesError, B256, EMPTY_CODE_HASH};
 pub use u256::{ParseU256Error, U256};
 
 #[cfg(test)]

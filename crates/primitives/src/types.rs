@@ -181,6 +181,13 @@ impl B256 {
     }
 }
 
+/// Keccak-256 of the empty byte string: the code hash of every account
+/// that has no code.
+pub const EMPTY_CODE_HASH: B256 = B256([
+    0xc5, 0xd2, 0x46, 0x01, 0x86, 0xf7, 0x23, 0x3c, 0x92, 0x7e, 0x7d, 0xb2, 0xdc, 0xc7, 0x03, 0xc0,
+    0xe5, 0x00, 0xb6, 0x53, 0xca, 0x82, 0x27, 0x3b, 0x7b, 0xfa, 0xd8, 0x04, 0x5d, 0x85, 0xa4, 0x70,
+]);
+
 impl From<[u8; 32]> for B256 {
     fn from(b: [u8; 32]) -> Self {
         B256(b)
@@ -258,6 +265,11 @@ mod tests {
         let b = Address::create2(sender, salt, &[0x60, 0x00]);
         assert_eq!(a, b);
         assert_ne!(a, Address::create2(sender, salt, &[0x60, 0x01]));
+    }
+
+    #[test]
+    fn empty_code_hash_is_keccak_of_nothing() {
+        assert_eq!(EMPTY_CODE_HASH, B256(keccak256(b"")));
     }
 
     #[test]

@@ -16,12 +16,8 @@
 use mtpu_evm::state::State;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt};
 use mtpu_evm::{BlockDelta, StateRead};
-use mtpu_primitives::{Address, B256, U256};
+use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::sync::{Arc, OnceLock};
-
-fn keccak_empty() -> B256 {
-    B256::keccak(&[])
-}
 
 /// The immutable world state as of one committed block, plus the block
 /// itself and its receipts.
@@ -191,7 +187,7 @@ impl StateRead for BlockSnapshot {
                     return *h;
                 }
                 if d.shadows_base {
-                    return keccak_empty();
+                    return EMPTY_CODE_HASH;
                 }
             }
         }

@@ -20,9 +20,8 @@ use crate::cache::BoundedMemo;
 use crate::store::NodeStore;
 use crate::trie::{empty_root, NodeBatch, NodeDb, Trie, TrieStats};
 use mtpu_primitives::rlp::{self, Item};
-use mtpu_primitives::{Address, B256, U256};
+use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Bound on each secure-key memo (addresses and slots memoized
@@ -33,10 +32,10 @@ const SECURE_KEY_MEMO_CAPACITY: usize = 4096;
 /// threads; below this the spawn cost dominates.
 const PAR_MIN_SUBTRIES: usize = 4;
 
-/// `keccak("")` — code hash of an account with no code.
+/// `keccak("")` — code hash of an account with no code
+/// ([`mtpu_primitives::EMPTY_CODE_HASH`]).
 pub fn empty_code_hash() -> B256 {
-    static HASH: OnceLock<B256> = OnceLock::new();
-    *HASH.get_or_init(|| B256::keccak(&[]))
+    EMPTY_CODE_HASH
 }
 
 /// The four-field account body stored in an account-trie leaf.
@@ -59,7 +58,7 @@ impl AccountRecord {
             nonce: 0,
             balance: U256::ZERO,
             storage_root: empty_root(),
-            code_hash: empty_code_hash(),
+            code_hash: EMPTY_CODE_HASH,
         }
     }
 

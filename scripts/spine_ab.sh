@@ -19,10 +19,10 @@ base_ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
 
 out=$PWD/target/spine_ab
 tree=$out/base
-mkdir -p "$out"
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$base_ref" >/dev/null
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git archive "$base_ref" | tar -x -C "$tree"
 
 echo "base $(git rev-parse --short "$base_ref") vs working tree at $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo '+uncommitted'), $workload seed $seed, $pairs pairs" >&2
 CARGO_TARGET_DIR=$out/target-base cargo build --release --offline --quiet --manifest-path "$tree/spine/Cargo.toml"

@@ -666,7 +666,7 @@ fn prefetch_grid_is_observationally_identical() {
 /// SLOAD key is statically resolvable (PUSH1 0; SLOAD), called by many
 /// independent senders in one block. Speculative frames prefetch the
 /// pre-block value of slot 0 while earlier transactions are busy
-/// overwriting it — the commit-gate validation must catch every stale
+/// overwriting it — the commit lane's validation must catch every stale
 /// serve and re-execute, landing on the exact sequential count.
 #[test]
 fn stale_prefetch_is_repaired_by_validation() {

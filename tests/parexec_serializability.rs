@@ -283,3 +283,148 @@ fn repeated_runs_are_deterministic() {
         assert_eq!(again.state.state_root(), first.state.state_root());
     }
 }
+
+/// The factory of the six interpreter shapes (the one
+/// `crates/mempool/tests/footprint_parity.rs` builds): `deploy(uint256)`
+/// runs CREATE2 on a five-byte init code, `churn(uint256)` is a keccak
+/// loop.
+fn factory_runtime() -> Vec<u8> {
+    use mtpu_repro::asm::Assembler;
+    use mtpu_repro::contracts::selector;
+    use mtpu_repro::evm::Opcode::*;
+    const CHILD_INIT: [u8; 5] = [0x60, 0x00, 0x60, 0x00, 0xf3];
+    let mut a = Assembler::new();
+    a.dispatcher(
+        &[
+            (selector("deploy(uint256)"), "deploy"),
+            (selector("churn(uint256)"), "churn"),
+        ],
+        "fallback",
+    );
+    a.label("deploy")
+        .calldata_arg(0)
+        .push_bytes(&CHILD_INIT)
+        .push(0u64)
+        .op(Mstore)
+        .push(CHILD_INIT.len() as u64)
+        .push(32u64 - CHILD_INIT.len() as u64)
+        .push(0u64)
+        .op(Create2)
+        .op(Dup1)
+        .require()
+        .return_word();
+    a.label("churn")
+        .calldata_arg(0)
+        .label("churn_loop")
+        .op(Dup1)
+        .op(Iszero)
+        .jumpi("churn_done")
+        .op(Dup1)
+        .push(0u64)
+        .op(Mstore)
+        .push(64u64)
+        .push(0u64)
+        .op(Sha3)
+        .push(32u64)
+        .op(Mstore)
+        .push(1u64)
+        .op(Swap1)
+        .op(Sub)
+        .jump("churn_loop");
+    a.label("churn_done").op(Pop).return_true();
+    a.label("fallback").revert_zero();
+    a.revert_anchor();
+    a.assemble().expect("factory assembles")
+}
+
+/// What the commit lane, admission and `call_readonly` rely on: an
+/// unrecorded overlay is the recorded one minus the read set. Over the six
+/// shapes of `footprint_parity.rs` both produce the same write set and
+/// receipt, and only the recorded one comes apart into a read set.
+#[test]
+fn unrecorded_overlay_equals_the_recorded_one_minus_the_read_set() {
+    use mtpu_repro::contracts::{call_data, Fixture};
+    use mtpu_repro::evm::{
+        execute_transaction, BlockHeader, NoopTracer, StateOverlay, Transaction, Unrecorded,
+    };
+    use mtpu_repro::primitives::{Address, U256};
+
+    let mut fx = Fixture::new();
+    let factory = Address::from_low_u64(0xFAC7_0001);
+    fx.state.set_code(factory, factory_runtime());
+    fx.state.finalize_tx();
+    let mut state = fx.state.clone();
+    let header = BlockHeader::default();
+
+    for i in 0..3u64 {
+        let user = 1 + i;
+        let to = Fixture::user_address(user + 3).to_u256();
+        let amount = U256::from(10 + i);
+        let (tin, tout) = Fixture::user_pair(user);
+        // Built in execution order: each call takes the user's next nonce.
+        let mut shapes = vec![
+            (
+                "usdt-transfer",
+                fx.call_tx(user, "Tether USD", "transfer", &[to, amount]),
+            ),
+            (
+                "proxy-dispatch",
+                fx.call_tx(user, "FiatTokenProxy", "transfer", &[to, amount]),
+            ),
+            ("weth9-deposit", fx.call_tx(user, "WETH9", "deposit", &[])),
+            (
+                "weth9-transfer",
+                fx.call_tx(user, "WETH9", "transfer", &[to, amount]),
+            ),
+            (
+                "router-swap",
+                fx.call_tx(
+                    user,
+                    "UniswapV2Router02",
+                    "swapExactTokens",
+                    &[
+                        tin.to_u256(),
+                        tout.to_u256(),
+                        U256::from(1_000 + i),
+                        U256::ZERO,
+                    ],
+                ),
+            ),
+        ];
+        shapes[2].1.value = U256::from(50 + i);
+        for (name, data) in [
+            (
+                "create2-factory",
+                call_data("deploy(uint256)", &[U256::from(0xdead_0000 + i)]),
+            ),
+            (
+                "churn-loop",
+                call_data("churn(uint256)", &[U256::from(8u64)]),
+            ),
+        ] {
+            let from = Fixture::user_address(user);
+            shapes.push((
+                name,
+                Transaction::call(from, factory, data, fx.next_nonce(user)),
+            ));
+        }
+
+        for (name, tx) in &shapes {
+            let mut recorded = StateOverlay::new(&state);
+            let want = execute_transaction(&mut recorded, &header, tx, &mut NoopTracer)
+                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            assert!(want.success, "{name}#{i} must succeed");
+            let (want_delta, reads) = recorded.into_parts();
+
+            let mut unrecorded = StateOverlay::unrecorded(&state);
+            let got = execute_transaction(&mut unrecorded, &header, tx, &mut NoopTracer)
+                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            let (got_delta, Unrecorded) = unrecorded.into_parts();
+
+            assert_eq!(got, want, "{name}#{i}: receipt");
+            assert_eq!(got_delta, want_delta, "{name}#{i}: write set");
+            assert!(!reads.is_empty(), "{name}#{i}: the recorded one observed");
+            got_delta.apply_to(&mut state);
+        }
+    }
+}
