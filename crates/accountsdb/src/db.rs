@@ -136,9 +136,7 @@ pub struct AccountsDb {
     /// [`AccountsDb::enable_prefetch`] has run: one token per batch, sent by
     /// the hint that finds `prefetch_jobs` empty.
     prefetch_tx: Mutex<Option<std::sync::mpsc::Sender<()>>>,
-    /// `true` once the prefetch subsystem is on; [`AccountsDb::read_many`]
-    /// then publishes what it reads into the warm cache, so a plan issued
-    /// for one transaction serves the rest of the block from memory.
+    /// `true` once the prefetch worker runs; hints are dropped before.
     prefetch_on: AtomicBool,
     /// Serializes flush and snapshot.
     flush_lock: Mutex<()>,
@@ -603,9 +601,7 @@ impl AccountsDb {
         file.read_exact_at(buf, loc.offset)
             .expect("storage file read");
         if let Some(t) = started {
-            obs::metrics()
-                .read_us
-                .record(t.elapsed().as_micros() as u64);
+            obs::metrics().read_ns.record(t.elapsed().as_nanos() as u64);
         }
     }
 
@@ -659,115 +655,6 @@ impl AccountsDb {
         (*code).clone()
     }
 
-    /// Reads many slots of one account with a single index pass: per-key
-    /// write-cache resolution first (with the usual hit/miss accounting),
-    /// then one index read-lock collecting the locations of every
-    /// fall-through key, then positional reads grouped per file in offset
-    /// order. This is the synchronous half of the prefetch path — the
-    /// overlay's frame-entry prefetch and [`read_storage_many`] both land
-    /// here.
-    ///
-    /// [`read_storage_many`]: StateRead::read_storage_many
-    pub fn read_many(&self, addr: Address, keys: &[U256]) -> Vec<U256> {
-        let mut out = vec![U256::ZERO; keys.len()];
-        // One shard lock resolves every key the write cache covers.
-        let cached: Option<Vec<Option<U256>>> = self.cache.with_entry(addr, |c| {
-            keys.iter()
-                .map(|k| {
-                    if c.deleted {
-                        Some(U256::ZERO)
-                    } else if let Some(v) = c.storage.get(k) {
-                        Some(*v)
-                    } else if c.reset_storage {
-                        Some(U256::ZERO)
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        });
-        let mut miss_pos: Vec<usize> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match cached.as_ref().and_then(|v| v[i]) {
-                Some(v) => {
-                    self.note_hit();
-                    out[i] = v;
-                }
-                None => {
-                    self.note_miss();
-                    match self.warm_storage(addr, key) {
-                        Some(v) => out[i] = v,
-                        None => miss_pos.push(i),
-                    }
-                }
-            }
-        }
-        if miss_pos.is_empty() {
-            return out;
-        }
-        // When the prefetch subsystem is on, file-resolved values are
-        // published into the warm cache afterwards (same generation fence
-        // as the worker), so a plan issued for one transaction serves the
-        // rest of the block from memory. The generation must be captured
-        // before the index is consulted.
-        let publish_gen = self
-            .prefetch_on
-            .load(Ordering::Acquire)
-            .then(|| self.warm_gen.load(Ordering::Acquire));
-        let mut locs: Vec<(usize, Loc)> = {
-            let ix = self.index.read().expect("index poisoned");
-            miss_pos
-                .iter()
-                .filter_map(|&i| ix.slot(addr, keys[i]).map(|l| (i, l)))
-                .collect()
-        };
-        // Index-absent keys stay zero. Present ones are read grouped by
-        // file in offset order — as close to sequential I/O as the flat
-        // layout allows.
-        locs.sort_unstable_by_key(|(_, l)| (l.file, l.offset));
-        let started = mtpu_telemetry::enabled().then(std::time::Instant::now);
-        let mut handle: Option<(u32, Arc<File>)> = None;
-        let mut read_pos: Vec<usize> = Vec::with_capacity(locs.len());
-        for (i, loc) in locs {
-            let file = match &handle {
-                Some((id, f)) if *id == loc.file => f.clone(),
-                _ => {
-                    let f = self.file_handle(loc.file);
-                    handle = Some((loc.file, f.clone()));
-                    f
-                }
-            };
-            let mut buf = [0u8; 32];
-            file.read_exact_at(&mut buf, loc.offset)
-                .expect("storage file read");
-            out[i] = U256::from_be_bytes(buf);
-            read_pos.push(i);
-        }
-        if let Some(t) = started {
-            obs::metrics()
-                .read_us
-                .record(t.elapsed().as_micros() as u64);
-        }
-        if let Some(gen) = publish_gen {
-            if !read_pos.is_empty() {
-                let mut warm = self.warm.write().expect("warm cache poisoned");
-                // A flush moved the flat layout under this read; the
-                // values may predate it. They were still correct to serve
-                // (the index was consistent at lookup time), but they must
-                // not outlive the layout they came from.
-                if self.warm_gen.load(Ordering::Acquire) == gen {
-                    if warm.len() + read_pos.len() > WARM_CAP {
-                        warm.clear();
-                    }
-                    for i in read_pos {
-                        warm.insert((addr, keys[i]), out[i]);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Spawns the background prefetch worker (idempotent). Hints arriving
     /// via [`StateRead::hint_prefetch_storage`] and
     /// [`StateRead::hint_prefetch_account`] are then served
@@ -816,12 +703,6 @@ impl AccountsDb {
             .expect("warm cache poisoned")
             .get(&(addr, key))
             .copied()
-    }
-
-    fn file_handle(&self, id: u32) -> Arc<File> {
-        self.files.read().expect("file set poisoned")[id as usize]
-            .file
-            .clone()
     }
 
     /// One batch of hints: accounts and slots named more than once (the
@@ -1100,11 +981,6 @@ impl StateRead for AccountsDb {
                 }
             }
         }
-    }
-
-    fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
-        out.clear();
-        out.extend_from_slice(&self.read_many(addr, keys));
     }
 
     fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
@@ -1441,36 +1317,6 @@ mod tests {
             assert_eq!(db.read_balance(addr(h)), U256::from(h * 10));
         }
         drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_many_matches_scalar_reads_across_layers() {
-        let dir = scratch_dir("readmany");
-        let db = AccountsDb::open(&dir).unwrap();
-        // Slots 1..=3 go to the flat layer; slot 2 is then re-dirtied in
-        // the cache; slot 9 never exists.
-        absorb_tx(
-            &db,
-            &creation(addr(1), 10, 0, None, &[(1, 11), (2, 22), (3, 33)]),
-            1,
-        );
-        db.flush_up_to(1).unwrap();
-        let mut d = AccountDelta::default();
-        d.storage.insert(U256::from(2u64), U256::from(222u64));
-        let mut tx = TxDelta::default();
-        tx.accounts.insert(addr(1), d);
-        absorb_tx(&db, &tx, 2);
-
-        let keys: Vec<U256> = [1u64, 2, 3, 9].iter().map(|&k| U256::from(k)).collect();
-        let batch = db.read_many(addr(1), &keys);
-        let scalar: Vec<U256> = keys.iter().map(|&k| db.read_storage(addr(1), k)).collect();
-        assert_eq!(batch, scalar);
-        assert_eq!(batch[1], U256::from(222u64));
-        assert_eq!(batch[3], U256::ZERO);
-
-        // An account the store has never seen reads as all zeros.
-        assert_eq!(db.read_many(addr(7), &keys), vec![U256::ZERO; keys.len()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

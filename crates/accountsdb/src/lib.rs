@@ -14,7 +14,7 @@
 //! - [`FlatIndex`](index::FlatIndex) — `addr → (file, offset)` for the
 //!   newest record of every account, slot and code blob, with per-account
 //!   generations making selfdestruct/recreate O(1).
-//! - storage files ([`file`]) — immutable, numbered, append-only record
+//! - storage files ([`file`](mod@file)) — immutable, numbered, append-only record
 //!   files produced by each flush.
 //! - [`FlushService`] — a background thread draining cache → file, off
 //!   the block critical path.

@@ -25,8 +25,8 @@ pub struct AccountsDbMetrics {
     /// Blocks between the head and the last flushed height
     /// (`accountsdb.flush_lag`).
     pub flush_lag: Gauge,
-    /// Positional storage-file read latency in µs (`accountsdb.read_us`).
-    pub read_us: Histogram,
+    /// Positional storage-file read latency in ns (`accountsdb.read_ns`).
+    pub read_ns: Histogram,
 }
 
 /// The process-wide cached handle set.
@@ -42,7 +42,7 @@ pub fn metrics() -> &'static AccountsDbMetrics {
             prefetch_batch: reg.counter("accountsdb.prefetch_batch"),
             cache_depth: reg.gauge("accountsdb.cache_depth"),
             flush_lag: reg.gauge("accountsdb.flush_lag"),
-            read_us: reg.histogram("accountsdb.read_us"),
+            read_ns: reg.histogram("accountsdb.read_ns"),
         }
     })
 }

@@ -22,7 +22,6 @@
 use crate::fusion::FusedTable;
 use crate::gas;
 use crate::opcode::Opcode;
-use crate::prefetch::PrefetchPlan;
 use mtpu_primitives::B256;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -85,7 +84,6 @@ pub struct CodeAnalysis {
     bitmap: Box<[u64]>,
     code_len: usize,
     fusion: FusedTable,
-    prefetch: PrefetchPlan,
 }
 
 impl CodeAnalysis {
@@ -105,7 +103,6 @@ impl CodeAnalysis {
             Some(word) => (word >> (pc & 63)) & 1 != 0,
             None => false,
         });
-        let prefetch = crate::prefetch::build_plan(code, &fusion);
         let metrics = crate::obs::metrics();
         metrics.fusion_sites.add(fusion.sites() as u64);
         metrics
@@ -115,7 +112,6 @@ impl CodeAnalysis {
             bitmap: bitmap.into_boxed_slice(),
             code_len: code.len(),
             fusion,
-            prefetch,
         }
     }
 
@@ -139,14 +135,6 @@ impl CodeAnalysis {
     #[inline]
     pub fn fusion(&self) -> &FusedTable {
         &self.fusion
-    }
-
-    /// The storage prefetch plan of this bytecode (always built; whether
-    /// frame entry issues it is decided by
-    /// [`crate::config::prefetch_enabled`]).
-    #[inline]
-    pub fn prefetch(&self) -> &PrefetchPlan {
-        &self.prefetch
     }
 }
 

@@ -42,7 +42,7 @@
 //! statically-known `[offset, offset+32)` range; the dispatch loop charges
 //! that expansion with the same `mem_charge` sequence as the unfused pair,
 //! so the total is bit-identical. The structural rule is enforced via
-//! [`gas::has_dynamic_gas`] in [`requirements`] (the memory rule computes
+//! [`gas::has_dynamic_gas`] in `requirements` (the memory rule computes
 //! its requirements manually). Likewise no rule accepts
 //! `JUMPDEST` as an interior constituent, so a fused region can never be
 //! jumped into halfway: every interior pc holds a non-`JUMPDEST` byte and
@@ -202,15 +202,6 @@ impl FusedTable {
     /// Number of constant-folded regions (`PushConst` sites).
     pub fn folded_consts(&self) -> usize {
         self.folded as usize
-    }
-
-    /// All sites as `(pc, spec)`, for tests and diagnostics.
-    pub fn iter_sites(&self) -> impl Iterator<Item = (usize, &FusedSpec)> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter(|(_, &i)| i != NO_FUSION)
-            .map(|(pc, &i)| (pc, &self.specs[i as usize]))
     }
 }
 
@@ -895,8 +886,7 @@ mod tests {
         // pushes alone never net one value, so no site at all.
         let code = [0x60, 0x02, 0x60, 0x03, 0x0a, 0x00];
         let t = table_of(&code);
-        let sites: Vec<_> = t.iter_sites().collect();
-        assert!(sites.is_empty(), "unexpected sites: {sites:?}");
+        assert_eq!(t.sites(), 0, "unexpected site: {:?}", t.spec_at(0));
     }
 
     #[test]
@@ -1013,7 +1003,7 @@ mod tests {
             let code: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let analysis = CodeAnalysis::analyze(&code);
             let t = build(&code, |pc| analysis.is_jumpdest(pc));
-            for (pc, spec) in t.iter_sites() {
+            for (pc, spec) in (0..code.len()).filter_map(|pc| Some((pc, t.spec_at(pc)?))) {
                 for interior in pc + 1..pc + spec.len as usize {
                     assert!(
                         !analysis.is_jumpdest(interior),

@@ -432,29 +432,6 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
         // Read once per frame: flipping the fusion flag mid-block affects
         // only frames that start afterwards.
         let fusion_on = crate::config::fusion_enabled();
-        // Frame-entry storage prefetch: resolve the bytecode's static
-        // access plan against this frame's storage address and hand the
-        // keys to the state backend before dispatch starts. The hooks only
-        // warm caches that the normal (recorded, validated) read path
-        // consults, so execution semantics are unchanged.
-        if crate::config::prefetch_enabled() {
-            let plan = analysis.prefetch();
-            if !plan.is_empty() {
-                let selector = params
-                    .input
-                    .get(..4)
-                    .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]));
-                let mut keys = Vec::new();
-                plan.keys_for(selector, &mut keys);
-                if !keys.is_empty() {
-                    crate::obs::metrics()
-                        .prefetch_planned
-                        .add(keys.len() as u64);
-                    self.state.prefetch_storage(params.storage_address, &keys);
-                }
-                self.state.prefetch_account(params.storage_address);
-            }
-        }
         let mut bufs = PooledBufs::acquire();
         let FrameBufs { stack, memory } = bufs.0.as_mut().expect("buffers held until drop");
         let mut returndata: Vec<u8> = Vec::new();

@@ -40,7 +40,6 @@ pub mod memory;
 pub mod obs;
 pub mod opcode;
 pub mod overlay;
-pub mod prefetch;
 pub mod stack;
 pub mod state;
 pub mod trace;
@@ -51,7 +50,7 @@ pub use commit::{
     apply_updates, commit_block_delta, commit_full, delta_merkle_root, delta_updates,
     AsyncCommitter, CommitError, CommitHandle,
 };
-pub use config::{fusion_enabled, prefetch_enabled, set_fusion_enabled, set_prefetch_enabled};
+pub use config::{fusion_enabled, prefetch_enabled, set_fusion_enabled};
 pub use executor::{
     admission_preflight, call_readonly, execute_block, execute_transaction, max_tx_cost,
     trace_transaction, ReadCall, ReadCallOutcome, TxError,
@@ -63,7 +62,6 @@ pub use overlay::{
     AccountDelta, BlockDelta, OverlayedView, ReadLog, ReadSet, StaleRead, StateOverlay, StateRead,
     TxDelta, Unrecorded,
 };
-pub use prefetch::{resolvable_sload_pcs, PrefetchArm, PrefetchPlan};
 pub use state::{Account, State, StateOps};
 pub use trace::{CallKind, FrameInfo, NoopTracer, TraceRecorder, Tracer, TxTrace};
 pub use tx::{Block, BlockHeader, Log, Receipt, Transaction};

@@ -48,18 +48,6 @@ pub struct EvmMetrics {
     /// Constant-folded regions discovered at analysis time
     /// (`evm.fusion.folded_consts`).
     pub fusion_folded_consts: Counter,
-    /// Storage keys named by prefetch plans at frame entry
-    /// (`evm.prefetch.planned`).
-    pub prefetch_planned: Counter,
-    /// Prefetched keys actually read from the base view into the
-    /// per-transaction memo (`evm.prefetch.issued`).
-    pub prefetch_issued: Counter,
-    /// Reads served from the prefetch memo at consume time
-    /// (`evm.prefetch.hits`).
-    pub prefetch_hits: Counter,
-    /// Prefetch requests dropped or invalidated because the transaction's
-    /// own delta already covered the location (`evm.prefetch.stale`).
-    pub prefetch_stale: Counter,
 }
 
 fn category_key(cat: OpCategory) -> &'static str {
@@ -98,10 +86,6 @@ pub fn metrics() -> &'static EvmMetrics {
             fusion_sites: reg.counter("evm.fusion.sites"),
             fusion_hits: reg.counter("evm.fusion.hits"),
             fusion_folded_consts: reg.counter("evm.fusion.folded_consts"),
-            prefetch_planned: reg.counter("evm.prefetch.planned"),
-            prefetch_issued: reg.counter("evm.prefetch.issued"),
-            prefetch_hits: reg.counter("evm.prefetch.hits"),
-            prefetch_stale: reg.counter("evm.prefetch.stale"),
         }
     })
 }

@@ -44,9 +44,9 @@ pub trait StateRead {
     /// Storage slot value (zero for absent slots).
     fn read_storage(&self, addr: Address, key: U256) -> U256;
     /// Reads several storage slots of one account into `out` (cleared
-    /// first, then one value per key in order). Backends with positional
-    /// I/O override this to amortize locking and file access across the
-    /// batch; the default loops [`StateRead::read_storage`].
+    /// first, then one value per key in order). Layered views override
+    /// this to resolve their own layers once and batch the rest into one
+    /// base read; the default loops [`StateRead::read_storage`].
     fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.read_storage(addr, k)));
@@ -639,38 +639,6 @@ impl<B: StateRead> StateRead for OverlayedView<'_, B> {
         }
     }
 
-    fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
-        out.clear();
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => out.resize(keys.len(), U256::ZERO),
-            Some(d) => {
-                // Resolve delta-covered keys inline, batch the rest into
-                // one base read.
-                let mut miss_pos = Vec::new();
-                let mut miss_keys = Vec::new();
-                for (i, &k) in keys.iter().enumerate() {
-                    match d.storage.get(&k) {
-                        Some(v) => out.push(*v),
-                        None if d.shadows_base => out.push(U256::ZERO),
-                        None => {
-                            out.push(U256::ZERO);
-                            miss_pos.push(i);
-                            miss_keys.push(k);
-                        }
-                    }
-                }
-                if !miss_keys.is_empty() {
-                    let mut vals = Vec::with_capacity(miss_keys.len());
-                    self.base.read_storage_many(addr, &miss_keys, &mut vals);
-                    for (p, v) in miss_pos.into_iter().zip(vals) {
-                        out[p] = v;
-                    }
-                }
-            }
-            None => self.base.read_storage_many(addr, keys, out),
-        }
-    }
-
     fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
         self.base.hint_prefetch_storage(addr, keys)
     }
@@ -691,30 +659,6 @@ enum OverlayEntry {
     CodeSet(Address, Option<(Vec<u8>, B256)>),
     Destructed(Address),
     Accrued(Address),
-}
-
-/// Upper bound on entries held in a transaction's prefetch memo; past it,
-/// further prefetch requests are silently dropped (the normal read path
-/// still works — the memo is purely a latency optimization).
-const PREFETCH_MEMO_CAP: usize = 256;
-
-/// Per-transaction software data cache filled by [`StateOps::prefetch_storage`]
-/// / [`StateOps::prefetch_account`] and consulted only on the base
-/// fall-through paths, after the transaction's own delta. Serving a memo
-/// hit records the value in the [`ReadSet`] exactly like a direct base
-/// read, so commit-time validation catches any staleness — the memo can
-/// never change what a transaction is allowed to commit.
-#[derive(Debug, Default)]
-struct PrefetchMemo {
-    storage: HashMap<(Address, U256), U256>,
-    balances: HashMap<Address, U256>,
-    code_hashes: HashMap<Address, B256>,
-}
-
-impl PrefetchMemo {
-    fn len(&self) -> usize {
-        self.storage.len() + self.balances.len() + self.code_hashes.len()
-    }
 }
 
 /// A journaled [`StateOps`] implementation over an immutable base view —
@@ -746,7 +690,6 @@ pub struct StateOverlay<'a, B: StateRead, R: ReadLog = ReadSet> {
     destructed: Vec<Address>,
     journal: Vec<OverlayEntry>,
     reads: RefCell<R>,
-    prefetched: RefCell<PrefetchMemo>,
 }
 
 impl<'a, B: StateRead> StateOverlay<'a, B> {
@@ -778,7 +721,6 @@ impl<'a, B: StateRead, R: ReadLog> StateOverlay<'a, B, R> {
             destructed: Vec::new(),
             journal: Vec::new(),
             reads: RefCell::new(R::default()),
-            prefetched: RefCell::new(PrefetchMemo::default()),
         }
     }
 
@@ -947,17 +889,6 @@ impl<B: StateRead, R: ReadLog> StateOps for StateOverlay<'_, B, R> {
 
     fn set_storage(&mut self, addr: Address, key: U256, value: U256) -> U256 {
         let prev = self.storage(addr, key);
-        // The write shadows any prefetched copy; drop it so a later revert
-        // re-observes the base rather than serving the pre-write snapshot.
-        if self
-            .prefetched
-            .borrow_mut()
-            .storage
-            .remove(&(addr, key))
-            .is_some()
-        {
-            crate::obs::metrics().prefetch_stale.inc();
-        }
         let entry = self.ensure(addr);
         let prev_delta = entry.storage.get(&key).copied();
         entry.storage.insert(key, value);
@@ -1043,88 +974,6 @@ impl<B: StateRead, R: ReadLog> StateOps for StateOverlay<'_, B, R> {
         }
         self.journal.clear();
     }
-
-    fn prefetch_storage(&mut self, addr: Address, keys: &[U256]) {
-        if keys.is_empty() {
-            return;
-        }
-        let metrics = crate::obs::metrics();
-        let mut stale = 0u64;
-        let mut wanted = Vec::with_capacity(keys.len());
-        {
-            let memo = self.prefetched.borrow();
-            let entry = self.delta.accounts.get(&addr);
-            let mut room = PREFETCH_MEMO_CAP.saturating_sub(memo.len());
-            for &key in keys {
-                // Keys the transaction's own delta already answers would
-                // never reach the fall-through path; fetching them is
-                // wasted work, not a correctness hazard.
-                let covered = match entry {
-                    Some(d) => d.deleted || d.shadows_base || d.storage.contains_key(&key),
-                    None => false,
-                };
-                if covered {
-                    stale += 1;
-                    continue;
-                }
-                if memo.storage.contains_key(&(addr, key)) {
-                    continue;
-                }
-                if room == 0 {
-                    break;
-                }
-                room -= 1;
-                wanted.push(key);
-            }
-        }
-        if !wanted.is_empty() {
-            let mut values = Vec::with_capacity(wanted.len());
-            self.base.read_storage_many(addr, &wanted, &mut values);
-            let mut memo = self.prefetched.borrow_mut();
-            for (&key, &v) in wanted.iter().zip(values.iter()) {
-                memo.storage.insert((addr, key), v);
-            }
-            metrics.prefetch_issued.add(wanted.len() as u64);
-        }
-        if stale > 0 {
-            metrics.prefetch_stale.add(stale);
-        }
-    }
-
-    fn prefetch_account(&mut self, addr: Address) {
-        let entry = self.delta.accounts.get(&addr);
-        if matches!(entry, Some(d) if d.deleted || d.shadows_base) {
-            return;
-        }
-        let want_balance = entry.map(|d| d.balance.is_none()).unwrap_or(true);
-        let want_code = entry.map(|d| d.code.is_none()).unwrap_or(true);
-        let mut issued = 0u64;
-        if want_balance {
-            let absent = {
-                let memo = self.prefetched.borrow();
-                memo.len() < PREFETCH_MEMO_CAP && !memo.balances.contains_key(&addr)
-            };
-            if absent {
-                let v = self.base.read_balance(addr);
-                self.prefetched.borrow_mut().balances.insert(addr, v);
-                issued += 1;
-            }
-        }
-        if want_code {
-            let absent = {
-                let memo = self.prefetched.borrow();
-                memo.len() < PREFETCH_MEMO_CAP && !memo.code_hashes.contains_key(&addr)
-            };
-            if absent {
-                let v = self.base.read_code_hash(addr);
-                self.prefetched.borrow_mut().code_hashes.insert(addr, v);
-                issued += 1;
-            }
-        }
-        if issued > 0 {
-            crate::obs::metrics().prefetch_issued.add(issued);
-        }
-    }
 }
 
 impl<B: StateRead, R: ReadLog> StateOverlay<'_, B, R> {
@@ -1144,33 +993,18 @@ impl<B: StateRead, R: ReadLog> StateOverlay<'_, B, R> {
     }
 
     fn fall_through_storage(&self, addr: Address, key: U256) -> U256 {
-        if let Some(v) = self.prefetched.borrow().storage.get(&(addr, key)).copied() {
-            crate::obs::metrics().prefetch_hits.inc();
-            self.reads.borrow_mut().note_storage(addr, key, v);
-            return v;
-        }
         let v = self.base.read_storage(addr, key);
         self.reads.borrow_mut().note_storage(addr, key, v);
         v
     }
 
     fn fall_through_balance(&self, addr: Address) -> U256 {
-        if let Some(v) = self.prefetched.borrow().balances.get(&addr).copied() {
-            crate::obs::metrics().prefetch_hits.inc();
-            self.reads.borrow_mut().note_balance(addr, v);
-            return v;
-        }
         let v = self.base.read_balance(addr);
         self.reads.borrow_mut().note_balance(addr, v);
         v
     }
 
     fn fall_through_code_hash(&self, addr: Address) -> B256 {
-        if let Some(v) = self.prefetched.borrow().code_hashes.get(&addr).copied() {
-            crate::obs::metrics().prefetch_hits.inc();
-            self.reads.borrow_mut().note_code_hash(addr, v);
-            return v;
-        }
         let v = self.base.read_code_hash(addr);
         self.reads.borrow_mut().note_code_hash(addr, v);
         v
@@ -1348,87 +1182,6 @@ mod tests {
         seq.finalize_tx();
 
         assert_eq!(par.state_root(), seq.state_root());
-    }
-
-    #[test]
-    fn prefetched_reads_are_recorded_and_validated() {
-        let base = base_state();
-        let mut ov = StateOverlay::new(&base);
-        ov.prefetch_storage(a(9), &[u(1), u(2)]);
-        ov.prefetch_account(a(9));
-        // Served values match the base and are recorded like direct reads.
-        assert_eq!(ov.storage(a(9), u(1)), u(42));
-        assert_eq!(ov.balance(a(9)), U256::ZERO);
-        assert_eq!(ov.code_hash(a(9)), B256::keccak(&[0x60, 0x00]));
-        let reads = ov.read_set();
-        assert!(reads.validate(&base));
-        // A base change under a consumed prefetch still fails validation.
-        let mut changed = base.clone();
-        changed.set_storage(a(9), u(1), u(7));
-        changed.finalize_tx();
-        assert_eq!(
-            reads.validate_detailed(&changed),
-            Err(StaleRead::Storage),
-            "consuming a prefetched value must not bypass commit validation"
-        );
-    }
-
-    #[test]
-    fn stale_prefetch_memo_never_corrupts_commit() {
-        // Simulates the parallel-execution race: the memo is filled, then
-        // the committed prefix advances (here: the prefetch happened
-        // against an older view). The memo serves the old value, the read
-        // set records it, and validation against the current view fails —
-        // the transaction re-executes instead of committing bad data.
-        let base = base_state();
-        let mut ov = StateOverlay::new(&base);
-        ov.prefetch_storage(a(9), &[u(1)]);
-        let mut current = base.clone();
-        current.set_storage(a(9), u(1), u(999));
-        current.finalize_tx();
-        // The overlay still serves the memoized (now stale) value...
-        assert_eq!(ov.storage(a(9), u(1)), u(42));
-        // ...but the recorded observation flunks validation.
-        assert!(!ov.read_set().validate(&current));
-    }
-
-    #[test]
-    fn own_write_wins_over_prefetched_value() {
-        let base = base_state();
-        let mut ov = StateOverlay::new(&base);
-        ov.prefetch_storage(a(9), &[u(1)]);
-        ov.set_storage(a(9), u(1), u(5));
-        assert_eq!(ov.storage(a(9), u(1)), u(5), "delta shadows the memo");
-        // After the write is reverted, the slot re-reads from the base
-        // (the memo entry was invalidated by the write).
-        let mut ov2 = StateOverlay::new(&base);
-        let cp = ov2.checkpoint();
-        ov2.prefetch_storage(a(9), &[u(1)]);
-        ov2.set_storage(a(9), u(1), u(5));
-        ov2.revert_to(cp);
-        assert_eq!(ov2.storage(a(9), u(1)), u(42));
-        assert!(ov2.read_set().validate(&base));
-    }
-
-    #[test]
-    fn prefetch_skips_delta_covered_keys() {
-        let base = base_state();
-        let mut ov = StateOverlay::new(&base);
-        ov.set_storage(a(9), u(1), u(123));
-        ov.prefetch_storage(a(9), &[u(1)]);
-        assert_eq!(ov.storage(a(9), u(1)), u(123));
-        // The delta hit must not be recorded as a base observation.
-        let mut changed = base.clone();
-        changed.set_storage(a(9), u(1), u(7));
-        changed.finalize_tx();
-        let reads = ov.read_set();
-        // set_storage itself read the slot before the write; drop that
-        // aside — the point is prefetch added nothing new afterwards.
-        assert_eq!(
-            reads.validate_detailed(&changed),
-            Err(StaleRead::Storage),
-            "pre-write read is recorded; prefetch added no observation"
-        );
     }
 
     #[test]

@@ -421,15 +421,6 @@ pub trait StateOps {
     /// Commits the current transaction (journal cleared, destructed
     /// accounts removed).
     fn finalize_tx(&mut self);
-    /// Hint: the frame entered at `addr` is statically expected to read
-    /// the given storage slots. Implementations may warm caches; the hint
-    /// must be observationally invisible (values are still validated on
-    /// the normal read path). Default: no-op — plain [`State`] is already
-    /// in memory.
-    fn prefetch_storage(&mut self, _addr: Address, _keys: &[U256]) {}
-    /// Hint: the account at `addr` (balance/code hash) is about to be
-    /// touched. Default: no-op.
-    fn prefetch_account(&mut self, _addr: Address) {}
 }
 
 impl StateOps for State {

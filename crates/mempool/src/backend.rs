@@ -52,20 +52,15 @@ pub(crate) struct FlatBackend<'a> {
     db: &'a AccountsDb,
     flush: &'a FlushService,
     flush_lag: u64,
-    prefetch: bool,
 }
 
 impl<'a> FlatBackend<'a> {
     pub(crate) fn new(db: &'a Arc<AccountsDb>, flush: &'a FlushService, flush_lag: u64) -> Self {
-        let prefetch = mtpu_evm::prefetch_enabled();
-        if prefetch {
-            db.enable_prefetch();
-        }
+        db.enable_prefetch();
         FlatBackend {
             db,
             flush,
             flush_lag,
-            prefetch,
         }
     }
 }
@@ -79,11 +74,7 @@ impl Backend for FlatBackend<'_> {
     /// pulling the block's slots off disk before its first transaction
     /// executes.
     fn hints(&self, packed: &PackedBlock) -> Vec<TxHints> {
-        if self.prefetch {
-            packed.prefetch_hints()
-        } else {
-            Vec::new()
-        }
+        packed.prefetch_hints()
     }
 
     fn absorb(&self, delta: &BlockDelta, height: u64) -> Option<Arc<State>> {

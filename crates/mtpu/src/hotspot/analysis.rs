@@ -5,19 +5,14 @@
 //! The analysis replays the recorded execution path of the hotspot's top
 //! frame with an *abstract* stack: each value is `Const` (known at
 //! pre-execution time), `TxAttr` (derived only from transaction/block
-//! attributes, which are invariant during execution), or `Unknown`.
-//!
-//! Prefetchable-access detection is shared with the real execution path:
-//! [`PathAnalysis::prefetch_pcs`] comes from
-//! [`mtpu_evm::prefetch::resolvable_sload_pcs`], the same notion of
-//! "resolvable" the interpreter's frame-entry prefetcher is built on.
+//! attributes, which are invariant during execution), or `Unknown`. One
+//! pass yields every result: an `SLOAD` whose key is fixed when its
+//! operand is popped is a prefetchable access.
 
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::TxTrace;
 use mtpu_primitives::U256;
 use std::collections::{HashMap, HashSet};
-
-pub use mtpu_evm::prefetch::resolvable_sload_pcs;
 
 /// Abstract value with an optional producing-PUSH step for elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,6 +237,11 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
             args.push(stack.pop().unwrap_or(AVal::Unknown));
         }
 
+        // Prefetchable access: the key is resolvable before execution.
+        if op == Sload && args[0].is_fixed() {
+            out.prefetch_pcs.insert(s.pc);
+        }
+
         // Pre-executable prefix: ops whose result/effect is fixed given
         // transaction attributes. Storage, logs, calls and anything with
         // an unknown operand end the prefix.
@@ -372,9 +372,6 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
             stack.push(result);
         }
     }
-    // Prefetchable SLOADs: delegated to the shared detector so the sim
-    // and the real interpreter agree on what "resolvable" means.
-    out.prefetch_pcs = resolvable_sload_pcs(trace, code);
     // The Constants Table is a finite structure: bound the number of
     // separated operands (and the PUSHes they replace) per entry.
     cap_pcs(&mut out.const_operand_pcs, CONSTANTS_TABLE_SLOTS);

@@ -206,17 +206,44 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pcs_delegate_to_shared_detector() {
-        // Regression for the detector unification: `analyze_path` must
-        // produce exactly the set the shared `mtpu_evm` implementation
-        // reports (the pcs the fixtures below pin individually).
-        let (code, trace) = fig11_like();
-        let a = analyze_path(&trace, &code);
-        assert_eq!(
-            a.prefetch_pcs,
-            crate::hotspot::analysis::resolvable_sload_pcs(&trace, &code)
+    fn resolvable_pcs_found_on_traced_run() {
+        use mtpu_evm::interpreter::{CallParams, Evm};
+        use mtpu_evm::state::State;
+        use mtpu_evm::trace::TraceRecorder;
+        use mtpu_evm::tx::BlockHeader;
+        use mtpu_primitives::U256;
+
+        // PUSH1 7, SLOAD, POP, PUSH1 0 CALLDATALOAD, SLOAD, STOP — the
+        // first SLOAD key is constant, the second is calldata-derived
+        // (TxAttr, still fixed).
+        let code = vec![0x60, 0x07, 0x54, 0x50, 0x60, 0x00, 0x35, 0x54, 0x00];
+        let mut state = State::new();
+        let contract = Address::from_low_u64(0xc0de);
+        state.deploy_code(contract, code.clone());
+        let header = BlockHeader::default();
+        let mut tracer = TraceRecorder::new();
+        let caller = Address::from_low_u64(1);
+        let mut evm = Evm::new(&mut state, &header, caller, U256::ONE, &mut tracer);
+        let res = evm.call(CallParams {
+            kind: CallKind::Call,
+            caller,
+            code_address: contract,
+            storage_address: contract,
+            value: U256::ZERO,
+            transfers_value: false,
+            input: vec![0u8; 32],
+            gas: 100_000,
+            is_static: false,
+            depth: 0,
+        });
+        assert!(res.success());
+        let a = analyze_path(&tracer.into_trace(), &code);
+        assert!(a.prefetch_pcs.contains(&2), "constant-key SLOAD at pc 2");
+        assert!(
+            a.prefetch_pcs.contains(&7),
+            "calldata-derived key SLOAD at pc 7"
         );
-        assert_eq!(a.prefetch_pcs.len(), 1);
+        assert_eq!(a.prefetch_pcs.len(), 2);
     }
 
     #[test]

@@ -7,18 +7,18 @@ use std::sync::OnceLock;
 
 /// Cached handles for the read-layer metrics.
 pub struct ReadserveMetrics {
-    /// `get_balance`/`get_nonce` latency in µs (`readserve.balance_us`).
-    pub balance_us: Histogram,
-    /// `get_storage` latency in µs (`readserve.storage_us`).
-    pub storage_us: Histogram,
-    /// Batched `get_many` latency in µs (`readserve.get_many_us`).
-    pub get_many_us: Histogram,
-    /// `get_code` latency in µs (`readserve.code_us`).
-    pub code_us: Histogram,
-    /// Read-only `call` simulation latency in µs (`readserve.call_us`).
-    pub call_us: Histogram,
-    /// Receipt-by-hash lookup latency in µs (`readserve.receipt_us`).
-    pub receipt_us: Histogram,
+    /// `get_balance`/`get_nonce` latency in ns (`readserve.balance_ns`).
+    pub balance_ns: Histogram,
+    /// `get_storage` latency in ns (`readserve.storage_ns`).
+    pub storage_ns: Histogram,
+    /// Batched `get_many` latency in ns (`readserve.get_many_ns`).
+    pub get_many_ns: Histogram,
+    /// `get_code` latency in ns (`readserve.code_ns`).
+    pub code_ns: Histogram,
+    /// Read-only `call` simulation latency in ns (`readserve.call_ns`).
+    pub call_ns: Histogram,
+    /// Receipt-by-hash lookup latency in ns (`readserve.receipt_ns`).
+    pub receipt_ns: Histogram,
     /// Snapshots currently retained in the window (`readserve.retained`).
     pub retained: Gauge,
     /// Worst subscriber lag in blocks (`readserve.feed_lag`).
@@ -38,12 +38,12 @@ pub fn metrics() -> &'static ReadserveMetrics {
     METRICS.get_or_init(|| {
         let reg = mtpu_telemetry::global();
         ReadserveMetrics {
-            balance_us: reg.histogram("readserve.balance_us"),
-            storage_us: reg.histogram("readserve.storage_us"),
-            get_many_us: reg.histogram("readserve.get_many_us"),
-            code_us: reg.histogram("readserve.code_us"),
-            call_us: reg.histogram("readserve.call_us"),
-            receipt_us: reg.histogram("readserve.receipt_us"),
+            balance_ns: reg.histogram("readserve.balance_ns"),
+            storage_ns: reg.histogram("readserve.storage_ns"),
+            get_many_ns: reg.histogram("readserve.get_many_ns"),
+            code_ns: reg.histogram("readserve.code_ns"),
+            call_ns: reg.histogram("readserve.call_ns"),
+            receipt_ns: reg.histogram("readserve.receipt_ns"),
             retained: reg.gauge("readserve.retained"),
             feed_lag: reg.gauge("readserve.feed_lag"),
             published: reg.counter("readserve.published"),

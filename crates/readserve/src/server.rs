@@ -137,8 +137,8 @@ impl ReadServer {
         let out = (snap.height(), snap.read_balance(addr));
         if let Some(t) = started {
             obs::metrics()
-                .balance_us
-                .record(t.elapsed().as_micros() as u64);
+                .balance_ns
+                .record(t.elapsed().as_nanos() as u64);
         }
         Some(out)
     }
@@ -150,8 +150,8 @@ impl ReadServer {
         let out = (snap.height(), snap.read_nonce(addr));
         if let Some(t) = started {
             obs::metrics()
-                .balance_us
-                .record(t.elapsed().as_micros() as u64);
+                .balance_ns
+                .record(t.elapsed().as_nanos() as u64);
         }
         Some(out)
     }
@@ -168,8 +168,8 @@ impl ReadServer {
         let out = (snap.height(), snap.read_storage(addr, key));
         if let Some(t) = started {
             obs::metrics()
-                .storage_us
-                .record(t.elapsed().as_micros() as u64);
+                .storage_ns
+                .record(t.elapsed().as_nanos() as u64);
         }
         Some(out)
     }
@@ -177,9 +177,8 @@ impl ReadServer {
     /// Batched point read: storage slots `keys` of `addr` at `height`
     /// (`None` = latest), answered positionally. One snapshot resolution
     /// walks the delta chain per key, and every key no delta decides hits
-    /// the base in a single [`StateRead::read_storage_many`] batch — so a
-    /// batching backend (the flat accounts-DB) serves the whole request
-    /// with one index pass instead of `keys.len()` scalar walks.
+    /// the base in a single [`StateRead::read_storage_many`] batch instead
+    /// of `keys.len()` scalar walks.
     pub fn get_many(
         &self,
         height: Option<u64>,
@@ -192,8 +191,8 @@ impl ReadServer {
         snap.read_storage_many(addr, keys, &mut values);
         if let Some(t) = started {
             obs::metrics()
-                .get_many_us
-                .record(t.elapsed().as_micros() as u64);
+                .get_many_ns
+                .record(t.elapsed().as_nanos() as u64);
         }
         Some((snap.height(), values))
     }
@@ -204,9 +203,7 @@ impl ReadServer {
         let snap = self.snapshot(height)?;
         let out = (snap.height(), snap.read_code(addr));
         if let Some(t) = started {
-            obs::metrics()
-                .code_us
-                .record(t.elapsed().as_micros() as u64);
+            obs::metrics().code_ns.record(t.elapsed().as_nanos() as u64);
         }
         Some(out)
     }
@@ -220,9 +217,7 @@ impl ReadServer {
         let snap = self.snapshot(height)?;
         let outcome = call_readonly(&*snap, snap.header(), call);
         if let Some(t) = started {
-            obs::metrics()
-                .call_us
-                .record(t.elapsed().as_micros() as u64);
+            obs::metrics().call_ns.record(t.elapsed().as_nanos() as u64);
         }
         Some((snap.height(), outcome))
     }
@@ -236,8 +231,8 @@ impl ReadServer {
         let receipt = snap.receipts().get(index)?.clone();
         if let Some(t) = started {
             obs::metrics()
-                .receipt_us
-                .record(t.elapsed().as_micros() as u64);
+                .receipt_ns
+                .record(t.elapsed().as_nanos() as u64);
         }
         Some((height, index, receipt))
     }
@@ -436,6 +431,21 @@ mod tests {
         assert_eq!(batch, scalar);
         // Historic heights answer too.
         assert!(server.get_many(Some(1), a(1), &keys).is_some());
+    }
+
+    #[test]
+    fn point_read_latency_histogram_resolves_sub_microsecond_reads() {
+        // A point read takes a few hundred ns: recorded in µs, the median
+        // sample would be 0.
+        let server = ReadServer::new(genesis(), ReadServeConfig::default());
+        mtpu_telemetry::set_enabled(true);
+        for _ in 0..1_000 {
+            assert!(server.get_balance(None, a(1)).is_some());
+        }
+        mtpu_telemetry::set_enabled(false);
+        let snap = obs::metrics().balance_ns.snapshot();
+        assert!(snap.count >= 1_000);
+        assert!(snap.percentile(50.0) > 0, "{snap:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! # Disabled-mode cost contract
 //!
 //! Telemetry is **off by default**. Every recording call
-//! ([`Counter::inc`], [`Histogram::record`], [`span`], …) first performs
+//! ([`Counter::inc`], [`Histogram::record`], [`span()`], …) first performs
 //! one `Relaxed` atomic bool load and returns immediately when disabled —
 //! no locks, no allocation, no time syscalls. Instrumented hot loops pay
 //! one predictable branch per event, which is why the wired binaries stay

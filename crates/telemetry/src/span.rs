@@ -155,7 +155,7 @@ impl EventLog {
     }
 }
 
-/// RAII wall-clock span; see [`crate::span`].
+/// RAII wall-clock span; see [`crate::span()`].
 #[derive(Debug)]
 pub struct Span {
     registry: Option<&'static Registry>,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of the CI pipeline, step for step: formatting, lints, tier-1
-# build/tests, the full workspace test suite, the parexec stress loop, the
+# Local mirror of the CI pipeline, step for step: formatting, lints,
+# rustdoc, tier-1 build/tests, the full workspace test suite, the parexec stress loop, the
 # spine's build and tests, the statedb fuzz smoke, and the golden diff of
 # the paper's tables. Run before pushing.
 set -euo pipefail
@@ -11,6 +11,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors: a stale intra-doc link fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release

@@ -5,15 +5,15 @@
 //! dispatches fused superinstructions or single opcodes.
 //!
 //! Driven by the in-repo deterministic [`SplitMix64`] generator so the
-//! suite runs offline with no external crates. The fusion and prefetch
-//! flags are process-global, so the tests in this binary serialize
-//! around [`FUSION_LOCK`] and always restore the enabled state.
+//! suite runs offline with no external crates. The fusion flag is
+//! process-global, so the tests in this binary serialize around
+//! [`FUSION_LOCK`] and always restore the enabled state.
 //!
 //! The same harness also differentially tests the storage *prefetch*
-//! path: plans built from the fusion sites issue speculative reads at
-//! frame entry, and those must be observationally invisible — identical
-//! receipts and roots prefetch-on vs prefetch-off, across thread counts
-//! and across the in-memory and flat-store backends.
+//! path: admission hints warm the flat store's cache ahead of execution,
+//! and that must be observationally invisible — identical receipts and
+//! roots with and without hints, across thread counts and against the
+//! in-memory backend.
 
 use mtpu_repro::accountsdb::AccountsDb;
 use mtpu_repro::asm::Assembler;
@@ -23,8 +23,7 @@ use mtpu_repro::evm::state::State;
 use mtpu_repro::evm::trace::{NoopTracer, TraceRecorder, Tracer, TxTrace};
 use mtpu_repro::evm::tx::{Block, BlockHeader, Receipt, Transaction};
 use mtpu_repro::evm::{
-    delta_merkle_root, execute_block, execute_transaction, set_fusion_enabled,
-    set_prefetch_enabled, StateRead,
+    delta_merkle_root, execute_block, execute_transaction, set_fusion_enabled, StateRead,
 };
 use mtpu_repro::mempool::{BlockPacker, Mempool, PackerConfig, PoolConfig};
 use mtpu_repro::mtpu::sched::DepGraph;
@@ -32,8 +31,8 @@ use mtpu_repro::parexec::{ParExecutor, TxHints};
 use mtpu_repro::primitives::{Address, SplitMix64, B256, U256};
 use std::sync::{Arc, Mutex};
 
-/// Serializes flips of the process-global fusion/prefetch flags across
-/// the tests in this binary.
+/// Serializes flips of the process-global fusion flag across the tests
+/// in this binary.
 static FUSION_LOCK: Mutex<()> = Mutex::new(());
 
 fn fusion_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -412,8 +411,8 @@ struct GridBlock {
     hints: Vec<TxHints>,
 }
 
-/// The mixed TOP8 block (keccak-keyed ledgers no plan resolves), in
-/// submission order with no hints.
+/// The mixed TOP8 block (keccak-keyed ledgers), in submission order with
+/// no hints.
 fn top8_grid_block() -> GridBlock {
     let mut rng = SplitMix64::seed_from_u64(0x93e7_0b8f);
     let users = mtpu_repro::contracts::fixture::USER_COUNT;
@@ -467,8 +466,7 @@ fn scan_address() -> Address {
 }
 
 /// `settle()` / `settleWide()` sum constant storage slots and return the
-/// sum. Every SLOAD key is a push immediate, so the whole read set
-/// resolves into the frame-entry prefetch plan.
+/// sum. Every SLOAD key is a push immediate.
 fn ledger_runtime() -> Vec<u8> {
     use Opcode::*;
     let mut a = Assembler::new();
@@ -494,9 +492,8 @@ fn ledger_runtime() -> Vec<u8> {
     a.assemble().expect("const-ledger assembles")
 }
 
-/// `scan0()..scan7()` each sum a disjoint [`STRIPE_SLOTS`]-slot stripe.
-/// The prefetch plan walks the dispatcher arms, so the calldata selector
-/// picks which stripe gets prefetched at frame entry.
+/// `scan0()..scan7()` each sum a disjoint [`STRIPE_SLOTS`]-slot stripe;
+/// the calldata selector picks which stripe a call reads.
 fn scan_runtime() -> Vec<u8> {
     use Opcode::*;
     let mut a = Assembler::new();
@@ -550,7 +547,7 @@ fn install_contracts(state: &mut State) {
 /// 48 calls to `to`, the `i`-th carrying `signature_of(i)`'s selector,
 /// admitted to a fresh pool and packed into one block the way the node
 /// does it — so the hints are the admission footprints the driver would
-/// fire, every plan-resolved key among them.
+/// fire, every key the call reads among them.
 fn synthetic_grid_block(
     name: &'static str,
     to: Address,
@@ -591,16 +588,14 @@ fn synthetic_grid_block(
     }
 }
 
-/// Prefetch on vs off over the TOP8 fixture block and two blocks whose
-/// whole read set is plan-resolvable (`const-ledger`: 48/96 constant-slot
+/// Hints on vs off over the TOP8 fixture block and two blocks whose
+/// whole read set is constant-keyed (`const-ledger`: 48/96 constant-slot
 /// SLOADs; `striped-scan`: an 8-arm dispatcher over disjoint stripes):
-/// receipts and merkle roots must be bit-identical across thread counts
-/// and across the in-memory and flat-store backends. Prefetched values
-/// are validated at consume time, so a plan can only ever accelerate
-/// execution — never change it.
+/// receipts and merkle roots must be bit-identical across thread counts,
+/// between the in-memory backend and the flat store, and between a flat
+/// store warmed by admission hints and one that never sees a hint.
 #[test]
 fn prefetch_grid_is_observationally_identical() {
-    let _guard = fusion_guard();
     let inputs = [
         top8_grid_block(),
         synthetic_grid_block("const-ledger", ledger_address(), |i| {
@@ -623,30 +618,37 @@ fn prefetch_grid_is_observationally_identical() {
         hints,
     } in &inputs
     {
-        // Sequential oracle, prefetch off.
-        set_prefetch_enabled(false);
         let mut seq_state = base.clone();
         let seq_receipts = execute_block(&mut seq_state, block);
         let want_root = seq_state.merkle_root();
         assert!(seq_receipts.iter().all(|r| r.success), "{name}: oracle");
 
-        for prefetch in [true, false] {
-            set_prefetch_enabled(prefetch);
-            for threads in [1usize, 4, 8] {
-                let exec = ParExecutor::new(threads);
+        for threads in [1usize, 4, 8] {
+            let exec = ParExecutor::new(threads);
+
+            // In-memory State backend: hints have nothing to warm.
+            let result = exec.execute_block(base, block);
+            assert_eq!(
+                result.receipts, seq_receipts,
+                "{name} threads={threads} state: receipts"
+            );
+            assert_eq!(
+                result.merkle_root(),
+                want_root,
+                "{name} threads={threads} state: root"
+            );
+
+            // Flat accounts-DB backend, warmed through the async hint
+            // path or not at all.
+            for prefetch in [true, false] {
                 let tag = format!("{name} prefetch={prefetch} threads={threads}");
-
-                // In-memory State backend.
-                let result = exec.execute_block(base, block);
-                assert_eq!(result.receipts, seq_receipts, "{tag} state: receipts");
-                assert_eq!(result.merkle_root(), want_root, "{tag} state: root");
-
-                // Flat accounts-DB backend, warmed through the async hint
-                // path as well when prefetch is on.
                 let (db, dir) = flat_of(base, &format!("grid-{name}-{prefetch}-{threads}"));
-                if prefetch {
+                let hints: &[TxHints] = if prefetch {
                     db.enable_prefetch();
-                }
+                    hints
+                } else {
+                    &[]
+                };
                 let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), block, dag, hints);
                 assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
                 assert_eq!(
@@ -659,20 +661,18 @@ fn prefetch_grid_is_observationally_identical() {
             }
         }
     }
-    set_prefetch_enabled(true);
 }
 
-/// The stale-prefetch scenario end-to-end: a counter contract whose
-/// SLOAD key is statically resolvable (PUSH1 0; SLOAD), called by many
-/// independent senders in one block. Speculative frames prefetch the
+/// The stale-prefetch scenario end-to-end: a counter contract every
+/// transaction of one block increments (PUSH1 0; SLOAD; ... SSTORE),
+/// called by many independent senders. The warm cache holds the
 /// pre-block value of slot 0 while earlier transactions are busy
-/// overwriting it — the commit lane's validation must catch every stale
-/// serve and re-execute, landing on the exact sequential count.
+/// overwriting it — the read path must never serve it past their writes,
+/// and speculators that read it must be caught by the lane's validation,
+/// landing on the exact sequential count.
 #[test]
 fn stale_prefetch_is_repaired_by_validation() {
-    let _guard = fusion_guard();
-    // PUSH1 0; SLOAD; PUSH1 1; ADD; PUSH1 0; SSTORE; STOP — a fusible
-    // PushSload site, so the prefetch plan names slot 0.
+    // PUSH1 0; SLOAD; PUSH1 1; ADD; PUSH1 0; SSTORE; STOP
     let code = vec![0x60, 0x00, 0x54, 0x60, 0x01, 0x01, 0x60, 0x00, 0x55, 0x00];
     let contract = Address::from_low_u64(CONTRACT);
     let senders: Vec<Address> = (1..=16).map(Address::from_low_u64).collect();
@@ -701,7 +701,6 @@ fn stale_prefetch_is_repaired_by_validation() {
     };
     let want = U256::from(senders.len() as u64);
 
-    set_prefetch_enabled(true);
     for threads in [1usize, 4, 8] {
         let exec = ParExecutor::new(threads);
 

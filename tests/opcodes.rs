@@ -7,7 +7,7 @@ use mtpu_repro::evm::interpreter::{CallParams, Evm, FrameResult};
 use mtpu_repro::evm::state::State;
 use mtpu_repro::evm::trace::{CallKind, NoopTracer};
 use mtpu_repro::evm::tx::BlockHeader;
-use mtpu_repro::evm::Halt;
+use mtpu_repro::evm::{CodeAnalysis, FusedKind, FusedSpec, Halt};
 use mtpu_repro::primitives::{Address, B256, U256};
 
 /// Assembles and runs `src` (which must RETURN a word), returning it.
@@ -92,6 +92,87 @@ fn arithmetic_opcodes() {
         eval(&format!("PUSH1 0xff\nPUSH1 0\nSIGNEXTEND\n{RET}")),
         U256::MAX
     );
+}
+
+/// Checks one operand vector (`args[0]` on top of the stack) twice: with
+/// `PUSH32` operands, which code analysis folds into one constant through
+/// `fusion::eval_pure`, and with operands read by `CALLDATALOAD`, which the
+/// interpreter's own opcode code computes.
+fn check_vector(op: &str, args: &[U256], want: U256) {
+    let pushes: String = args
+        .iter()
+        .rev()
+        .map(|a| format!("PUSH32 0x{a:064x}\n"))
+        .collect();
+    let folded = format!("{pushes}{op}\n{RET}");
+    let code = parse_asm(&folded).expect("assembles");
+    assert!(
+        matches!(
+            CodeAnalysis::analyze(&code).fusion().spec_at(0),
+            Some(FusedSpec {
+                kind: FusedKind::PushConst { .. },
+                ..
+            })
+        ),
+        "{op} {args:?}: PUSH32 operands must fold"
+    );
+    assert_eq!(eval(&folded), want, "{op} {args:?}: folded");
+
+    let loads: String = (0..args.len())
+        .rev()
+        .map(|i| format!("PUSH1 {}\nCALLDATALOAD\n", 32 * i))
+        .collect();
+    let input = args.iter().flat_map(|a| a.to_be_bytes()).collect();
+    let res = run(&format!("{loads}{op}\n{RET}"), input);
+    assert!(res.success(), "{op} {args:?}: {:?}", res.halt);
+    assert_eq!(
+        U256::from_be_slice(&res.output),
+        want,
+        "{op} {args:?}: interpreted"
+    );
+}
+
+#[test]
+fn arithmetic_edge_vectors() {
+    let max = U256::MAX;
+    let min = U256::ONE << 255;
+    let neg = |v: u64| u(v).twos_neg();
+
+    // Division by zero is zero, signed or not.
+    check_vector("DIV", &[max, u(0)], u(0));
+    check_vector("SDIV", &[neg(7), u(0)], u(0));
+    check_vector("MOD", &[max, u(0)], u(0));
+    check_vector("SMOD", &[neg(7), u(0)], u(0));
+    // The one signed overflow: MIN / -1 wraps back to MIN.
+    check_vector("SDIV", &[min, max], min);
+    check_vector("SMOD", &[min, max], u(0));
+
+    // SIGNEXTEND(b, x), yellow-paper form: byte index b >= 31 leaves x
+    // alone; b = 30 extends bit 247.
+    let bit247 = U256::ONE << 247;
+    check_vector("SIGNEXTEND", &[u(30), bit247], !(bit247 - U256::ONE));
+    for index in [u(31), u(32), min] {
+        check_vector("SIGNEXTEND", &[index, bit247], bit247);
+        check_vector("SIGNEXTEND", &[index, u(0x80)], u(0x80));
+    }
+
+    // Shifts by the word size or more: zero, or all sign bits for SAR.
+    for shift in [u(256), min] {
+        check_vector("SHL", &[shift, u(1)], u(0));
+        check_vector("SHR", &[shift, max], u(0));
+        check_vector("SAR", &[shift, neg(1)], max);
+        check_vector("SAR", &[shift, min], max);
+        check_vector("SAR", &[shift, u(5)], u(0));
+    }
+    check_vector("SHL", &[u(255), u(1)], min);
+    check_vector("SAR", &[u(255), min], max);
+
+    // Modulus zero is zero; intermediates are exact (257 / 512 bits).
+    check_vector("ADDMOD", &[u(5), u(6), u(0)], u(0));
+    check_vector("MULMOD", &[u(5), u(6), u(0)], u(0));
+    check_vector("ADDMOD", &[max, max, u(7)], u(2));
+    check_vector("MULMOD", &[max, max, u(7)], u(1));
+    check_vector("MULMOD", &[max, max, u(10)], u(5));
 }
 
 #[test]
