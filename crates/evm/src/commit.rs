@@ -55,7 +55,12 @@ impl State {
 /// expected to be empty or to be rebuilt wholesale: storage tries are
 /// reset). Returns nothing; call [`StateCommitter::commit`] for the root.
 pub fn commit_full<S: NodeStore>(committer: &mut StateCommitter<S>, state: &State) {
-    for (addr, account) in state.iter_live_accounts() {
+    // The state iterates in HashMap order; address order pins the
+    // committer's touch order — and with it the store's append order — to
+    // a pure function of the state, as `delta_updates` does for a block.
+    let mut accounts: Vec<(Address, &Account)> = state.iter_live_accounts().collect();
+    accounts.sort_unstable_by_key(|(addr, _)| *addr);
+    for (addr, account) in accounts {
         committer.update_account(&addr, &full_update(account));
     }
 }

@@ -70,8 +70,8 @@ impl Item {
 
 /// Serializes an item to its RLP byte representation. Lengths are
 /// precomputed ([`encoded_len`]) so the encoding is written in one pass
-/// into a single exactly-sized buffer — no intermediate payload
-/// buffers, which matters on the trie-node hashing hot path.
+/// into a single exactly-sized buffer, with no intermediate payload
+/// buffers.
 pub fn encode(item: &Item) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len(item));
     encode_into(item, &mut out);
@@ -81,8 +81,8 @@ pub fn encode(item: &Item) -> Vec<u8> {
 /// Serializes a sequence of items as an RLP list.
 pub fn encode_list(items: &[Item]) -> Vec<u8> {
     let payload: usize = items.iter().map(encoded_len).sum();
-    let mut out = Vec::with_capacity(payload + 9);
-    write_length(0xc0, payload, &mut out);
+    let mut out = Vec::with_capacity(header_len(payload) + payload);
+    encode_header(true, payload, &mut out);
     for it in items {
         encode_into(it, &mut out);
     }
@@ -92,33 +92,19 @@ pub fn encode_list(items: &[Item]) -> Vec<u8> {
 /// Exact length in bytes of [`encode`]'s output for `item`.
 pub fn encoded_len(item: &Item) -> usize {
     match item {
-        Item::Bytes(b) => {
-            if b.len() == 1 && b[0] < 0x80 {
-                1
-            } else {
-                length_len(b.len()) + b.len()
-            }
-        }
+        Item::Bytes(b) => encoded_bytes_len(b),
         Item::List(items) => {
             let payload: usize = items.iter().map(encoded_len).sum();
-            length_len(payload) + payload
+            header_len(payload) + payload
         }
     }
 }
 
 fn encode_into(item: &Item, out: &mut Vec<u8>) {
     match item {
-        Item::Bytes(b) => {
-            if b.len() == 1 && b[0] < 0x80 {
-                out.push(b[0]);
-            } else {
-                write_length(0x80, b.len(), out);
-                out.extend_from_slice(b);
-            }
-        }
+        Item::Bytes(b) => encode_bytes_into(b, out),
         Item::List(items) => {
-            let payload: usize = items.iter().map(encoded_len).sum();
-            write_length(0xc0, payload, out);
+            encode_header(true, items.iter().map(encoded_len).sum(), out);
             for it in items {
                 encode_into(it, out);
             }
@@ -126,21 +112,46 @@ fn encode_into(item: &Item, out: &mut Vec<u8>) {
     }
 }
 
-/// Bytes a length prefix occupies (header byte plus any big-endian
-/// length bytes).
-fn length_len(len: usize) -> usize {
-    if len <= 55 {
+/// Exact encoded length of the byte string `b`.
+pub fn encoded_bytes_len(b: &[u8]) -> usize {
+    if b.len() == 1 && b[0] < 0x80 {
         1
     } else {
-        1 + (8 - (len as u64).leading_zeros() as usize / 8)
+        header_len(b.len()) + b.len()
     }
 }
 
-fn write_length(offset: u8, len: usize, out: &mut Vec<u8>) {
-    if len <= 55 {
-        out.push(offset + len as u8);
+/// Appends the encoding of the byte string `b` to `out`. With
+/// [`encode_header`] this lets an encoder write a structure straight
+/// into one exactly-sized buffer instead of building an [`Item`] tree.
+pub fn encode_bytes_into(b: &[u8], out: &mut Vec<u8>) {
+    if b.len() == 1 && b[0] < 0x80 {
+        out.push(b[0]);
     } else {
-        let be = (len as u64).to_be_bytes();
+        encode_header(false, b.len(), out);
+        out.extend_from_slice(b);
+    }
+}
+
+/// Bytes the header of a `payload_len`-byte string or list payload
+/// occupies (the header byte plus any big-endian length bytes). A
+/// single byte below `0x80` is its own encoding and has no header.
+pub fn header_len(payload_len: usize) -> usize {
+    if payload_len <= 55 {
+        1
+    } else {
+        1 + (8 - (payload_len as u64).leading_zeros() as usize / 8)
+    }
+}
+
+/// Appends the header of a `payload_len`-byte list (or string) payload
+/// to `out`; the caller appends the payload.
+pub fn encode_header(is_list: bool, payload_len: usize, out: &mut Vec<u8>) {
+    let offset = if is_list { 0xc0 } else { 0x80 };
+    if payload_len <= 55 {
+        out.push(offset + payload_len as u8);
+    } else {
+        let be = (payload_len as u64).to_be_bytes();
         let first = be.iter().position(|&b| b != 0).expect("len > 55");
         out.push(offset + 55 + (8 - first) as u8);
         out.extend_from_slice(&be[first..]);
@@ -198,33 +209,51 @@ pub fn decode(data: &[u8]) -> Result<Item, DecodeError> {
 /// Decodes one item from the front of `data`, returning it and the
 /// remaining bytes.
 pub fn decode_prefix(data: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
+    let (is_list, payload, rest) = split_item(data)?;
+    let item = if is_list {
+        Item::List(decode_list_payload(payload)?)
+    } else {
+        Item::Bytes(payload.to_vec())
+    };
+    Ok((item, rest))
+}
+
+/// Splits one item off the front of `data` without copying: returns
+/// whether it is a list, its payload (a single-byte string is its own
+/// payload) and the bytes after it. Applies every canonical-form check
+/// [`decode`] applies to this item's header — minimal lengths, no
+/// wrapped single byte — but none to a list payload's nested items,
+/// which the caller splits in turn.
+///
+/// # Errors
+///
+/// [`DecodeError::UnexpectedEnd`] when the announced payload overruns
+/// `data`, and the non-canonical header errors.
+pub fn split_item(data: &[u8]) -> Result<(bool, &[u8], &[u8]), DecodeError> {
     let (&first, rest) = data.split_first().ok_or(DecodeError::UnexpectedEnd)?;
     match first {
-        0x00..=0x7f => Ok((Item::Bytes(vec![first]), rest)),
+        0x00..=0x7f => Ok((false, &data[..1], rest)),
         0x80..=0xb7 => {
             let len = (first - 0x80) as usize;
             let (payload, rest) = take(rest, len)?;
             if len == 1 && payload[0] < 0x80 {
                 return Err(DecodeError::NonCanonicalByte);
             }
-            Ok((Item::Bytes(payload.to_vec()), rest))
+            Ok((false, payload, rest))
         }
         0xb8..=0xbf => {
-            let len_len = (first - 0xb7) as usize;
-            let (len, rest) = read_long_length(rest, len_len)?;
+            let (len, rest) = read_long_length(rest, (first - 0xb7) as usize)?;
             let (payload, rest) = take(rest, len)?;
-            Ok((Item::Bytes(payload.to_vec()), rest))
+            Ok((false, payload, rest))
         }
         0xc0..=0xf7 => {
-            let len = (first - 0xc0) as usize;
-            let (payload, rest) = take(rest, len)?;
-            Ok((Item::List(decode_list_payload(payload)?), rest))
+            let (payload, rest) = take(rest, (first - 0xc0) as usize)?;
+            Ok((true, payload, rest))
         }
         0xf8..=0xff => {
-            let len_len = (first - 0xf7) as usize;
-            let (len, rest) = read_long_length(rest, len_len)?;
+            let (len, rest) = read_long_length(rest, (first - 0xf7) as usize)?;
             let (payload, rest) = take(rest, len)?;
-            Ok((Item::List(decode_list_payload(payload)?), rest))
+            Ok((true, payload, rest))
         }
     }
 }
@@ -347,6 +376,24 @@ mod tests {
         // Integer with leading zero.
         let it = decode(&[0x82, 0x00, 0x01]);
         assert_eq!(it.unwrap().to_u256(), Err(DecodeError::NonCanonicalInteger));
+    }
+
+    #[test]
+    fn split_item_borrows_and_checks_only_the_header() {
+        let mut data = encode_list(&[Item::bytes(b"cat".to_vec()), Item::uint(5)]);
+        data.push(0x01);
+        let (is_list, payload, rest) = split_item(&data).unwrap();
+        assert!(is_list);
+        assert_eq!(payload, &data[1..6]);
+        assert_eq!(rest, &[0x01]);
+        assert_eq!(split_item(&[0x05]), Ok((false, &[0x05][..], &[][..])));
+        assert_eq!(
+            split_item(&[0x81, 0x05]),
+            Err(DecodeError::NonCanonicalByte)
+        );
+        // A list's nested items are the caller's to split.
+        assert!(split_item(&[0xc1, 0x81]).is_ok());
+        assert_eq!(decode(&[0xc1, 0x81]), Err(DecodeError::UnexpectedEnd));
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! Drives 5 000 random operations (weighted insert / overwrite / delete,
 //! with periodic commits) through an incremental [`Trie`], and after
 //! every commit checks the root against a naive trie rebuilt from
-//! scratch out of a plain `HashMap` reference model. Any divergence —
-//! dirty-path tracking, branch collapse, inline-node boundaries —
-//! panics; success prints a one-line summary.
+//! scratch out of a plain `HashMap` reference model, then reads every
+//! key of the pool back through a cold [`NodeDb`] over a copy of the
+//! store, so every node on those paths is decoded from its stored bytes.
+//! Any divergence — dirty-path tracking, branch collapse, inline-node
+//! boundaries, the node codec — panics; success prints a one-line
+//! summary.
 
 use mtpu_primitives::SplitMix64;
 use mtpu_statedb::{MemStore, NodeDb, Trie};
@@ -27,6 +30,7 @@ fn main() {
     // Keys live in a bounded pool so deletes and overwrites actually hit.
     let mut pool: Vec<Vec<u8>> = Vec::new();
     let mut commits = 0usize;
+    let mut cold_loaded = 0u64;
 
     for op in 1..=OPS {
         let delete = !pool.is_empty() && rng.random_bool(0.25);
@@ -62,17 +66,29 @@ fn main() {
                 got, want,
                 "incremental root diverged from scratch rebuild at op {op}"
             );
+            // The hot db's cache holds every node it committed; a cold
+            // one must decode each node it reads from the store.
+            let mut cold = NodeDb::new(db.store().clone());
+            let reopened = Trie::from_root(got);
+            for key in &pool {
+                assert_eq!(
+                    reopened.get(&mut cold, key).as_ref(),
+                    model.get(key),
+                    "read back through the store diverged at op {op}"
+                );
+            }
+            cold_loaded += cold.stats().nodes_loaded;
             commits += 1;
         }
     }
 
+    assert!(cold_loaded > 0, "no node was ever decoded from the store");
     let stats = db.stats();
     println!(
         "fuzz_smoke ok: seed={seed:#x} ops={OPS} commits={commits} live_keys={} \
-         nodes_hashed={} nodes_loaded={} cache_hit_rate={:.2}",
+         nodes_hashed={} nodes_loaded={cold_loaded} cache_hit_rate={:.2}",
         model.len(),
         stats.nodes_hashed,
-        stats.nodes_loaded,
         stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64,
     );
 }

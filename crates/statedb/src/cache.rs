@@ -7,6 +7,12 @@
 //! top-of-trie nodes that dominate lookups, and FIFO keeps the hot path
 //! to one `VecDeque` push.
 //!
+//! Nodes are never copied in or out. The cache holds each node behind
+//! an [`Arc`]: a read walk shares it ([`NodeCache::get`]), a mutation
+//! walk takes it out ([`NodeCache::take`]) — the taken node is about to
+//! be superseded, so its slot frees at once — and a commit moves each
+//! freshly hashed node in ([`NodeCache::put`]).
+//!
 //! Hit/miss/eviction counts feed both the per-instance
 //! [`crate::trie::TrieStats`] (always on, for assertions) and the global
 //! `mtpu-telemetry` registry (`statedb.cache.*`, gated on
@@ -16,19 +22,30 @@ use crate::node::Node;
 use mtpu_primitives::B256;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 
-/// Default capacity in nodes; at ~100–500 bytes a decoded node this
-/// bounds the cache to a few MiB.
+/// Default capacity in nodes; at under 1 KiB a decoded node (a branch's
+/// boxed links are 640 bytes) this bounds the cache to a few MiB.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
 /// A bounded FIFO map: the one eviction loop behind both [`NodeCache`]
 /// and the committer's memo of `keccak(address)` / `keccak(slot)`
 /// secure-key hashing, which would otherwise re-hash the same 20/32
 /// bytes on every touch of a hot account or slot.
+///
+/// [`BoundedMemo::remove`] leaves the key's queue entry behind as a
+/// stale entry. Every entry carries the sequence number it was queued
+/// under, so eviction skips stale entries, even one whose key has since
+/// been re-inserted, and the queue is compacted whenever it would pass
+/// twice the capacity. Live entries never exceed the capacity; queue
+/// entries never exceed twice the capacity.
 #[derive(Debug, Clone)]
 pub struct BoundedMemo<K, V> {
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
+    /// Live entries, each with the sequence number of its queue entry.
+    map: HashMap<K, (V, u64)>,
+    /// Insertion order, oldest first; may hold stale entries.
+    order: VecDeque<(K, u64)>,
+    next_seq: u64,
     capacity: usize,
 }
 
@@ -38,6 +55,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
         BoundedMemo {
             map: HashMap::new(),
             order: VecDeque::new(),
+            next_seq: 0,
             capacity,
         }
     }
@@ -54,7 +72,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
 
     /// The memoized value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
+        self.map.get(key).map(|(v, _)| v)
     }
 
     /// Memoizes `value` under `key` unless the key is already present (or
@@ -66,21 +84,35 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
         }
         let mut evicted = 0;
         while self.map.len() >= self.capacity {
-            let Some(old) = self.order.pop_front() else {
+            let Some((old, seq)) = self.order.pop_front() else {
                 break;
             };
-            self.map.remove(&old);
-            evicted += 1;
+            if self.map.get(&old).is_some_and(|&(_, live)| live == seq) {
+                self.map.remove(&old);
+                evicted += 1;
+            }
         }
-        self.order.push_back(key.clone());
-        self.map.insert(key, value);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.order.push_back((key.clone(), seq));
+        self.map.insert(key, (value, seq));
+        if self.order.len() > 2 * self.capacity {
+            let map = &self.map;
+            self.order
+                .retain(|(k, seq)| map.get(k).is_some_and(|&(_, live)| live == *seq));
+        }
         evicted
+    }
+
+    /// Removes `key`, returning its value. Not an eviction.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(key).map(|(v, _)| v)
     }
 
     /// The memoized value for `key`, computing and inserting it with `f`
     /// on a miss.
     pub fn get_or_insert_with(&mut self, key: &K, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.map.get(key) {
+        if let Some(v) = self.get(key) {
             return v.clone();
         }
         let v = f();
@@ -90,10 +122,11 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
 }
 
 /// Bounded FIFO cache mapping node hash → decoded node: a
-/// [`BoundedMemo`] plus the hit/miss/eviction accounting.
+/// [`BoundedMemo`] of shared nodes plus the hit/miss/eviction
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct NodeCache {
-    nodes: BoundedMemo<B256, Node>,
+    nodes: BoundedMemo<B256, Arc<Node>>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -136,32 +169,41 @@ impl NodeCache {
         (self.hits, self.misses, self.evictions)
     }
 
-    /// Looks up a decoded node, counting the hit or miss.
-    pub fn get(&mut self, hash: &B256) -> Option<Node> {
-        match self.nodes.get(hash) {
-            Some(n) => {
-                self.hits += 1;
-                if mtpu_telemetry::enabled() {
-                    crate::obs::metrics().cache_hit.inc();
-                }
-                Some(n.clone())
-            }
-            None => {
-                self.misses += 1;
-                if mtpu_telemetry::enabled() {
-                    crate::obs::metrics().cache_miss.inc();
-                }
-                None
-            }
-        }
+    /// Shares a cached node with a read walk, counting the hit or miss.
+    pub fn get(&mut self, hash: &B256) -> Option<Arc<Node>> {
+        let node = self.nodes.get(hash).cloned();
+        self.count(node.is_some());
+        node
+    }
+
+    /// Takes a cached node out for mutation, counting the hit or miss.
+    /// The node is copied only if a reader still shares it.
+    pub fn take(&mut self, hash: &B256) -> Option<Node> {
+        let node = self.nodes.remove(hash);
+        self.count(node.is_some());
+        node.map(Arc::unwrap_or_clone)
     }
 
     /// Inserts a decoded node, evicting the oldest entry at capacity.
-    pub fn put(&mut self, hash: B256, node: Node) {
+    pub fn put(&mut self, hash: B256, node: Arc<Node>) {
         let evicted = self.nodes.insert(hash, node);
         self.evictions += evicted;
         if evicted > 0 && mtpu_telemetry::enabled() {
             crate::obs::metrics().cache_evict.add(evicted);
+        }
+    }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+            if mtpu_telemetry::enabled() {
+                crate::obs::metrics().cache_hit.inc();
+            }
+        } else {
+            self.misses += 1;
+            if mtpu_telemetry::enabled() {
+                crate::obs::metrics().cache_miss.inc();
+            }
         }
     }
 }
@@ -170,15 +212,15 @@ impl NodeCache {
 mod tests {
     use super::*;
 
-    fn leaf(n: u8) -> Node {
-        Node::Leaf {
-            path: vec![n & 0x0f],
-            value: vec![n],
-        }
+    fn leaf(n: u32) -> Arc<Node> {
+        Arc::new(Node::Leaf {
+            path: vec![(n & 0x0f) as u8],
+            value: n.to_be_bytes().to_vec(),
+        })
     }
 
-    fn h(n: u8) -> B256 {
-        B256::keccak(&[n])
+    fn h(n: u32) -> B256 {
+        B256::keccak(&n.to_be_bytes())
     }
 
     #[test]
@@ -218,6 +260,71 @@ mod tests {
         c.put(h(1), leaf(1));
         assert_eq!(c.len(), 1);
         assert_eq!(c.capacity(), 2);
+    }
+
+    #[test]
+    fn take_counts_and_frees_the_slot() {
+        let mut c = NodeCache::new(2);
+        assert!(c.take(&h(1)).is_none());
+        c.put(h(1), leaf(1));
+        assert_eq!(c.take(&h(1)), Some((*leaf(1)).clone()));
+        assert!(c.is_empty());
+        assert_eq!(c.counters(), (1, 1, 0), "a take is a hit, not an eviction");
+    }
+
+    #[test]
+    fn re_put_key_survives_its_stale_queue_entry() {
+        let mut c = NodeCache::new(2);
+        c.put(h(1), leaf(1));
+        c.put(h(2), leaf(2));
+        c.take(&h(1));
+        c.put(h(1), leaf(1)); // queue: 1 (stale), 2, 1
+        c.put(h(3), leaf(3)); // must evict 2, the oldest live entry
+        assert!(c.get(&h(1)).is_some(), "evicted by its own stale entry");
+        assert!(c.get(&h(2)).is_none());
+        assert_eq!(c.counters().2, 1);
+    }
+
+    #[test]
+    fn interleaved_takes_and_re_puts_stay_bounded() {
+        let cap = 64;
+        let mut c = NodeCache::new(cap);
+        for i in 0..10 * cap as u32 {
+            c.put(h(i), leaf(i));
+            // Take and re-put a recent key, as a mutation walk followed by
+            // the commit of an unchanged node would.
+            if i % 3 == 0 {
+                let back = i - i % 7;
+                if let Some(n) = c.take(&h(back)) {
+                    c.put(h(back), Arc::new(n));
+                }
+            }
+            // Take a key for good, as a superseded node is.
+            if i % 5 == 0 {
+                c.take(&h(i / 2));
+            }
+            assert!(c.len() <= cap, "live entries over capacity");
+            assert!(c.nodes.order.len() <= 2 * cap, "queue over 2x capacity");
+        }
+        let (_, _, evictions) = c.counters();
+        assert!(evictions > 0, "overfilling must count evictions");
+        // Puts taken straight back never fill a cache, so only the
+        // compaction keeps their stale queue entries bounded.
+        let mut d = NodeCache::new(cap);
+        for i in 0..10 * cap as u32 {
+            d.put(h(i), leaf(i));
+            d.take(&h(i));
+            assert!(d.nodes.order.len() <= 2 * cap, "queue over 2x capacity");
+        }
+        assert_eq!(d.counters(), (10 * cap as u64, 0, 0));
+        // Every live entry still has exactly one live queue entry.
+        let live = c
+            .nodes
+            .order
+            .iter()
+            .filter(|(k, seq)| c.nodes.map.get(k).is_some_and(|&(_, s)| s == *seq))
+            .count();
+        assert_eq!(live, c.len());
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! account and storage slot. The layers, bottom-up:
 //!
 //! * [`nibbles`] — hex-prefix path encoding (yellow paper appendix C);
-//! * [`Node`]/[`Link`] — the three node kinds and their RLP codec, with
-//!   sub-32-byte children inlined in their parent;
+//! * [`Node`]/[`Link`] — the three node kinds and their direct RLP codec
+//!   (one exactly-sized buffer out, borrowed slices in), with sub-32-byte
+//!   children inlined in their parent;
 //! * [`NodeStore`] — hash-addressed persistence: [`MemStore`] for
 //!   ephemeral runs, [`FileStore`] (append-only log + manifest) so a
 //!   chain survives restart;
 //! * [`NodeCache`] — bounded FIFO cache of decoded nodes in front of the
-//!   store;
+//!   store, which reads share and mutations take out;
 //! * [`Trie`] over a [`NodeDb`] — get/insert/remove plus **incremental**
 //!   [`Trie::commit`]: between commits the root is a hash link, mutations
 //!   splice in-memory nodes along touched paths only, and commit

@@ -16,10 +16,16 @@ pub fn to_nibbles(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Hex-prefix encodes a nibble path. `is_leaf` sets the terminator flag.
-pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
+/// Length of the hex-prefix encoding of an `n`-nibble path.
+pub fn hp_len(n: usize) -> usize {
+    1 + n / 2
+}
+
+/// Appends the hex-prefix encoding of `nibbles` to `out`; `is_leaf` sets
+/// the terminator flag. The first byte is the flag byte, always below
+/// `0x40`.
+pub fn hp_encode_into(nibbles: &[u8], is_leaf: bool, out: &mut Vec<u8>) {
     let mut flag = if is_leaf { 0x20u8 } else { 0x00 };
-    let mut out = Vec::with_capacity(1 + nibbles.len() / 2);
     let rest = if nibbles.len() % 2 == 1 {
         flag |= 0x10 | nibbles[0];
         &nibbles[1..]
@@ -30,7 +36,6 @@ pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
     for pair in rest.chunks(2) {
         out.push((pair[0] << 4) | pair[1]);
     }
-    out
 }
 
 /// Decodes a hex-prefix path back into `(nibbles, is_leaf)`.
@@ -64,6 +69,13 @@ pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        hp_encode_into(nibbles, is_leaf, &mut out);
+        assert_eq!(out.len(), hp_len(nibbles.len()));
+        out
+    }
 
     #[test]
     fn nibble_expansion() {

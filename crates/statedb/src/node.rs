@@ -4,9 +4,13 @@
 //! RLP lists; a node whose encoding is shorter than 32 bytes is embedded
 //! *inline* in its parent, otherwise the parent stores its keccak hash
 //! and the raw bytes live in the [`crate::store::NodeStore`].
+//!
+//! The codec is direct: [`Node::encode`] writes a node straight into one
+//! exactly-sized buffer, and [`Node::decode`] parses stored bytes by
+//! borrowing slices of them. Neither builds an RLP item tree.
 
-use crate::nibbles::{hp_decode, hp_encode};
-use mtpu_primitives::rlp::{self, Item};
+use crate::nibbles::{hp_decode, hp_encode_into, hp_len};
+use mtpu_primitives::rlp::{self, DecodeError};
 use mtpu_primitives::B256;
 use std::fmt;
 
@@ -21,9 +25,6 @@ pub enum Link {
 }
 
 /// One Merkle Patricia Trie node.
-// Branch is by far the most common variant in a populated trie, so its
-// 16-slot array stays inline rather than behind another allocation.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     /// Terminates a key: remaining path + value.
@@ -42,8 +43,9 @@ pub enum Node {
     },
     /// A 16-way fan-out plus an optional value for keys ending here.
     Branch {
-        /// One slot per next-nibble.
-        children: [Option<Link>; 16],
+        /// One slot per next-nibble, boxed so that leaves, extensions
+        /// and every cached or batched node stay small.
+        children: Box<[Option<Link>; 16]>,
         /// Value of the key that terminates at this node, if any.
         value: Option<Vec<u8>>,
     },
@@ -69,60 +71,125 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
-impl Node {
-    /// Encodes this node as an RLP item. In-memory children are encoded
-    /// recursively; children whose encoding reaches 32 bytes are replaced
-    /// by their hash via `commit_child` (which is expected to persist
-    /// them and count the hash).
-    pub fn to_item(&self, commit_child: &mut dyn FnMut(&Node) -> Item) -> Item {
+impl From<DecodeError> for NodeError {
+    fn from(e: DecodeError) -> Self {
+        NodeError::Rlp(e)
+    }
+}
+
+const ARITY: &str = "node list must have 2 or 17 items";
+
+impl Link {
+    /// Encoded length as an item of the parent's list.
+    fn encoded_len(&self) -> usize {
         match self {
-            Node::Leaf { path, value } => Item::List(vec![
-                Item::bytes(hp_encode(path, true)),
-                Item::bytes(value.clone()),
-            ]),
-            Node::Extension { path, child } => Item::List(vec![
-                Item::bytes(hp_encode(path, false)),
-                link_item(child, commit_child),
-            ]),
+            Link::Hash(_) => 33,
+            Link::Node(n) => n.encoded_len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Link::Hash(h) => rlp::encode_bytes_into(h.as_bytes(), out),
+            Link::Node(n) => n.encode_into(out),
+        }
+    }
+}
+
+impl Node {
+    /// Exact length of [`Node::encode`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        let payload = self.payload_len();
+        rlp::header_len(payload) + payload
+    }
+
+    /// Encodes this node into one exactly-sized buffer: the bytes a
+    /// store keeps and the parent hashes. In-memory children are
+    /// embedded inline, so they must be the sub-32-byte ones; commit
+    /// replaces every larger child with its hash link first.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        rlp::encode_header(true, self.payload_len(), out);
+        match self {
+            Node::Leaf { path, value } => {
+                encode_path(path, true, out);
+                rlp::encode_bytes_into(value, out);
+            }
+            Node::Extension { path, child } => {
+                encode_path(path, false, out);
+                child.encode_into(out);
+            }
             Node::Branch { children, value } => {
-                let mut items = Vec::with_capacity(17);
                 for child in children.iter() {
-                    items.push(match child {
-                        Some(l) => link_item(l, commit_child),
-                        None => Item::bytes(Vec::new()),
-                    });
+                    match child {
+                        Some(link) => link.encode_into(out),
+                        None => rlp::encode_bytes_into(&[], out),
+                    }
                 }
-                items.push(Item::bytes(value.clone().unwrap_or_default()));
-                Item::List(items)
+                rlp::encode_bytes_into(value.as_deref().unwrap_or_default(), out);
+            }
+        }
+    }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            Node::Leaf { path, value } => path_len(path) + rlp::encoded_bytes_len(value),
+            Node::Extension { path, child } => path_len(path) + child.encoded_len(),
+            Node::Branch { children, value } => {
+                let links: usize = children
+                    .iter()
+                    .map(|c| c.as_ref().map_or(1, Link::encoded_len))
+                    .sum();
+                links + rlp::encoded_bytes_len(value.as_deref().unwrap_or_default())
             }
         }
     }
 
     /// Decodes a node from its raw RLP bytes.
     ///
+    /// Stored bytes may come from disk, so this accepts exactly what a
+    /// full RLP decode plus the node shape rules accept: canonical
+    /// lengths, no wrapped single byte, no trailing bytes, a list of 2 or
+    /// 17 items, a valid hex-prefix path, and child references of 0 or 32
+    /// bytes or an inline node list.
+    ///
     /// # Errors
     ///
     /// Returns [`NodeError`] for malformed RLP or a non-node shape.
     pub fn decode(raw: &[u8]) -> Result<Node, NodeError> {
-        let item = rlp::decode(raw).map_err(NodeError::Rlp)?;
-        Node::from_item(&item)
+        let (is_list, payload, rest) = rlp::split_item(raw)?;
+        if !rest.is_empty() {
+            return Err(DecodeError::TrailingBytes.into());
+        }
+        if !is_list {
+            return Err(NodeError::Shape("expected list"));
+        }
+        Node::decode_list(payload)
     }
 
-    /// Decodes a node from an already-parsed RLP item (used for inline
-    /// children, which are lists embedded in the parent's encoding).
-    pub fn from_item(item: &Item) -> Result<Node, NodeError> {
-        let items = item.as_list().ok_or(NodeError::Shape("expected list"))?;
-        match items.len() {
+    /// Decodes a node from its list payload; inline children recurse
+    /// here on the slice of the parent they occupy.
+    fn decode_list(mut payload: &[u8]) -> Result<Node, NodeError> {
+        let mut items: [(bool, &[u8]); 17] = [(false, &[]); 17];
+        let mut n = 0;
+        while !payload.is_empty() {
+            let (is_list, item, rest) = rlp::split_item(payload)?;
+            *items.get_mut(n).ok_or(NodeError::Shape(ARITY))? = (is_list, item);
+            n += 1;
+            payload = rest;
+        }
+        match n {
             2 => {
-                let hp = items[0]
-                    .as_bytes()
-                    .ok_or(NodeError::Shape("path must be bytes"))?;
+                let hp = bytes(items[0], "path must be bytes")?;
                 let (path, is_leaf) =
                     hp_decode(hp).ok_or(NodeError::Shape("bad hex-prefix path"))?;
                 if is_leaf {
-                    let value = items[1]
-                        .as_bytes()
-                        .ok_or(NodeError::Shape("leaf value must be bytes"))?;
+                    let value = bytes(items[1], "leaf value must be bytes")?;
                     Ok(Node::Leaf {
                         path,
                         value: value.to_vec(),
@@ -130,50 +197,64 @@ impl Node {
                 } else {
                     Ok(Node::Extension {
                         path,
-                        child: decode_link(&items[1])?
+                        child: decode_child(items[1])?
                             .ok_or(NodeError::Shape("extension child missing"))?,
                     })
                 }
             }
             17 => {
-                let mut children: [Option<Link>; 16] = Default::default();
-                for (i, slot) in children.iter_mut().enumerate() {
-                    *slot = decode_link(&items[i])?;
+                let mut children: Box<[Option<Link>; 16]> = Box::default();
+                for (slot, &item) in children.iter_mut().zip(&items) {
+                    *slot = decode_child(item)?;
                 }
-                let value = items[16]
-                    .as_bytes()
-                    .ok_or(NodeError::Shape("branch value must be bytes"))?;
+                let value = bytes(items[16], "branch value must be bytes")?;
                 Ok(Node::Branch {
                     children,
-                    value: if value.is_empty() {
-                        None
-                    } else {
-                        Some(value.to_vec())
-                    },
+                    value: (!value.is_empty()).then(|| value.to_vec()),
                 })
             }
-            _ => Err(NodeError::Shape("node list must have 2 or 17 items")),
+            _ => Err(NodeError::Shape(ARITY)),
         }
     }
 }
 
-fn link_item(link: &Link, commit_child: &mut dyn FnMut(&Node) -> Item) -> Item {
-    match link {
-        Link::Hash(h) => Item::bytes(h.as_bytes().to_vec()),
-        Link::Node(n) => commit_child(n),
+/// Encoded length of a hex-prefix path item. Its flag byte is below
+/// `0x80`, so a one-byte path is its own encoding.
+fn path_len(path: &[u8]) -> usize {
+    let n = hp_len(path.len());
+    if n == 1 {
+        1
+    } else {
+        rlp::header_len(n) + n
     }
 }
 
-fn decode_link(item: &Item) -> Result<Option<Link>, NodeError> {
-    match item {
-        Item::Bytes(b) if b.is_empty() => Ok(None),
-        Item::Bytes(b) if b.len() == 32 => {
-            let mut h = [0u8; 32];
-            h.copy_from_slice(b);
-            Ok(Some(Link::Hash(B256::new(h))))
-        }
-        Item::Bytes(_) => Err(NodeError::Shape("child ref must be empty or 32 bytes")),
-        Item::List(_) => Ok(Some(Link::Node(Box::new(Node::from_item(item)?)))),
+fn encode_path(path: &[u8], is_leaf: bool, out: &mut Vec<u8>) {
+    let n = hp_len(path.len());
+    if n > 1 {
+        rlp::encode_header(false, n, out);
+    }
+    hp_encode_into(path, is_leaf, out);
+}
+
+/// A string item's payload; `what` names the slot if it holds a list.
+fn bytes<'a>((is_list, b): (bool, &'a [u8]), what: &'static str) -> Result<&'a [u8], NodeError> {
+    if is_list {
+        Err(NodeError::Shape(what))
+    } else {
+        Ok(b)
+    }
+}
+
+/// A child reference: empty, a 32-byte hash, or an inline node list.
+fn decode_child((is_list, b): (bool, &[u8])) -> Result<Option<Link>, NodeError> {
+    if is_list {
+        return Ok(Some(Link::Node(Box::new(Node::decode_list(b)?))));
+    }
+    match b.len() {
+        0 => Ok(None),
+        32 => Ok(Some(Link::Hash(B256::new(b.try_into().expect("32 bytes"))))),
+        _ => Err(NodeError::Shape("child ref must be empty or 32 bytes")),
     }
 }
 
@@ -181,18 +262,14 @@ fn decode_link(item: &Item) -> Result<Option<Link>, NodeError> {
 mod tests {
     use super::*;
 
-    fn encode_plain(node: &Node) -> Vec<u8> {
-        // Children in these tests are hashes, so commit_child never fires.
-        rlp::encode(&node.to_item(&mut |_| unreachable!("no inline children")))
-    }
-
     #[test]
     fn leaf_round_trips() {
         let n = Node::Leaf {
             path: vec![0xa, 0xb, 0xc],
             value: b"value".to_vec(),
         };
-        let raw = encode_plain(&n);
+        let raw = n.encode();
+        assert_eq!(raw.len(), n.encoded_len());
         assert_eq!(Node::decode(&raw).unwrap(), n);
     }
 
@@ -202,8 +279,7 @@ mod tests {
             path: vec![0x1, 0x2],
             child: Link::Hash(B256::keccak(b"child")),
         };
-        let raw = encode_plain(&n);
-        assert_eq!(Node::decode(&raw).unwrap(), n);
+        assert_eq!(Node::decode(&n.encode()).unwrap(), n);
     }
 
     #[test]
@@ -212,7 +288,7 @@ mod tests {
             path: vec![0x3],
             value: vec![0x7f],
         };
-        let mut children: [Option<Link>; 16] = Default::default();
+        let mut children: Box<[Option<Link>; 16]> = Box::default();
         children[4] = Some(Link::Node(Box::new(leaf)));
         children[9] = Some(Link::Hash(B256::keccak(b"big")));
         let n = Node::Branch {
@@ -220,10 +296,8 @@ mod tests {
             value: Some(vec![0x01]),
         };
         // The inline leaf encodes under 32 bytes, so it embeds directly.
-        let raw =
-            rlp::encode(&n.to_item(&mut |child| {
-                child.to_item(&mut |_| unreachable!("leaf has no children"))
-            }));
+        let raw = n.encode();
+        assert_eq!(raw.len(), n.encoded_len());
         assert_eq!(Node::decode(&raw).unwrap(), n);
     }
 
@@ -233,8 +307,11 @@ mod tests {
             Node::decode(&[0x80]),
             Err(NodeError::Shape("expected list"))
         ));
-        let three = rlp::encode_list(&[Item::uint(1), Item::uint(2), Item::uint(3)]);
-        assert!(matches!(Node::decode(&three), Err(NodeError::Shape(_))));
+        // A three-item list.
+        assert!(matches!(
+            Node::decode(&[0xc3, 0x01, 0x02, 0x03]),
+            Err(NodeError::Shape(_))
+        ));
         assert!(matches!(Node::decode(&[0xff]), Err(NodeError::Rlp(_))));
     }
 }

@@ -13,9 +13,8 @@ use crate::cache::NodeCache;
 use crate::nibbles::{common_prefix, to_nibbles};
 use crate::node::{Link, Node};
 use crate::store::NodeStore;
-use mtpu_primitives::rlp::{self, Item};
 use mtpu_primitives::B256;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Fewest dirty branch children worth fanning out across threads in
@@ -25,7 +24,8 @@ const PAR_MIN_CHILDREN: usize = 4;
 /// Root hash of the empty trie: `keccak(rlp(""))`.
 pub fn empty_root() -> B256 {
     static ROOT: OnceLock<B256> = OnceLock::new();
-    *ROOT.get_or_init(|| B256::keccak(&rlp::encode(&Item::bytes(Vec::new()))))
+    // rlp("") is the single byte 0x80.
+    *ROOT.get_or_init(|| B256::keccak(&[0x80]))
 }
 
 /// Lifetime work counters of one [`NodeDb`] (never gated on telemetry).
@@ -56,13 +56,15 @@ pub struct TrieStats {
 /// (bottom-up, children before parents, branch children in nibble
 /// order), which is what makes the parallel merge deterministic.
 pub trait NodeSink {
-    /// Accepts one freshly encoded and hashed node.
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node);
+    /// Accepts one freshly encoded and hashed node, moved out of the
+    /// trie it was committed from (its link is now [`Link::Hash`]).
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node);
 }
 
 /// An ordered buffer of committed nodes produced off-thread by
 /// [`Trie::commit_into`], merged into the shared [`NodeDb`] with
-/// [`NodeDb::absorb_batch`].
+/// [`NodeDb::absorb_batch`]. It holds the nodes themselves, moved out of
+/// the trie, so absorbing moves them on into the cache without a copy.
 #[derive(Debug, Default)]
 pub struct NodeBatch {
     nodes: Vec<(B256, Vec<u8>, Node)>,
@@ -86,8 +88,8 @@ impl NodeBatch {
 }
 
 impl NodeSink for NodeBatch {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
-        self.nodes.push((hash, raw, node.clone()));
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
+        self.nodes.push((hash, raw, node));
     }
 }
 
@@ -158,10 +160,8 @@ impl<S: NodeStore> NodeDb<S> {
         self.store.sync(root)
     }
 
+    /// Decodes a node from the backing store.
     fn load_node(&mut self, hash: B256) -> Node {
-        if let Some(n) = self.cache.get(&hash) {
-            return n;
-        }
         let raw = self
             .store
             .get(&hash)
@@ -170,22 +170,35 @@ impl<S: NodeStore> NodeDb<S> {
         if mtpu_telemetry::enabled() {
             crate::obs::metrics().nodes_loaded.inc();
         }
-        let node = Node::decode(&raw).expect("stored trie node decodes");
-        self.cache.put(hash, node.clone());
+        Node::decode(&raw).expect("stored trie node decodes")
+    }
+
+    /// A committed node for a read walk, shared with the cache (and
+    /// cached on a miss).
+    fn read_node(&mut self, hash: B256) -> Arc<Node> {
+        if let Some(n) = self.cache.get(&hash) {
+            return n;
+        }
+        let node = Arc::new(self.load_node(hash));
+        self.cache.put(hash, Arc::clone(&node));
         node
     }
 
+    /// The node behind `link`, owned for mutation. A committed node is
+    /// taken out of the cache (or decoded, and not cached, on a miss):
+    /// the mutation supersedes it, and its successor enters the cache
+    /// when it commits.
     fn take_node(&mut self, link: Link) -> Node {
         match link {
             Link::Node(boxed) => *boxed,
-            Link::Hash(h) => self.load_node(h),
+            Link::Hash(h) => self.cache.take(&h).unwrap_or_else(|| self.load_node(h)),
         }
     }
 
-    fn store_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
+    fn store_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
         self.nodes_hashed += 1;
         self.store.put(hash, raw);
-        self.cache.put(hash, node.clone());
+        self.cache.put(hash, Arc::new(node));
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.inc();
@@ -205,7 +218,7 @@ impl<S: NodeStore> NodeDb<S> {
         self.nodes_hashed += n;
         let mut raws = Vec::with_capacity(batch.nodes.len());
         for (hash, raw, node) in batch.nodes {
-            self.cache.put(hash, node);
+            self.cache.put(hash, Arc::new(node));
             raws.push((hash, raw));
         }
         self.store.put_batch(raws);
@@ -219,7 +232,7 @@ impl<S: NodeStore> NodeDb<S> {
 }
 
 impl<S: NodeStore> NodeSink for NodeDb<S> {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
         self.store_node(hash, raw, node);
     }
 }
@@ -339,12 +352,7 @@ impl Trie {
                 commit_children(sink, node);
                 // The root node is always hashed and stored, even when
                 // its encoding is shorter than 32 bytes.
-                let item = encode_committed(node);
-                let raw = rlp::encode(&item);
-                let h = B256::keccak(&raw);
-                sink.sink_node(h, raw, node);
-                *link = Link::Hash(h);
-                h
+                sink_link(sink, link)
             }
         }
     }
@@ -442,12 +450,6 @@ impl Trie {
     }
 }
 
-/// Encodes a node whose oversized descendants are already hash links;
-/// only sub-32-byte inline descendants are re-encoded.
-fn encode_committed(node: &Node) -> Item {
-    node.to_item(&mut encode_committed)
-}
-
 /// Recursively replaces every in-memory child whose encoding reaches 32
 /// bytes with a hash link, sinking it (store reads are never needed —
 /// see [`Trie::commit_into`]).
@@ -468,25 +470,36 @@ fn commit_link<K: NodeSink>(sink: &mut K, link: &mut Link) {
         return; // already committed
     };
     commit_children(sink, node);
-    let item = encode_committed(node);
-    let raw = rlp::encode(&item);
-    if raw.len() < 32 {
+    if node.encoded_len() < 32 {
         return; // stays inline in the parent's encoding
     }
+    sink_link(sink, link);
+}
+
+/// Encodes and hashes the in-memory node at `link`, leaves the link as
+/// its hash, and moves the node into the sink.
+fn sink_link<K: NodeSink>(sink: &mut K, link: &mut Link) -> B256 {
+    let Link::Node(node) = std::mem::replace(link, Link::Hash(B256::ZERO)) else {
+        unreachable!("only in-memory links are committed")
+    };
+    let raw = node.encode();
     let h = B256::keccak(&raw);
-    sink.sink_node(h, raw, node);
     *link = Link::Hash(h);
+    sink.sink_node(h, raw, *node);
+    h
 }
 
 fn get_at<S: NodeStore>(db: &mut NodeDb<S>, link: &Link, path: &[u8]) -> Option<Vec<u8>> {
-    let owned;
-    let node = match link {
-        Link::Node(n) => n.as_ref(),
+    match link {
+        Link::Node(n) => get_in(db, n, path),
         Link::Hash(h) => {
-            owned = db.load_node(*h);
-            &owned
+            let n = db.read_node(*h);
+            get_in(db, &n, path)
         }
-    };
+    }
+}
+
+fn get_in<S: NodeStore>(db: &mut NodeDb<S>, node: &Node, path: &[u8]) -> Option<Vec<u8>> {
     match node {
         Node::Leaf { path: lp, value } => (lp.as_slice() == path).then(|| value.clone()),
         Node::Extension { path: ep, child } => path
@@ -539,7 +552,7 @@ fn insert_at<S: NodeStore>(
             if common == lp.len() && common == path.len() {
                 Node::Leaf { path: lp, value } // overwrite
             } else {
-                let mut children: [Option<Link>; 16] = Default::default();
+                let mut children: Box<[Option<Link>; 16]> = Box::default();
                 let mut branch_value = None;
                 if lp.len() == common {
                     branch_value = Some(lv);
@@ -569,7 +582,7 @@ fn insert_at<S: NodeStore>(
                 }
             } else {
                 // Split the extension at the divergence point.
-                let mut children: [Option<Link>; 16] = Default::default();
+                let mut children: Box<[Option<Link>; 16]> = Box::default();
                 let mut branch_value = None;
                 let rest = &ep[common + 1..];
                 children[ep[common] as usize] = Some(if rest.is_empty() {
@@ -675,7 +688,7 @@ fn merge_prefix<S: NodeStore>(db: &mut NodeDb<S>, mut prefix: Vec<u8>, child: Li
 /// or merge into their single child.
 fn normalize_branch<S: NodeStore>(
     db: &mut NodeDb<S>,
-    mut children: [Option<Link>; 16],
+    mut children: Box<[Option<Link>; 16]>,
     value: Option<Vec<u8>>,
 ) -> Option<Link> {
     let occupied: Vec<usize> = (0..16).filter(|&i| children[i].is_some()).collect();

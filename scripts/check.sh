@@ -37,8 +37,9 @@ echo "==> spine (the benchmark is its own workspace: an API break in crates/* fa
 cargo build --release --offline --manifest-path spine/Cargo.toml
 cargo test -q --offline --manifest-path spine/Cargo.toml
 
-echo "==> statedb fuzz smoke (randomized trie vs model, incremental vs scratch)"
+echo "==> statedb fuzz smoke at two seeds (randomized trie vs model, incremental vs scratch, cold read-back)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke
+cargo run --release -p mtpu-statedb --example fuzz_smoke 2
 
 echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
 cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -

@@ -141,6 +141,15 @@ fn parallel_commit_store_bytes_match_serial() {
     let log4 = std::fs::read(dir4.join("nodes.log")).expect("read parallel log");
     assert!(!log1.is_empty());
     assert_eq!(log1, log4, "parallel commit changed the store append order");
+    // Thread parity alone would pass a codec that changed both logs
+    // alike; the digest pins the on-disk bytes themselves. (Genesis and
+    // blocks both commit accounts in address order, so the log is a pure
+    // function of the chain.)
+    assert_eq!(
+        B256::keccak(&log1).to_string(),
+        "0x01624543afe0ae7f285527938daddcc557048eb77447dfbb10d02bca950151ad",
+        "nodes.log bytes changed"
+    );
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir4);
 }
