@@ -18,9 +18,10 @@
 //! 3. **Constant folding** — a statically-computable run (pushes plus pure
 //!    arithmetic/logic, consuming only values produced inside the run) that
 //!    nets exactly one value collapses to [`FusedKind::PushConst`], indexing
-//!    a per-analysis constants table. This mirrors the stack-backtracked
+//!    a per-analysis constants table. This is the stack-backtracked
 //!    constant identification of `mtpu::hotspot::analysis`, evaluated ahead
-//!    of time instead of per trace.
+//!    of time instead of per trace; both, and the interpreter, evaluate
+//!    through [`Opcode::eval_pure`].
 //! 4. **Branch pairs/triples** — `ISZERO; PUSHn; JUMPI` (the `require()`
 //!    shape), `PUSHn; JUMP` and `PUSHn; JUMPI`, with the jump target
 //!    validated against the jumpdest bitmap at analysis time.
@@ -430,126 +431,6 @@ fn try_load_selector(code: &[u8], pc: usize) -> Option<FusedSpec> {
     })
 }
 
-/// Evaluates one pure, gas-static opcode on the abstract stack, mirroring
-/// the interpreter's operand order exactly. Returns `false` when `op` is
-/// outside the foldable set.
-pub(crate) fn eval_pure(op: Opcode, st: &mut Vec<U256>) -> bool {
-    use Opcode::*;
-    fn pop2(st: &mut Vec<U256>) -> (U256, U256) {
-        let a = st.pop().expect("min_stack prechecked");
-        let b = st.pop().expect("min_stack prechecked");
-        (a, b)
-    }
-    fn pop3(st: &mut Vec<U256>) -> (U256, U256, U256) {
-        let (a, b) = pop2(st);
-        let c = st.pop().expect("min_stack prechecked");
-        (a, b, c)
-    }
-    let r = match op {
-        Add => {
-            let (a, b) = pop2(st);
-            a.wrapping_add(b)
-        }
-        Mul => {
-            let (a, b) = pop2(st);
-            a.wrapping_mul(b)
-        }
-        Sub => {
-            let (a, b) = pop2(st);
-            a.wrapping_sub(b)
-        }
-        Div => {
-            let (a, b) = pop2(st);
-            a.evm_div(b)
-        }
-        Sdiv => {
-            let (a, b) = pop2(st);
-            a.evm_sdiv(b)
-        }
-        Mod => {
-            let (a, b) = pop2(st);
-            a.evm_rem(b)
-        }
-        Smod => {
-            let (a, b) = pop2(st);
-            a.evm_smod(b)
-        }
-        Addmod => {
-            let (a, b, m) = pop3(st);
-            a.addmod(b, m)
-        }
-        Mulmod => {
-            let (a, b, m) = pop3(st);
-            a.mulmod(b, m)
-        }
-        Signextend => {
-            let (i, v) = pop2(st);
-            v.signextend(i)
-        }
-        Lt => {
-            let (a, b) = pop2(st);
-            U256::from(a < b)
-        }
-        Gt => {
-            let (a, b) = pop2(st);
-            U256::from(a > b)
-        }
-        Slt => {
-            let (a, b) = pop2(st);
-            U256::from(a.signed_cmp(&b).is_lt())
-        }
-        Sgt => {
-            let (a, b) = pop2(st);
-            U256::from(a.signed_cmp(&b).is_gt())
-        }
-        Eq => {
-            let (a, b) = pop2(st);
-            U256::from(a == b)
-        }
-        Iszero => {
-            let a = st.pop().expect("min_stack prechecked");
-            U256::from(a.is_zero())
-        }
-        And => {
-            let (a, b) = pop2(st);
-            a & b
-        }
-        Or => {
-            let (a, b) = pop2(st);
-            a | b
-        }
-        Xor => {
-            let (a, b) = pop2(st);
-            a ^ b
-        }
-        Not => {
-            let a = st.pop().expect("min_stack prechecked");
-            !a
-        }
-        Byte => {
-            let (i, v) = pop2(st);
-            v.byte_be(i)
-        }
-        Shl => {
-            let (s, v) = pop2(st);
-            v.evm_shl(s)
-        }
-        Shr => {
-            let (s, v) = pop2(st);
-            v.evm_shr(s)
-        }
-        Sar => {
-            let (s, v) = pop2(st);
-            v.evm_sar(s)
-        }
-        // EXP is excluded (per-byte dynamic gas); everything else either
-        // touches state/memory/context or is a control transfer.
-        _ => return false,
-    };
-    st.push(r);
-    true
-}
-
 /// Stack-backtracked constant folding: the longest run starting at `pc`
 /// of pushes plus pure operators that consumes only values produced inside
 /// the run and nets exactly one value.
@@ -591,12 +472,24 @@ fn try_const_fold(
             }
             st.pop();
         } else {
-            if OP_TABLE[byte as usize].min_stack as usize > st.len() {
+            // EXP is pure but charges per-byte gas, which a fused site
+            // cannot sum ahead of time.
+            let pops = op.stack_pops();
+            if pops > st.len() || gas::has_dynamic_gas(op) {
                 break;
             }
-            if !eval_pure(op, &mut st) {
+            let arg = |i: usize| {
+                if i < pops {
+                    st[st.len() - 1 - i]
+                } else {
+                    U256::ZERO
+                }
+            };
+            let Some(v) = op.eval_pure(arg(0), arg(1), arg(2)) else {
                 break;
-            }
+            };
+            st.truncate(st.len() - pops);
+            st.push(v);
         }
         ops.push(op);
         q = next;

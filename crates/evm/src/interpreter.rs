@@ -201,6 +201,16 @@ fn replay_constituents<T: Tracer>(tracer: &mut T, code: &[u8], start: usize, len
     }
 }
 
+/// The `CALLDATALOAD` word at `off`: 32 bytes of `input`, zero-padded past
+/// its end.
+fn calldata_word(input: &[u8], off: usize) -> U256 {
+    let mut word = [0u8; 32];
+    for (i, b) in word.iter_mut().enumerate() {
+        *b = input.get(off.wrapping_add(i)).copied().unwrap_or(0);
+    }
+    U256::from_be_bytes(word)
+}
+
 /// Reusable per-frame execution buffers: the fixed-capacity operand stack
 /// (32 KiB once zeroed) and the byte memory.
 struct FrameBufs {
@@ -578,13 +588,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
                             }
                         }
                         FusedKind::LoadSelector => {
-                            let mut word = [0u8; 32];
-                            for (i, b) in word.iter_mut().enumerate() {
-                                *b = params.input.get(i).copied().unwrap_or(0);
-                            }
-                            stack.push_unchecked(
-                                U256::from_be_bytes(word).evm_shr(U256::from(0xe0u64)),
-                            );
+                            stack.push_unchecked(calldata_word(&params.input, 0) >> 0xe0);
                         }
                         FusedKind::PushConst { idx } => {
                             stack.push_unchecked(analysis.fusion().const_at(*idx));
@@ -654,115 +658,27 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
                         output: Vec::new(),
                     }
                 }
-                Add => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.wrapping_add(b));
-                }
-                Mul => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.wrapping_mul(b));
-                }
-                Sub => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.wrapping_sub(b));
-                }
-                Div => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.evm_div(b));
-                }
-                Sdiv => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.evm_sdiv(b));
-                }
-                Mod => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.evm_rem(b));
-                }
-                Smod => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a.evm_smod(b));
-                }
-                Addmod => {
-                    let (a, b, m) = (
-                        stack.pop_unchecked(),
-                        stack.pop_unchecked(),
-                        stack.pop_unchecked(),
-                    );
-                    stack.push_unchecked(a.addmod(b, m));
-                }
-                Mulmod => {
-                    let (a, b, m) = (
-                        stack.pop_unchecked(),
-                        stack.pop_unchecked(),
-                        stack.pop_unchecked(),
-                    );
-                    stack.push_unchecked(a.mulmod(b, m));
-                }
-                Exp => {
-                    let (base, exponent) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    let exp_bytes = (exponent.bits() as u64).div_ceil(8);
-                    charge!(gas::EXP_BYTE * exp_bytes);
-                    stack.push_unchecked(base.wrapping_pow(exponent));
-                }
-                Signextend => {
-                    let (i, v) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(v.signextend(i));
-                }
-                Lt => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(U256::from(a < b));
-                }
-                Gt => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(U256::from(a > b));
-                }
-                Slt => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(U256::from(a.signed_cmp(&b).is_lt()));
-                }
-                Sgt => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(U256::from(a.signed_cmp(&b).is_gt()));
-                }
-                Eq => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(U256::from(a == b));
-                }
-                Iszero => {
+                Add | Mul | Sub | Div | Sdiv | Mod | Smod | Addmod | Mulmod | Exp | Signextend
+                | Lt | Gt | Slt | Sgt | Eq | Iszero | And | Or | Xor | Not | Byte | Shl | Shr
+                | Sar => {
+                    if op == Exp {
+                        // EXP's per-byte gas is priced on its exponent, the
+                        // second operand.
+                        let exponent = stack.peek(1).expect("depth prechecked");
+                        charge!(gas::EXP_BYTE * (exponent.bits() as u64).div_ceil(8));
+                    }
                     let a = stack.pop_unchecked();
-                    stack.push_unchecked(U256::from(a.is_zero()));
-                }
-                And => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a & b);
-                }
-                Or => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a | b);
-                }
-                Xor => {
-                    let (a, b) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(a ^ b);
-                }
-                Not => {
-                    let a = stack.pop_unchecked();
-                    stack.push_unchecked(!a);
-                }
-                Byte => {
-                    let (i, v) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(v.byte_be(i));
-                }
-                Shl => {
-                    let (s, v) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(v.evm_shl(s));
-                }
-                Shr => {
-                    let (s, v) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(v.evm_shr(s));
-                }
-                Sar => {
-                    let (s, v) = (stack.pop_unchecked(), stack.pop_unchecked());
-                    stack.push_unchecked(v.evm_sar(s));
+                    let b = if info.min_stack > 1 {
+                        stack.pop_unchecked()
+                    } else {
+                        U256::ZERO
+                    };
+                    let c = if info.min_stack > 2 {
+                        stack.pop_unchecked()
+                    } else {
+                        U256::ZERO
+                    };
+                    stack.push_unchecked(op.eval_pure(a, b, c).expect("a pure opcode"));
                 }
                 Sha3 => {
                     let (off, len) = (
@@ -784,11 +700,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
                 Callvalue => stack.push_unchecked(params.value),
                 Calldataload => {
                     let off = stack.pop_unchecked().saturating_to_usize();
-                    let mut word = [0u8; 32];
-                    for (i, b) in word.iter_mut().enumerate() {
-                        *b = params.input.get(off.wrapping_add(i)).copied().unwrap_or(0);
-                    }
-                    stack.push_unchecked(U256::from_be_bytes(word));
+                    stack.push_unchecked(calldata_word(&params.input, off));
                 }
                 Calldatasize => stack.push_unchecked(U256::from(params.input.len() as u64)),
                 Calldatacopy | Codecopy | Returndatacopy => {

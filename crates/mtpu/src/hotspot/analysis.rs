@@ -7,7 +7,9 @@
 //! pre-execution time), `TxAttr` (derived only from transaction/block
 //! attributes, which are invariant during execution), or `Unknown`. One
 //! pass yields every result: an `SLOAD` whose key is fixed when its
-//! operand is popped is a prefetchable access.
+//! operand is popped is a prefetchable access. Pure arithmetic/logic over
+//! constants is evaluated by [`Opcode::eval_pure`], the interpreter's own
+//! semantics.
 
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::TxTrace;
@@ -82,30 +84,6 @@ fn preexecutable(op: Opcode) -> bool {
                 | Jumpi
                 | Jumpdest
         )
-}
-
-/// Evaluates a binary op over two constants.
-fn eval2(op: Opcode, a: U256, b: U256) -> Option<U256> {
-    use Opcode::*;
-    Some(match op {
-        Add => a.wrapping_add(b),
-        Sub => a.wrapping_sub(b),
-        Mul => a.wrapping_mul(b),
-        Div => a.evm_div(b),
-        Mod => a.evm_rem(b),
-        And => a & b,
-        Or => a | b,
-        Xor => a ^ b,
-        Shl => b.evm_shl(a),
-        Shr => b.evm_shr(a),
-        Eq => U256::from(a == b),
-        Lt => U256::from(a < b),
-        Gt => U256::from(a > b),
-        Byte => b.byte_be(a),
-        Exp => a.wrapping_pow(b),
-        Signextend => b.signextend(a),
-        _ => return None,
-    })
 }
 
 /// Capacity of the in-core Constants Table (Table 5 lists it among the
@@ -334,36 +312,20 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
                 }
                 AVal::Unknown // no result
             }
-            Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr | Eq | Lt | Gt | Byte
-            | Exp | Signextend => match (args[0], args[1]) {
-                (AVal::Const(a, _), AVal::Const(b, _)) => eval2(op, a, b)
-                    .map(|v| AVal::Const(v, None))
-                    .unwrap_or(AVal::Unknown),
-                (x, y) if x.is_fixed() && y.is_fixed() => AVal::TxAttr,
-                _ => AVal::Unknown,
-            },
-            Iszero | Not => {
-                if args[0].is_fixed() {
-                    match args[0] {
-                        AVal::Const(a, _) => {
-                            let v = if op == Iszero {
-                                U256::from(a.is_zero())
-                            } else {
-                                !a
-                            };
-                            AVal::Const(v, None)
-                        }
-                        _ => AVal::TxAttr,
-                    }
-                } else {
-                    AVal::Unknown
-                }
-            }
-            Slt | Sgt | Addmod | Mulmod | Sdiv | Smod => {
-                if args.iter().all(AVal::is_fixed) {
-                    AVal::TxAttr
-                } else {
-                    AVal::Unknown
+            // Pure arithmetic/logic: evaluated when every operand is a
+            // constant, fixed when every operand is fixed.
+            _ if op.is_pure() => {
+                let operand = |i: usize| match args.get(i) {
+                    Some(AVal::Const(v, _)) => Some(*v),
+                    Some(_) => None,
+                    None => Some(U256::ZERO),
+                };
+                match (operand(0), operand(1), operand(2)) {
+                    (Some(a), Some(b), Some(c)) => op
+                        .eval_pure(a, b, c)
+                        .map_or(AVal::Unknown, |v| AVal::Const(v, None)),
+                    _ if args.iter().all(AVal::is_fixed) => AVal::TxAttr,
+                    _ => AVal::Unknown,
                 }
             }
             _ => AVal::Unknown,
@@ -377,4 +339,99 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
     cap_pcs(&mut out.const_operand_pcs, CONSTANTS_TABLE_SLOTS);
     cap_pcs(&mut out.eliminated_push_pcs, CONSTANTS_TABLE_SLOTS);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtpu_asm::Assembler;
+    use mtpu_evm::interpreter::{CallParams, Evm};
+    use mtpu_evm::state::State;
+    use mtpu_evm::trace::{CallKind, TraceRecorder};
+    use mtpu_evm::tx::BlockHeader;
+    use mtpu_primitives::Address;
+
+    /// Runs `code` in a fresh contract and returns its trace.
+    fn trace_of(code: &[u8]) -> TxTrace {
+        let mut state = State::new();
+        let contract = Address::from_low_u64(0xc0de);
+        state.deploy_code(contract, code.to_vec());
+        let header = BlockHeader::default();
+        let mut tracer = TraceRecorder::new();
+        let caller = Address::from_low_u64(1);
+        let res = Evm::new(&mut state, &header, caller, U256::ONE, &mut tracer).call(CallParams {
+            kind: CallKind::Call,
+            caller,
+            code_address: contract,
+            storage_address: contract,
+            value: U256::ZERO,
+            transfers_value: false,
+            input: Vec::new(),
+            gas: 1_000_000,
+            is_static: false,
+            depth: 0,
+        });
+        assert!(res.success(), "{:?}", res.halt);
+        tracer.into_trace()
+    }
+
+    fn pc_of(trace: &TxTrace, op: Opcode) -> u32 {
+        trace
+            .steps
+            .iter()
+            .find(|s| s.opcode() == op)
+            .expect("op was executed")
+            .pc
+    }
+
+    #[test]
+    fn signed_modular_and_sar_results_are_constants() {
+        let neg = |v: u64| U256::from(v).twos_neg();
+        let u = |v: u64| U256::from(v);
+        // (op, operands top first, result), each result a small offset.
+        let cases: [(Opcode, &[U256], u64); 7] = [
+            (Opcode::Sdiv, &[neg(64), neg(2)], 32),
+            (Opcode::Smod, &[u(70), neg(32)], 6),
+            (Opcode::Slt, &[neg(1), u(1)], 1),
+            (Opcode::Sgt, &[u(1), neg(1)], 1),
+            (Opcode::Addmod, &[U256::MAX, u(33), u(64)], 32),
+            (Opcode::Mulmod, &[u(10), u(10), u(24)], 4),
+            (Opcode::Sar, &[u(2), u(128)], 32),
+        ];
+        for (op, args, offset) in cases {
+            // mem[op(args)] = 7; SLOAD(MLOAD(offset)): the key is fixed
+            // only if the model knew the MSTORE offset as a constant.
+            let mut asm = Assembler::new();
+            asm.push(7u64);
+            for &a in args.iter().rev() {
+                asm.push(a);
+            }
+            asm.op(op)
+                .op(Opcode::Mstore)
+                .push(offset)
+                .op(Opcode::Mload)
+                .op(Opcode::Sload)
+                .op(Opcode::Stop);
+            let code = asm.assemble().expect("assembles");
+            let trace = trace_of(&code);
+            let a = analyze_path(&trace, &code);
+            assert!(a.const_operand_pcs.contains(&pc_of(&trace, op)), "{op}");
+            assert!(
+                a.prefetch_pcs.contains(&pc_of(&trace, Opcode::Sload)),
+                "{op}: MLOAD of a constant-offset store feeds a fixed key"
+            );
+        }
+
+        // A SAR result straight into an SLOAD key.
+        let mut asm = Assembler::new();
+        asm.push(neg(256))
+            .push(4u64)
+            .op(Opcode::Sar)
+            .op(Opcode::Sload)
+            .op(Opcode::Stop);
+        let code = asm.assemble().expect("assembles");
+        let trace = trace_of(&code);
+        let a = analyze_path(&trace, &code);
+        assert!(a.prefetch_pcs.contains(&pc_of(&trace, Opcode::Sload)));
+    }
 }

@@ -32,12 +32,6 @@ const SECURE_KEY_MEMO_CAPACITY: usize = 4096;
 /// threads; below this the spawn cost dominates.
 const PAR_MIN_SUBTRIES: usize = 4;
 
-/// `keccak("")` — code hash of an account with no code
-/// ([`mtpu_primitives::EMPTY_CODE_HASH`]).
-pub fn empty_code_hash() -> B256 {
-    EMPTY_CODE_HASH
-}
-
 /// The four-field account body stored in an account-trie leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccountRecord {
@@ -100,7 +94,7 @@ pub struct AccountUpdate {
     pub nonce: u64,
     /// New balance.
     pub balance: U256,
-    /// New code hash ([`empty_code_hash`] for code-less accounts).
+    /// New code hash ([`EMPTY_CODE_HASH`] for code-less accounts).
     pub code_hash: B256,
     /// When `true`, the account's previous storage trie is discarded and
     /// rebuilt from `storage` alone (account re-creation after deletion);
@@ -127,12 +121,12 @@ impl AccountUpdate {
 /// Authenticated state commitment over a pluggable node store.
 ///
 /// ```
-/// use mtpu_primitives::{Address, U256};
+/// use mtpu_primitives::{Address, EMPTY_CODE_HASH, U256};
 /// use mtpu_statedb::{AccountUpdate, MemStore, StateCommitter};
 ///
 /// let mut c = StateCommitter::new(MemStore::new());
 /// let mut up = AccountUpdate::plain(1, U256::from_limbs([100, 0, 0, 0]),
-///                                   mtpu_statedb::empty_code_hash());
+///                                   EMPTY_CODE_HASH);
 /// up.storage.push((U256::ONE, U256::from_limbs([7, 0, 0, 0])));
 /// c.update_account(&Address::from_low_u64(1), &up);
 /// let root = c.commit();
@@ -447,7 +441,7 @@ mod tests {
     fn storage_writes_change_root_and_read_back() {
         let mut c = StateCommitter::new(MemStore::new());
         let addr = Address::from_low_u64(7);
-        let mut up = AccountUpdate::plain(1, u(500), empty_code_hash());
+        let mut up = AccountUpdate::plain(1, u(500), EMPTY_CODE_HASH);
         up.storage.push((u(1), u(11)));
         up.storage.push((u(2), u(22)));
         c.update_account(&addr, &up);
@@ -462,7 +456,7 @@ mod tests {
         assert_ne!(rec.storage_root, empty_root());
 
         // Zeroing both slots restores the empty storage root.
-        let mut clear = AccountUpdate::plain(2, u(500), empty_code_hash());
+        let mut clear = AccountUpdate::plain(2, u(500), EMPTY_CODE_HASH);
         clear.storage.push((u(1), U256::ZERO));
         clear.storage.push((u(2), U256::ZERO));
         c.update_account(&addr, &clear);
@@ -476,9 +470,9 @@ mod tests {
         let mut c = StateCommitter::new(MemStore::new());
         let a = Address::from_low_u64(1);
         let b = Address::from_low_u64(2);
-        c.update_account(&a, &AccountUpdate::plain(1, u(10), empty_code_hash()));
+        c.update_account(&a, &AccountUpdate::plain(1, u(10), EMPTY_CODE_HASH));
         let only_a = c.commit();
-        c.update_account(&b, &AccountUpdate::plain(1, u(20), empty_code_hash()));
+        c.update_account(&b, &AccountUpdate::plain(1, u(20), EMPTY_CODE_HASH));
         let both = c.commit();
         assert_ne!(only_a, both);
         c.delete_account(&b);
@@ -490,14 +484,14 @@ mod tests {
     fn reset_storage_discards_old_slots() {
         let mut c = StateCommitter::new(MemStore::new());
         let addr = Address::from_low_u64(9);
-        let mut up = AccountUpdate::plain(1, u(1), empty_code_hash());
+        let mut up = AccountUpdate::plain(1, u(1), EMPTY_CODE_HASH);
         up.storage.push((u(5), u(55)));
         c.update_account(&addr, &up);
         c.commit();
 
         // Re-create the account with different storage; slot 5 must not
         // leak through.
-        let mut fresh = AccountUpdate::plain(1, u(1), empty_code_hash());
+        let mut fresh = AccountUpdate::plain(1, u(1), EMPTY_CODE_HASH);
         fresh.reset_storage = true;
         fresh.storage.push((u(6), u(66)));
         c.update_account(&addr, &fresh);
@@ -512,7 +506,7 @@ mod tests {
         let addr = Address::from_low_u64(3);
         let root = {
             let mut c = StateCommitter::new(store.clone());
-            let mut up = AccountUpdate::plain(1, u(77), empty_code_hash());
+            let mut up = AccountUpdate::plain(1, u(77), EMPTY_CODE_HASH);
             up.storage.push((u(1), u(2)));
             c.update_account(&addr, &up);
             let root = c.persist().unwrap();

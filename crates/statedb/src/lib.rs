@@ -37,7 +37,7 @@ pub mod store;
 pub mod trie;
 
 pub use cache::{BoundedMemo, NodeCache, DEFAULT_CACHE_CAPACITY};
-pub use committer::{empty_code_hash, AccountRecord, AccountUpdate, StateCommitter};
+pub use committer::{AccountRecord, AccountUpdate, StateCommitter};
 pub use node::{Link, Node, NodeError};
 pub use store::{FileStore, MemStore, NodeStore};
 pub use trie::{empty_root, NodeBatch, NodeDb, NodeSink, Trie, TrieStats};

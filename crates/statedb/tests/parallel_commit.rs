@@ -7,8 +7,8 @@
 //! reference model. Any divergence in the deterministic batch merge,
 //! the dirty-account buffering or the subtrie fan-out panics here.
 
-use mtpu_primitives::{Address, SplitMix64, B256, U256};
-use mtpu_statedb::{empty_code_hash, AccountUpdate, MemStore, StateCommitter};
+use mtpu_primitives::{Address, SplitMix64, B256, EMPTY_CODE_HASH, U256};
+use mtpu_statedb::{AccountUpdate, MemStore, StateCommitter};
 use std::collections::HashMap;
 
 const ROUNDS: usize = 16;
@@ -43,7 +43,7 @@ fn round_ops(rng: &mut SplitMix64, model: &mut Model) -> Ops {
         let acct = model.entry(addr).or_default();
         acct.nonce += 1;
         acct.balance = U256::from(rng.random_range(1..1u64 << 48));
-        let mut up = AccountUpdate::plain(acct.nonce, acct.balance, empty_code_hash());
+        let mut up = AccountUpdate::plain(acct.nonce, acct.balance, EMPTY_CODE_HASH);
         if rng.random_bool(0.1) {
             up.reset_storage = true;
             acct.storage.clear();
@@ -87,7 +87,7 @@ fn apply(committer: &mut StateCommitter<MemStore>, ops: &Ops) {
 fn scratch_root(model: &Model) -> B256 {
     let mut c = StateCommitter::new(MemStore::new());
     for (addr, acct) in model {
-        let mut up = AccountUpdate::plain(acct.nonce, acct.balance, empty_code_hash());
+        let mut up = AccountUpdate::plain(acct.nonce, acct.balance, EMPTY_CODE_HASH);
         up.storage
             .extend(acct.storage.iter().map(|(&k, &v)| (k, v)));
         c.update_account(addr, &up);

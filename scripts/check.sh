@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline, step for step: formatting, lints,
 # rustdoc, tier-1 build/tests, the full workspace test suite, the parexec stress loop, the
-# spine's build and tests, the statedb fuzz smoke, and the golden diff of
-# the paper's tables. Run before pushing.
+# spine's build and tests, the statedb fuzz smoke, the chain_sim example, and the
+# golden diff of the paper's tables. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,9 @@ cargo test -q --offline --manifest-path spine/Cargo.toml
 echo "==> statedb fuzz smoke at two seeds (randomized trie vs model, incremental vs scratch, cold read-back)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 cargo run --release -p mtpu-statedb --example fuzz_smoke 2
+
+echo "==> chain_sim (asserts the root chain, trie-commit parity and the flat-store restore; drives the Contract Table)"
+cargo run --release -q --example chain_sim
 
 echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
 cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -

@@ -5,9 +5,10 @@
 use mtpu_repro::asm::parse_asm;
 use mtpu_repro::evm::interpreter::{CallParams, Evm, FrameResult};
 use mtpu_repro::evm::state::State;
-use mtpu_repro::evm::trace::{CallKind, NoopTracer};
+use mtpu_repro::evm::trace::{CallKind, NoopTracer, TraceRecorder, Tracer};
 use mtpu_repro::evm::tx::BlockHeader;
 use mtpu_repro::evm::{CodeAnalysis, FusedKind, FusedSpec, Halt};
+use mtpu_repro::mtpu::hotspot::analyze_path;
 use mtpu_repro::primitives::{Address, B256, U256};
 
 /// Assembles and runs `src` (which must RETURN a word), returning it.
@@ -18,19 +19,22 @@ fn eval(src: &str) -> U256 {
 }
 
 fn run(src: &str, input: Vec<u8>) -> FrameResult {
+    run_with(src, input, &mut NoopTracer)
+}
+
+fn run_with<T: Tracer>(src: &str, input: Vec<u8>, tracer: &mut T) -> FrameResult {
     let code = parse_asm(src).expect("assembles");
     let mut state = State::new();
     let contract = Address::from_low_u64(0xc0de);
     state.deploy_code(contract, code);
     state.credit(Address::from_low_u64(1), U256::from(1_000_000u64));
     let header = BlockHeader::default();
-    let mut tracer = NoopTracer;
     let mut evm = Evm::new(
         &mut state,
         &header,
         Address::from_low_u64(1),
         U256::ONE,
-        &mut tracer,
+        tracer,
     );
     evm.call(CallParams {
         kind: CallKind::Call,
@@ -94,10 +98,11 @@ fn arithmetic_opcodes() {
     );
 }
 
-/// Checks one operand vector (`args[0]` on top of the stack) twice: with
-/// `PUSH32` operands, which code analysis folds into one constant through
-/// `fusion::eval_pure`, and with operands read by `CALLDATALOAD`, which the
-/// interpreter's own opcode code computes.
+/// Checks one operand vector (`args[0]` on top of the stack) through all
+/// three consumers of `Opcode::eval_pure`: with `PUSH32` operands, which
+/// code analysis folds into one constant and the MTPU model's
+/// `analyze_path` identifies as a constant instruction, and with operands
+/// read by `CALLDATALOAD`, which the interpreter computes.
 fn check_vector(op: &str, args: &[U256], want: U256) {
     let pushes: String = args
         .iter()
@@ -116,7 +121,23 @@ fn check_vector(op: &str, args: &[U256], want: U256) {
         ),
         "{op} {args:?}: PUSH32 operands must fold"
     );
-    assert_eq!(eval(&folded), want, "{op} {args:?}: folded");
+    let mut recorder = TraceRecorder::new();
+    let res = run_with(&folded, Vec::new(), &mut recorder);
+    assert!(res.success(), "{op} {args:?}: {:?}", res.halt);
+    assert_eq!(
+        U256::from_be_slice(&res.output),
+        want,
+        "{op} {args:?}: folded"
+    );
+    // The MTPU model's constant identification sees the same operands as
+    // constants: the opcode after the pushes is a constant instruction.
+    let analysis = analyze_path(&recorder.into_trace(), &code);
+    assert!(
+        analysis
+            .const_operand_pcs
+            .contains(&(33 * args.len() as u32)),
+        "{op} {args:?}: constant instruction"
+    );
 
     let loads: String = (0..args.len())
         .rev()

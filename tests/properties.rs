@@ -16,19 +16,22 @@ use mtpu_repro::mtpu::stream::{build_stream, MicroOp, StreamTransforms};
 use mtpu_repro::mtpu::MtpuConfig;
 use mtpu_repro::primitives::{Address, SplitMix64, B256, U256};
 
-/// A random binary-op expression tree with U256 leaves.
+/// A random expression tree over the pure opcodes with U256 leaves.
 #[derive(Debug, Clone)]
 enum Expr {
     Lit(U256),
-    Bin(Opcode, Box<Expr>, Box<Expr>),
+    /// An opcode and its operand subtrees, top of stack first.
+    Op(Opcode, Vec<Expr>),
 }
 
 fn arb_u256(rng: &mut SplitMix64) -> U256 {
-    match rng.random_range(0..5) {
+    match rng.random_range(0..6) {
         0 => U256::from(rng.next_u64()),
         1 => U256::from(rng.next_u64() as u128 | ((rng.next_u64() as u128) << 64)),
         2 => U256::ZERO,
         3 => U256::MAX,
+        // Shift amounts, byte indexes and exponents around the word size.
+        4 => U256::from(rng.random_range(0..300)),
         _ => U256::from_limbs([
             rng.next_u64(),
             rng.next_u64(),
@@ -38,27 +41,37 @@ fn arb_u256(rng: &mut SplitMix64) -> U256 {
     }
 }
 
-const BINOPS: &[Opcode] = &[
+/// Every pure opcode: unary, binary and ternary.
+const OPS: &[Opcode] = &[
     Opcode::Add,
     Opcode::Sub,
     Opcode::Mul,
     Opcode::Div,
     Opcode::Mod,
+    Opcode::Sdiv,
+    Opcode::Smod,
+    Opcode::Addmod,
+    Opcode::Mulmod,
+    Opcode::Exp,
+    Opcode::Signextend,
+    Opcode::Lt,
+    Opcode::Gt,
+    Opcode::Slt,
+    Opcode::Sgt,
+    Opcode::Eq,
+    Opcode::Iszero,
     Opcode::And,
     Opcode::Or,
     Opcode::Xor,
-    Opcode::Lt,
-    Opcode::Gt,
-    Opcode::Eq,
+    Opcode::Not,
+    Opcode::Byte,
     Opcode::Shl,
     Opcode::Shr,
-    Opcode::Byte,
-    Opcode::Sdiv,
-    Opcode::Smod,
+    Opcode::Sar,
 ];
 
-fn arb_binop(rng: &mut SplitMix64) -> Opcode {
-    BINOPS[rng.random_index(BINOPS.len())]
+fn arb_op(rng: &mut SplitMix64) -> Opcode {
+    OPS[rng.random_index(OPS.len())]
 }
 
 /// A random expression tree of bounded depth.
@@ -66,62 +79,83 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
     if depth == 0 || rng.random_bool(0.3) {
         Expr::Lit(arb_u256(rng))
     } else {
-        Expr::Bin(
-            arb_binop(rng),
-            Box::new(arb_expr(rng, depth - 1)),
-            Box::new(arb_expr(rng, depth - 1)),
-        )
+        let op = arb_op(rng);
+        let args = (0..op.stack_pops())
+            .map(|_| arb_expr(rng, depth - 1))
+            .collect();
+        Expr::Op(op, args)
     }
 }
 
-/// Reference semantics of the expression.
+/// Reference semantics of the expression, written out independently of
+/// the interpreter's.
 fn eval_expr(e: &Expr) -> U256 {
     match e {
         Expr::Lit(v) => *v,
-        Expr::Bin(op, a, b) => {
-            // EVM binary op on stack [b_val, a_val] (a on top) computes
-            // op(a, b).
-            let a = eval_expr(a);
-            let b = eval_expr(b);
+        Expr::Op(op, args) => {
+            // An EVM op on stack [.., c, b, a] (a on top) computes op(a, b, c).
+            let v: Vec<U256> = args.iter().map(eval_expr).collect();
+            let a = v[0];
+            let b = v.get(1).copied().unwrap_or(U256::ZERO);
+            let c = v.get(2).copied().unwrap_or(U256::ZERO);
             match op {
                 Opcode::Add => a.wrapping_add(b),
                 Opcode::Sub => a.wrapping_sub(b),
                 Opcode::Mul => a.wrapping_mul(b),
                 Opcode::Div => a.evm_div(b),
                 Opcode::Mod => a.evm_rem(b),
+                Opcode::Sdiv => a.evm_sdiv(b),
+                Opcode::Smod => a.evm_smod(b),
+                Opcode::Addmod => a.addmod(b, c),
+                Opcode::Mulmod => a.mulmod(b, c),
+                Opcode::Exp => a.wrapping_pow(b),
+                Opcode::Signextend => b.signextend(a),
+                Opcode::Lt => U256::from(a < b),
+                Opcode::Gt => U256::from(a > b),
+                Opcode::Slt => U256::from(a.signed_cmp(&b).is_lt()),
+                Opcode::Sgt => U256::from(a.signed_cmp(&b).is_gt()),
+                Opcode::Eq => U256::from(a == b),
+                Opcode::Iszero => U256::from(a.is_zero()),
                 Opcode::And => a & b,
                 Opcode::Or => a | b,
                 Opcode::Xor => a ^ b,
-                Opcode::Lt => U256::from(a < b),
-                Opcode::Gt => U256::from(a > b),
-                Opcode::Eq => U256::from(a == b),
+                Opcode::Not => !a,
+                Opcode::Byte => b.byte_be(a),
                 Opcode::Shl => b.evm_shl(a),
                 Opcode::Shr => b.evm_shr(a),
-                Opcode::Byte => b.byte_be(a),
-                Opcode::Sdiv => a.evm_sdiv(b),
-                Opcode::Smod => a.evm_smod(b),
-                _ => unreachable!("not a generated binop"),
+                Opcode::Sar => b.evm_sar(a),
+                _ => unreachable!("not a generated opcode"),
             }
         }
     }
 }
 
-/// Compiles the expression to stack code leaving the value on top.
-fn compile_expr(e: &Expr, asm: &mut Assembler) {
+/// Compiles the expression to stack code leaving the value on top. With
+/// `calldata`, each leaf is appended to it and read back by
+/// `CALLDATALOAD` instead of pushed, so no operator can be folded at
+/// analysis time and the interpreter computes every one.
+fn compile_expr(e: &Expr, asm: &mut Assembler, mut calldata: Option<&mut Vec<u8>>) {
     match e {
-        Expr::Lit(v) => {
-            asm.push(*v);
-        }
-        Expr::Bin(op, a, b) => {
-            // Push b first, then a (a ends on top = first operand).
-            compile_expr(b, asm);
-            compile_expr(a, asm);
+        Expr::Lit(v) => match calldata {
+            Some(data) => {
+                asm.push(data.len() as u64).op(Opcode::Calldataload);
+                data.extend_from_slice(&v.to_be_bytes());
+            }
+            None => {
+                asm.push(*v);
+            }
+        },
+        Expr::Op(op, args) => {
+            // Push the deepest operand first, so args[0] ends on top.
+            for arg in args.iter().rev() {
+                compile_expr(arg, asm, calldata.as_deref_mut());
+            }
             asm.op(*op);
         }
     }
 }
 
-fn run_code(code: Vec<u8>) -> (bool, Vec<u8>, mtpu_repro::evm::TxTrace) {
+fn run_code(code: Vec<u8>, input: Vec<u8>) -> (bool, Vec<u8>, mtpu_repro::evm::TxTrace) {
     let mut state = State::new();
     let contract = Address::from_low_u64(0xc0de);
     state.deploy_code(contract, code);
@@ -141,7 +175,7 @@ fn run_code(code: Vec<u8>) -> (bool, Vec<u8>, mtpu_repro::evm::TxTrace) {
         storage_address: contract,
         value: U256::ZERO,
         transfers_value: false,
-        input: vec![],
+        input,
         gas: 50_000_000,
         is_static: false,
         depth: 0,
@@ -150,23 +184,32 @@ fn run_code(code: Vec<u8>) -> (bool, Vec<u8>, mtpu_repro::evm::TxTrace) {
 }
 
 /// The interpreter agrees with direct U256 evaluation on random
-/// expression programs.
+/// expression programs, both with pushed leaves (which analysis partly
+/// constant-folds) and with calldata leaves (which it cannot).
 #[test]
 fn interpreter_matches_reference() {
     let mut rng = SplitMix64::new(0xE44);
     for _ in 0..64 {
         let expr = arb_expr(&mut rng, 4);
-        let mut asm = Assembler::new();
-        compile_expr(&expr, &mut asm);
-        asm.push(0u64)
-            .op(Opcode::Mstore)
-            .push(32u64)
-            .push(0u64)
-            .op(Opcode::Return);
-        let code = asm.assemble().expect("assembles");
-        let (ok, output, _) = run_code(code);
-        assert!(ok);
-        assert_eq!(U256::from_be_slice(&output), eval_expr(&expr));
+        let want = eval_expr(&expr);
+        for loaded in [false, true] {
+            let mut calldata = Vec::new();
+            let mut asm = Assembler::new();
+            compile_expr(&expr, &mut asm, loaded.then_some(&mut calldata));
+            asm.push(0u64)
+                .op(Opcode::Mstore)
+                .push(32u64)
+                .push(0u64)
+                .op(Opcode::Return);
+            let code = asm.assemble().expect("assembles");
+            let (ok, output, _) = run_code(code, calldata);
+            assert!(ok);
+            assert_eq!(
+                U256::from_be_slice(&output),
+                want,
+                "calldata leaves: {loaded}"
+            );
+        }
     }
 }
 
@@ -178,10 +221,10 @@ fn folding_preserves_instruction_accounting() {
     for _ in 0..64 {
         let expr = arb_expr(&mut rng, 4);
         let mut asm = Assembler::new();
-        compile_expr(&expr, &mut asm);
+        compile_expr(&expr, &mut asm, None);
         asm.op(Opcode::Stop);
         let code = asm.assemble().expect("assembles");
-        let (_, _, trace) = run_code(code);
+        let (_, _, trace) = run_code(code, Vec::new());
         let (plain, _) = build_stream(&trace, false, &StreamTransforms::none());
         let (folded, stats) = build_stream(&trace, true, &StreamTransforms::none());
         let retired: u32 = folded.iter().map(|u| u.insn_count).sum();
@@ -200,7 +243,7 @@ fn fill_unit_invariants() {
     let mut rng = SplitMix64::new(0xF111);
     for _ in 0..64 {
         let ops: Vec<Opcode> = (0..rng.random_range(1..40))
-            .map(|_| arb_binop(&mut rng))
+            .map(|_| arb_op(&mut rng))
             .collect();
         let mut builder = LineBuilder::new(B256::ZERO, true);
         let mut lines: Vec<Vec<Opcode>> = Vec::new();
