@@ -29,11 +29,6 @@ fn era_block(g: &mut Generator, focus: &'static str) -> PreparedBlock {
     })
 }
 
-fn hotspot_hit_fraction(p: &PreparedBlock, table: &ContractTable) -> f64 {
-    let hits = p.traces.iter().filter(|t| table.is_hotspot(t)).count();
-    hits as f64 / p.traces.len().max(1) as f64
-}
-
 fn speedup_with(p: &PreparedBlock, table: &ContractTable) -> f64 {
     let base_cfg = MtpuConfig::baseline();
     let base = mtpu::sched::simulate_sequential(&p.jobs(&base_cfg, None), &base_cfg);
@@ -59,7 +54,7 @@ pub fn hotspot_drift() -> String {
 
     let mut rows = vec![vec![
         "era 1 (CryptoCat), era-1 table".to_string(),
-        format!("{:.0}%", 100.0 * hotspot_hit_fraction(&era1, &table)),
+        format!("{:.0}%", 100.0 * era1.hotspot_coverage(&table)),
         format!("{:.2}x", speedup_with(&era1, &table)),
     ]];
 
@@ -67,7 +62,7 @@ pub fn hotspot_drift() -> String {
     let era2 = era_block(&mut g, "Dai");
     rows.push(vec![
         "era 2 (Dai), stale era-1 table".to_string(),
-        format!("{:.0}%", 100.0 * hotspot_hit_fraction(&era2, &table)),
+        format!("{:.0}%", 100.0 * era2.hotspot_coverage(&table)),
         format!("{:.2}x", speedup_with(&era2, &table)),
     ]);
 
@@ -79,7 +74,7 @@ pub fn hotspot_drift() -> String {
     table2.retain_top(TABLE_CAPACITY);
     rows.push(vec![
         "era 2 (Dai), relearned table".to_string(),
-        format!("{:.0}%", 100.0 * hotspot_hit_fraction(&era2, &table2)),
+        format!("{:.0}%", 100.0 * era2.hotspot_coverage(&table2)),
         format!("{:.2}x", speedup_with(&era2, &table2)),
     ]);
 

@@ -6,7 +6,6 @@ pub mod config;
 pub mod dbcache;
 pub mod funit;
 pub mod hotspot;
-pub mod node;
 pub mod obs;
 pub mod pu;
 pub mod sched;
@@ -15,6 +14,5 @@ pub mod stream;
 pub use config::{DbCacheConfig, LatencyModel, MtpuConfig};
 pub use dbcache::DbCacheStats;
 pub use hotspot::ContractTable;
-pub use node::{BlockReport, Node};
 pub use pu::{Pu, PuStats, StateBuffer, StateBufferStats, TxJob, TxTiming};
 pub use sched::{simulate_sequential, simulate_st, simulate_sync, DepGraph, ScheduleResult};

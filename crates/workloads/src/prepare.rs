@@ -75,6 +75,16 @@ impl PreparedBlock {
         self.receipts.iter().filter(|r| r.success).count() as f64 / self.receipts.len() as f64
     }
 
+    /// Share of this block's transactions `table` treats as hotspots (0
+    /// for an empty block).
+    pub fn hotspot_coverage(&self, table: &ContractTable) -> f64 {
+        if self.traces.is_empty() {
+            return 0.0;
+        }
+        let hits = self.traces.iter().filter(|t| table.is_hotspot(t)).count();
+        hits as f64 / self.traces.len() as f64
+    }
+
     /// Builds timing jobs for every transaction under `cfg`, applying
     /// hotspot transforms from `table` when provided — but only to
     /// transactions heard during dissemination (`cfg.preknown_pct`,

@@ -1,14 +1,15 @@
-//! Multi-block chain simulation: a validating node with an attached MTPU
-//! processes consecutive blocks end to end (the paper's Fig. 4 pipeline),
-//! with the Contract Table warming up across block intervals.
+//! Multi-block chain simulation: consecutive blocks run the paper's
+//! Fig. 4 loop — verify (sequential tracing), accelerate (the simulated
+//! MTPU against the scalar baseline), block interval (Contract Table
+//! learning) — with the Contract Table warming up across blocks.
 //!
 //! Each block is additionally executed in parallel (`parexec`) and its
 //! delta committed *incrementally* into a file-backed Merkle Patricia
-//! Trie, whose root must match the node's chained commitment bit for
-//! bit. Everything here is synchronous, one block at a time; the
-//! overlapped pipeline (commit joined one block behind) is
-//! `NodeDriver`'s, see `examples/node_pipeline.rs`. After the run the
-//! store is reopened to show the chain survives restart.
+//! Trie, whose root must match a from-scratch commitment of the
+//! post-block state bit for bit. Everything here is synchronous, one
+//! block at a time; the overlapped pipeline (commit joined one block
+//! behind) is `NodeDriver`'s, see `examples/node_pipeline.rs`. After the
+//! run the store is reopened to show the chain survives restart.
 //!
 //! The flat accounts store rides along: every committed delta is also
 //! absorbed into an [`AccountsDb`] whose background flush trails the
@@ -21,11 +22,14 @@
 
 use mtpu_repro::accountsdb::{AccountsDb, FlushService};
 use mtpu_repro::evm::{apply_updates, delta_updates};
-use mtpu_repro::mtpu::{MtpuConfig, Node};
+use mtpu_repro::mtpu::{simulate_sequential, simulate_st, ContractTable, MtpuConfig};
 use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::statedb::{FileStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
 use std::sync::Arc;
+
+/// Contract Table entries kept after each block interval's relearn pass.
+const TABLE_CAPACITY: usize = 32;
 
 fn short(root: mtpu_repro::primitives::B256) -> String {
     let s = root.to_string();
@@ -44,7 +48,8 @@ fn main() {
         hotspot_opt: true,
         ..MtpuConfig::default()
     };
-    let mut node = Node::new(generator.fx.state.clone(), config);
+    let base_cfg = MtpuConfig::baseline();
+    let mut table = ContractTable::new();
     let executor = ParExecutor::new(4);
 
     let store_dir = std::env::temp_dir().join(format!("mtpu-chain-sim-{}", std::process::id()));
@@ -52,25 +57,26 @@ fn main() {
     let mut committer =
         StateCommitter::new(FileStore::open(&store_dir).expect("open node store")).with_threads(4);
     // Seed the trie with genesis so block deltas commit incrementally.
-    mtpu_repro::evm::commit_full(&mut committer, &node.state);
+    mtpu_repro::evm::commit_full(&mut committer, &generator.fx.state);
     let genesis_root = committer.persist().expect("persist genesis");
-    assert_eq!(genesis_root, node.merkle_root());
+    assert_eq!(genesis_root, generator.fx.state.merkle_root());
 
     // The flat accounts store shadows the chain: deltas absorb after
     // each block, the write cache drains in the background.
     let flat_dir = std::env::temp_dir().join(format!("mtpu-chain-sim-flat-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&flat_dir);
     let flat = Arc::new(AccountsDb::open(&flat_dir).expect("open accounts db"));
-    flat.bootstrap_from_state(&node.state, 0);
+    flat.bootstrap_from_state(&generator.fx.state, 0);
     let flat_flush = FlushService::start(flat.clone());
 
     println!(
         "{:>5} {:>6} {:>8} {:>10} {:>9} {:>9} {:>8}  {:<16}",
         "block", "txs", "dep%", "cycles", "speedup", "hotspot%", "util%", "state root"
     );
-    let mut parent_root = genesis_root;
+    let mut root = genesis_root;
     for height in 1..=blocks as u64 {
-        let block = generator.block(&BlockConfig {
+        // Verify: sequential tracing, which also advances the fixture.
+        let p = generator.prepared_block(&BlockConfig {
             tx_count: 96,
             dependent_ratio: 0.25,
             erc20_ratio: None,
@@ -78,34 +84,36 @@ fn main() {
             chain_bias: 0.8,
             focus: None,
         });
-        let base = node.state.clone();
-        let report = node.process_block(&block).expect("valid block");
-        // Keep the generator's fixture state in sync with the chain.
-        generator.fx.state = node.state.clone();
 
-        // Parent linkage: the chain of commitments must be unbroken.
-        assert_eq!(report.parent_merkle_root, parent_root, "root chain broken");
-        parent_root = report.merkle_root;
+        // Accelerate with last interval's table, then learn from this block.
+        let coverage = p.hotspot_coverage(&table);
+        let schedule = simulate_st(&p.jobs(&config, Some(&table)), &p.graph, &config);
+        let baseline = simulate_sequential(&p.jobs(&base_cfg, None), &base_cfg);
+        p.learn_hotspots(&mut table, &p.state_after);
+        table.retain_top(TABLE_CAPACITY);
 
         // Parallel execution + incremental trie commit must land on the
-        // same 32 bytes as the node's own incremental commitment.
-        let result = executor.execute_block(&base, &block);
-        apply_updates(&mut committer, &delta_updates(&base, &result.delta));
-        let incremental = committer.persist().expect("persist block");
-        assert_eq!(incremental, report.merkle_root, "trie commit diverged");
+        // same 32 bytes as a from-scratch commitment of the post-state.
+        let result = executor.execute_block(&p.state_before, &p.block);
+        apply_updates(
+            &mut committer,
+            &delta_updates(&p.state_before, &result.delta),
+        );
+        root = committer.persist().expect("persist block");
+        assert_eq!(root, p.state_after.merkle_root(), "trie commit diverged");
         flat.absorb(&result.delta, height);
         flat_flush.request_flush(height.saturating_sub(1));
 
         println!(
             "{:>5} {:>6} {:>7.0}% {:>10} {:>8.2}x {:>8.0}% {:>7.0}%  {:<16}",
-            report.height,
-            block.transactions.len(),
-            100.0 * report.dependent_ratio,
-            report.schedule.makespan,
-            report.speedup(),
-            100.0 * report.hotspot_coverage,
-            100.0 * report.schedule.utilization(),
-            short(report.merkle_root),
+            height,
+            p.block.transactions.len(),
+            100.0 * p.dependent_ratio(),
+            schedule.makespan,
+            baseline.makespan as f64 / schedule.makespan as f64,
+            100.0 * coverage,
+            100.0 * schedule.utilization(),
+            short(root),
         );
     }
 
@@ -117,7 +125,7 @@ fn main() {
     drop(committer);
     let mut reopened = StateCommitter::new(FileStore::open(&store_dir).expect("reopen store"));
     let resumed = reopened.commit();
-    assert_eq!(resumed, parent_root, "reopened store lost the chain head");
+    assert_eq!(resumed, root, "reopened store lost the chain head");
     println!(
         "\nstore reopened from {}: root {} resumed across restart ({total_nodes} nodes on disk)",
         store_dir.display(),
@@ -128,18 +136,17 @@ fn main() {
     // Flat-store snapshot → restore: the reopened accounts DB resumes at
     // the same head (and remembers the trie root it was snapshotted at).
     flat_flush.quiesce();
-    flat.snapshot(Some(parent_root))
-        .expect("snapshot flat store");
+    flat.snapshot(Some(root)).expect("snapshot flat store");
     let flat_stats = flat.stats();
     drop(flat_flush);
     drop(flat);
     let restored = AccountsDb::open(&flat_dir).expect("restore accounts db");
-    assert_eq!(restored.snapshot_root(), Some(parent_root));
+    assert_eq!(restored.snapshot_root(), Some(root));
     assert_eq!(restored.head_height(), blocks as u64);
     println!(
         "flat store restored at height {}: root {} ({} accounts, {} files, {} KiB)",
         restored.head_height(),
-        short(parent_root),
+        short(root),
         flat_stats.indexed_accounts,
         flat_stats.files,
         flat_stats.file_bytes / 1024,

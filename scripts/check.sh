@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline, step for step: formatting, lints,
 # rustdoc, tier-1 build/tests, the full workspace test suite, the parexec stress loop, the
-# spine's build and tests, the statedb fuzz smoke, the chain_sim example, and the
-# golden diff of the paper's tables. Run before pushing.
+# spine's build and tests, the statedb fuzz smoke, the chain_sim golden, the
+# node_pipeline and read_serve examples, and the golden diff of the paper's
+# tables. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,8 +42,14 @@ echo "==> statedb fuzz smoke at two seeds (randomized trie vs model, incremental
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 cargo run --release -p mtpu-statedb --example fuzz_smoke 2
 
-echo "==> chain_sim (asserts the root chain, trie-commit parity and the flat-store restore; drives the Contract Table)"
-cargo run --release -q --example chain_sim
+echo "==> chain_sim table vs crates/bench/golden/chain_sim.txt (exact; the example asserts trie-commit parity and the flat-store restore)"
+# sed, not head: it reads to the end, so the example finishes its restore
+# asserts instead of dying on a closed pipe.
+cargo run --release -q --example chain_sim | sed -n 1,7p | diff -u crates/bench/golden/chain_sim.txt -
+
+echo "==> node_pipeline and read_serve (assert run/run_flat root parity and a snapshot-restore round trip)"
+cargo run --release -q --example node_pipeline
+cargo run --release -q --example read_serve
 
 echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
 cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -

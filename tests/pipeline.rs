@@ -77,6 +77,52 @@ fn full_pipeline_speedup_hierarchy() {
 }
 
 #[test]
+fn block_interval_learning_warms_the_table() {
+    // Fig. 4 across blocks (the chain_sim loop): accelerate with last
+    // interval's table, then learn from this block for the next one.
+    let mut g = Generator::new(31);
+    let block_cfg = BlockConfig {
+        tx_count: 96,
+        dependent_ratio: 0.25,
+        erc20_ratio: None,
+        sct_ratio: 0.92,
+        chain_bias: 0.8,
+        focus: None,
+    };
+    let cfg = MtpuConfig {
+        redundancy_opt: true,
+        hotspot_opt: true,
+        ..MtpuConfig::default()
+    };
+    let base_cfg = MtpuConfig::baseline();
+    let mut table = ContractTable::new();
+    let mut parent_root = g.fx.state.merkle_root();
+    let mut coverage = Vec::new();
+    let mut speedup = Vec::new();
+    for _ in 0..3 {
+        let p = g.prepared_block(&block_cfg);
+        assert_eq!(p.state_before.merkle_root(), parent_root, "root chain");
+        parent_root = p.state_after.merkle_root();
+
+        coverage.push(p.hotspot_coverage(&table));
+        let st = simulate_st(&p.jobs(&cfg, Some(&table)), &p.graph, &cfg).makespan;
+        let base = simulate_sequential(&p.jobs(&base_cfg, None), &base_cfg).makespan;
+        speedup.push(base as f64 / st as f64);
+        p.learn_hotspots(&mut table, &p.state_after);
+        table.retain_top(32);
+    }
+    assert_eq!(coverage[0], 0.0, "block 1 runs with a cold table");
+    assert!(
+        coverage[1..].iter().all(|&c| c >= 0.9),
+        "the learned table covers later blocks: {coverage:?}"
+    );
+    assert!(
+        speedup[1] > speedup[0],
+        "a warm table speeds block 2 past block 1: {speedup:?}"
+    );
+}
+
+#[test]
 fn hotspot_analysis_is_sound_on_all_top8_paths() {
     let mut fx = Fixture::new();
     let header = BlockHeader::default();
