@@ -13,9 +13,7 @@ use crate::state::{Account, State};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH};
 use mtpu_statedb::AccountUpdate;
 pub use mtpu_statedb::{MemStore, NodeStore, StateCommitter};
-use std::fmt;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 /// The [`AccountUpdate`] describing `account`'s full contents (storage
@@ -153,92 +151,30 @@ pub fn delta_merkle_root(base: &State, delta: &BlockDelta) -> B256 {
     commit_block_delta(&mut committer, base, delta)
 }
 
-/// A background-commit failure. Carries the store's I/O error rendered
-/// to text — [`std::io::Error`] is not `Clone`, and every clone of a
-/// [`CommitHandle`] must be able to report the result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitError(String);
-
-impl CommitError {
-    fn new(e: std::io::Error) -> CommitError {
-        CommitError(e.to_string())
-    }
-}
-
-impl fmt::Display for CommitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "state commit failed: {}", self.0)
-    }
-}
-
-impl std::error::Error for CommitError {}
-
-#[derive(Debug)]
-struct CommitSlot {
-    result: Mutex<Option<Result<B256, CommitError>>>,
-    ready: Condvar,
-}
-
 /// A claim check for one block's state root: returned immediately by
 /// [`AsyncCommitter::submit`] while the commitment runs on the
 /// background thread, redeemed with [`CommitHandle::wait`] at the point
 /// the root is actually needed (typically after the *next* block has
 /// executed — that window is the execute/commit overlap).
-///
-/// Clones share the same slot, so a producer can keep one for chaining
-/// while handing another to the caller.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CommitHandle {
-    slot: Arc<CommitSlot>,
+    root: mpsc::Receiver<B256>,
 }
 
 impl CommitHandle {
-    fn pending() -> CommitHandle {
-        CommitHandle {
-            slot: Arc::new(CommitSlot {
-                result: Mutex::new(None),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// An already-resolved handle — what synchronous commit paths return
-    /// so callers need not care which path produced a root.
-    pub fn ready(root: B256) -> CommitHandle {
-        let h = CommitHandle::pending();
-        h.resolve(Ok(root));
-        h
-    }
-
-    fn resolve(&self, result: Result<B256, CommitError>) {
-        let mut slot = self.slot.result.lock().expect("commit slot lock");
-        *slot = Some(result);
-        self.slot.ready.notify_all();
-    }
-
-    /// `true` once the commit has finished (never blocks).
-    pub fn is_ready(&self) -> bool {
-        self.slot.result.lock().expect("commit slot lock").is_some()
-    }
-
     /// Blocks until the commit finishes and returns its root.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns the store's persistence error, if the commit failed.
-    pub fn wait(&self) -> Result<B256, CommitError> {
-        let mut slot = self.slot.result.lock().expect("commit slot lock");
-        while slot.is_none() {
-            slot = self.slot.ready.wait(slot).expect("commit slot lock");
-        }
-        slot.clone().expect("checked Some")
+    /// If the commit thread died before resolving this block.
+    pub fn wait(self) -> B256 {
+        self.root.recv().expect("commit thread panicked")
     }
 }
 
 struct CommitJob {
     updates: Vec<(Address, Option<AccountUpdate>)>,
-    persist: bool,
-    handle: CommitHandle,
+    root: mpsc::Sender<B256>,
 }
 
 /// A [`StateCommitter`] moved onto a dedicated background thread.
@@ -246,18 +182,18 @@ struct CommitJob {
 /// [`AsyncCommitter::submit`] extracts a block's [`delta_updates`] on
 /// the calling thread (they borrow the base state, which the background
 /// thread must not), enqueues them, and returns a [`CommitHandle`]
-/// immediately — block N's trie hashing and `FileStore` sync overlap
-/// block N+1's execution. Jobs run strictly in submission order, so
-/// block-to-block root chaining is preserved.
+/// immediately — block N's trie hashing overlaps block N+1's execution.
+/// Jobs run strictly in submission order, so block-to-block root chaining
+/// is preserved.
 #[derive(Debug)]
-pub struct AsyncCommitter<S: NodeStore + Send + 'static> {
+pub struct AsyncCommitter {
     jobs: Option<mpsc::Sender<CommitJob>>,
-    worker: Option<thread::JoinHandle<StateCommitter<S>>>,
+    worker: Option<thread::JoinHandle<()>>,
 }
 
-impl<S: NodeStore + Send + 'static> AsyncCommitter<S> {
+impl AsyncCommitter {
     /// Moves `committer` onto a freshly spawned commit thread.
-    pub fn new(mut committer: StateCommitter<S>) -> AsyncCommitter<S> {
+    pub fn new<S: NodeStore + Send + 'static>(mut committer: StateCommitter<S>) -> AsyncCommitter {
         let (tx, rx) = mpsc::channel::<CommitJob>();
         let worker = thread::Builder::new()
             .name("statedb-commit".into())
@@ -265,14 +201,9 @@ impl<S: NodeStore + Send + 'static> AsyncCommitter<S> {
                 mtpu_telemetry::name_thread("statedb-commit");
                 while let Ok(job) = rx.recv() {
                     apply_updates(&mut committer, &job.updates);
-                    let result = if job.persist {
-                        committer.persist().map_err(CommitError::new)
-                    } else {
-                        Ok(committer.commit())
-                    };
-                    job.handle.resolve(result);
+                    // A handle dropped unredeemed just discards its root.
+                    let _ = job.root.send(committer.commit());
                 }
-                committer
             })
             .expect("spawn commit thread");
         AsyncCommitter {
@@ -281,50 +212,23 @@ impl<S: NodeStore + Send + 'static> AsyncCommitter<S> {
         }
     }
 
-    /// Queues one block's commitment; `persist` additionally syncs the
-    /// store at the new root. `base` must be the pre-block state the
-    /// delta was built against.
-    pub fn submit<B: StateRead>(
-        &self,
-        base: &B,
-        delta: &BlockDelta,
-        persist: bool,
-    ) -> CommitHandle {
-        self.submit_updates(delta_updates(base, delta), persist)
-    }
-
-    /// [`AsyncCommitter::submit`] for pre-extracted updates.
-    pub fn submit_updates(
-        &self,
-        updates: Vec<(Address, Option<AccountUpdate>)>,
-        persist: bool,
-    ) -> CommitHandle {
-        let handle = CommitHandle::pending();
+    /// Queues one block's commitment. `base` must be the pre-block state
+    /// the delta was built against.
+    pub fn submit<B: StateRead>(&self, base: &B, delta: &BlockDelta) -> CommitHandle {
+        let (root, handle) = mpsc::channel();
         self.jobs
             .as_ref()
             .expect("sender alive until drop")
             .send(CommitJob {
-                updates,
-                persist,
-                handle: handle.clone(),
+                updates: delta_updates(base, delta),
+                root,
             })
             .expect("commit thread alive");
-        handle
-    }
-
-    /// Drains the queue and takes the committer back (ending the
-    /// background thread).
-    pub fn into_inner(mut self) -> StateCommitter<S> {
-        self.jobs = None; // closes the channel; the worker drains and exits
-        self.worker
-            .take()
-            .expect("worker present until drop")
-            .join()
-            .expect("commit thread panicked")
+        CommitHandle { root: handle }
     }
 }
 
-impl<S: NodeStore + Send + 'static> Drop for AsyncCommitter<S> {
+impl Drop for AsyncCommitter {
     fn drop(&mut self) {
         self.jobs = None;
         if let Some(worker) = self.worker.take() {

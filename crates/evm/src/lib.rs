@@ -48,7 +48,7 @@ pub mod tx;
 pub use analysis::{AnalysisCache, CacheStats, CodeAnalysis};
 pub use commit::{
     apply_updates, commit_block_delta, commit_full, delta_merkle_root, delta_updates,
-    AsyncCommitter, CommitError, CommitHandle,
+    AsyncCommitter, CommitHandle,
 };
 pub use config::{fusion_enabled, prefetch_enabled, set_fusion_enabled};
 pub use executor::{

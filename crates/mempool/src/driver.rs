@@ -1,19 +1,18 @@
 //! The sustained node pipeline: ingestion → packing → parallel
 //! execution → pipelined commitment, all overlapped.
 //!
-//! One [`NodeDriver::run`] call drives a multi-block session the way a
-//! validating node's front half would: an ingestion worker admits
-//! transactions into the shared [`Mempool`] against the latest committed
-//! state snapshot while the main loop packs a block, executes it on the
-//! `parexec` worker pool, hands the state commitment to the background
+//! One [`NodeDriver::run_flat`] call drives a multi-block session the way
+//! a validating node's front half would: an ingestion worker admits
+//! transactions into the shared [`Mempool`] against the flat accounts
+//! store while the main loop packs a block, executes it on the `parexec`
+//! worker pool, hands the state commitment to the background
 //! [`AsyncCommitter`] thread, and only joins each block's root one block
 //! behind — so at steady state the pool is being refilled, block *h* is
 //! executing, and block *h−1* is still hashing, simultaneously.
 
-use crate::backend::{Backend, FlatBackend};
 use crate::packer::BlockPacker;
 use crate::pool::{Mempool, PoolStats};
-use mtpu_accountsdb::{AccountsDb, DbStats, FlushService};
+use mtpu_accountsdb::{AccountsDb, FlushService};
 use mtpu_evm::commit::{MemStore, StateCommitter};
 use mtpu_evm::overlay::StateRead;
 use mtpu_evm::state::State;
@@ -21,9 +20,8 @@ use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
 use mtpu_evm::{commit_full, AsyncCommitter, BlockDelta, CommitHandle};
 use mtpu_parexec::{ChainStats, ParExecutor};
 use mtpu_primitives::B256;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A stream of transactions entering the node. `None` ends the stream
@@ -50,9 +48,10 @@ pub struct CommittedBlock {
     pub block: Arc<Block>,
     /// Receipts in block order, bit-identical to sequential execution.
     pub receipts: Arc<Vec<Receipt>>,
-    /// The materialized post-block state. Present on [`NodeDriver::run`]
-    /// sessions (which clone state per block anyway); absent on
-    /// [`NodeDriver::run_flat`], where only the delta exists.
+    /// Always `None` from the driver, and sinks must not read it: the
+    /// [`delta`](Self::delta) is the authoritative record of the block.
+    /// The field only keeps existing `CommittedBlock` literals compiling
+    /// and is slated for removal.
     pub state: Option<Arc<State>>,
     /// The block's frozen write set over the pre-block state.
     pub delta: Arc<BlockDelta>,
@@ -90,9 +89,8 @@ pub struct DriverConfig {
     /// execution and commitment; `false` ingests inline between blocks —
     /// slower, but fully deterministic for a deterministic source.
     pub background_ingest: bool,
-    /// Flat-backend sessions ([`NodeDriver::run_flat`]): how many blocks
-    /// the background write-cache flush trails the head. Larger values
-    /// batch more writes per storage file.
+    /// How many blocks the background write-cache flush trails the head.
+    /// Larger values batch more writes per storage file.
     pub flush_lag: u64,
 }
 
@@ -127,7 +125,8 @@ pub struct BlockSummary {
     pub merkle_root: B256,
 }
 
-/// Outcome of a driver session.
+/// Outcome of a driver session. Store statistics are the caller's to
+/// read ([`AccountsDb::stats`]).
 #[derive(Debug)]
 pub struct DriverReport {
     /// Per-block summaries, in height order.
@@ -148,9 +147,6 @@ pub struct DriverReport {
     pub wall: Duration,
     /// `true` when the source ran dry before `blocks` were produced.
     pub source_exhausted: bool,
-    /// Flat-store statistics at session end ([`NodeDriver::run_flat`]
-    /// sessions only).
-    pub flat: Option<DbStats>,
 }
 
 impl DriverReport {
@@ -220,29 +216,21 @@ impl NodeDriver {
         &self.pool
     }
 
-    /// Runs a session from `genesis` on the in-memory backend: every
-    /// block clones the previous `State` snapshot and applies its delta,
-    /// and the sink is handed the materialized post-block state.
-    pub fn run<S: TxSource>(
-        &self,
-        genesis: State,
-        source: S,
-        header_of: impl Fn(u64) -> BlockHeader,
-    ) -> DriverReport {
-        let genesis = Arc::new(genesis);
-        self.session(genesis.clone(), &RwLock::new(genesis), source, header_of)
-    }
-
-    /// Runs a session against the flat accounts store: execution reads
-    /// hit `db` (write cache → index → storage files) instead of a cloned
-    /// in-memory `State`, and the write cache drains through `flush` in
-    /// the background, [`DriverConfig::flush_lag`] blocks behind the head.
+    /// Runs a session against the flat accounts store: execution and
+    /// admission read `db` (write cache → index → storage files), each
+    /// block's delta is absorbed into it in place, and the write cache
+    /// drains through `flush` in the background,
+    /// [`DriverConfig::flush_lag`] blocks behind the head. The MPT is
+    /// maintained commitment-only behind the pipelined [`AsyncCommitter`].
+    ///
+    /// Per block: pack → execute → submit commit → join block *h−1*'s
+    /// root → absorb → request flush → observe → publish.
     ///
     /// `genesis` seeds the commitment trie; `db` must already hold the
     /// same state (freshly bootstrapped via
     /// [`AccountsDb::bootstrap_from_state`] or restored from a snapshot
-    /// of it). Per-block merkle roots are bit-identical to
-    /// [`NodeDriver::run`] over the same stream.
+    /// of it). Per-block merkle roots are bit-identical to a sequential
+    /// replay of the packed blocks over `genesis`.
     pub fn run_flat<S: TxSource>(
         &self,
         genesis: &State,
@@ -251,30 +239,16 @@ impl NodeDriver {
         source: S,
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
-        let backend = FlatBackend::new(db, flush, self.cfg.flush_lag);
-        let mut report = self.session(genesis, &backend, source, header_of);
-        report.flat = Some(db.stats());
-        report
-    }
+        // The admission-time read sets ride along as hints: the store
+        // starts pulling a block's slots off disk before its first
+        // transaction executes.
+        db.enable_prefetch();
+        let db: &AccountsDb = db;
 
-    /// The one session loop: pack → execute → submit commit → absorb →
-    /// observe → publish, joining each block's root one block behind.
-    /// Where state lives is the backend's business; the MPT is maintained
-    /// commitment-only behind the pipelined [`AsyncCommitter`] either way.
-    /// `genesis` only seeds the trie and is dropped right after, so an
-    /// in-memory session does not pin it.
-    fn session<B: Backend, S: TxSource>(
-        &self,
-        genesis: impl Deref<Target = State>,
-        backend: &B,
-        source: S,
-        header_of: impl Fn(u64) -> BlockHeader,
-    ) -> DriverReport {
         let genesis_started = Instant::now();
         let mut committer =
             StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
-        commit_full(&mut committer, &genesis);
-        drop(genesis);
+        commit_full(&mut committer, genesis);
         let genesis_root = committer.commit();
         let committer = AsyncCommitter::new(committer);
         let started = Instant::now();
@@ -304,7 +278,7 @@ impl NodeDriver {
                             std::thread::sleep(Duration::from_micros(200));
                             continue;
                         }
-                        ingest_slice(pool, &backend.reads(), &mut source, batch, exhausted);
+                        ingest_slice(pool, db, &mut source, batch, exhausted);
                         offered.fetch_add(batch, Ordering::Relaxed);
                     }
                 });
@@ -330,7 +304,7 @@ impl NodeDriver {
             // concurrently the whole time.
             let mut refill = |n: usize| {
                 if let Some(src) = inline_source.as_deref_mut() {
-                    ingest_slice(&self.pool, &backend.reads(), src, n, &exhausted);
+                    ingest_slice(&self.pool, db, src, n, &exhausted);
                 }
             };
             refill(self.cfg.prefill);
@@ -350,24 +324,23 @@ impl NodeDriver {
                     continue;
                 }
 
-                // The backend stays at the pre-block state until absorb, so
+                // The store stays at the pre-block state until absorb, so
                 // execution's base reads and the trie updates both see
                 // exactly block h-1.
-                let hints = backend.hints(&packed);
-                let base = backend.reads();
                 let result = self.executor.execute_block_delta_with_dag_hints(
-                    &base,
+                    db,
                     &packed.block,
                     &packed.graph,
-                    &hints,
+                    &packed.prefetch_hints(),
                 );
                 // Pipeline the commitment; resolve the *previous* block's
                 // root now that its hashing had a whole block to overlap.
-                let handle = committer.submit(&base, &result.delta, false);
+                let handle = committer.submit(db, &result.delta);
                 self.resolve_pending(&mut blocks, pending.replace(handle));
 
-                let state = backend.absorb(&result.delta, height);
-                self.pool.observe_committed(&backend.reads());
+                db.absorb(&result.delta, height);
+                flush.request_flush(height.saturating_sub(self.cfg.flush_lag));
+                self.pool.observe_committed(db);
 
                 chain.absorb(&result.stats);
                 blocks.push(BlockSummary {
@@ -387,7 +360,7 @@ impl NodeDriver {
                         height,
                         block: Arc::new(packed.block),
                         receipts: Arc::new(result.receipts),
-                        state,
+                        state: None,
                         delta: Arc::new(result.delta),
                     });
                 }
@@ -406,7 +379,6 @@ impl NodeDriver {
             genesis_wall,
             wall: started.elapsed(),
             source_exhausted: exhausted.load(Ordering::Relaxed),
-            flat: None,
         }
     }
 
@@ -414,7 +386,7 @@ impl NodeDriver {
     /// records its root and tells the sink (if any) the root is final.
     fn resolve_pending(&self, blocks: &mut [BlockSummary], pending: Option<CommitHandle>) {
         if let (Some(handle), Some(last)) = (pending, blocks.last_mut()) {
-            last.merkle_root = handle.wait().expect("in-memory commit cannot fail");
+            last.merkle_root = handle.wait();
             if let Some(sink) = &self.sink {
                 sink.on_root(last.height, last.merkle_root);
             }
@@ -433,8 +405,8 @@ impl NodeDriver {
     }
 }
 
-/// Admits up to `batch` transactions against `state`, the backend's
-/// committed snapshot, raising `exhausted` when the source runs dry.
+/// Admits up to `batch` transactions against `state`, the committed
+/// store, raising `exhausted` when the source runs dry.
 fn ingest_slice<S: TxSource>(
     pool: &Mempool,
     state: &impl StateRead,

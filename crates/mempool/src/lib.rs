@@ -19,7 +19,6 @@
 
 pub mod obs;
 
-mod backend;
 mod driver;
 mod packer;
 mod pool;

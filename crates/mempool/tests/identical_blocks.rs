@@ -37,7 +37,7 @@ fn absorb_block(buf: &mut Vec<u8>, packed: &PackedBlock) {
     }
 }
 
-/// The spine's staged order on the in-memory backend: prefill, then per
+/// The spine's staged order over an in-memory `State`: prefill, then per
 /// block pack → execute → observe → admit one block's worth.
 fn session_digest(seed: u64, zipf: ZipfConfig) -> String {
     let mut gen = ZipfGen::new(seed, zipf);

@@ -11,9 +11,8 @@
 //! [`SnapshotChain`] holding a bounded retention window. Any number of
 //! reader threads resolve point reads and run full read-only EVM `call`
 //! simulations against any retained height while
-//! [`NodeDriver::run`](mtpu_mempool::NodeDriver::run) /
-//! [`run_flat`](mtpu_mempool::NodeDriver::run_flat) keep executing and
-//! committing at full tilt; snapshots are pruned once the window slides
+//! [`NodeDriver::run_flat`](mtpu_mempool::NodeDriver::run_flat) keeps
+//! executing and committing at full tilt; snapshots are pruned once the window slides
 //! past them *and* the last reader drops its handle.
 //!
 //! [`ReadServer`] is the facade: it implements the driver's

@@ -3,17 +3,14 @@
 //! reads, read-only `call` simulations, receipt lookups and block
 //! subscriptions at any retained height.
 //!
-//! Two publication modes fall out of the two driver loops:
-//!
-//! * [`NodeDriver::run`](mtpu_mempool::NodeDriver::run) hands over the
-//!   full post-block [`State`] (`CommittedBlock::state` is `Some`): every
-//!   snapshot anchors directly at that state with an empty delta chain.
-//! * [`NodeDriver::run_flat`](mtpu_mempool::NodeDriver::run_flat) only
-//!   hands over the block's frozen [`BlockDelta`]: the chain grows one
-//!   delta per block on top of the last materialized base, and once it
-//!   exceeds [`ReadServeConfig::max_delta_chain`] the server *folds* —
-//!   clones the base, applies the chain, and re-anchors — bounding the
-//!   per-read resolution walk without ever touching the live database.
+//! Publication is delta-only. Each block arrives from
+//! [`NodeDriver::run_flat`](mtpu_mempool::NodeDriver::run_flat) as its
+//! frozen [`BlockDelta`], and the chain grows one delta per block on top
+//! of the last materialized base. Once it exceeds
+//! [`ReadServeConfig::max_delta_chain`] the server *folds* — clones the
+//! base, applies the chain, and re-anchors — bounding the per-read
+//! resolution walk without ever touching the live database.
+//! [`CommittedBlock::state`] is ignored: the delta is authoritative.
 
 use crate::chain::SnapshotChain;
 use crate::feed::{BlockEvent, Subscriber, SubscriptionFeed};
@@ -34,7 +31,7 @@ pub struct ReadServeConfig {
     /// Snapshots kept in the window before pruning kicks in.
     pub retention: usize,
     /// Longest delta chain a snapshot may carry before the server folds
-    /// the chain into a fresh materialized base (delta-only publication).
+    /// the chain into a fresh materialized base.
     pub max_delta_chain: usize,
     /// Per-subscriber event queue depth before old events are shed.
     pub feed_capacity: usize,
@@ -253,24 +250,17 @@ impl BlockSink for ReadServer {
     fn on_block(&self, cb: CommittedBlock) {
         let snap = {
             let mut b = self.builder.lock().expect("builder poisoned");
-            if let Some(state) = cb.state {
-                // Full-state publication: anchor directly, no chain.
-                b.base = state;
+            b.chain.push(cb.delta);
+            if b.chain.len() > self.cfg.max_delta_chain {
+                // Fold: materialize the chain into a fresh base so
+                // per-read resolution stays O(max_delta_chain).
+                let mut folded = (*b.base).clone();
+                for delta in &b.chain {
+                    delta.apply_to(&mut folded);
+                }
+                b.base = Arc::new(folded);
                 b.base_height = cb.height;
                 b.chain.clear();
-            } else {
-                b.chain.push(cb.delta.clone());
-                if b.chain.len() > self.cfg.max_delta_chain {
-                    // Fold: materialize the chain into a fresh base so
-                    // per-read resolution stays O(max_delta_chain).
-                    let mut folded = (*b.base).clone();
-                    for delta in &b.chain {
-                        delta.apply_to(&mut folded);
-                    }
-                    b.base = Arc::new(folded);
-                    b.base_height = cb.height;
-                    b.chain.clear();
-                }
             }
             Arc::new(BlockSnapshot::new(
                 cb.height,
@@ -395,23 +385,21 @@ mod tests {
     }
 
     #[test]
-    fn full_state_publication_anchors_without_chain() {
+    fn published_state_is_ignored_for_the_delta() {
         let server = ReadServer::new(genesis(), ReadServeConfig::default());
-        let mut st = genesis();
-        st.credit(a(5), u(77));
-        st.finalize_tx();
-        server.on_block(CommittedBlock {
-            height: 1,
-            block: empty_block(1),
-            receipts: Arc::new(Vec::new()),
-            state: Some(Arc::new(st)),
-            delta: Arc::new(BlockDelta::new()),
-        });
+        // A post-state that contradicts the delta: the delta credits a(3),
+        // the state credits a(5) instead.
+        let mut divergent = genesis();
+        divergent.credit(a(5), u(77));
+        divergent.finalize_tx();
+        let mut cb = delta_block(&server, 1, a(3), u(10));
+        cb.state = Some(Arc::new(divergent));
+        server.on_block(cb);
         let snap = server.latest().expect("published");
         assert_eq!(snap.height(), 1);
-        assert_eq!(snap.delta_chain_len(), 0);
-        assert_eq!(server.get_balance(None, a(5)), Some((1, u(77))));
-        assert_eq!(server.get_balance(Some(0), a(5)), Some((0, U256::ZERO)));
+        assert_eq!(snap.delta_chain_len(), 1);
+        assert_eq!(server.get_balance(None, a(3)), Some((1, u(10))));
+        assert_eq!(server.get_balance(None, a(5)), Some((1, U256::ZERO)));
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! The front half of the node, end to end: a Zipfian transaction stream
 //! is ingested into the bounded sharded mempool on its own thread while
 //! the driver packs conflict-aware blocks, executes them on the parallel
-//! engine and pipelines their state commitments — ingestion, execution
-//! and trie hashing all overlapped, block after block.
-//!
-//! The same session then runs again on the flat accounts-DB backend
-//! (write cache → index → storage files, MPT commitment-only): the
-//! per-block roots must match bit for bit, and a snapshot → restore
-//! round-trip of the flat store reproduces the same head.
+//! engine against the flat accounts store (write cache → index → storage
+//! files, MPT commitment-only) and pipelines their state commitments —
+//! ingestion, execution and trie hashing all overlapped, block after
+//! block. A snapshot → restore round trip of the store then reopens at
+//! the session's head root.
 //!
 //! ```sh
 //! cargo run --release --example node_pipeline [blocks]
@@ -80,8 +78,14 @@ fn main() {
     };
     let genesis = source.gen.genesis_state().clone();
 
+    let dir = std::env::temp_dir().join(format!("mtpu-example-accountsdb-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+    db.bootstrap_from_state(&genesis, 0);
+    let flush = FlushService::start(db.clone());
+
     println!("packing {blocks} blocks from a Zipfian mempool (overlapped pipeline)\n");
-    let report = driver.run(genesis.clone(), source, |height| BlockHeader {
+    let report = driver.run_flat(&genesis, &db, &flush, source, |height| BlockHeader {
         height,
         ..Default::default()
     });
@@ -125,61 +129,11 @@ fn main() {
         report.blocks.last().expect("blocks nonempty").merkle_root
     );
 
-    // --- flat accounts-DB backend: same stream, bit-identical roots ---
-    // Inline ingest makes both sessions deterministic, so the packed
-    // blocks (and therefore every root) must agree exactly.
-    let parity_blocks = blocks.min(8);
-    let make_driver = || {
-        NodeDriver::new(
-            Mempool::new(PoolConfig {
-                max_txs: 4096,
-                max_per_sender: 4096,
-                ..PoolConfig::default()
-            }),
-            BlockPacker::new(PackerConfig {
-                max_txs: BLOCK_TXS,
-                gas_limit: 256_000_000,
-                ..PackerConfig::default()
-            }),
-            DriverConfig {
-                blocks: parity_blocks,
-                background_ingest: false,
-                ..DriverConfig::default()
-            },
-        )
-    };
-    let make_source = || Bounded {
-        gen: ZipfGen::new(0x21F, ZipfConfig::default()),
-        left: parity_blocks * BLOCK_TXS * 2,
-    };
-    let header = |height| BlockHeader {
-        height,
-        ..Default::default()
-    };
-
-    println!("\nflat-backend parity over {parity_blocks} blocks:");
-    let baseline = make_driver().run(genesis.clone(), make_source(), header);
-
-    let dir = std::env::temp_dir().join(format!("mtpu-example-accountsdb-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
-    db.bootstrap_from_state(&genesis, 0);
-    let flush = FlushService::start(db.clone());
-    let flat = make_driver().run_flat(&genesis, &db, &flush, make_source(), header);
-
-    assert_eq!(baseline.blocks.len(), flat.blocks.len());
-    for (a, b) in baseline.blocks.iter().zip(&flat.blocks) {
-        assert_eq!(
-            a.merkle_root, b.merkle_root,
-            "flat backend diverged at block {}",
-            a.height
-        );
-    }
     // Drain the background flush before reading final store stats.
     flush.quiesce();
     let stats = db.stats();
     println!(
-        "  roots identical; cache hit ratio {:.1}%, {} flushes over {} files ({} KiB)",
+        "store: cache hit ratio {:.1}%, {} flushes over {} files ({} KiB)",
         100.0 * stats.hit_ratio(),
         stats.flushes,
         stats.files,
@@ -187,15 +141,15 @@ fn main() {
     );
 
     // Snapshot → restore: the reopened store carries the same head root.
-    db.snapshot(Some(flat.final_root)).expect("snapshot");
+    db.snapshot(Some(report.final_root)).expect("snapshot");
     drop(flush);
     drop(db);
     let restored = AccountsDb::open(&dir).expect("restore accounts db");
-    assert_eq!(restored.snapshot_root(), Some(flat.final_root));
+    assert_eq!(restored.snapshot_root(), Some(report.final_root));
     println!(
-        "  snapshot/restore round-trip ok at height {} (root {})",
+        "snapshot/restore round-trip ok at height {} (root {})",
         restored.head_height(),
-        short(flat.final_root)
+        short(report.final_root)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

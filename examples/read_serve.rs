@@ -11,6 +11,7 @@
 //! cargo run --release --example read_serve [blocks]
 //! ```
 
+use mtpu_repro::accountsdb::{AccountsDb, FlushService};
 use mtpu_repro::contracts::{addresses, call_data, Fixture};
 use mtpu_repro::evm::tx::{BlockHeader, Transaction};
 use mtpu_repro::evm::ReadCall;
@@ -21,6 +22,7 @@ use mtpu_repro::primitives::U256;
 use mtpu_repro::readserve::{ReadServeConfig, ReadServer};
 use mtpu_repro::workloads::{ZipfConfig, ZipfGen, ZipfSampler};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A Zipf stream truncated to `left` transactions.
 struct Bounded {
@@ -58,6 +60,14 @@ fn main() {
     };
     let genesis = source.gen.genesis_state().clone();
 
+    // The store the session executes against: a scratch directory,
+    // removed again before exit.
+    let dir = std::env::temp_dir().join(format!("mtpu-example-read-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+    db.bootstrap_from_state(&genesis, 0);
+    let flush = FlushService::start(db.clone());
+
     let server = ReadServer::new(genesis.clone(), ReadServeConfig::default());
     let subscriber = server.subscribe();
     let driver = NodeDriver::new(
@@ -85,7 +95,7 @@ fn main() {
     let reads = AtomicU64::new(0);
     let report = std::thread::scope(|s| {
         let driver_handle = s.spawn(|| {
-            let report = driver.run(genesis, source, |height| BlockHeader {
+            let report = driver.run_flat(&genesis, &db, &flush, source, |height| BlockHeader {
                 height,
                 ..Default::default()
             });
@@ -117,6 +127,9 @@ fn main() {
         }
         driver_handle.join().expect("driver thread")
     });
+    drop(flush);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 
     println!(
         "pipeline: {} blocks, {} txs; readers answered {} reads meanwhile",

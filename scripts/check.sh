@@ -47,7 +47,7 @@ echo "==> chain_sim table vs crates/bench/golden/chain_sim.txt (exact; the examp
 # asserts instead of dying on a closed pipe.
 cargo run --release -q --example chain_sim | sed -n 1,7p | diff -u crates/bench/golden/chain_sim.txt -
 
-echo "==> node_pipeline and read_serve (assert run/run_flat root parity and a snapshot-restore round trip)"
+echo "==> node_pipeline and read_serve (assert a store snapshot-restore round trip and the read layer's head root)"
 cargo run --release -q --example node_pipeline
 cargo run --release -q --example read_serve
 

@@ -131,13 +131,10 @@ fn packed_blocks_parallel_equals_sequential() {
         let mut handles = Vec::new();
         for p in &packed {
             let result = exec.execute_block_delta_with_dag_hints(&state, &p.block, &p.graph, &[]);
-            handles.push(committer.submit(&state, &result.delta, false));
+            handles.push(committer.submit(&state, &result.delta));
             result.delta.apply_to(&mut state);
         }
-        let roots: Vec<B256> = handles
-            .iter()
-            .map(|h| h.wait().expect("in-memory commit cannot fail"))
-            .collect();
+        let roots: Vec<B256> = handles.into_iter().map(|h| h.wait()).collect();
         assert_eq!(
             roots, oracle_roots,
             "pipelined roots diverged at threads {threads}"
@@ -160,34 +157,35 @@ fn packing_is_deterministic_for_a_given_pool_state() {
     assert!(a.iter().any(|p| p.independent > 0));
 }
 
+/// A `blocks`-block session with inline ingest: deterministic for a
+/// deterministic source.
+fn inline_cfg(blocks: usize) -> DriverConfig {
+    DriverConfig {
+        blocks,
+        threads: 4,
+        ingest_batch: 64,
+        prefill: 256,
+        background_ingest: false,
+        ..DriverConfig::default()
+    }
+}
+
 /// The end-to-end driver in deterministic (inline-ingest) mode: same
 /// source, same configuration → the same per-block merkle root sequence,
 /// with the final root chained from genesis.
 #[test]
 fn driver_is_deterministic_with_inline_ingest() {
-    let run = |seed: u64| {
-        let driver = NodeDriver::new(
-            Mempool::new(PoolConfig::default()),
-            BlockPacker::new(PackerConfig::default()),
-            DriverConfig {
-                blocks: 4,
-                threads: 4,
-                ingest_batch: 64,
-                prefill: 256,
-                background_ingest: false,
-                ..DriverConfig::default()
-            },
-        );
+    let run = |tag: &str| {
         let source = Bounded {
-            gen: stream(seed),
+            gen: stream(0xFEED),
             left: 600,
         };
         let genesis = source.gen.genesis_state().clone();
-        driver.run(genesis, source, header)
+        run_session(tag, &genesis, PoolConfig::default(), inline_cfg(4), source).report
     };
 
-    let a = run(0xFEED);
-    let b = run(0xFEED);
+    let a = run("deterministic-a");
+    let b = run("deterministic-b");
     assert_eq!(a.blocks.len(), 4);
     assert!(a.chain.txs > 0);
     assert_ne!(a.genesis_root, a.final_root);
@@ -256,71 +254,74 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
     }
 }
 
-/// End-to-end driver parity: the same deterministic (inline-ingest)
-/// session on the `State` backend and on the flat accounts-DB backend
-/// packs and commits the identical chain, and a snapshot → restore of
-/// the flat store reopens at the same head root.
+/// End-to-end driver oracle: two deterministic (inline-ingest) sessions
+/// over the same stream commit identical roots, those roots equal a
+/// sequential replay of the blocks the sink recorded, and a snapshot →
+/// restore of the store reopens at the head root.
 #[test]
-fn flat_driver_matches_state_driver_and_survives_snapshot_restore() {
-    let make_driver = || {
-        NodeDriver::new(
-            Mempool::new(PoolConfig::default()),
-            BlockPacker::new(PackerConfig::default()),
-            DriverConfig {
-                blocks: 4,
-                threads: 4,
-                ingest_batch: 64,
-                prefill: 256,
-                background_ingest: false,
-                ..DriverConfig::default()
-            },
-        )
-    };
+fn flat_driver_replays_sequentially_and_survives_snapshot_restore() {
     let make_source = || Bounded {
         gen: stream(0xF1A7),
         left: 600,
     };
     let genesis = make_source().gen.genesis_state().clone();
 
-    let baseline = make_driver().run(genesis.clone(), make_source(), header);
+    let recorded = run_session(
+        "driver-replay",
+        &genesis,
+        PoolConfig::default(),
+        inline_cfg(4),
+        make_source(),
+    );
+    assert_eq!(recorded.blocks.len(), recorded.report.blocks.len());
+    let mut state = genesis.clone();
+    for (cb, summary) in recorded.blocks.iter().zip(&recorded.report.blocks) {
+        sequential(&mut state, &cb.block);
+        assert_eq!(
+            state.merkle_root(),
+            summary.merkle_root,
+            "replay diverged at block {}",
+            cb.height
+        );
+    }
+    assert_eq!(state.merkle_root(), recorded.report.final_root);
 
     let dir = scratch_dir("driver");
     let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
     db.bootstrap_from_state(&genesis, 0);
     let flush = FlushService::start(db.clone());
-    let flat = make_driver().run_flat(&genesis, &db, &flush, make_source(), header);
+    let driver = NodeDriver::new(
+        Mempool::new(PoolConfig::default()),
+        BlockPacker::new(PackerConfig::default()),
+        inline_cfg(4),
+    );
+    let report = driver.run_flat(&genesis, &db, &flush, make_source(), header);
 
-    assert_eq!(baseline.blocks.len(), flat.blocks.len());
-    for (a, b) in baseline.blocks.iter().zip(&flat.blocks) {
+    assert_eq!(recorded.report.blocks.len(), report.blocks.len());
+    for (a, b) in recorded.report.blocks.iter().zip(&report.blocks) {
         assert_eq!(a.txs, b.txs, "packed size diverged at block {}", a.height);
         assert_eq!(
             a.merkle_root, b.merkle_root,
-            "flat driver diverged at block {}",
+            "sessions diverged at block {}",
             a.height
         );
     }
-    assert_eq!(baseline.final_root, flat.final_root);
-    let stats = flat.flat.as_ref().expect("flat stats populated");
-    assert!(stats.cache_hits > 0, "execution never hit the write cache");
+    assert!(
+        db.stats().cache_hits > 0,
+        "execution never hit the write cache"
+    );
 
     // Snapshot, drop everything, reopen: the restored store carries the
     // chain head and the root it was snapshotted at.
     flush.quiesce();
-    db.snapshot(Some(flat.final_root)).expect("snapshot");
+    db.snapshot(Some(report.final_root)).expect("snapshot");
     let head = db.head_height();
     drop(flush);
     drop(db);
     let restored = AccountsDb::open(&dir).expect("restore accounts db");
-    assert_eq!(restored.snapshot_root(), Some(flat.final_root));
+    assert_eq!(restored.snapshot_root(), Some(report.final_root));
     assert_eq!(restored.head_height(), head);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Which of the driver's two state backends a session runs on.
-#[derive(Debug, Clone, Copy)]
-enum Backend {
-    State,
-    Flat,
 }
 
 /// Records what the driver publishes, and when the first block landed.
@@ -344,7 +345,7 @@ impl BlockSink for Recorder {
     }
 }
 
-/// One driver session over either backend, with everything it published.
+/// One driver session, with everything it published.
 struct Session {
     report: DriverReport,
     blocks: Vec<CommittedBlock>,
@@ -355,10 +356,9 @@ struct Session {
     ready_left: usize,
 }
 
-/// The one session helper: the same pool, packer, config and source on
-/// the in-memory `State` backend or the flat accounts-DB backend.
+/// The one session helper: the given pool, config and source over a
+/// freshly bootstrapped scratch store, removed again afterwards.
 fn run_session(
-    backend: Backend,
     tag: &str,
     genesis: &State,
     pool: PoolConfig,
@@ -372,22 +372,16 @@ fn run_session(
         cfg,
     )
     .with_sink(sink.clone());
+    let dir = scratch_dir(tag);
+    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+    db.bootstrap_from_state(genesis, 0);
+    let flush = FlushService::start(db.clone());
     let started = Instant::now();
-    let report = match backend {
-        Backend::State => driver.run(genesis.clone(), source, header),
-        Backend::Flat => {
-            let dir = scratch_dir(tag);
-            let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
-            db.bootstrap_from_state(genesis, 0);
-            let flush = FlushService::start(db.clone());
-            let report = driver.run_flat(genesis, &db, &flush, source, header);
-            flush.quiesce();
-            drop(flush);
-            drop(db);
-            let _ = std::fs::remove_dir_all(&dir);
-            report
-        }
-    };
+    let report = driver.run_flat(genesis, &db, &flush, source, header);
+    flush.quiesce();
+    drop(flush);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
     let first_block = *sink.first_block.lock().unwrap();
     let blocks = std::mem::take(&mut *sink.blocks.lock().unwrap());
     let roots = std::mem::take(&mut *sink.roots.lock().unwrap());
@@ -401,121 +395,98 @@ fn run_session(
 }
 
 /// A source that runs dry before `cfg.blocks` ends the session early —
-/// on either backend, with either ingest mode — with the exhaustion
-/// reported, fewer blocks than asked for, and nothing ready left behind.
+/// with either ingest mode — with the exhaustion reported, fewer blocks
+/// than asked for, and nothing ready left behind.
 #[test]
 fn dry_source_ends_the_session_with_every_ready_tx_committed() {
-    for backend in [Backend::State, Backend::Flat] {
-        for background_ingest in [false, true] {
-            let tag = format!("{backend:?} background={background_ingest}");
-            let source = Bounded {
-                gen: stream(0xD2A1),
-                left: 300,
-            };
-            let genesis = source.gen.genesis_state().clone();
-            let cfg = DriverConfig {
-                blocks: 64,
-                threads: 4,
-                ingest_batch: 64,
-                prefill: 128,
-                background_ingest,
-                ..DriverConfig::default()
-            };
-            let s = run_session(
-                backend,
-                &format!("dry-{backend:?}-{background_ingest}"),
-                &genesis,
-                PoolConfig::default(),
-                cfg,
-                source,
-            );
+    for background_ingest in [false, true] {
+        let tag = format!("background={background_ingest}");
+        let source = Bounded {
+            gen: stream(0xD2A1),
+            left: 300,
+        };
+        let genesis = source.gen.genesis_state().clone();
+        let cfg = DriverConfig {
+            blocks: 64,
+            threads: 4,
+            ingest_batch: 64,
+            prefill: 128,
+            background_ingest,
+            ..DriverConfig::default()
+        };
+        let s = run_session(
+            &format!("dry-{background_ingest}"),
+            &genesis,
+            PoolConfig::default(),
+            cfg,
+            source,
+        );
 
-            assert!(s.report.source_exhausted, "{tag}: exhaustion not reported");
-            assert!(
-                !s.report.blocks.is_empty() && s.report.blocks.len() < 64,
-                "{tag}: {} blocks",
-                s.report.blocks.len()
-            );
-            assert_eq!(s.ready_left, 0, "{tag}: ready transactions left behind");
-            // Everything the pool ever held was either committed or is
-            // still parked behind a nonce gap that can never fill.
-            let packed: usize = s.report.blocks.iter().map(|b| b.txs).sum();
-            assert_eq!(packed, s.report.chain.txs, "{tag}");
-            assert!(packed > 0, "{tag}: nothing committed");
-            assert_eq!(s.blocks.len(), s.report.blocks.len(), "{tag}: sink");
-            assert_eq!(s.roots.len(), s.report.blocks.len(), "{tag}: roots");
-        }
+        assert!(s.report.source_exhausted, "{tag}: exhaustion not reported");
+        assert!(
+            !s.report.blocks.is_empty() && s.report.blocks.len() < 64,
+            "{tag}: {} blocks",
+            s.report.blocks.len()
+        );
+        assert_eq!(s.ready_left, 0, "{tag}: ready transactions left behind");
+        // Everything the pool ever held was either committed or is
+        // still parked behind a nonce gap that can never fill.
+        let packed: usize = s.report.blocks.iter().map(|b| b.txs).sum();
+        assert_eq!(packed, s.report.chain.txs, "{tag}");
+        assert!(packed > 0, "{tag}: nothing committed");
+        assert_eq!(s.blocks.len(), s.report.blocks.len(), "{tag}: sink");
+        assert_eq!(s.roots.len(), s.report.blocks.len(), "{tag}: roots");
     }
 }
 
 /// Background ingest races the block loop, so the packed chain is not
 /// reproducible — but whatever chain the session did produce, recorded
 /// through the sink, must replay sequentially to the same receipts at
-/// every height and to the same roots, on either backend.
+/// every height and to the same roots.
 #[test]
 fn background_ingest_session_replays_sequentially() {
-    for backend in [Backend::State, Backend::Flat] {
-        let tag = format!("{backend:?}");
-        let source = Bounded {
-            gen: stream(0xB6_1A6E),
-            left: 1500,
-        };
-        let genesis = source.gen.genesis_state().clone();
-        let cfg = DriverConfig {
-            blocks: 5,
-            threads: 4,
-            ingest_batch: 64,
-            prefill: 256,
-            background_ingest: true,
-            ..DriverConfig::default()
-        };
-        let s = run_session(
-            backend,
-            &format!("background-{backend:?}"),
-            &genesis,
-            PoolConfig::default(),
-            cfg,
-            source,
-        );
-        assert_eq!(s.blocks.len(), s.report.blocks.len(), "{tag}: sink");
-        assert!(s.report.chain.txs > 0, "{tag}: nothing committed");
+    let source = Bounded {
+        gen: stream(0xB6_1A6E),
+        left: 1500,
+    };
+    let genesis = source.gen.genesis_state().clone();
+    let cfg = DriverConfig {
+        blocks: 5,
+        threads: 4,
+        ingest_batch: 64,
+        prefill: 256,
+        background_ingest: true,
+        ..DriverConfig::default()
+    };
+    let s = run_session("background", &genesis, PoolConfig::default(), cfg, source);
+    assert_eq!(s.blocks.len(), s.report.blocks.len(), "sink");
+    assert!(s.report.chain.txs > 0, "nothing committed");
 
-        let mut state = genesis.clone();
-        for (cb, summary) in s.blocks.iter().zip(&s.report.blocks) {
-            assert_eq!(cb.height, summary.height, "{tag}");
-            let receipts = sequential(&mut state, &cb.block);
-            assert_eq!(
-                receipts, *cb.receipts,
-                "{tag}: receipts diverged at height {}",
-                cb.height
-            );
-            assert_eq!(
-                state.merkle_root(),
-                summary.merkle_root,
-                "{tag}: root diverged at height {}",
-                cb.height
-            );
-            match (backend, &cb.state) {
-                (Backend::State, Some(published)) => {
-                    assert_eq!(published.state_root(), state.state_root(), "{tag}")
-                }
-                (Backend::Flat, None) => {}
-                _ => panic!("{tag}: wrong sink payload for the backend"),
-            }
-        }
+    let mut state = genesis.clone();
+    for (cb, summary) in s.blocks.iter().zip(&s.report.blocks) {
+        assert_eq!(cb.height, summary.height);
+        assert!(cb.state.is_none(), "a state published at {}", cb.height);
+        let receipts = sequential(&mut state, &cb.block);
+        assert_eq!(
+            receipts, *cb.receipts,
+            "receipts diverged at height {}",
+            cb.height
+        );
         assert_eq!(
             state.merkle_root(),
-            s.report.final_root,
-            "{tag}: final root"
+            summary.merkle_root,
+            "root diverged at height {}",
+            cb.height
         );
-        let reported: Vec<(u64, B256)> = s
-            .report
-            .blocks
-            .iter()
-            .map(|b| (b.height, b.merkle_root))
-            .collect();
-        assert_eq!(s.roots, reported, "{tag}: on_root sequence");
     }
+    assert_eq!(state.merkle_root(), s.report.final_root, "final root");
+    let reported: Vec<(u64, B256)> = s
+        .report
+        .blocks
+        .iter()
+        .map(|b| (b.height, b.merkle_root))
+        .collect();
+    assert_eq!(s.roots, reported, "on_root sequence");
 }
 
 /// The background-ingest prefill wait must only wait for what can
@@ -549,7 +520,6 @@ fn background_prefill_does_not_wait_for_what_cannot_arrive() {
         ..PoolConfig::default()
     };
     let s = run_session(
-        Backend::State,
         "prefill-high-water",
         &genesis,
         small_pool,
@@ -572,7 +542,6 @@ fn background_prefill_does_not_wait_for_what_cannot_arrive() {
         })
     };
     let s = run_session(
-        Backend::State,
         "prefill-rejects",
         &genesis,
         PoolConfig::default(),

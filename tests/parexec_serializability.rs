@@ -201,13 +201,10 @@ fn async_commit_pipeline_matches_synchronous_roots() {
             let mut handles = Vec::new();
             for block in &blocks {
                 let result = exec.execute_block(&state, block);
-                handles.push(committer.submit(&state, &result.delta, false));
+                handles.push(committer.submit(&state, &result.delta));
                 state = result.state;
             }
-            let pipe_roots: Vec<B256> = handles
-                .iter()
-                .map(|h| h.wait().expect("in-memory commit cannot fail"))
-                .collect();
+            let pipe_roots: Vec<B256> = handles.into_iter().map(|h| h.wait()).collect();
             assert_eq!(
                 pipe_roots, oracle_roots,
                 "pipelined roots diverged at threads {threads} cap {cap}"

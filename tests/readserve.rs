@@ -2,9 +2,10 @@
 //! [`ReadServer`] serves at height *H* — point reads, receipts, full
 //! read-only `call` simulation — must be bit-identical to a sequential
 //! [`State`] replayed to *H*, no matter how far the write pipeline has
-//! advanced past it, which publication mode fed the server, or how many
-//! reader threads are hammering it concurrently.
+//! advanced past it, how far its delta chain has grown or folded, or how
+//! many reader threads are hammering it concurrently.
 
+use mtpu_repro::accountsdb::{AccountsDb, FlushService};
 use mtpu_repro::contracts::{addresses, call_data, Fixture};
 use mtpu_repro::evm::execute_block as sequential;
 use mtpu_repro::evm::state::{State, StateOps};
@@ -314,7 +315,8 @@ fn make_source(seed: u64) -> Bounded {
 }
 
 /// End to end against the real pipeline: attach a [`ReadServer`] to a
-/// deterministic `NodeDriver::run` session, then check everything the
+/// deterministic `NodeDriver::run_flat` session, with a delta chain short
+/// enough that the server folds mid-session, then check everything the
 /// server can say — roots, receipts, point reads, `eth_call` simulation,
 /// subscription events — against a sequential replay of the very blocks
 /// it served.
@@ -323,13 +325,34 @@ fn driver_run_serves_reads_identical_to_sequential_replay() {
     const BLOCKS: usize = 4;
     let source = make_source(0xFEED);
     let genesis = source.gen.genesis_state().clone();
-    let server = ReadServer::new(genesis.clone(), ReadServeConfig::default());
+    let server = ReadServer::new(
+        genesis.clone(),
+        ReadServeConfig {
+            max_delta_chain: 2, // force a fold inside a 4-block session
+            ..ReadServeConfig::default()
+        },
+    );
     let sub = server.subscribe();
 
+    let dir = std::env::temp_dir().join(format!("mtpu-readserve-flat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+    db.bootstrap_from_state(&genesis, 0);
+    let flush = FlushService::start(db.clone());
     let report = make_driver(BLOCKS)
         .with_sink(server.clone())
-        .run(genesis.clone(), source, header);
+        .run_flat(&genesis, &db, &flush, source, header);
+    drop(flush);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(report.blocks.len(), BLOCKS);
+    assert!(
+        report.blocks.iter().any(|b| {
+            let snap = server.snapshot(Some(b.height)).expect("retained");
+            snap.base_height() > 0
+        }),
+        "the server never folded its delta chain"
+    );
 
     // The subscription saw every block, in order, with the same roots the
     // driver reported.
@@ -351,7 +374,7 @@ fn driver_run_serves_reads_identical_to_sequential_replay() {
         assert_eq!(state.merkle_root(), summary.merkle_root);
         assert_eq!(snap.merkle_root(), Some(summary.merkle_root));
 
-        for user in 0..32 {
+        for user in 0..64 {
             let addr = Fixture::user_address(user);
             assert_eq!(
                 server.get_balance(Some(summary.height), addr),
@@ -362,6 +385,10 @@ fn driver_run_serves_reads_identical_to_sequential_replay() {
                 Some((summary.height, state.nonce(addr)))
             );
         }
+        assert_eq!(
+            server.get_storage(Some(summary.height), tether, u(0)),
+            Some((summary.height, state.storage(tether, u(0))))
+        );
 
         // eth_call simulation: ERC20 balanceOf against the snapshot must
         // equal the same call simulated on the replayed state.
@@ -384,64 +411,4 @@ fn driver_run_serves_reads_identical_to_sequential_replay() {
     let (h, idx, receipt) = server.receipt_by_hash(tx.hash()).expect("indexed");
     assert_eq!(h, last.height());
     assert_eq!(&receipt, &last.receipts()[idx]);
-}
-
-/// Publication-mode parity: the same deterministic session through
-/// `run` (full-state snapshots) and `run_flat` (delta chains + folds)
-/// must serve identical reads at every height.
-#[test]
-fn run_flat_sink_serves_the_same_reads_as_run() {
-    use mtpu_repro::accountsdb::{AccountsDb, FlushService};
-    const BLOCKS: usize = 4;
-
-    let genesis = make_source(0xF1A7).gen.genesis_state().clone();
-
-    let full = ReadServer::new(genesis.clone(), ReadServeConfig::default());
-    let a_report = make_driver(BLOCKS).with_sink(full.clone()).run(
-        genesis.clone(),
-        make_source(0xF1A7),
-        header,
-    );
-
-    let dir = std::env::temp_dir().join(format!("mtpu-readserve-flat-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
-    db.bootstrap_from_state(&genesis, 0);
-    let flush = FlushService::start(db.clone());
-    let flat = ReadServer::new(
-        genesis.clone(),
-        ReadServeConfig {
-            max_delta_chain: 2, // force folds inside a 4-block session
-            ..ReadServeConfig::default()
-        },
-    );
-    let b_report = make_driver(BLOCKS).with_sink(flat.clone()).run_flat(
-        &genesis,
-        &db,
-        &flush,
-        make_source(0xF1A7),
-        header,
-    );
-    drop(flush);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(a_report.final_root, b_report.final_root);
-    for h in 1..=BLOCKS as u64 {
-        let sa = full.snapshot(Some(h)).expect("full retained");
-        let sb = flat.snapshot(Some(h)).expect("flat retained");
-        assert_eq!(sa.merkle_root(), sb.merkle_root(), "root diverged at {h}");
-        assert_eq!(sa.receipts(), sb.receipts(), "receipts diverged at {h}");
-        for user in 0..64 {
-            let addr = Fixture::user_address(user);
-            assert_eq!(sa.read_balance(addr), sb.read_balance(addr), "h={h}");
-            assert_eq!(sa.read_nonce(addr), sb.read_nonce(addr), "h={h}");
-        }
-        let tether = addresses::tether();
-        assert_eq!(
-            sa.read_storage(tether, u(0)),
-            sb.read_storage(tether, u(0)),
-            "h={h}"
-        );
-    }
 }
