@@ -29,38 +29,35 @@ fn full_update(account: &Account) -> AccountUpdate {
 }
 
 impl State {
-    /// The canonical Merkle Patricia Trie root of this state, computed
-    /// from scratch over an in-memory store.
+    /// The canonical Merkle Patricia Trie root of this state, built from
+    /// scratch over an in-memory store by [`commit_full`].
     ///
     /// Accounts marked self-destructed (but not yet removed by
     /// [`State::finalize_tx`]) are excluded, mirroring
     /// [`State::state_root`].
     pub fn merkle_root(&self) -> B256 {
-        self.merkle_root_par(1)
-    }
-
-    /// [`State::merkle_root`] with storage-trie hashing fanned across up
-    /// to `threads` worker threads. The root is identical for every
-    /// thread count (see DESIGN.md §10).
-    pub fn merkle_root_par(&self, threads: usize) -> B256 {
-        let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
-        commit_full(&mut committer, self);
-        committer.commit()
+        commit_full(&mut StateCommitter::new(MemStore::new()), self)
     }
 }
 
-/// Replays every live account of `state` into `committer` (which is
-/// expected to be empty or to be rebuilt wholesale: storage tries are
-/// reset). Returns nothing; call [`StateCommitter::commit`] for the root.
-pub fn commit_full<S: NodeStore>(committer: &mut StateCommitter<S>, state: &State) {
+/// Builds every live account of `state` into the fresh `committer` with
+/// [`StateCommitter::bulk_load`] and returns the state root.
+///
+/// # Panics
+///
+/// If `committer` already holds accounts or buffered updates: a full
+/// build would silently keep accounts absent from `state`.
+pub fn commit_full<S: NodeStore>(committer: &mut StateCommitter<S>, state: &State) -> B256 {
     // The state iterates in HashMap order; address order pins the
-    // committer's touch order — and with it the store's append order — to
-    // a pure function of the state, as `delta_updates` does for a block.
+    // storage tries' build order — and with it the store's append order —
+    // to a pure function of the state, as `delta_updates` does for a block.
     let mut accounts: Vec<(Address, &Account)> = state.iter_live_accounts().collect();
     accounts.sort_unstable_by_key(|(addr, _)| *addr);
-    for (addr, account) in accounts {
-        committer.update_account(&addr, &full_update(account));
-    }
+    committer.bulk_load(
+        accounts
+            .into_iter()
+            .map(|(addr, account)| (addr, full_update(account))),
+    )
 }
 
 /// One block's commitment work, fully resolved against the pre-block
@@ -147,7 +144,6 @@ fn effective_code_hash<B: StateRead>(view: &OverlayedView<'_, B>, addr: Address)
 pub fn delta_merkle_root(base: &State, delta: &BlockDelta) -> B256 {
     let mut committer = StateCommitter::new(MemStore::new());
     commit_full(&mut committer, base);
-    committer.commit();
     commit_block_delta(&mut committer, base, delta)
 }
 

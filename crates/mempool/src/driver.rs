@@ -248,8 +248,7 @@ impl NodeDriver {
         let genesis_started = Instant::now();
         let mut committer =
             StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
-        commit_full(&mut committer, genesis);
-        let genesis_root = committer.commit();
+        let genesis_root = commit_full(&mut committer, genesis);
         let committer = AsyncCommitter::new(committer);
         let started = Instant::now();
         let genesis_wall = started - genesis_started;

@@ -6,12 +6,15 @@
 //! scratch out of a plain `HashMap` reference model, then reads every
 //! key of the pool back through a cold [`NodeDb`] over a copy of the
 //! store, so every node on those paths is decoded from its stored bytes.
-//! Any divergence — dirty-path tracking, branch collapse, inline-node
-//! boundaries, the node codec — panics; success prints a one-line
-//! summary.
+//! A second, secure-keyed leg feeds the same operations under
+//! `keccak(key)` into another incremental trie and checks its root at
+//! every commit against the bottom-up full build, [`Trie::build_sorted`]
+//! over the model's hashed keys. Any divergence — dirty-path tracking,
+//! branch collapse, inline-node boundaries, the node codec, the full
+//! build — panics; success prints a one-line summary.
 
-use mtpu_primitives::SplitMix64;
-use mtpu_statedb::{MemStore, NodeDb, Trie};
+use mtpu_primitives::{SplitMix64, B256};
+use mtpu_statedb::{MemStore, NodeBatch, NodeDb, Trie};
 use std::collections::HashMap;
 
 const OPS: usize = 5_000;
@@ -26,6 +29,8 @@ fn main() {
 
     let mut db = NodeDb::new(MemStore::new());
     let mut trie = Trie::empty();
+    let mut secure_db = NodeDb::new(MemStore::new());
+    let mut secure = Trie::empty();
     let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
     // Keys live in a bounded pool so deletes and overwrites actually hit.
     let mut pool: Vec<Vec<u8>> = Vec::new();
@@ -37,6 +42,7 @@ fn main() {
         if delete {
             let key = pool[rng.random_index(pool.len())].clone();
             trie.remove(&mut db, &key);
+            secure.remove(&mut secure_db, B256::keccak(&key).as_bytes());
             model.remove(&key);
         } else {
             let reuse = !pool.is_empty() && rng.random_bool(0.4);
@@ -51,6 +57,7 @@ fn main() {
             let mut v = vec![0u8; rng.random_range(1..52) as usize];
             rng.fill_bytes(&mut v);
             trie.insert(&mut db, &key, &v);
+            secure.insert(&mut secure_db, B256::keccak(&key).as_bytes(), &v);
             model.insert(key, v);
         }
 
@@ -78,6 +85,17 @@ fn main() {
                 );
             }
             cold_loaded += cold.stats().nodes_loaded;
+
+            let mut leaves: Vec<(B256, Vec<u8>)> = model
+                .iter()
+                .map(|(k, v)| (B256::keccak(k), v.clone()))
+                .collect();
+            leaves.sort_unstable_by_key(|&(key, _)| key);
+            assert_eq!(
+                secure.commit(&mut secure_db),
+                Trie::build_sorted(&mut NodeBatch::new(), &mut leaves),
+                "bottom-up build diverged from the secure-keyed trie at op {op}"
+            );
             commits += 1;
         }
     }

@@ -329,6 +329,60 @@ impl<S: NodeStore> StateCommitter<S> {
         }
     }
 
+    /// Builds a whole state into this fresh committer in one sorted pass
+    /// and returns the state root.
+    ///
+    /// Each update carries its account's complete storage
+    /// (`reset_storage` is implied); zero values are skipped. Storage
+    /// tries are built with [`Trie::build_sorted`] in caller order — pass
+    /// accounts in address order for a reproducible store log — then the
+    /// account trie over the leaves sorted by `keccak(address)`. Nodes
+    /// reach the store and cache in the order an
+    /// [`StateCommitter::update_account`] loop plus
+    /// [`StateCommitter::commit`] sinks them, so the store's contents and
+    /// append order, the cache and [`TrieStats`] end exactly as that
+    /// path leaves them. Serial at any [`StateCommitter::threads`].
+    ///
+    /// # Panics
+    ///
+    /// If the committer holds accounts or buffered updates, or an
+    /// address or a slot appears twice.
+    pub fn bulk_load<I>(&mut self, accounts: I) -> B256
+    where
+        I: IntoIterator<Item = (Address, AccountUpdate)>,
+    {
+        assert!(
+            self.accounts.is_empty() && self.dirty.is_empty(),
+            "bulk_load needs a fresh committer"
+        );
+        let _span = mtpu_telemetry::span("statedb.build", "statedb");
+        let hashed_before = self.db.stats().nodes_hashed;
+        let mut leaves = Vec::new();
+        let mut slots = Vec::new();
+        for (addr, up) in accounts {
+            slots.clear();
+            slots.extend(up.storage.iter().filter(|(_, value)| !value.is_zero()).map(
+                |&(slot, value)| {
+                    let key = B256::keccak(&slot.to_be_bytes());
+                    (key, rlp::encode(&Item::u256(value)))
+                },
+            ));
+            slots.sort_unstable_by_key(|&(key, _)| key);
+            let record = AccountRecord {
+                nonce: up.nonce,
+                balance: up.balance,
+                storage_root: Trie::build_sorted(&mut self.db, &mut slots),
+                code_hash: up.code_hash,
+            };
+            leaves.push((B256::keccak(addr.as_bytes()), record.encode()));
+        }
+        leaves.sort_unstable_by_key(|&(key, _)| key);
+        let root = Trie::build_sorted(&mut self.db, &mut leaves);
+        self.accounts = Trie::from_root(root);
+        self.db.count_commit(hashed_before);
+        root
+    }
+
     /// Commits all open storage tries and inserts their account leaves.
     fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {

@@ -20,9 +20,12 @@
 //!   [`Trie::commit`]: between commits the root is a hash link, mutations
 //!   splice in-memory nodes along touched paths only, and commit
 //!   re-hashes exactly those dirty paths ([`TrieStats`] counts the work);
+//!   [`Trie::build_sorted`] builds a whole trie bottom-up from sorted
+//!   secure keys, sinking the same nodes in the same order;
 //! * [`StateCommitter`] — the secure account/storage layout
 //!   (`keccak(address)` keys, `rlp([nonce, balance, storage_root,
-//!   code_hash])` leaves, per-account storage tries).
+//!   code_hash])` leaves, per-account storage tries), built incrementally
+//!   or, for a whole state, in one pass ([`StateCommitter::bulk_load`]).
 //!
 //! Telemetry: when the global `mtpu-telemetry` registry is enabled the
 //! trie mirrors its work counters as `statedb.*` metrics; disabled, each

@@ -1,5 +1,6 @@
 //! The Merkle Patricia Trie proper: get/insert/remove over a
-//! [`NodeDb`], with **incremental** root commitment.
+//! [`NodeDb`], with **incremental** root commitment, plus a one-pass
+//! bottom-up build over sorted secure keys ([`Trie::build_sorted`]).
 //!
 //! A [`Trie`] holds its root as a [`Link`]: after [`Trie::commit`] the
 //! root is a hash reference into the store; mutations splice fresh
@@ -47,17 +48,20 @@ pub struct TrieStats {
     pub commits: u64,
 }
 
-/// Receives the nodes a commit hashes, in bottom-up traversal order.
+/// Receives the nodes a commit or a full build hashes, in bottom-up
+/// traversal order.
 ///
 /// [`NodeDb`] sinks straight into its store; [`NodeBatch`] buffers them
 /// so a worker thread can hash a subtree without touching the shared
 /// store, to be merged later via [`NodeDb::absorb_batch`]. The order in
 /// which nodes reach a sink is a pure function of the trie contents
 /// (bottom-up, children before parents, branch children in nibble
-/// order), which is what makes the parallel merge deterministic.
+/// order), which is what makes the parallel merge deterministic and
+/// lets [`Trie::build_sorted`] reproduce a commit's sink sequence.
 pub trait NodeSink {
     /// Accepts one freshly encoded and hashed node, moved out of the
-    /// trie it was committed from (its link is now [`Link::Hash`]).
+    /// trie it was committed from (its link is now [`Link::Hash`]) or
+    /// just built.
     fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node);
 }
 
@@ -84,6 +88,11 @@ impl NodeBatch {
     /// `true` when no nodes are buffered.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The buffered nodes' hashes and encodings, in sink order.
+    pub fn iter(&self) -> impl Iterator<Item = (&B256, &[u8])> {
+        self.nodes.iter().map(|(h, raw, _)| (h, raw.as_slice()))
     }
 }
 
@@ -192,6 +201,17 @@ impl<S: NodeStore> NodeDb<S> {
         match link {
             Link::Node(boxed) => *boxed,
             Link::Hash(h) => self.cache.take(&h).unwrap_or_else(|| self.load_node(h)),
+        }
+    }
+
+    /// Counts one root commit whose nodes were hashed since the
+    /// `nodes_hashed` reading `hashed_before`.
+    pub(crate) fn count_commit(&mut self, hashed_before: u64) {
+        self.commits += 1;
+        if mtpu_telemetry::enabled() {
+            let m = crate::obs::metrics();
+            m.commits.inc();
+            m.commit_nodes.record(self.nodes_hashed - hashed_before);
         }
     }
 
@@ -323,12 +343,7 @@ impl Trie {
     pub fn commit<S: NodeStore>(&mut self, db: &mut NodeDb<S>) -> B256 {
         let hashed_before = db.nodes_hashed;
         let root = self.commit_into(db);
-        db.commits += 1;
-        if mtpu_telemetry::enabled() {
-            let m = crate::obs::metrics();
-            m.commits.inc();
-            m.commit_nodes.record(db.nodes_hashed - hashed_before);
-        }
+        db.count_commit(hashed_before);
         root
     }
 
@@ -355,6 +370,38 @@ impl Trie {
                 sink_link(sink, link)
             }
         }
+    }
+
+    /// Builds the trie over `leaves` bottom-up in one pass, sinks every
+    /// node of 32 bytes or more (and the root), and returns the root hash.
+    ///
+    /// Keys are 32-byte secure keys in strictly ascending order and
+    /// values are non-empty. The sorted slice is partitioned by nibble:
+    /// a run of one key becomes a leaf, a run whose first and last keys
+    /// share a prefix becomes an extension over a branch. Nodes reach
+    /// the sink in exactly the order [`Trie::commit_into`] sinks them for
+    /// the same key set inserted into an empty trie — post-order,
+    /// children in nibble order — and an MPT is canonical, so the sink
+    /// receives the same `(hash, raw, node)` sequence. Values are moved
+    /// out of `leaves`.
+    ///
+    /// # Panics
+    ///
+    /// If the keys are not strictly ascending or a value is empty.
+    pub fn build_sorted<K: NodeSink>(sink: &mut K, leaves: &mut [(B256, Vec<u8>)]) -> B256 {
+        assert!(
+            leaves.windows(2).all(|w| w[0].0 < w[1].0),
+            "build_sorted: keys must be strictly ascending"
+        );
+        assert!(
+            leaves.iter().all(|(_, v)| !v.is_empty()),
+            "build_sorted: values must be non-empty"
+        );
+        if leaves.is_empty() {
+            return empty_root();
+        }
+        let root = build_node(sink, leaves, 0);
+        sink_owned(sink, root)
     }
 
     /// The root hash if the trie is clean, `None` while mutations are
@@ -439,12 +486,9 @@ impl Trie {
         // Children are now hash links (or sub-32-byte inlines); this
         // hashes and stores just the root node.
         let root = self.commit_into(db);
-        db.commits += 1;
+        db.count_commit(hashed_before);
         if mtpu_telemetry::enabled() {
-            let m = crate::obs::metrics();
-            m.commits.inc();
-            m.commit_nodes.record(db.nodes_hashed - hashed_before);
-            m.par_busy_ns.add(busy_ns);
+            crate::obs::metrics().par_busy_ns.add(busy_ns);
         }
         root
     }
@@ -482,11 +526,76 @@ fn sink_link<K: NodeSink>(sink: &mut K, link: &mut Link) -> B256 {
     let Link::Node(node) = std::mem::replace(link, Link::Hash(B256::ZERO)) else {
         unreachable!("only in-memory links are committed")
     };
+    let h = sink_owned(sink, *node);
+    *link = Link::Hash(h);
+    h
+}
+
+/// Encodes and hashes `node` and moves it into the sink.
+fn sink_owned<K: NodeSink>(sink: &mut K, node: Node) -> B256 {
     let raw = node.encode();
     let h = B256::keccak(&raw);
-    *link = Link::Hash(h);
-    sink.sink_node(h, raw, *node);
+    sink.sink_node(h, raw, node);
     h
+}
+
+/// Nibble `i` (0..64) of a secure key.
+fn key_nibble(key: &B256, i: usize) -> u8 {
+    let b = key.as_bytes()[i / 2];
+    if i.is_multiple_of(2) {
+        b >> 4
+    } else {
+        b & 0x0f
+    }
+}
+
+/// The node over `leaves` (non-empty, ascending, sharing their first
+/// `depth` nibbles), its children already sunk or inlined.
+fn build_node<K: NodeSink>(sink: &mut K, leaves: &mut [(B256, Vec<u8>)], depth: usize) -> Node {
+    let key_path = |key: &B256, end: usize| (depth..end).map(|i| key_nibble(key, i)).collect();
+    if let [(key, value)] = leaves {
+        return Node::Leaf {
+            path: key_path(key, 64),
+            value: std::mem::take(value),
+        };
+    }
+    // Sorted keys: the first and last share what every key shares.
+    let (first, last) = (leaves[0].0, leaves[leaves.len() - 1].0);
+    let shared = (depth..64)
+        .take_while(|&i| key_nibble(&first, i) == key_nibble(&last, i))
+        .count();
+    let mut children: Box<[Option<Link>; 16]> = Box::default();
+    let at = depth + shared;
+    let mut rest = leaves;
+    while let Some((key, _)) = rest.first() {
+        let nibble = key_nibble(key, at);
+        let split = rest.partition_point(|(k, _)| key_nibble(k, at) == nibble);
+        let (run, tail) = rest.split_at_mut(split);
+        let child = build_node(sink, run, at + 1);
+        children[nibble as usize] = Some(build_link(sink, child));
+        rest = tail;
+    }
+    let branch = Node::Branch {
+        children,
+        value: None,
+    };
+    if shared == 0 {
+        return branch;
+    }
+    Node::Extension {
+        path: key_path(&first, at),
+        child: build_link(sink, branch),
+    }
+}
+
+/// The parent's link to a freshly built child: the hash of a sunk node,
+/// or the node itself when its encoding stays inline.
+fn build_link<K: NodeSink>(sink: &mut K, node: Node) -> Link {
+    if node.encoded_len() < 32 {
+        Link::Node(Box::new(node))
+    } else {
+        Link::Hash(sink_owned(sink, node))
+    }
 }
 
 fn get_at<S: NodeStore>(db: &mut NodeDb<S>, link: &Link, path: &[u8]) -> Option<Vec<u8>> {
