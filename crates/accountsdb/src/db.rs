@@ -315,27 +315,23 @@ impl AccountsDb {
                 self.cache.insert(addr, CachedAccount::tombstone(height));
                 continue;
             }
-            // Mirror OverlayedView resolution: unset fields fall through
-            // to the (pre-absorb) view of this same account.
-            let nonce = d.nonce.unwrap_or_else(|| {
-                if d.shadows_base {
-                    0
-                } else {
-                    self.lookup_nonce(addr)
-                }
+            // The delta's read rule decides each field it can; the rest
+            // fall through to the (pre-absorb) view of this same account.
+            let nonce = d
+                .read_nonce()
+                .unwrap_or_else(|| self.meta(addr, |c| c.nonce, |m| m.nonce, 0).0);
+            let balance = d
+                .read_balance()
+                .unwrap_or_else(|| self.meta(addr, |c| c.balance, |m| m.balance, U256::ZERO).0);
+            let code_hash = d.read_code_hash().unwrap_or_else(|| {
+                self.meta(addr, |c| c.code_hash, |m| m.code_hash, B256::ZERO)
+                    .0
             });
-            let balance = d.balance.unwrap_or_else(|| {
-                if d.shadows_base {
-                    U256::ZERO
-                } else {
-                    self.lookup_balance(addr)
-                }
-            });
-            let (code_hash, new_code) = match &d.code {
-                Some((code, hash)) => (*hash, (!code.is_empty()).then(|| Arc::new(code.clone()))),
-                None if d.shadows_base => (EMPTY_CODE_HASH, None),
-                None => (self.lookup_code_hash(addr), None),
-            };
+            let new_code = d
+                .code
+                .as_ref()
+                .filter(|(code, _)| !code.is_empty())
+                .map(|(code, _)| Arc::new(code.clone()));
             self.cache.upsert(
                 addr,
                 || CachedAccount {
@@ -809,42 +805,34 @@ impl AccountsDb {
         }
     }
 
-    // Untracked lookups (no hit/miss accounting) for absorb resolution.
-
-    fn lookup_nonce(&self, addr: Address) -> u64 {
+    /// One metadata field of `addr` through cache → flat layer: `cached`
+    /// or `flat` picks it from a live record, `absent` stands for a
+    /// deleted or unknown account. The flag is `true` when the write cache
+    /// answered.
+    fn meta<T>(
+        &self,
+        addr: Address,
+        cached: impl FnOnce(&CachedAccount) -> T,
+        flat: impl FnOnce(AccountMeta) -> T,
+        absent: T,
+    ) -> (T, bool) {
         match self
             .cache
-            .with_entry(addr, |c| if c.deleted { 0 } else { c.nonce })
+            .with_entry(addr, |c| (!c.deleted).then(|| cached(c)))
         {
-            Some(v) => v,
-            None => self.flat_account(addr).map(|m| m.nonce).unwrap_or(0),
+            Some(v) => (v.unwrap_or(absent), true),
+            None => (self.flat_account(addr).map(flat).unwrap_or(absent), false),
         }
     }
 
-    fn lookup_balance(&self, addr: Address) -> U256 {
-        match self
-            .cache
-            .with_entry(addr, |c| if c.deleted { U256::ZERO } else { c.balance })
-        {
-            Some(v) => v,
-            None => self
-                .flat_account(addr)
-                .map(|m| m.balance)
-                .unwrap_or(U256::ZERO),
+    /// Counts a read's cache hit or miss and returns its value.
+    fn tracked<T>(&self, (v, hit): (T, bool)) -> T {
+        if hit {
+            self.note_hit();
+        } else {
+            self.note_miss();
         }
-    }
-
-    fn lookup_code_hash(&self, addr: Address) -> B256 {
-        match self
-            .cache
-            .with_entry(addr, |c| if c.deleted { B256::ZERO } else { c.code_hash })
-        {
-            Some(v) => v,
-            None => self
-                .flat_account(addr)
-                .map(|m| m.code_hash)
-                .unwrap_or(B256::ZERO),
-        }
+        v
     }
 }
 
@@ -869,37 +857,11 @@ impl StateRead for AccountsDb {
     }
 
     fn read_balance(&self, addr: Address) -> U256 {
-        match self
-            .cache
-            .with_entry(addr, |c| if c.deleted { U256::ZERO } else { c.balance })
-        {
-            Some(v) => {
-                self.note_hit();
-                v
-            }
-            None => {
-                self.note_miss();
-                self.flat_account(addr)
-                    .map(|m| m.balance)
-                    .unwrap_or(U256::ZERO)
-            }
-        }
+        self.tracked(self.meta(addr, |c| c.balance, |m| m.balance, U256::ZERO))
     }
 
     fn read_nonce(&self, addr: Address) -> u64 {
-        match self
-            .cache
-            .with_entry(addr, |c| if c.deleted { 0 } else { c.nonce })
-        {
-            Some(v) => {
-                self.note_hit();
-                v
-            }
-            None => {
-                self.note_miss();
-                self.flat_account(addr).map(|m| m.nonce).unwrap_or(0)
-            }
-        }
+        self.tracked(self.meta(addr, |c| c.nonce, |m| m.nonce, 0))
     }
 
     fn read_code(&self, addr: Address) -> Vec<u8> {
@@ -940,21 +902,7 @@ impl StateRead for AccountsDb {
     }
 
     fn read_code_hash(&self, addr: Address) -> B256 {
-        match self
-            .cache
-            .with_entry(addr, |c| if c.deleted { B256::ZERO } else { c.code_hash })
-        {
-            Some(v) => {
-                self.note_hit();
-                v
-            }
-            None => {
-                self.note_miss();
-                self.flat_account(addr)
-                    .map(|m| m.code_hash)
-                    .unwrap_or(B256::ZERO)
-            }
-        }
+        self.tracked(self.meta(addr, |c| c.code_hash, |m| m.code_hash, B256::ZERO))
     }
 
     fn read_storage(&self, addr: Address, key: U256) -> U256 {

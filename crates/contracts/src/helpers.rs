@@ -2,7 +2,7 @@
 
 use mtpu_asm::Assembler;
 use mtpu_evm::opcode::Opcode;
-use mtpu_primitives::{keccak256, Address, U256};
+use mtpu_primitives::{keccak256, U256};
 
 /// First memory offset used for function-local variables (mirrors the
 /// Solidity convention of reserving low memory for hashing scratch).
@@ -48,11 +48,6 @@ pub fn call_data(signature: &str, args: &[U256]) -> Vec<u8> {
         data.extend_from_slice(&a.to_be_bytes());
     }
     data
-}
-
-/// Widens an address argument for [`call_data`].
-pub fn addr_arg(a: Address) -> U256 {
-    a.to_u256()
 }
 
 /// Contract-authoring extensions over the base [`Assembler`].

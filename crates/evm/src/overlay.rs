@@ -344,7 +344,8 @@ impl StaleRead {
 /// `None` fields fall through to the base view unless `shadows_base` is
 /// set, in which case the account was (re-)created by this delta and
 /// unset fields mean their default (zero / empty). Storage maps a written
-/// key to its new value; a zero value is a cleared slot.
+/// key to its new value; a zero value is a cleared slot. The `read_*`
+/// methods state this rule once for every layered view.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccountDelta {
     /// Base values for this account are invisible (created by this delta).
@@ -361,7 +362,59 @@ pub struct AccountDelta {
     pub storage: HashMap<U256, U256>,
 }
 
+/// The read rule every layered view resolves a field through. Each
+/// method returns `Some` when this delta decides the field and `None` when
+/// the layer below does.
 impl AccountDelta {
+    /// A deleted account reads `default`; a written field wins; a
+    /// (re-)created account reads `default` for unwritten fields; anything
+    /// else falls through.
+    fn decide<T>(&self, written: Option<T>, default: T) -> Option<T> {
+        if self.deleted {
+            Some(default)
+        } else if written.is_some() {
+            written
+        } else if self.shadows_base {
+            Some(default)
+        } else {
+            None
+        }
+    }
+
+    /// Account existence: any delta entry decides it.
+    pub fn read_exists(&self) -> Option<bool> {
+        self.decide(Some(true), false)
+    }
+
+    /// Account balance.
+    pub fn read_balance(&self) -> Option<U256> {
+        self.decide(self.balance, U256::ZERO)
+    }
+
+    /// Account nonce.
+    pub fn read_nonce(&self) -> Option<u64> {
+        self.decide(self.nonce, 0)
+    }
+
+    /// Contract code.
+    pub fn read_code(&self) -> Option<&[u8]> {
+        self.decide(self.code.as_ref().map(|(c, _)| c.as_slice()), &[])
+    }
+
+    /// Code hash: zero for a deleted account, the empty-code hash for a
+    /// (re-)created one without code.
+    pub fn read_code_hash(&self) -> Option<B256> {
+        if self.deleted {
+            return Some(B256::ZERO);
+        }
+        self.decide(self.code.as_ref().map(|(_, h)| *h), EMPTY_CODE_HASH)
+    }
+
+    /// Storage slot `key`.
+    pub fn read_storage(&self, key: &U256) -> Option<U256> {
+        self.decide(self.storage.get(key).copied(), U256::ZERO)
+    }
+
     fn deleted_marker() -> Self {
         AccountDelta {
             shadows_base: true,
@@ -461,11 +514,6 @@ impl BlockDelta {
         BlockDelta::default()
     }
 
-    /// Number of accounts touched by the committed prefix.
-    pub fn touched_accounts(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Iterates over the per-account deltas (for state committers that
     /// replay the block's touched accounts into an authenticated trie).
     pub fn iter(&self) -> impl Iterator<Item = (Address, &AccountDelta)> {
@@ -473,8 +521,8 @@ impl BlockDelta {
     }
 
     /// The delta entry for `addr`, if the committed prefix touched it.
-    /// Exposed so snapshot layers can resolve reads through a *chain* of
-    /// frozen block deltas with exactly [`OverlayedView`]'s semantics.
+    /// Snapshot layers resolve reads through a *chain* of frozen block
+    /// deltas by asking each entry's `read_*` methods, newest first.
     pub fn account(&self, addr: Address) -> Option<&AccountDelta> {
         self.accounts.get(&addr)
     }
@@ -517,23 +565,14 @@ impl BlockDelta {
             if tx.accounts.get(addr).map(|d| d.deleted).unwrap_or(false) {
                 continue; // dropped with the account, as in apply_to
             }
-            let current = match self.accounts.get(addr) {
-                Some(d) if d.deleted => U256::ZERO,
-                Some(d) => d.balance.unwrap_or_else(|| {
-                    if d.shadows_base {
-                        U256::ZERO
-                    } else {
-                        base.read_balance(*addr)
-                    }
-                }),
-                None => base.read_balance(*addr),
+            let view = OverlayedView {
+                base,
+                delta: &*self,
             };
-            let created = match self.accounts.get(addr) {
-                Some(d) => d.deleted,
-                None => !base.read_exists(*addr),
-            };
+            let current = view.read_balance(*addr);
+            let created = !view.read_exists(*addr);
             let entry = self.accounts.entry(*addr).or_default();
-            if entry.deleted || created {
+            if created {
                 *entry = AccountDelta {
                     shadows_base: true,
                     ..Default::default()
@@ -569,74 +608,46 @@ pub struct OverlayedView<'a, B: StateRead = State> {
 
 impl<B: StateRead> StateRead for OverlayedView<'_, B> {
     fn read_exists(&self, addr: Address) -> bool {
-        match self.delta.account(addr) {
-            Some(d) => !d.deleted,
-            None => self.base.read_exists(addr),
-        }
+        self.delta
+            .account(addr)
+            .and_then(AccountDelta::read_exists)
+            .unwrap_or_else(|| self.base.read_exists(addr))
     }
 
     fn read_balance(&self, addr: Address) -> U256 {
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => U256::ZERO,
-            Some(d) => d.balance.unwrap_or_else(|| {
-                if d.shadows_base {
-                    U256::ZERO
-                } else {
-                    self.base.read_balance(addr)
-                }
-            }),
-            None => self.base.read_balance(addr),
-        }
+        self.delta
+            .account(addr)
+            .and_then(AccountDelta::read_balance)
+            .unwrap_or_else(|| self.base.read_balance(addr))
     }
 
     fn read_nonce(&self, addr: Address) -> u64 {
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => 0,
-            Some(d) => d.nonce.unwrap_or_else(|| {
-                if d.shadows_base {
-                    0
-                } else {
-                    self.base.read_nonce(addr)
-                }
-            }),
-            None => self.base.read_nonce(addr),
-        }
+        self.delta
+            .account(addr)
+            .and_then(AccountDelta::read_nonce)
+            .unwrap_or_else(|| self.base.read_nonce(addr))
     }
 
     fn read_code(&self, addr: Address) -> Vec<u8> {
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => Vec::new(),
-            Some(d) => match &d.code {
-                Some((c, _)) => c.clone(),
-                None if d.shadows_base => Vec::new(),
-                None => self.base.read_code(addr),
-            },
-            None => self.base.read_code(addr),
-        }
+        self.delta
+            .account(addr)
+            .and_then(AccountDelta::read_code)
+            .map(<[u8]>::to_vec)
+            .unwrap_or_else(|| self.base.read_code(addr))
     }
 
     fn read_code_hash(&self, addr: Address) -> B256 {
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => B256::ZERO,
-            Some(d) => match &d.code {
-                Some((_, h)) => *h,
-                None if d.shadows_base => EMPTY_CODE_HASH,
-                None => self.base.read_code_hash(addr),
-            },
-            None => self.base.read_code_hash(addr),
-        }
+        self.delta
+            .account(addr)
+            .and_then(AccountDelta::read_code_hash)
+            .unwrap_or_else(|| self.base.read_code_hash(addr))
     }
 
     fn read_storage(&self, addr: Address, key: U256) -> U256 {
-        match self.delta.account(addr) {
-            Some(d) if d.deleted => U256::ZERO,
-            Some(d) => match d.storage.get(&key) {
-                Some(v) => *v,
-                None if d.shadows_base => U256::ZERO,
-                None => self.base.read_storage(addr, key),
-            },
-            None => self.base.read_storage(addr, key),
-        }
+        self.delta
+            .account(addr)
+            .and_then(|d| d.read_storage(&key))
+            .unwrap_or_else(|| self.base.read_storage(addr, key))
     }
 
     fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
@@ -756,68 +767,39 @@ impl<'a, B: StateRead, R: ReadLog> StateOverlay<'a, B, R> {
 
 impl<B: StateRead, R: ReadLog> StateOps for StateOverlay<'_, B, R> {
     fn exists(&self, addr: Address) -> bool {
-        match self.entry(addr) {
-            Some(d) => !(d.shadows_base && d.deleted),
-            None => {
+        self.entry(addr)
+            .and_then(AccountDelta::read_exists)
+            .unwrap_or_else(|| {
                 let v = self.base.read_exists(addr);
                 self.reads.borrow_mut().note_exists(addr, v);
                 v
-            }
-        }
+            })
     }
 
     fn balance(&self, addr: Address) -> U256 {
-        match self.entry(addr) {
-            Some(d) => d.balance.unwrap_or_else(|| {
-                if d.shadows_base {
-                    U256::ZERO
-                } else {
-                    self.fall_through_balance(addr)
-                }
-            }),
-            None => self.fall_through_balance(addr),
-        }
+        self.entry(addr)
+            .and_then(AccountDelta::read_balance)
+            .unwrap_or_else(|| self.fall_through_balance(addr))
     }
 
     fn nonce(&self, addr: Address) -> u64 {
-        match self.entry(addr) {
-            Some(d) => d.nonce.unwrap_or_else(|| {
-                if d.shadows_base {
-                    0
-                } else {
-                    let v = self.base.read_nonce(addr);
-                    self.reads.borrow_mut().note_nonce(addr, v);
-                    v
-                }
-            }),
-            None => {
-                let v = self.base.read_nonce(addr);
-                self.reads.borrow_mut().note_nonce(addr, v);
-                v
-            }
-        }
+        self.entry(addr)
+            .and_then(AccountDelta::read_nonce)
+            .unwrap_or_else(|| self.fall_through_nonce(addr))
     }
 
     fn load_code(&self, addr: Address) -> Vec<u8> {
-        match self.entry(addr) {
-            Some(d) => match &d.code {
-                Some((c, _)) => c.clone(),
-                None if d.shadows_base => Vec::new(),
-                None => self.fall_through_code(addr),
-            },
-            None => self.fall_through_code(addr),
-        }
+        self.entry(addr)
+            .and_then(AccountDelta::read_code)
+            .map(<[u8]>::to_vec)
+            .unwrap_or_else(|| self.fall_through_code(addr))
     }
 
     fn load_code_and_hash(&self, addr: Address) -> (Vec<u8>, B256) {
-        match self.entry(addr) {
-            Some(d) => match &d.code {
-                Some((c, h)) => (c.clone(), *h),
-                None if d.shadows_base => (Vec::new(), EMPTY_CODE_HASH),
-                None => self.fall_through_code_and_hash(addr),
-            },
-            None => self.fall_through_code_and_hash(addr),
-        }
+        self.entry(addr)
+            .and_then(|d| d.read_code().zip(d.read_code_hash()))
+            .map(|(c, h)| (c.to_vec(), h))
+            .unwrap_or_else(|| self.fall_through_code_and_hash(addr))
     }
 
     fn code_size(&self, addr: Address) -> usize {
@@ -825,25 +807,15 @@ impl<B: StateRead, R: ReadLog> StateOps for StateOverlay<'_, B, R> {
     }
 
     fn code_hash(&self, addr: Address) -> B256 {
-        match self.entry(addr) {
-            Some(d) => match &d.code {
-                Some((_, h)) => *h,
-                None if d.shadows_base => EMPTY_CODE_HASH,
-                None => self.fall_through_code_hash(addr),
-            },
-            None => self.fall_through_code_hash(addr),
-        }
+        self.entry(addr)
+            .and_then(AccountDelta::read_code_hash)
+            .unwrap_or_else(|| self.fall_through_code_hash(addr))
     }
 
     fn storage(&self, addr: Address, key: U256) -> U256 {
-        match self.entry(addr) {
-            Some(d) => match d.storage.get(&key) {
-                Some(v) => *v,
-                None if d.shadows_base => U256::ZERO,
-                None => self.fall_through_storage(addr, key),
-            },
-            None => self.fall_through_storage(addr, key),
-        }
+        self.entry(addr)
+            .and_then(|d| d.read_storage(&key))
+            .unwrap_or_else(|| self.fall_through_storage(addr, key))
     }
 
     fn credit(&mut self, addr: Address, amount: U256) {
@@ -1001,6 +973,12 @@ impl<B: StateRead, R: ReadLog> StateOverlay<'_, B, R> {
     fn fall_through_balance(&self, addr: Address) -> U256 {
         let v = self.base.read_balance(addr);
         self.reads.borrow_mut().note_balance(addr, v);
+        v
+    }
+
+    fn fall_through_nonce(&self, addr: Address) -> u64 {
+        let v = self.base.read_nonce(addr);
+        self.reads.borrow_mut().note_nonce(addr, v);
         v
     }
 

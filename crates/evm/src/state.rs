@@ -32,16 +32,6 @@ impl Account {
         }
     }
 
-    /// A contract account with deployed code.
-    pub fn with_code(code: Vec<u8>) -> Self {
-        let code_hash = B256::new(keccak256(&code));
-        Account {
-            code,
-            code_hash,
-            ..Default::default()
-        }
-    }
-
     /// `true` if nonce, balance and code are all empty (EIP-161 notion).
     pub fn is_empty(&self) -> bool {
         self.nonce == 0 && self.balance.is_zero() && self.code.is_empty()

@@ -32,9 +32,6 @@ pub struct PackerConfig {
     pub gas_limit: u64,
     /// Block byte budget (sum of packed RLP sizes).
     pub max_bytes: usize,
-    /// `true` disables the conflict-aware phase: pack by fee alone (the
-    /// baseline policy the bench compares against).
-    pub fee_only: bool,
 }
 
 impl Default for PackerConfig {
@@ -43,7 +40,6 @@ impl Default for PackerConfig {
             max_txs: 256,
             gas_limit: 30_000_000,
             max_bytes: 1 << 20,
-            fee_only: false,
         }
     }
 }
@@ -174,23 +170,21 @@ impl BlockPacker {
 
         // Phase 1 — conflict-free front: walk heads in fee order, admit
         // each whose footprint is disjoint from everything packed so far.
-        if !self.cfg.fee_only {
-            let mut aggregate = Footprint::default();
-            for (c, chain) in chains.iter().enumerate() {
-                let head = &chain.txs[0];
-                if !budget.admits(head) {
-                    continue;
-                }
-                if aggregate.conflicts_with(&head.footprint) {
-                    conflict_skips += 1;
-                    continue;
-                }
-                aggregate.absorb(&head.footprint);
-                budget.charge(head);
-                taken[c] = 1;
-                order.push((c, 0));
-                independent += 1;
+        let mut aggregate = Footprint::default();
+        for (c, chain) in chains.iter().enumerate() {
+            let head = &chain.txs[0];
+            if !budget.admits(head) {
+                continue;
             }
+            if aggregate.conflicts_with(&head.footprint) {
+                conflict_skips += 1;
+                continue;
+            }
+            aggregate.absorb(&head.footprint);
+            budget.charge(head);
+            taken[c] = 1;
+            order.push((c, 0));
+            independent += 1;
         }
 
         // Phase 2 — fee fill: walk chains in fee order, extending each

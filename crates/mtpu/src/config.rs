@@ -187,15 +187,6 @@ impl MtpuConfig {
             ..Self::df()
         }
     }
-
-    /// The paper's full single-core configuration at a finite cache.
-    pub fn single_core() -> Self {
-        MtpuConfig {
-            pu_count: 1,
-            redundancy_opt: false,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]

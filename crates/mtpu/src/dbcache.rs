@@ -353,14 +353,6 @@ impl DbCache {
             resident: self.resident(),
         }
     }
-
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.lookups = 0;
-        self.inserts = 0;
-        self.evictions = 0;
-    }
 }
 
 #[cfg(test)]

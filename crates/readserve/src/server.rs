@@ -172,10 +172,8 @@ impl ReadServer {
     }
 
     /// Batched point read: storage slots `keys` of `addr` at `height`
-    /// (`None` = latest), answered positionally. One snapshot resolution
-    /// walks the delta chain per key, and every key no delta decides hits
-    /// the base in a single [`StateRead::read_storage_many`] batch instead
-    /// of `keys.len()` scalar walks.
+    /// (`None` = latest), answered positionally from one snapshot, so
+    /// every value comes from the same height.
     pub fn get_many(
         &self,
         height: Option<u64>,

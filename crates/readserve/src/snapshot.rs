@@ -3,10 +3,10 @@
 //! A [`BlockSnapshot`] anchors at a frozen base [`State`] (the state at
 //! `base_height`) and stacks the frozen [`BlockDelta`]s of every block
 //! from `base_height + 1` up to its own height. Reads resolve through the
-//! delta chain newest-first with exactly the semantics of
-//! [`OverlayedView`](mtpu_evm::OverlayedView) — the same rules the
-//! parallel executor validates against — so a snapshot read at height *H*
-//! is bit-identical to a sequential `State` replayed to *H*.
+//! delta chain newest-first by [`AccountDelta`]'s read rule — the one
+//! [`OverlayedView`](mtpu_evm::OverlayedView) and the parallel executor's
+//! validation use — so a snapshot read at height *H* is bit-identical to
+//! a sequential `State` replayed to *H*.
 //!
 //! Snapshots are plain immutable data behind `Arc`s: cloning a handle is
 //! a refcount bump, reads take no locks, and a snapshot stays alive (and
@@ -15,8 +15,8 @@
 
 use mtpu_evm::state::State;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt};
-use mtpu_evm::{BlockDelta, StateRead};
-use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
+use mtpu_evm::{AccountDelta, BlockDelta, StateRead};
+use mtpu_primitives::{Address, B256, U256};
 use std::sync::{Arc, OnceLock};
 
 /// The immutable world state as of one committed block, plus the block
@@ -110,136 +110,49 @@ impl BlockSnapshot {
     pub(crate) fn set_root(&self, root: B256) {
         let _ = self.root.set(root);
     }
+
+    /// The first answer `rule` gives along the delta chain, newest first;
+    /// `None` when every delta leaves the location to the base.
+    fn resolve<T>(&self, addr: Address, rule: impl Fn(&AccountDelta) -> Option<T>) -> Option<T> {
+        self.chain
+            .iter()
+            .rev()
+            .find_map(|delta| delta.account(addr).and_then(&rule))
+    }
 }
 
-/// Delta-chain read resolution: walk the chain newest-first; the first
-/// delta that *decides* the location wins, an undecided mention falls
-/// through to older deltas and finally the base — field for field the
-/// same semantics as [`OverlayedView`](mtpu_evm::OverlayedView).
+/// Delta-chain read resolution: the newest delta whose
+/// [`AccountDelta`] read rule decides the location wins, and an undecided
+/// location falls through to older deltas and finally the base.
 impl StateRead for BlockSnapshot {
     fn read_exists(&self, addr: Address) -> bool {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                return !d.deleted;
-            }
-        }
-        self.base.read_exists(addr)
+        self.resolve(addr, AccountDelta::read_exists)
+            .unwrap_or_else(|| self.base.read_exists(addr))
     }
 
     fn read_balance(&self, addr: Address) -> U256 {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                if d.deleted {
-                    return U256::ZERO;
-                }
-                if let Some(b) = d.balance {
-                    return b;
-                }
-                if d.shadows_base {
-                    return U256::ZERO;
-                }
-            }
-        }
-        self.base.read_balance(addr)
+        self.resolve(addr, AccountDelta::read_balance)
+            .unwrap_or_else(|| self.base.read_balance(addr))
     }
 
     fn read_nonce(&self, addr: Address) -> u64 {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                if d.deleted {
-                    return 0;
-                }
-                if let Some(n) = d.nonce {
-                    return n;
-                }
-                if d.shadows_base {
-                    return 0;
-                }
-            }
-        }
-        self.base.read_nonce(addr)
+        self.resolve(addr, AccountDelta::read_nonce)
+            .unwrap_or_else(|| self.base.read_nonce(addr))
     }
 
     fn read_code(&self, addr: Address) -> Vec<u8> {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                if d.deleted {
-                    return Vec::new();
-                }
-                if let Some((c, _)) = &d.code {
-                    return c.clone();
-                }
-                if d.shadows_base {
-                    return Vec::new();
-                }
-            }
-        }
-        self.base.read_code(addr)
+        self.resolve(addr, |d| d.read_code().map(<[u8]>::to_vec))
+            .unwrap_or_else(|| self.base.read_code(addr))
     }
 
     fn read_code_hash(&self, addr: Address) -> B256 {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                if d.deleted {
-                    return B256::ZERO;
-                }
-                if let Some((_, h)) = &d.code {
-                    return *h;
-                }
-                if d.shadows_base {
-                    return EMPTY_CODE_HASH;
-                }
-            }
-        }
-        self.base.read_code_hash(addr)
+        self.resolve(addr, AccountDelta::read_code_hash)
+            .unwrap_or_else(|| self.base.read_code_hash(addr))
     }
 
     fn read_storage(&self, addr: Address, key: U256) -> U256 {
-        for delta in self.chain.iter().rev() {
-            if let Some(d) = delta.account(addr) {
-                if d.deleted {
-                    return U256::ZERO;
-                }
-                if let Some(v) = d.storage.get(&key) {
-                    return *v;
-                }
-                if d.shadows_base {
-                    return U256::ZERO;
-                }
-            }
-        }
-        self.base.read_storage(addr, key)
-    }
-
-    fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
-        out.clear();
-        out.resize(keys.len(), U256::ZERO);
-        let mut miss_pos: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<U256> = Vec::new();
-        'keys: for (i, &key) in keys.iter().enumerate() {
-            for delta in self.chain.iter().rev() {
-                if let Some(d) = delta.account(addr) {
-                    if d.deleted || (d.shadows_base && !d.storage.contains_key(&key)) {
-                        continue 'keys; // decided: zero
-                    }
-                    if let Some(v) = d.storage.get(&key) {
-                        out[i] = *v;
-                        continue 'keys;
-                    }
-                }
-            }
-            miss_pos.push(i);
-            miss_keys.push(key);
-        }
-        if !miss_keys.is_empty() {
-            // Undecided keys hit the base as one batch, so a batching
-            // backend resolves them with a single index pass.
-            let mut vals = Vec::new();
-            self.base.read_storage_many(addr, &miss_keys, &mut vals);
-            for (slot, v) in miss_pos.into_iter().zip(vals) {
-                out[slot] = v;
-            }
-        }
+        self.resolve(addr, |d| d.read_storage(&key))
+            .unwrap_or_else(|| self.base.read_storage(addr, key))
     }
 }
 
@@ -390,7 +303,7 @@ mod tests {
         );
 
         // Mix of newest-delta hit (5), older-delta hit (1), and a key no
-        // delta decides (8) that falls through to the base batch.
+        // delta decides (8) that falls through to the base.
         let keys = [u(1), u(5), u(8)];
         let mut batch = Vec::new();
         snap2.read_storage_many(a(9), &keys, &mut batch);

@@ -136,16 +136,6 @@ impl<S: NodeStore> NodeDb<S> {
         &self.store
     }
 
-    /// Mutably borrows the backing store.
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
-    /// Consumes the db, returning the backing store.
-    pub fn into_store(self) -> S {
-        self.store
-    }
-
     /// Work-counter snapshot (cache counters folded in).
     pub fn stats(&self) -> TrieStats {
         let (cache_hits, cache_misses, cache_evictions) = self.cache.counters();
@@ -402,16 +392,6 @@ impl Trie {
         }
         let root = build_node(sink, leaves, 0);
         sink_owned(sink, root)
-    }
-
-    /// The root hash if the trie is clean, `None` while mutations are
-    /// pending (commit first to learn the root).
-    pub fn committed_root(&self) -> Option<B256> {
-        match &self.root {
-            None => Some(empty_root()),
-            Some(Link::Hash(h)) => Some(*h),
-            Some(Link::Node(_)) => None,
-        }
     }
 
     /// Like [`Trie::commit`], but hashes dirty children of the root

@@ -281,15 +281,17 @@ fn repeated_runs_are_deterministic() {
     }
 }
 
+/// Init code of the six shapes' CREATE2 child: returns empty code.
+const EMPTY_CHILD_INIT: [u8; 5] = [0x60, 0x00, 0x60, 0x00, 0xf3];
+
 /// The factory of the six interpreter shapes (the one
 /// `crates/mempool/tests/footprint_parity.rs` builds): `deploy(uint256)`
-/// runs CREATE2 on a five-byte init code, `churn(uint256)` is a keccak
-/// loop.
-fn factory_runtime() -> Vec<u8> {
+/// runs CREATE2 on `child_init` (at most 32 bytes) salted with its
+/// argument, `churn(uint256)` is a keccak loop.
+fn factory_runtime(child_init: &[u8]) -> Vec<u8> {
     use mtpu_repro::asm::Assembler;
     use mtpu_repro::contracts::selector;
     use mtpu_repro::evm::Opcode::*;
-    const CHILD_INIT: [u8; 5] = [0x60, 0x00, 0x60, 0x00, 0xf3];
     let mut a = Assembler::new();
     a.dispatcher(
         &[
@@ -300,11 +302,11 @@ fn factory_runtime() -> Vec<u8> {
     );
     a.label("deploy")
         .calldata_arg(0)
-        .push_bytes(&CHILD_INIT)
+        .push_bytes(child_init)
         .push(0u64)
         .op(Mstore)
-        .push(CHILD_INIT.len() as u64)
-        .push(32u64 - CHILD_INIT.len() as u64)
+        .push(child_init.len() as u64)
+        .push(32u64 - child_init.len() as u64)
         .push(0u64)
         .op(Create2)
         .op(Dup1)
@@ -348,7 +350,8 @@ fn unrecorded_overlay_equals_the_recorded_one_minus_the_read_set() {
 
     let mut fx = Fixture::new();
     let factory = Address::from_low_u64(0xFAC7_0001);
-    fx.state.set_code(factory, factory_runtime());
+    fx.state
+        .set_code(factory, factory_runtime(&EMPTY_CHILD_INIT));
     fx.state.finalize_tx();
     let mut state = fx.state.clone();
     let header = BlockHeader::default();
@@ -424,4 +427,137 @@ fn unrecorded_overlay_equals_the_recorded_one_minus_the_read_set() {
             got_delta.apply_to(&mut state);
         }
     }
+}
+
+/// Runtime of the re-creatable child: empty calldata self-destructs to
+/// the caller, anything else copies slot 0 into slot 1.
+const CHILD_RUNTIME: [u8; 15] = [
+    0x36, 0x15, 0x60, 0x0c, 0x57, // CALLDATASIZE ISZERO PUSH1 kill JUMPI
+    0x60, 0x00, 0x54, 0x60, 0x01, 0x55, 0x00, // SSTORE(1, SLOAD(0)) STOP
+    0x5b, 0x33, 0xff, // kill: JUMPDEST CALLER SELFDESTRUCT
+];
+
+/// CODECOPY `CHILD_RUNTIME` (which follows these 12 bytes) and return it.
+fn child_init() -> Vec<u8> {
+    let mut init = vec![
+        0x60, 15, 0x60, 12, 0x60, 0x00, 0x39, 0x60, 15, 0x60, 0x00, 0xf3,
+    ];
+    init.extend_from_slice(&CHILD_RUNTIME);
+    init
+}
+
+/// A block that destroys a CREATE2 child and re-creates it at the same
+/// address: the re-created account must read zero for every slot it has
+/// not written, not the storage of its previous incarnation. Pins the
+/// `shadows_base` half of the delta-read rule in every layered view — the
+/// parallel executor's overlays, the read server's delta chain and the
+/// accounts-DB's absorb.
+#[test]
+fn recreated_account_does_not_see_its_predecessors_storage() {
+    use mtpu_repro::accountsdb::AccountsDb;
+    use mtpu_repro::contracts::call_data;
+    use mtpu_repro::evm::state::{State, StateOps};
+    use mtpu_repro::evm::tx::{Block, BlockHeader, Transaction};
+    use mtpu_repro::evm::StateRead;
+    use mtpu_repro::mempool::{BlockSink, CommittedBlock};
+    use mtpu_repro::primitives::{Address, U256};
+    use mtpu_repro::readserve::{ReadServeConfig, ReadServer};
+    use std::sync::Arc;
+
+    let user = Address::from_low_u64(0xA11CE);
+    let factory = Address::from_low_u64(0xFAC7_0002);
+    let salt = U256::from(0x5A17u64);
+    let init = child_init();
+    let child = Address::create2(factory, B256::from_u256(salt), &init);
+    let deploy = call_data("deploy(uint256)", &[salt]);
+    let block_at = |height, transactions| Block {
+        header: BlockHeader {
+            height,
+            ..Default::default()
+        },
+        transactions,
+    };
+
+    // Base: the child deployed through the factory, slot 0 = 7, and a
+    // balance its self-destruct hands back to the caller.
+    let mut base = State::new();
+    base.credit(user, U256::from(1_000_000_000u64));
+    base.set_code(factory, factory_runtime(&init));
+    base.finalize_tx();
+    let setup = sequential(
+        &mut base,
+        &block_at(0, vec![Transaction::call(user, factory, deploy.clone(), 0)]),
+    );
+    assert!(setup[0].success, "base deployment");
+    assert_eq!(base.load_code(child), CHILD_RUNTIME);
+    base.set_storage(child, U256::ZERO, U256::from(7u64));
+    base.credit(child, U256::from(99u64));
+    base.finalize_tx();
+
+    let block = block_at(
+        1,
+        vec![
+            Transaction::call(user, child, Vec::new(), 1),
+            Transaction::call(user, factory, deploy, 2),
+            Transaction::call(user, child, vec![1], 3),
+        ],
+    );
+    let mut seq_state = base.clone();
+    let seq_receipts = sequential(&mut seq_state, &block);
+    assert!(seq_receipts.iter().all(|r| r.success));
+    assert_eq!(seq_state.storage(child, U256::ONE), U256::ZERO);
+
+    let mut delta = None;
+    for threads in [1, 2, 4] {
+        let result = ParExecutor::new(threads).execute_block(&base, &block);
+        assert_eq!(
+            result.receipts, seq_receipts,
+            "receipts diverged at threads {threads}"
+        );
+        assert_eq!(
+            result.state.state_root(),
+            seq_state.state_root(),
+            "state root diverged at threads {threads}"
+        );
+        delta = Some(result.delta);
+    }
+    let delta = Arc::new(delta.expect("ran at least once"));
+
+    let server = ReadServer::new(base.clone(), ReadServeConfig::default());
+    server.on_block(CommittedBlock {
+        height: 1,
+        block: Arc::new(block),
+        receipts: Arc::new(seq_receipts),
+        state: None,
+        delta: delta.clone(),
+    });
+    let snap = server.snapshot(Some(1)).expect("height 1 is retained");
+
+    let dir = std::env::temp_dir().join(format!("mtpu-parexec-recreate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&base, 0);
+    db.absorb(&delta, 1);
+
+    let views: [(&str, &dyn StateRead); 2] = [("read server", &*snap), ("accounts db", &db)];
+    for (name, view) in views {
+        assert_eq!(
+            view.read_balance(child),
+            seq_state.balance(child),
+            "{name}: balance"
+        );
+        assert_eq!(
+            view.read_code(child),
+            seq_state.load_code(child),
+            "{name}: code"
+        );
+        for slot in [U256::ZERO, U256::ONE] {
+            assert_eq!(
+                view.read_storage(child, slot),
+                seq_state.storage(child, slot),
+                "{name}: slot {slot:?}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
