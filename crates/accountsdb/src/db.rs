@@ -5,8 +5,11 @@
 //! entry at or below a height cursor into a fresh append-only storage
 //! file and the index; a snapshot flushes everything and writes an atomic
 //! MANIFEST naming the durable file set. Reopening honors only the
-//! MANIFEST — files flushed after the last snapshot are invisible, which
-//! is exactly the crash contract of the statedb `FileStore`.
+//! MANIFEST — files flushed after the last snapshot are invisible. The
+//! MANIFEST is the node's one durable checkpoint: the state trie is not
+//! stored, it is derived from the reopened store
+//! ([`AccountsDb::export_state`]) and checked against the root the
+//! snapshot recorded.
 
 use crate::cache::{CachedAccount, WriteCache};
 use crate::file::{
@@ -16,11 +19,11 @@ use crate::file::{
 use crate::index::{CodeLoc, FlatIndex};
 use crate::obs;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
-use mtpu_evm::state::State;
+use mtpu_evm::state::{Account, State};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -298,6 +301,59 @@ impl AccountsDb {
         self.update_gauges();
     }
 
+    /// The whole store as a [`State`]: every live account with its code
+    /// and non-zero slots, read through the index and the storage files.
+    /// The inverse of [`AccountsDb::bootstrap_from_state`], and how a
+    /// reopened store derives its trie: `export_state().merkle_root()`
+    /// is the root [`AccountsDb::snapshot`] recorded.
+    ///
+    /// # Panics
+    ///
+    /// If the write cache holds entries. The files then hold the whole
+    /// state only right after [`AccountsDb::open`] or
+    /// [`AccountsDb::snapshot`], so call it there.
+    pub fn export_state(&self) -> State {
+        assert_eq!(
+            self.cache.len(),
+            0,
+            "export_state needs an empty write cache (call it after open or snapshot)"
+        );
+        let (accounts, slots) = {
+            let ix = self.index.read().expect("index poisoned");
+            let accounts: Vec<Address> = ix
+                .iter_accounts()
+                .filter_map(|(addr, e)| e.meta.map(|_| addr))
+                .collect();
+            let slots: Vec<(Address, U256)> = ix
+                .iter_live_slots()
+                .map(|(addr, key, _)| (addr, key))
+                .collect();
+            (accounts, slots)
+        };
+        let mut storage: HashMap<Address, HashMap<U256, U256>> = HashMap::new();
+        for (addr, key) in slots {
+            let value = self.flat_storage(addr, key);
+            if !value.is_zero() {
+                storage.entry(addr).or_default().insert(key, value);
+            }
+        }
+        let mut state = State::new();
+        for addr in accounts {
+            let meta = self.flat_account(addr).expect("live account has metadata");
+            state.insert_account(
+                addr,
+                Account {
+                    nonce: meta.nonce,
+                    balance: meta.balance,
+                    code: self.code_for_hash(meta.code_hash),
+                    code_hash: meta.code_hash,
+                    storage: storage.remove(&addr).unwrap_or_default(),
+                },
+            );
+        }
+        state
+    }
+
     /// Absorbs one committed block's delta at `height`. Metadata fields
     /// the delta leaves unset are resolved against the pre-absorb view,
     /// so cache entries are always self-contained for account metadata.
@@ -554,8 +610,14 @@ impl AccountsDb {
             }
             text
         };
+        // The temp file reaches disk before the rename publishes it, so a
+        // crash can never leave a renamed but empty or torn MANIFEST.
         let tmp = self.dir.join("MANIFEST.tmp");
-        std::fs::write(&tmp, manifest)?;
+        {
+            let mut file = File::create(&tmp)?;
+            file.write_all(manifest.as_bytes())?;
+            file.sync_all()?;
+        }
         std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
         *self.snapshot_root.lock().expect("snapshot root poisoned") = root;
         self.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -1247,6 +1309,53 @@ mod tests {
         assert!(!again.read_exists(addr(2)));
         assert!(again.read_exists(addr(3)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn export_state_reads_back_only_live_accounts_and_slots() {
+        let dir = scratch_dir("export");
+        let db = AccountsDb::open(&dir).unwrap();
+        absorb_tx(
+            &db,
+            &creation(addr(1), 100, 7, Some(b"code"), &[(1, 11), (2, 22)]),
+            1,
+        );
+        absorb_tx(&db, &creation(addr(2), 55, 0, None, &[(3, 33)]), 1);
+        db.flush_up_to(1).unwrap();
+        // Block 2 clears slot 2 of addr(1) and deletes addr(2).
+        let mut tx = creation(addr(1), 100, 8, None, &[(2, 0)]);
+        tx.accounts.get_mut(&addr(1)).unwrap().shadows_base = false;
+        tx.accounts.get_mut(&addr(1)).unwrap().balance = None;
+        tx.accounts.insert(
+            addr(2),
+            AccountDelta {
+                shadows_base: true,
+                deleted: true,
+                ..Default::default()
+            },
+        );
+        absorb_tx(&db, &tx, 2);
+        db.snapshot(None).unwrap();
+
+        let state = db.export_state();
+        assert_eq!(state.account_count(), 1, "deleted account exported");
+        let acc = state.account(addr(1)).unwrap();
+        assert_eq!((acc.nonce, acc.balance), (8, U256::from(100u64)));
+        assert_eq!(acc.code, b"code".to_vec());
+        assert_eq!(acc.code_hash, B256::keccak(b"code"));
+        let slots: HashMap<U256, U256> = [(U256::from(1u64), U256::from(11u64))].into();
+        assert_eq!(acc.storage, slots, "a cleared slot must not export");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty write cache")]
+    fn export_state_refuses_a_dirty_write_cache() {
+        let dir = scratch_dir("export-dirty");
+        let db = AccountsDb::open(&dir).unwrap();
+        absorb_tx(&db, &creation(addr(1), 1, 0, None, &[]), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+        db.export_state();
     }
 
     #[test]

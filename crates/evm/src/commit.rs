@@ -111,7 +111,7 @@ pub fn apply_updates<S: NodeStore>(
     }
 }
 
-/// Applies one block's accumulated [`BlockDelta`] to a persistent
+/// Applies one block's accumulated [`BlockDelta`] to a long-lived
 /// `committer` whose trie currently commits to `base`, and returns the
 /// post-block root. Only the touched accounts' trie paths are re-hashed.
 ///

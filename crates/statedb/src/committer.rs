@@ -185,16 +185,13 @@ impl SecureKeys {
 }
 
 impl<S: NodeStore> StateCommitter<S> {
-    /// Opens a committer over `store`, resuming from the store's last
-    /// synced root (or the empty trie for a fresh store).
+    /// An empty committer over `store`. The trie is derived state: a
+    /// restart rebuilds it from the flat store with
+    /// [`StateCommitter::bulk_load`].
     pub fn new(store: S) -> StateCommitter<S> {
-        let accounts = match store.root() {
-            Some(root) => Trie::from_root(root),
-            None => Trie::empty(),
-        };
         StateCommitter {
             db: NodeDb::new(store),
-            accounts,
+            accounts: Trie::empty(),
             dirty: Vec::new(),
             dirty_index: HashMap::new(),
             keys: SecureKeys::new(),
@@ -335,7 +332,7 @@ impl<S: NodeStore> StateCommitter<S> {
     /// Each update carries its account's complete storage
     /// (`reset_storage` is implied); zero values are skipped. Storage
     /// tries are built with [`Trie::build_sorted`] in caller order — pass
-    /// accounts in address order for a reproducible store log — then the
+    /// accounts in address order for a reproducible append order — then the
     /// account trie over the leaves sorted by `keccak(address)`. Nodes
     /// reach the store and cache in the order an
     /// [`StateCommitter::update_account`] loop plus
@@ -440,17 +437,6 @@ impl<S: NodeStore> StateCommitter<S> {
         }
     }
 
-    /// Commits, then durably syncs the store at the new root.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O error.
-    pub fn persist(&mut self) -> std::io::Result<B256> {
-        let root = self.commit();
-        self.db.sync(root)?;
-        Ok(root)
-    }
-
     /// Work-counter snapshot for the underlying node db.
     pub fn stats(&self) -> TrieStats {
         self.db.stats()
@@ -552,24 +538,5 @@ mod tests {
         c.commit();
         assert_eq!(c.storage_value(&addr, u(5)), U256::ZERO);
         assert_eq!(c.storage_value(&addr, u(6)), u(66));
-    }
-
-    #[test]
-    fn commit_resumes_from_synced_store_root() {
-        let mut store = MemStore::new();
-        let addr = Address::from_low_u64(3);
-        let root = {
-            let mut c = StateCommitter::new(store.clone());
-            let mut up = AccountUpdate::plain(1, u(77), EMPTY_CODE_HASH);
-            up.storage.push((u(1), u(2)));
-            c.update_account(&addr, &up);
-            let root = c.persist().unwrap();
-            store = c.store().clone();
-            root
-        };
-        let mut reopened = StateCommitter::new(store);
-        assert_eq!(reopened.commit(), root);
-        assert_eq!(reopened.storage_value(&addr, u(1)), u(2));
-        assert_eq!(reopened.account(&addr).unwrap().balance, u(77));
     }
 }

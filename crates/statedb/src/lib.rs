@@ -1,6 +1,6 @@
 //! Authenticated state commitment for the MTPU reproduction: an
-//! Ethereum-style Merkle Patricia Trie with incremental roots, a bounded
-//! node cache, and pluggable persistence.
+//! Ethereum-style Merkle Patricia Trie with incremental roots and a
+//! bounded node cache, over a hash-addressed node store.
 //!
 //! The paper's execution pipeline validates blocks against a
 //! *commitment* to post-state; this crate supplies that commitment as
@@ -11,9 +11,10 @@
 //! * [`Node`]/[`Link`] — the three node kinds and their direct RLP codec
 //!   (one exactly-sized buffer out, borrowed slices in), with sub-32-byte
 //!   children inlined in their parent;
-//! * [`NodeStore`] — hash-addressed persistence: [`MemStore`] for
-//!   ephemeral runs, [`FileStore`] (append-only log + manifest) so a
-//!   chain survives restart;
+//! * [`NodeStore`] — hash-addressed node storage, [`MemStore`] in
+//!   process. The trie is derived, not archived: the durable checkpoint
+//!   is the flat accounts store's MANIFEST, and a restart rebuilds the
+//!   trie from it with [`StateCommitter::bulk_load`];
 //! * [`NodeCache`] — bounded FIFO cache of decoded nodes in front of the
 //!   store, which reads share and mutations take out;
 //! * [`Trie`] over a [`NodeDb`] — get/insert/remove plus **incremental**
@@ -42,5 +43,5 @@ pub mod trie;
 pub use cache::{BoundedMemo, NodeCache, DEFAULT_CACHE_CAPACITY};
 pub use committer::{AccountRecord, AccountUpdate, StateCommitter};
 pub use node::{Link, Node, NodeError};
-pub use store::{FileStore, MemStore, NodeStore};
+pub use store::{MemStore, NodeStore};
 pub use trie::{empty_root, NodeBatch, NodeDb, NodeSink, Trie, TrieStats};

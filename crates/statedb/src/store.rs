@@ -1,23 +1,17 @@
-//! Pluggable node persistence: hash-addressed storage of encoded trie
-//! nodes.
+//! Hash-addressed storage of encoded trie nodes.
 //!
-//! Two backends ship with the crate:
+//! The trie is derived state: the durable checkpoint is the flat
+//! accounts store's MANIFEST, and a restarted node rebuilds its trie
+//! from the flat store in one sorted pass
+//! ([`crate::StateCommitter::bulk_load`]). So the crate ships one
+//! backend, [`MemStore`], a plain in-process map; the trait stays so
+//! tests can substitute stores that record what the trie writes.
 //!
-//! * [`MemStore`] — a plain in-process map, for tests and ephemeral
-//!   simulation;
-//! * [`FileStore`] — an append-only node log plus a manifest, so a chain
-//!   survives process restart: on open the manifest names the committed
-//!   log length and the last synced root, and the log prefix is replayed
-//!   into an in-memory index.
-//!
-//! Both stores are *archive* stores: nodes are never deleted, so any
-//! historical root that was ever committed remains readable.
+//! [`MemStore`] is an *archive*: nodes are never deleted, so any root
+//! committed into it stays readable.
 
-use mtpu_primitives::{keccak256, B256};
+use mtpu_primitives::B256;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
 /// Hash-addressed storage of encoded trie nodes.
 pub trait NodeStore {
@@ -27,38 +21,12 @@ pub trait NodeStore {
     /// Stores one encoded node under its hash. Idempotent: storing the
     /// same hash twice is a no-op (content-addressed data never changes).
     fn put(&mut self, hash: B256, raw: Vec<u8>);
-
-    /// Stores a batch of nodes, preserving the slice order — for
-    /// append-only backends the log bytes must equal the same sequence
-    /// of [`NodeStore::put`] calls. Backends may override this to
-    /// amortise per-record overhead.
-    fn put_batch(&mut self, nodes: Vec<(B256, Vec<u8>)>) {
-        for (hash, raw) in nodes {
-            self.put(hash, raw);
-        }
-    }
-
-    /// Number of distinct nodes stored.
-    fn node_count(&self) -> usize;
-
-    /// The root recorded by the last [`NodeStore::sync`], if any — how a
-    /// reopened store tells the committer where the trie left off.
-    fn root(&self) -> Option<B256>;
-
-    /// Durably records `root` (and, for persistent backends, flushes all
-    /// nodes written so far).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error; in-memory stores never fail.
-    fn sync(&mut self, root: B256) -> std::io::Result<()>;
 }
 
 /// An in-process, non-persistent node store.
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
     nodes: HashMap<B256, Vec<u8>>,
-    root: Option<B256>,
 }
 
 impl MemStore {
@@ -76,292 +44,20 @@ impl NodeStore for MemStore {
     fn put(&mut self, hash: B256, raw: Vec<u8>) {
         self.nodes.entry(hash).or_insert(raw);
     }
-
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn root(&self) -> Option<B256> {
-        self.root
-    }
-
-    fn sync(&mut self, root: B256) -> std::io::Result<()> {
-        self.root = Some(root);
-        Ok(())
-    }
-}
-
-/// Manifest schema line; bump when the on-disk layout changes.
-const MANIFEST_SCHEMA: &str = "mtpu-statedb/v1";
-const LOG_FILE: &str = "nodes.log";
-const MANIFEST_FILE: &str = "MANIFEST";
-
-/// A file-backed archive store: an append-only log of `[u32 BE length]
-/// [raw node bytes]` records under `dir/nodes.log`, plus `dir/MANIFEST`
-/// naming the schema, the committed log length and the last synced root.
-///
-/// Appends past the manifest's committed length are invisible to a
-/// reopen until the next [`NodeStore::sync`] — a crash mid-block simply
-/// truncates back to the last synced root (the manifest is replaced
-/// atomically via a temp file + rename).
-#[derive(Debug)]
-pub struct FileStore {
-    dir: PathBuf,
-    log: File,
-    /// Bytes of the log that the manifest vouches for.
-    committed_len: u64,
-    /// Bytes written to the log so far (committed + pending).
-    written_len: u64,
-    index: HashMap<B256, Vec<u8>>,
-    root: Option<B256>,
-}
-
-impl FileStore {
-    /// Opens (or creates) a store in `dir`, replaying the committed log
-    /// prefix into memory.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, on a manifest with an unknown schema, and on
-    /// a log record whose bytes do not hash to a well-formed record
-    /// boundary (a torn write *inside* the committed prefix).
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<FileStore> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let (committed_len, root) = read_manifest(&dir.join(MANIFEST_FILE))?;
-
-        let mut log = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(LOG_FILE))?;
-        let mut bytes = Vec::new();
-        log.read_to_end(&mut bytes)?;
-        if (bytes.len() as u64) < committed_len {
-            return Err(corrupt(format!(
-                "log shorter than manifest: {} < {committed_len}",
-                bytes.len()
-            )));
-        }
-
-        let mut index = HashMap::new();
-        let mut pos = 0usize;
-        while (pos as u64) < committed_len {
-            let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-                return Err(corrupt("record header crosses committed boundary"));
-            };
-            let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-            let Some(raw) = bytes.get(pos + 4..pos + 4 + len) else {
-                return Err(corrupt("record payload crosses committed boundary"));
-            };
-            index.insert(B256::new(keccak256(raw)), raw.to_vec());
-            pos += 4 + len;
-        }
-        if pos as u64 != committed_len {
-            return Err(corrupt("committed length is not a record boundary"));
-        }
-
-        // Position appends right after the committed prefix; a stale
-        // uncommitted tail is overwritten.
-        log.seek(SeekFrom::Start(committed_len))?;
-        Ok(FileStore {
-            dir,
-            log,
-            committed_len,
-            written_len: committed_len,
-            index,
-            root,
-        })
-    }
-
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Bytes of the node log vouched for by the manifest.
-    pub fn committed_len(&self) -> u64 {
-        self.committed_len
-    }
-}
-
-fn corrupt(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_manifest(path: &Path) -> std::io::Result<(u64, Option<B256>)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, None)),
-        Err(e) => return Err(e),
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(MANIFEST_SCHEMA) => {}
-        other => return Err(corrupt(format!("unknown manifest schema {other:?}"))),
-    }
-    let len: u64 = lines
-        .next()
-        .and_then(|l| l.parse().ok())
-        .ok_or_else(|| corrupt("manifest missing committed length"))?;
-    let root = match lines.next() {
-        Some("-") | None => None,
-        Some(hex) => Some(
-            hex.parse::<B256>()
-                .map_err(|_| corrupt("manifest root is not 32-byte hex"))?,
-        ),
-    };
-    Ok((len, root))
-}
-
-impl NodeStore for FileStore {
-    fn get(&self, hash: &B256) -> Option<Vec<u8>> {
-        self.index.get(hash).cloned()
-    }
-
-    fn put(&mut self, hash: B256, raw: Vec<u8>) {
-        if self.index.contains_key(&hash) {
-            return;
-        }
-        let len = raw.len() as u32;
-        // Buffered through the OS; durability comes from sync().
-        self.log
-            .write_all(&len.to_be_bytes())
-            .and_then(|()| self.log.write_all(&raw))
-            .expect("append to node log");
-        self.written_len += 4 + raw.len() as u64;
-        self.index.insert(hash, raw);
-    }
-
-    fn put_batch(&mut self, nodes: Vec<(B256, Vec<u8>)>) {
-        // One write_all for the whole batch; the log bytes are identical
-        // to the equivalent sequence of put() calls.
-        let mut buf = Vec::new();
-        for (hash, raw) in nodes {
-            if self.index.contains_key(&hash) {
-                continue;
-            }
-            buf.extend_from_slice(&(raw.len() as u32).to_be_bytes());
-            buf.extend_from_slice(&raw);
-            self.index.insert(hash, raw);
-        }
-        if buf.is_empty() {
-            return;
-        }
-        self.log.write_all(&buf).expect("append to node log");
-        self.written_len += buf.len() as u64;
-    }
-
-    fn node_count(&self) -> usize {
-        self.index.len()
-    }
-
-    fn root(&self) -> Option<B256> {
-        self.root
-    }
-
-    fn sync(&mut self, root: B256) -> std::io::Result<()> {
-        self.log.sync_data()?;
-        let manifest = format!("{MANIFEST_SCHEMA}\n{}\n{root}\n", self.written_len);
-        let tmp = self.dir.join("MANIFEST.tmp");
-        std::fs::write(&tmp, manifest)?;
-        std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
-        self.committed_len = self.written_len;
-        self.root = Some(root);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mtpu-statedb-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn node(data: &[u8]) -> (B256, Vec<u8>) {
-        (B256::new(keccak256(data)), data.to_vec())
-    }
-
     #[test]
     fn mem_store_round_trips() {
         let mut s = MemStore::new();
-        let (h, raw) = node(b"hello");
+        let (h, raw) = (B256::keccak(b"hello"), b"hello".to_vec());
         assert!(s.get(&h).is_none());
         s.put(h, raw.clone());
-        assert_eq!(s.get(&h), Some(raw));
-        assert_eq!(s.node_count(), 1);
-        s.sync(h).unwrap();
-        assert_eq!(s.root(), Some(h));
-    }
-
-    #[test]
-    fn file_store_survives_reopen() {
-        let dir = temp_dir("reopen");
-        let (h1, r1) = node(b"alpha");
-        let (h2, r2) = node(b"beta");
-        {
-            let mut s = FileStore::open(&dir).unwrap();
-            assert_eq!(s.node_count(), 0);
-            assert_eq!(s.root(), None);
-            s.put(h1, r1.clone());
-            s.put(h2, r2.clone());
-            s.sync(h2).unwrap();
-        }
-        let s = FileStore::open(&dir).unwrap();
-        assert_eq!(s.node_count(), 2);
-        assert_eq!(s.get(&h1), Some(r1));
-        assert_eq!(s.get(&h2), Some(r2));
-        assert_eq!(s.root(), Some(h2));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn unsynced_tail_is_dropped_on_reopen() {
-        let dir = temp_dir("tail");
-        let (h1, r1) = node(b"kept");
-        let (h2, r2) = node(b"lost");
-        {
-            let mut s = FileStore::open(&dir).unwrap();
-            s.put(h1, r1.clone());
-            s.sync(h1).unwrap();
-            s.put(h2, r2); // never synced
-        }
-        let s = FileStore::open(&dir).unwrap();
-        assert_eq!(s.get(&h1), Some(r1));
-        assert_eq!(s.get(&h2), None, "uncommitted tail must vanish");
-        assert_eq!(s.root(), Some(h1));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bad_manifest_is_rejected() {
-        let dir = temp_dir("badmanifest");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(MANIFEST_FILE), "someone-else/v9\n0\n-\n").unwrap();
-        assert!(FileStore::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_log_is_rejected() {
-        let dir = temp_dir("shortlog");
-        {
-            let mut s = FileStore::open(&dir).unwrap();
-            let (h, r) = node(b"data");
-            s.put(h, r);
-            s.sync(h).unwrap();
-        }
-        // Chop bytes off the committed prefix.
-        let log = dir.join(LOG_FILE);
-        let bytes = std::fs::read(&log).unwrap();
-        std::fs::write(&log, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(FileStore::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(s.get(&h), Some(raw.clone()));
+        s.put(h, b"other".to_vec());
+        assert_eq!(s.get(&h), Some(raw), "first put wins");
     }
 }

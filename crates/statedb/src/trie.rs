@@ -149,16 +149,6 @@ impl<S: NodeStore> NodeDb<S> {
         }
     }
 
-    /// Durably records `root` in the backing store (see
-    /// [`NodeStore::sync`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O error.
-    pub fn sync(&mut self, root: B256) -> std::io::Result<()> {
-        self.store.sync(root)
-    }
-
     /// Decodes a node from the backing store.
     fn load_node(&mut self, hash: B256) -> Node {
         let raw = self
@@ -226,12 +216,10 @@ impl<S: NodeStore> NodeDb<S> {
             return;
         }
         self.nodes_hashed += n;
-        let mut raws = Vec::with_capacity(batch.nodes.len());
         for (hash, raw, node) in batch.nodes {
             self.cache.put(hash, Arc::new(node));
-            raws.push((hash, raw));
+            self.store.put(hash, raw);
         }
-        self.store.put_batch(raws);
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.add(n);

@@ -164,18 +164,6 @@ impl NodeStore for LogStore {
         self.appended.push(hash);
         self.inner.put(hash, raw);
     }
-
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn root(&self) -> Option<B256> {
-        self.inner.root()
-    }
-
-    fn sync(&mut self, root: B256) -> std::io::Result<()> {
-        self.inner.sync(root)
-    }
 }
 
 fn address(rng: &mut SplitMix64) -> Address {

@@ -4,17 +4,17 @@
 //! learning) — with the Contract Table warming up across blocks.
 //!
 //! Each block is additionally executed in parallel (`parexec`) and its
-//! delta committed *incrementally* into a file-backed Merkle Patricia
+//! delta committed *incrementally* into an in-memory Merkle Patricia
 //! Trie, whose root must match a from-scratch commitment of the
 //! post-block state bit for bit. Everything here is synchronous, one
 //! block at a time; the overlapped pipeline (commit joined one block
-//! behind) is `NodeDriver`'s, see `examples/node_pipeline.rs`. After the
-//! run the store is reopened to show the chain survives restart.
+//! behind) is `NodeDriver`'s, see `examples/node_pipeline.rs`.
 //!
 //! The flat accounts store rides along: every committed delta is also
 //! absorbed into an [`AccountsDb`] whose background flush trails the
-//! chain, and at the end a snapshot → restore round-trip shows the flat
-//! store reopens at the same head as the trie.
+//! chain. Its MANIFEST is the one durable checkpoint: at the end the
+//! store is snapshotted, reopened, and the trie root derived from it
+//! must equal the chain head.
 //!
 //! ```sh
 //! cargo run --release --example chain_sim [blocks]
@@ -24,7 +24,7 @@ use mtpu_repro::accountsdb::{AccountsDb, FlushService};
 use mtpu_repro::evm::{apply_updates, delta_updates};
 use mtpu_repro::mtpu::{simulate_sequential, simulate_st, ContractTable, MtpuConfig};
 use mtpu_repro::parexec::ParExecutor;
-use mtpu_repro::statedb::{FileStore, StateCommitter};
+use mtpu_repro::statedb::{MemStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
 use std::sync::Arc;
 
@@ -52,13 +52,9 @@ fn main() {
     let mut table = ContractTable::new();
     let executor = ParExecutor::new(4);
 
-    let store_dir = std::env::temp_dir().join(format!("mtpu-chain-sim-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let mut committer =
-        StateCommitter::new(FileStore::open(&store_dir).expect("open node store")).with_threads(4);
+    let mut committer = StateCommitter::new(MemStore::new()).with_threads(4);
     // Seed the trie with genesis so block deltas commit incrementally.
-    mtpu_repro::evm::commit_full(&mut committer, &generator.fx.state);
-    let genesis_root = committer.persist().expect("persist genesis");
+    let genesis_root = mtpu_repro::evm::commit_full(&mut committer, &generator.fx.state);
     assert_eq!(genesis_root, generator.fx.state.merkle_root());
 
     // The flat accounts store shadows the chain: deltas absorb after
@@ -99,7 +95,7 @@ fn main() {
             &mut committer,
             &delta_updates(&p.state_before, &result.delta),
         );
-        root = committer.persist().expect("persist block");
+        root = committer.commit();
         assert_eq!(root, p.state_after.merkle_root(), "trie commit diverged");
         flat.absorb(&result.delta, height);
         flat_flush.request_flush(height.saturating_sub(1));
@@ -117,39 +113,21 @@ fn main() {
         );
     }
 
-    // Restart survival: reopen the store and resume at the same root.
-    let total_nodes = {
-        use mtpu_repro::statedb::NodeStore;
-        committer.store().node_count()
-    };
-    drop(committer);
-    let mut reopened = StateCommitter::new(FileStore::open(&store_dir).expect("reopen store"));
-    let resumed = reopened.commit();
-    assert_eq!(resumed, root, "reopened store lost the chain head");
-    println!(
-        "\nstore reopened from {}: root {} resumed across restart ({total_nodes} nodes on disk)",
-        store_dir.display(),
-        short(resumed),
-    );
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    // Flat-store snapshot → restore: the reopened accounts DB resumes at
-    // the same head (and remembers the trie root it was snapshotted at).
+    // Restart: snapshot the flat store, reopen it, and derive the trie
+    // root from what the MANIFEST vouches for.
     flat_flush.quiesce();
     flat.snapshot(Some(root)).expect("snapshot flat store");
-    let flat_stats = flat.stats();
     drop(flat_flush);
     drop(flat);
-    let restored = AccountsDb::open(&flat_dir).expect("restore accounts db");
-    assert_eq!(restored.snapshot_root(), Some(root));
+    let restored = AccountsDb::open(&flat_dir).expect("reopen accounts db");
     assert_eq!(restored.head_height(), blocks as u64);
+    assert_eq!(restored.snapshot_root(), Some(root));
+    let derived = restored.export_state().merkle_root();
+    assert_eq!(derived, root, "derived root lost the chain head");
     println!(
-        "flat store restored at height {}: root {} ({} accounts, {} files, {} KiB)",
+        "\nflat store reopened at height {}: derived root {} is the chain head",
         restored.head_height(),
-        short(root),
-        flat_stats.indexed_accounts,
-        flat_stats.files,
-        flat_stats.file_bytes / 1024,
+        short(derived),
     );
     let _ = std::fs::remove_dir_all(&flat_dir);
 

@@ -42,10 +42,10 @@ echo "==> statedb fuzz smoke at two seeds (randomized trie vs model, incremental
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 cargo run --release -p mtpu-statedb --example fuzz_smoke 2
 
-echo "==> chain_sim table vs crates/bench/golden/chain_sim.txt (exact; the example asserts trie-commit parity and the flat-store restore)"
+echo "==> chain_sim table and resume line vs crates/bench/golden/chain_sim.txt (exact; the example asserts trie-commit parity and the root derived from the reopened flat store)"
 # sed, not head: it reads to the end, so the example finishes its restore
 # asserts instead of dying on a closed pipe.
-cargo run --release -q --example chain_sim | sed -n 1,7p | diff -u crates/bench/golden/chain_sim.txt -
+cargo run --release -q --example chain_sim | sed -n 1,9p | diff -u crates/bench/golden/chain_sim.txt -
 
 echo "==> node_pipeline and read_serve (assert a store snapshot-restore round trip and the read layer's head root)"
 cargo run --release -q --example node_pipeline

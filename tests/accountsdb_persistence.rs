@@ -1,21 +1,26 @@
 //! Flat accounts-DB persistence: a chain of block deltas absorbed into
 //! `AccountsDb` must survive a restart through the snapshot MANIFEST —
 //! reopening resumes at the last snapshot, every account and slot reads
-//! back bit-identically, and the chain keeps growing from there.
+//! back bit-identically, the state trie derived from the reopened store
+//! has the root the snapshot recorded, and the chain keeps growing from
+//! there.
 //!
-//! Crash semantics mirror `statedb_persistence.rs`: work the flush
-//! service made durable in storage files but that never reached a
-//! MANIFEST update is dropped on reopen ("kill between write-cache
-//! flush and MANIFEST update"), leaving the store at the last durable
-//! snapshot.
+//! The MANIFEST is the node's only durable checkpoint, so its crash
+//! semantics are checked here: work the flush service made durable in
+//! storage files but that never reached a MANIFEST update is dropped on
+//! reopen ("kill between write-cache flush and MANIFEST update"), leaving
+//! the store at the last durable snapshot, and replaying the lost blocks
+//! reaches the uninterrupted run's root.
 
 use mtpu_repro::accountsdb::AccountsDb;
+use mtpu_repro::evm::overlay::{AccountDelta, BlockDelta, TxDelta};
 use mtpu_repro::evm::state::State;
-use mtpu_repro::evm::StateRead;
+use mtpu_repro::evm::{commit_block_delta, commit_full, StateRead};
 use mtpu_repro::parexec::ParExecutor;
-use mtpu_repro::primitives::B256;
+use mtpu_repro::primitives::{Address, B256, U256};
+use mtpu_repro::statedb::{MemStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -66,6 +71,17 @@ fn assert_reads_match(db: &AccountsDb, state: &State, what: &str) {
     }
 }
 
+/// The trie root derived from the flat store must be `state`'s. Unlike
+/// [`assert_reads_match`], which walks `state`'s accounts only, this also
+/// catches an account the store holds and `state` does not.
+fn assert_derived_root(db: &AccountsDb, state: &State, what: &str) {
+    assert_eq!(
+        db.export_state().merkle_root(),
+        state.merkle_root(),
+        "{what}: derived root"
+    );
+}
+
 #[test]
 fn snapshot_survives_restart_and_continues() {
     let dir = scratch_dir("restart");
@@ -91,11 +107,14 @@ fn snapshot_survives_restart_and_continues() {
     // cache is gone, so these all come through the index + files.
     assert_reads_match(&reopened, &state, "after restart");
     assert_eq!(reopened.cache_entries(), 0);
+    assert_derived_root(&reopened, &state, "after restart");
 
     // The chain keeps growing from the restored store.
     advance(&mut generator, &executor, &reopened, &mut state, 4, 48);
     assert_reads_match(&reopened, &state, "after restart + block");
     assert_eq!(reopened.head_height(), 4);
+    reopened.flush_up_to(4).expect("flush block 4");
+    assert_derived_root(&reopened, &state, "after restart + block");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -142,6 +161,7 @@ fn flush_without_manifest_is_dropped_on_reopen() {
         "orphaned storage file survived reopen"
     );
     assert_reads_match(&reopened, &durable_state, "after crash");
+    assert_derived_root(&reopened, &durable_state, "after crash");
 
     // Replaying the lost block (the node would re-execute it) reaches
     // the same head state, overwriting the orphaned file id. The
@@ -157,6 +177,7 @@ fn flush_without_manifest_is_dropped_on_reopen() {
     reopened
         .snapshot(Some(replay_state.merkle_root()))
         .expect("snapshot replayed head");
+    assert_derived_root(&reopened, &replay_state, "after replay");
     drop(reopened);
 
     let recovered = AccountsDb::open(&dir).expect("reopen after replay");
@@ -189,5 +210,168 @@ fn repeated_snapshots_always_reopen_at_the_latest() {
     assert_eq!(reopened.head_height(), 3);
     assert_eq!(reopened.snapshot_root(), roots.last().copied());
     assert_reads_match(&reopened, &state, "after repeated snapshots");
+    assert_derived_root(&reopened, &state, "after repeated snapshots");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Created with storage in block 1 and deleted in block 3 of [`chain`],
+/// so a store that loses a tombstone holds one account too many.
+const DOOMED: u64 = 0xD00D_0001;
+
+/// A deterministic chain: its genesis, then per block the delta and the
+/// oracle post-state. `states[h]` is the state at height `h`.
+struct Chain {
+    deltas: Vec<BlockDelta>,
+    states: Vec<State>,
+}
+
+impl Chain {
+    fn new(seed: u64, blocks: u64) -> Chain {
+        let executor = ParExecutor::new(2);
+        let mut generator = Generator::new(seed);
+        let mut states = vec![generator.fx.state.clone()];
+        let mut deltas = Vec::new();
+        for h in 1..=blocks {
+            let base = states.last().expect("genesis").clone();
+            let block = generator.block(&block_config(24));
+            let mut result = executor.execute_block(&base, &block);
+            let doomed = Address::from_low_u64(DOOMED);
+            let extra = match h {
+                1 => Some(AccountDelta {
+                    shadows_base: true,
+                    balance: Some(U256::from(77u64)),
+                    nonce: Some(1),
+                    storage: [(U256::ONE, U256::from(5u64))].into_iter().collect(),
+                    ..Default::default()
+                }),
+                3 => Some(AccountDelta {
+                    shadows_base: true,
+                    deleted: true,
+                    ..Default::default()
+                }),
+                _ => None,
+            };
+            if let Some(d) = extra {
+                let mut tx = TxDelta::default();
+                tx.accounts.insert(doomed, d);
+                result.delta.merge(&tx, &base);
+                tx.apply_to(&mut result.state);
+            }
+            generator.fx.state = result.state.clone();
+            deltas.push(result.delta);
+            states.push(result.state);
+        }
+        Chain { deltas, states }
+    }
+
+    fn root(&self, height: u64) -> B256 {
+        self.states[height as usize].merkle_root()
+    }
+}
+
+/// Heights after which the grid's chain takes a snapshot (genesis, at
+/// height 0, is always snapshotted).
+const SNAPSHOTS: [u64; 2] = [2, 4];
+
+/// Bootstraps `chain`'s genesis into a fresh store in `dir`, snapshots
+/// it, then absorbs blocks `1..=k`, flushing after every block and
+/// snapshotting after each height in [`SNAPSHOTS`].
+fn run_until(dir: &Path, chain: &Chain, k: u64) -> AccountsDb {
+    let db = AccountsDb::open(dir).expect("open accounts db");
+    db.bootstrap_from_state(&chain.states[0], 0);
+    db.snapshot(Some(chain.root(0))).expect("snapshot genesis");
+    for h in 1..=k {
+        db.absorb(&chain.deltas[h as usize - 1], h);
+        db.flush_up_to(h).expect("flush block");
+        if SNAPSHOTS.contains(&h) {
+            db.snapshot(Some(chain.root(h))).expect("snapshot");
+        }
+    }
+    db
+}
+
+/// Kill at every flush point: the store is dropped right after block
+/// k's flush, for every k. Each reopen lands on the last snapshot at or
+/// before k, the trie derived from it has the snapshot's root, and a
+/// trie resumed from that derivation commits the re-absorbed lost blocks
+/// to the oracle roots, ending on the uninterrupted run's derived root.
+#[test]
+fn kill_at_every_flush_resumes_at_the_last_snapshot() {
+    const BLOCKS: u64 = 6;
+    let chain = Chain::new(0x6D1D, BLOCKS);
+
+    let dir = scratch_dir("grid-full");
+    let uninterrupted = run_until(&dir, &chain, BLOCKS);
+    let final_root = uninterrupted.export_state().merkle_root();
+    assert_eq!(final_root, chain.root(BLOCKS));
+    drop(uninterrupted);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for k in 1..=BLOCKS {
+        let dir = scratch_dir(&format!("grid-{k}"));
+        drop(run_until(&dir, &chain, k)); // killed after block k's flush
+
+        let db = AccountsDb::open(&dir).expect("reopen accounts db");
+        let durable = SNAPSHOTS.into_iter().filter(|&s| s <= k).max().unwrap_or(0);
+        let what = format!("killed after block {k}");
+        assert_eq!(db.head_height(), durable, "{what}: head height");
+        assert_eq!(db.snapshot_root(), Some(chain.root(durable)), "{what}");
+        let state = &chain.states[durable as usize];
+        assert_reads_match(&db, state, &what);
+
+        // Resume: derive the trie from the store (serial or 4 workers,
+        // alternating with k), then commit the lost blocks on top.
+        let threads = if k % 2 == 0 { 4 } else { 1 };
+        let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
+        let derived = commit_full(&mut committer, &db.export_state());
+        assert_eq!(derived, chain.root(durable), "{what}: derived root");
+        for h in durable + 1..=BLOCKS {
+            let delta = &chain.deltas[h as usize - 1];
+            let root = commit_block_delta(&mut committer, &db, delta);
+            assert_eq!(root, chain.root(h), "{what}: replayed block {h}");
+            db.absorb(delta, h);
+            db.flush_up_to(h).expect("flush replayed block");
+        }
+        assert_eq!(
+            db.export_state().merkle_root(),
+            final_root,
+            "{what}: replay missed the uninterrupted root"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A MANIFEST written by some other schema is refused with an error.
+#[test]
+fn open_rejects_an_unknown_manifest_schema() {
+    let dir = scratch_dir("badschema");
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&Generator::new(0xBAD).fx.state, 0);
+    db.snapshot(None).expect("snapshot");
+    drop(db);
+
+    let manifest = dir.join("MANIFEST");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let rest = text.split_once('\n').expect("schema line").1;
+    std::fs::write(&manifest, format!("someone-else/v9\n{rest}")).expect("rewrite manifest");
+    assert!(AccountsDb::open(&dir).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A storage file shorter than the length its MANIFEST vouches for (a
+/// torn or truncated file) is refused with an error.
+#[test]
+fn open_rejects_a_storage_file_shorter_than_its_manifest() {
+    let dir = scratch_dir("shortfile");
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&Generator::new(0xBAD).fx.state, 0);
+    db.snapshot(None).expect("snapshot");
+    drop(db);
+
+    let file = dir.join("storage").join("000000.acc");
+    let bytes = std::fs::read(&file).expect("read storage file");
+    std::fs::write(&file, &bytes[..bytes.len() - 1]).expect("truncate storage file");
+    assert!(AccountsDb::open(&dir).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
