@@ -9,13 +9,17 @@
 //! A second, secure-keyed leg feeds the same operations under
 //! `keccak(key)` into another incremental trie and checks its root at
 //! every commit against the bottom-up full build, [`Trie::build_sorted`]
-//! over the model's hashed keys. Any divergence — dirty-path tracking,
-//! branch collapse, inline-node boundaries, the node codec, the full
-//! build — panics; success prints a one-line summary.
+//! over the model's hashed keys. After every commit each store must
+//! hold exactly the distinct nodes reachable from its trie's root: the
+//! raw keys give branch values, inline nodes and duplicated subtrees,
+//! and a superseded node left behind (or a live one freed) shows as a
+//! size mismatch. Any divergence — dirty-path tracking, branch collapse,
+//! inline-node boundaries, the node codec, the full build, the node
+//! reference counts — panics; success prints a one-line summary.
 
 use mtpu_primitives::{SplitMix64, B256};
-use mtpu_statedb::{MemStore, NodeBatch, NodeDb, Trie};
-use std::collections::HashMap;
+use mtpu_statedb::{empty_root, Link, MemStore, Node, NodeBatch, NodeDb, NodeStore, Trie};
+use std::collections::{HashMap, HashSet};
 
 const OPS: usize = 5_000;
 const COMMIT_EVERY: usize = 250;
@@ -63,6 +67,11 @@ fn main() {
 
         if op % COMMIT_EVERY == 0 {
             let got = trie.commit(&mut db);
+            assert_eq!(
+                db.store().len(),
+                reachable(db.store(), got),
+                "store is not the live trie at op {op}"
+            );
             let mut ref_db = NodeDb::new(MemStore::new());
             let mut reference = Trie::empty();
             for (k, v) in &model {
@@ -91,10 +100,16 @@ fn main() {
                 .map(|(k, v)| (B256::keccak(k), v.clone()))
                 .collect();
             leaves.sort_unstable_by_key(|&(key, _)| key);
+            let secure_root = secure.commit(&mut secure_db);
             assert_eq!(
-                secure.commit(&mut secure_db),
+                secure_root,
                 Trie::build_sorted(&mut NodeBatch::new(), &mut leaves),
                 "bottom-up build diverged from the secure-keyed trie at op {op}"
+            );
+            assert_eq!(
+                secure_db.store().len(),
+                reachable(secure_db.store(), secure_root),
+                "secure store is not the live trie at op {op}"
             );
             commits += 1;
         }
@@ -109,4 +124,31 @@ fn main() {
         stats.nodes_hashed,
         stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64,
     );
+}
+
+/// The number of distinct stored nodes reachable from `root`.
+fn reachable(store: &MemStore, root: B256) -> usize {
+    fn push_links(node: &Node, todo: &mut Vec<B256>) {
+        let mut link = |l: &Link| match l {
+            Link::Hash(h) => todo.push(*h),
+            Link::Node(inline) => push_links(inline, todo),
+        };
+        match node {
+            Node::Leaf { .. } => {}
+            Node::Extension { child, .. } => link(child),
+            Node::Branch { children, .. } => children.iter().flatten().for_each(link),
+        }
+    }
+    let mut seen = HashSet::new();
+    let mut todo = vec![root];
+    while let Some(hash) = todo.pop() {
+        if hash == empty_root() || !seen.insert(hash) {
+            continue;
+        }
+        let raw = store
+            .get(&hash)
+            .unwrap_or_else(|| panic!("reachable node {hash} is not stored"));
+        push_links(&Node::decode(raw).expect("stored node decodes"), &mut todo);
+    }
+    seen.len()
 }

@@ -11,7 +11,8 @@
 //! an [`Arc`]: a read walk shares it ([`NodeCache::get`]), a mutation
 //! walk takes it out ([`NodeCache::take`]) — the taken node is about to
 //! be superseded, so its slot frees at once — and a commit moves each
-//! freshly hashed node in ([`NodeCache::put`]).
+//! freshly hashed node in ([`NodeCache::put`]). A node whose last link
+//! is released leaves the cache with the store ([`NodeCache::remove`]).
 //!
 //! Hit/miss/eviction counts feed both the per-instance
 //! [`crate::trie::TrieStats`] (always on, for assertions) and the global
@@ -182,6 +183,12 @@ impl NodeCache {
         let node = self.nodes.remove(hash);
         self.count(node.is_some());
         node.map(Arc::unwrap_or_clone)
+    }
+
+    /// Drops a node that left the store. Neither a lookup nor an
+    /// eviction, so no counter moves.
+    pub fn remove(&mut self, hash: &B256) {
+        self.nodes.remove(hash);
     }
 
     /// Inserts a decoded node, evicting the oldest entry at capacity.

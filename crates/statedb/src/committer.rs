@@ -15,6 +15,11 @@
 //! re-opens per-account storage tries from the roots recorded in the
 //! account leaves, so a block that touches *k* accounts re-hashes only
 //! those accounts' paths.
+//!
+//! Each account holds one link to its storage root in the node store:
+//! the account leaf holds it, and hands it to the open storage trie
+//! while the account is dirty. Resetting or deleting an account
+//! releases that link, so the store keeps only live storage nodes.
 
 use crate::cache::BoundedMemo;
 use crate::store::NodeStore;
@@ -278,7 +283,7 @@ impl<S: NodeStore> StateCommitter<S> {
         entry.record.balance = up.balance;
         entry.record.code_hash = up.code_hash;
         if up.reset_storage {
-            entry.storage = Trie::empty();
+            std::mem::take(&mut entry.storage).release(&mut self.db);
         }
         for &(slot, value) in &up.storage {
             let key = self.keys.slot(slot);
@@ -293,18 +298,22 @@ impl<S: NodeStore> StateCommitter<S> {
     }
 
     /// Removes an account (selfdestruct), discarding any buffered
-    /// changes. Its storage nodes remain in the archive store but are no
-    /// longer reachable from the state root.
+    /// changes. Its storage trie is released: nodes no other account
+    /// shares leave the store.
     pub fn delete_account(&mut self, addr: &Address) {
+        let key = self.keys.account(addr);
         if let Some(i) = self.dirty_index.remove(addr) {
-            self.dirty.remove(i);
+            let (_, entry) = self.dirty.remove(i);
+            entry.storage.release(&mut self.db);
             for idx in self.dirty_index.values_mut() {
                 if *idx > i {
                     *idx -= 1;
                 }
             }
+        } else if let Some(raw) = self.accounts.get(&mut self.db, key.as_bytes()) {
+            let record = AccountRecord::decode(&raw).expect("stored account record decodes");
+            Trie::from_root(record.storage_root).release(&mut self.db);
         }
-        let key = self.keys.account(addr);
         self.accounts.remove(&mut self.db, key.as_bytes());
     }
 

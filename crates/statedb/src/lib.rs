@@ -14,7 +14,8 @@
 //! * [`NodeStore`] — hash-addressed node storage, [`MemStore`] in
 //!   process. The trie is derived, not archived: the durable checkpoint
 //!   is the flat accounts store's MANIFEST, and a restart rebuilds the
-//!   trie from it with [`StateCommitter::bulk_load`];
+//!   trie from it with [`StateCommitter::bulk_load`]. Every node counts
+//!   the hash links to it, so the store holds exactly the live trie;
 //! * [`NodeCache`] — bounded FIFO cache of decoded nodes in front of the
 //!   store, which reads share and mutations take out;
 //! * [`Trie`] over a [`NodeDb`] — get/insert/remove plus **incremental**

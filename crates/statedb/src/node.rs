@@ -113,7 +113,8 @@ impl Node {
         out
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Appends [`Node::encode`]'s bytes to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         rlp::encode_header(true, self.payload_len(), out);
         match self {
             Node::Leaf { path, value } => {

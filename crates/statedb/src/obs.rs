@@ -26,6 +26,9 @@ pub struct StatedbMetrics {
     pub nodes_stored: Counter,
     /// Nodes decoded from the backing store (`statedb.node.loaded`).
     pub nodes_loaded: Counter,
+    /// Nodes removed from the backing store when their last link was
+    /// dropped (`statedb.node.released`).
+    pub nodes_released: Counter,
     /// Root commits performed (`statedb.commit`).
     pub commits: Counter,
     /// Nodes hashed per commit (`statedb.commit.nodes`), the dirty-path
@@ -55,6 +58,7 @@ pub fn metrics() -> &'static StatedbMetrics {
             nodes_hashed: reg.counter("statedb.node.hashed"),
             nodes_stored: reg.counter("statedb.node.stored"),
             nodes_loaded: reg.counter("statedb.node.loaded"),
+            nodes_released: reg.counter("statedb.node.released"),
             commits: reg.counter("statedb.commit"),
             commit_nodes: reg.histogram("statedb.commit.nodes"),
             par_subtries: reg.counter("statedb.parallel.subtries"),

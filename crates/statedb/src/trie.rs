@@ -9,6 +9,12 @@
 //! re-hashes exactly the dirty paths — O(dirty · depth) instead of
 //! O(state) — which is the property the per-instance [`TrieStats`]
 //! counters (and the mirrored `statedb.*` telemetry) let callers assert.
+//!
+//! Every hash link is counted in the store (see [`crate::store`]): a
+//! mutation takes the link to each node on its path
+//! ([`NodeDb`]'s `take_node`), so the version it supersedes leaves the
+//! store at once unless another link still shares it, and a commit's
+//! puts add the links of the nodes it writes.
 
 use crate::cache::NodeCache;
 use crate::nibbles::{common_prefix, to_nibbles};
@@ -21,6 +27,18 @@ use std::time::Instant;
 /// Fewest dirty branch children worth fanning out across threads in
 /// [`Trie::commit_parallel`]; below this the spawn cost dominates.
 const PAR_MIN_CHILDREN: usize = 4;
+
+/// Most released encodings a [`NodeDb`] keeps as spares. A mutation
+/// releases the node it supersedes and the next commit encodes its
+/// successor, most often of the same length (a branch whose child hash
+/// changed, an account leaf whose fields changed), so encoding into the
+/// spare skips a cold `free` and a `malloc` per node. At about 500
+/// bytes a buffer this bounds the spares to a few MiB.
+const SPARE_BUFFERS: usize = 4096;
+
+/// Longest encoding kept as a spare: a branch of sixteen hash links is
+/// 532 bytes.
+const SPARE_MAX_LEN: usize = 1024;
 
 /// Root hash of the empty trie: `keccak(rlp(""))`.
 pub fn empty_root() -> B256 {
@@ -46,6 +64,9 @@ pub struct TrieStats {
     pub cache_evictions: u64,
     /// Root commits performed.
     pub commits: u64,
+    /// Nodes removed from the store because their last link was dropped
+    /// (by a mutation superseding them or by [`Trie::release`]).
+    pub nodes_released: u64,
 }
 
 /// Receives the nodes a commit or a full build hashes, in bottom-up
@@ -63,6 +84,13 @@ pub trait NodeSink {
     /// trie it was committed from (its link is now [`Link::Hash`]) or
     /// just built.
     fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node);
+
+    /// Encodes `node` for [`NodeSink::sink_node`]. [`NodeDb`] encodes into
+    /// a spare buffer, released by an earlier mutation, when it holds one
+    /// of the right length.
+    fn encode(&mut self, node: &Node) -> Vec<u8> {
+        node.encode()
+    }
 }
 
 /// An ordered buffer of committed nodes produced off-thread by
@@ -111,7 +139,11 @@ pub struct NodeDb<S: NodeStore> {
     cache: NodeCache,
     nodes_hashed: u64,
     nodes_loaded: u64,
+    nodes_released: u64,
     commits: u64,
+    /// Released encodings by length, for [`NodeSink::encode`].
+    spares: Vec<Vec<Vec<u8>>>,
+    spare_count: usize,
 }
 
 impl<S: NodeStore> NodeDb<S> {
@@ -127,7 +159,10 @@ impl<S: NodeStore> NodeDb<S> {
             cache,
             nodes_hashed: 0,
             nodes_loaded: 0,
+            nodes_released: 0,
             commits: 0,
+            spares: Vec::new(),
+            spare_count: 0,
         }
     }
 
@@ -146,6 +181,7 @@ impl<S: NodeStore> NodeDb<S> {
             cache_misses,
             cache_evictions,
             commits: self.commits,
+            nodes_released: self.nodes_released,
         }
     }
 
@@ -155,11 +191,23 @@ impl<S: NodeStore> NodeDb<S> {
             .store
             .get(&hash)
             .unwrap_or_else(|| panic!("missing trie node {hash}"));
+        let node = Node::decode(raw).expect("stored trie node decodes");
+        self.count_loaded();
+        node
+    }
+
+    fn count_loaded(&mut self) {
         self.nodes_loaded += 1;
         if mtpu_telemetry::enabled() {
             crate::obs::metrics().nodes_loaded.inc();
         }
-        Node::decode(&raw).expect("stored trie node decodes")
+    }
+
+    fn count_released(&mut self) {
+        self.nodes_released += 1;
+        if mtpu_telemetry::enabled() {
+            crate::obs::metrics().nodes_released.inc();
+        }
     }
 
     /// A committed node for a read walk, shared with the cache (and
@@ -173,15 +221,63 @@ impl<S: NodeStore> NodeDb<S> {
         node
     }
 
-    /// The node behind `link`, owned for mutation. A committed node is
-    /// taken out of the cache (or decoded, and not cached, on a miss):
-    /// the mutation supersedes it, and its successor enters the cache
-    /// when it commits.
+    /// The node behind `link`, owned for mutation, together with the
+    /// links it holds. A committed node is taken out of the cache (or
+    /// decoded, and not cached, on a miss): the mutation supersedes it,
+    /// and its successor enters the cache when it commits. `link` was
+    /// one link to the node: if it was the last, the node leaves the
+    /// store and its child links move into the copy; if the node is
+    /// shared, it stays stored and the copy retains its own child links.
     fn take_node(&mut self, link: Link) -> Node {
-        match link {
-            Link::Node(boxed) => *boxed,
-            Link::Hash(h) => self.cache.take(&h).unwrap_or_else(|| self.load_node(h)),
+        let hash = match link {
+            Link::Node(boxed) => return *boxed,
+            Link::Hash(h) => h,
+        };
+        let cached = self.cache.take(&hash);
+        match self.store.release(&hash) {
+            Some(raw) => {
+                self.count_released();
+                let node = cached.unwrap_or_else(|| {
+                    self.count_loaded();
+                    Node::decode(&raw).expect("stored trie node decodes")
+                });
+                self.keep_spare(raw);
+                node
+            }
+            None => {
+                let node = cached.unwrap_or_else(|| self.load_node(hash));
+                for_each_hash_link(&node, &mut |child| self.store.retain(&child));
+                node
+            }
         }
+    }
+
+    /// Drops one link to the stored node `hash`. When it was the last,
+    /// the node leaves the store and the cache, and the links it held
+    /// are released in turn.
+    fn release(&mut self, hash: B256) {
+        let Some(raw) = self.store.release(&hash) else {
+            return;
+        };
+        self.count_released();
+        self.cache.remove(&hash);
+        let node = Node::decode(&raw).expect("stored trie node decodes");
+        self.keep_spare(raw);
+        for_each_hash_link(&node, &mut |child| self.release(child));
+    }
+
+    /// Keeps a released encoding for a later [`NodeSink::encode`], up to
+    /// [`SPARE_BUFFERS`] of them.
+    fn keep_spare(&mut self, raw: Vec<u8>) {
+        let len = raw.len();
+        if len > SPARE_MAX_LEN || self.spare_count == SPARE_BUFFERS {
+            return;
+        }
+        if self.spares.len() <= len {
+            self.spares.resize_with(len + 1, Vec::new);
+        }
+        self.spares[len].push(raw);
+        self.spare_count += 1;
     }
 
     /// Counts one root commit whose nodes were hashed since the
@@ -195,10 +291,19 @@ impl<S: NodeStore> NodeDb<S> {
         }
     }
 
+    /// Adds the link to a freshly hashed node: stores it (or counts one
+    /// more link to the stored copy) and moves it into the cache.
+    fn put_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
+        if !self.store.put(hash, raw) {
+            // The stored copy already holds this node's child links.
+            for_each_hash_link(&node, &mut |child| self.release(child));
+        }
+        self.cache.put(hash, Arc::new(node));
+    }
+
     fn store_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
         self.nodes_hashed += 1;
-        self.store.put(hash, raw);
-        self.cache.put(hash, Arc::new(node));
+        self.put_node(hash, raw, node);
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.inc();
@@ -217,8 +322,7 @@ impl<S: NodeStore> NodeDb<S> {
         }
         self.nodes_hashed += n;
         for (hash, raw, node) in batch.nodes {
-            self.cache.put(hash, Arc::new(node));
-            self.store.put(hash, raw);
+            self.put_node(hash, raw, node);
         }
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
@@ -232,6 +336,17 @@ impl<S: NodeStore> NodeDb<S> {
 impl<S: NodeStore> NodeSink for NodeDb<S> {
     fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
         self.store_node(hash, raw, node);
+    }
+
+    fn encode(&mut self, node: &Node) -> Vec<u8> {
+        let spare = self.spares.get_mut(node.encoded_len()).and_then(Vec::pop);
+        let Some(mut buf) = spare else {
+            return node.encode();
+        };
+        self.spare_count -= 1;
+        buf.clear();
+        node.encode_into(&mut buf);
+        buf
     }
 }
 
@@ -255,7 +370,7 @@ impl<S: NodeStore> NodeSink for NodeDb<S> {
 /// let reopened = Trie::from_root(root);
 /// assert_eq!(reopened.get(&mut db, b"dog"), Some(b"puppy".to_vec()));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Trie {
     root: Option<Link>,
 }
@@ -266,7 +381,9 @@ impl Trie {
         Trie { root: None }
     }
 
-    /// A trie rooted at a previously committed hash.
+    /// A trie rooted at a previously committed hash. The handle does not
+    /// add a link: it reads, or it takes over a link someone else held
+    /// (an account leaf's storage root, handed to its open storage trie).
     pub fn from_root(root: B256) -> Trie {
         if root == empty_root() {
             Trie::empty()
@@ -285,6 +402,17 @@ impl Trie {
     /// `true` when uncommitted mutations are pending.
     pub fn is_dirty(&self) -> bool {
         matches!(self.root, Some(Link::Node(_)))
+    }
+
+    /// Drops the links this trie holds — its root handle, or while dirty
+    /// the hash links of its in-memory nodes — for a trie being
+    /// discarded. Nodes no other link reaches leave the store.
+    pub fn release<S: NodeStore>(self, db: &mut NodeDb<S>) {
+        match self.root {
+            None => {}
+            Some(Link::Hash(h)) => db.release(h),
+            Some(Link::Node(node)) => for_each_hash_link(&node, &mut |child| db.release(child)),
+        }
     }
 
     /// Looks up `key`.
@@ -462,6 +590,27 @@ impl Trie {
     }
 }
 
+/// Calls `f` on every hash link in `node`, including those below its
+/// in-memory children.
+fn for_each_hash_link<F: FnMut(B256)>(node: &Node, f: &mut F) {
+    match node {
+        Node::Leaf { .. } => {}
+        Node::Extension { child, .. } => link_hashes(child, f),
+        Node::Branch { children, .. } => {
+            for child in children.iter().flatten() {
+                link_hashes(child, f);
+            }
+        }
+    }
+}
+
+fn link_hashes<F: FnMut(B256)>(link: &Link, f: &mut F) {
+    match link {
+        Link::Hash(h) => f(*h),
+        Link::Node(node) => for_each_hash_link(node, f),
+    }
+}
+
 /// Recursively replaces every in-memory child whose encoding reaches 32
 /// bytes with a hash link, sinking it (store reads are never needed —
 /// see [`Trie::commit_into`]).
@@ -501,7 +650,7 @@ fn sink_link<K: NodeSink>(sink: &mut K, link: &mut Link) -> B256 {
 
 /// Encodes and hashes `node` and moves it into the sink.
 fn sink_owned<K: NodeSink>(sink: &mut K, node: Node) -> B256 {
-    let raw = node.encode();
+    let raw = sink.encode(&node);
     let h = B256::keccak(&raw);
     sink.sink_node(h, raw, node);
     h

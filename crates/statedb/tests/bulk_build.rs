@@ -148,7 +148,7 @@ fn build_sorted_rejects_unsorted_keys() {
     Trie::build_sorted(&mut NodeBatch::new(), &mut leaves);
 }
 
-/// A [`MemStore`] that also records the order of its appends.
+/// A [`MemStore`] that also records every put, in order.
 #[derive(Debug, Default)]
 struct LogStore {
     inner: MemStore,
@@ -156,13 +156,21 @@ struct LogStore {
 }
 
 impl NodeStore for LogStore {
-    fn get(&self, hash: &B256) -> Option<Vec<u8>> {
+    fn get(&self, hash: &B256) -> Option<&[u8]> {
         self.inner.get(hash)
     }
 
-    fn put(&mut self, hash: B256, raw: Vec<u8>) {
+    fn put(&mut self, hash: B256, raw: Vec<u8>) -> bool {
         self.appended.push(hash);
-        self.inner.put(hash, raw);
+        self.inner.put(hash, raw)
+    }
+
+    fn retain(&mut self, hash: &B256) {
+        self.inner.retain(hash);
+    }
+
+    fn release(&mut self, hash: &B256) -> Option<Vec<u8>> {
+        self.inner.release(hash)
     }
 }
 

@@ -2,8 +2,12 @@
 # Alternating parent/change pairs of one spine workload: <base-ref> against
 # the working tree, each side freshly built into its own target directory.
 # Prints, per end-to-end metric of BENCHMARK.json, both medians, both
-# quartile pairs and how many pairs the working tree won (ties count for
-# neither side).
+# quartile pairs, how many pairs the working tree won (ties count for
+# neither side) and a verdict read from the metric's relative `bound`:
+#   gain          wins >= 9/10 and the median gap is wider than the base IQR
+#   unresolved    the base IQR is wider than the bound
+#   REGRESSION    the head median is worse than the base median by more than the bound
+#   within bound  otherwise
 #
 #   scripts/spine_ab.sh <base-ref> <workload> [pairs=10] [seed=1]
 #
@@ -28,9 +32,9 @@ echo "base $(git rev-parse --short "$base_ref") vs working tree at $(git rev-par
 CARGO_TARGET_DIR=$out/target-base cargo build --release --offline --quiet --manifest-path "$tree/spine/Cargo.toml"
 CARGO_TARGET_DIR=$out/target-head cargo build --release --offline --quiet --manifest-path spine/Cargo.toml
 
-# "name better" per end-to-end metric, as the benchmark declares them.
+# "name better bound" per end-to-end metric, as the benchmark declares them.
 metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
-    sed -n 's/.*"better": "\([a-z]*\)".*"name": "\([a-z0-9_]*\)".*/\2 \1/p')
+    sed -n 's/.*"better": "\([a-z]*\)".*"bound": \([0-9.]*\).*"name": "\([a-z0-9_]*\)".*/\3 \1 \2/p')
 
 # One pass of one side; appends "metric value" lines to that side's log.
 pass() {
@@ -61,12 +65,12 @@ for pair in $(seq "$pairs"); do
     done
 done
 
-printf '%-14s %-6s %12s %25s %12s %25s %7s %6s\n' \
-    metric better base_median 'base_q1..q3' head_median 'head_q1..q3' ratio wins
-while read -r name better; do
+printf '%-14s %-6s %12s %25s %12s %25s %7s %6s  %s\n' \
+    metric better base_median 'base_q1..q3' head_median 'head_q1..q3' ratio wins verdict
+while read -r name better bound; do
     paste <(awk -v m="$name" '$1 == m { print $2 }' "$out/base.log") \
         <(awk -v m="$name" '$1 == m { print $2 }' "$out/head.log") |
-        awk -v name="$name" -v better="$better" '
+        awk -v name="$name" -v better="$better" -v bound="$bound" '
             # Quantile by linear interpolation between order statistics.
             function quantile(v, n, p,    h, lo) {
                 h = (n - 1) * p + 1; lo = int(h)
@@ -83,8 +87,15 @@ while read -r name better; do
             END {
                 sort(base, n); sort(head, n)
                 bm = quantile(base, n, 0.5); hm = quantile(head, n, 0.5)
-                printf "%-14s %-6s %12.4f %12.4f..%-11.4f %12.4f %12.4f..%-11.4f %7.3f %3d/%d\n",
+                iqr = quantile(base, n, 0.75) - quantile(base, n, 0.25)
+                # Head minus base, positive when the head is better.
+                gap = better == "higher" ? hm - bm : bm - hm
+                if (wins * 10 >= 9 * n && gap > iqr) verdict = "gain"
+                else if (iqr > bound * bm) verdict = "unresolved"
+                else if (-gap > bound * bm) verdict = "REGRESSION"
+                else verdict = "within bound"
+                printf "%-14s %-6s %12.4f %12.4f..%-11.4f %12.4f %12.4f..%-11.4f %7.3f %3d/%d  %s\n",
                     name, better, bm, quantile(base, n, 0.25), quantile(base, n, 0.75),
-                    hm, quantile(head, n, 0.25), quantile(head, n, 0.75), hm / bm, wins, n
+                    hm, quantile(head, n, 0.25), quantile(head, n, 0.75), hm / bm, wins, n, verdict
             }'
 done <<<"$metrics"

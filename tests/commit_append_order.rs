@@ -10,29 +10,39 @@ use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::primitives::B256;
 use mtpu_repro::statedb::{MemStore, NodeStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
+use std::collections::HashSet;
 
-/// A [`MemStore`] that also appends each node it has not seen before to
-/// a log as `[u32 BE length][raw node bytes]`: the byte stream an
-/// append-only node archive would write.
+/// A [`MemStore`] that also appends each node the first time it sees
+/// it to a log as `[u32 BE length][raw node bytes]`: the byte stream an
+/// append-only node archive would write. First appearance is tracked
+/// here, not read off the store, which frees superseded nodes.
 #[derive(Debug, Default)]
 struct AppendLog {
     nodes: MemStore,
+    seen: HashSet<B256>,
     log: Vec<u8>,
 }
 
 impl NodeStore for AppendLog {
-    fn get(&self, hash: &B256) -> Option<Vec<u8>> {
+    fn get(&self, hash: &B256) -> Option<&[u8]> {
         self.nodes.get(hash)
     }
 
-    fn put(&mut self, hash: B256, raw: Vec<u8>) {
-        if self.nodes.get(&hash).is_some() {
-            return;
+    fn put(&mut self, hash: B256, raw: Vec<u8>) -> bool {
+        if self.seen.insert(hash) {
+            self.log
+                .extend_from_slice(&(raw.len() as u32).to_be_bytes());
+            self.log.extend_from_slice(&raw);
         }
-        self.log
-            .extend_from_slice(&(raw.len() as u32).to_be_bytes());
-        self.log.extend_from_slice(&raw);
-        self.nodes.put(hash, raw);
+        self.nodes.put(hash, raw)
+    }
+
+    fn retain(&mut self, hash: &B256) {
+        self.nodes.retain(hash);
+    }
+
+    fn release(&mut self, hash: &B256) -> Option<Vec<u8>> {
+        self.nodes.release(hash)
     }
 }
 
