@@ -18,7 +18,7 @@
 
 use crate::obs;
 use crate::pool::{Mempool, PooledTx, ReadyChain};
-use mtpu::sched::{DepGraph, Footprint, RwSet, SlotKey};
+use mtpu::sched::{DepGraph, RwSet, SlotKey};
 use mtpu_evm::tx::{Block, BlockHeader, Transaction};
 use mtpu_parexec::TxHints;
 use mtpu_primitives::U256;
@@ -170,17 +170,17 @@ impl BlockPacker {
 
         // Phase 1 — conflict-free front: walk heads in fee order, admit
         // each whose footprint is disjoint from everything packed so far.
-        let mut aggregate = Footprint::default();
+        let mut aggregate = RwSet::default();
         for (c, chain) in chains.iter().enumerate() {
             let head = &chain.txs[0];
             if !budget.admits(head) {
                 continue;
             }
-            if aggregate.conflicts_with(&head.footprint) {
+            if aggregate.conflicts_with(&head.rw) {
                 conflict_skips += 1;
                 continue;
             }
-            aggregate.absorb(&head.footprint);
+            aggregate.absorb(&head.rw);
             budget.charge(head);
             taken[c] = 1;
             order.push((c, 0));

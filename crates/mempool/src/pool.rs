@@ -15,7 +15,7 @@
 //! by [`Arc`], so a packer snapshot shares them instead of copying them.
 
 use crate::obs;
-use mtpu::sched::{speculative_rw_set, static_rw_set, Footprint, RwSet};
+use mtpu::sched::{speculative_rw_set, static_rw_set, RwSet};
 use mtpu_evm::overlay::{StateOverlay, StateRead};
 use mtpu_evm::tx::{BlockHeader, Transaction};
 use mtpu_evm::{admission_preflight, TxError};
@@ -108,10 +108,9 @@ impl Rejected {
 pub struct PooledTx {
     /// The transaction.
     pub tx: Transaction,
-    /// Conflict keys observed by the admission-time speculative run.
+    /// Conflict keys observed by the admission-time speculative run:
+    /// the footprint the packer probes and the DAG is built from.
     pub rw: RwSet,
-    /// The compiled sorted-slice form the packer's inner loop probes.
-    pub footprint: Footprint,
     /// RLP-encoded size, charged against the byte budget.
     pub bytes: usize,
     /// `true` when the footprint came from the static fallback instead of
@@ -410,11 +409,9 @@ impl Mempool {
             Ok(rw) => (rw, false),
             Err(_) => (static_rw_set(&tx), true),
         };
-        let footprint = rw.footprint();
         PooledTx {
             tx,
             rw,
-            footprint,
             bytes,
             approximate,
             admitted_epoch: self.epoch.load(Ordering::Relaxed),

@@ -18,7 +18,6 @@ use mtpu_evm::{execute_transaction, set_fusion_enabled, trace_transaction};
 use mtpu_mempool::{Admitted, Mempool, PoolConfig};
 use mtpu_primitives::{Address, U256};
 use mtpu_workloads::{ZipfConfig, ZipfGen};
-use std::collections::HashSet;
 
 /// The mempool's extraction before this test existed: a full step trace,
 /// read for its storage list.
@@ -234,8 +233,8 @@ fn untraced_footprint_equals_the_traced_one_for_every_shape() {
         receipts.push(("nested call".to_string(), receipt));
         outcomes.push((receipts, state.merkle_root()));
         let slot = |addr, key: u64| SlotKey::Storage(addr, U256::from(key));
-        assert_eq!(rw.reads, HashSet::from([slot(outer, 0), slot(middle, 1)]));
-        assert_eq!(rw.writes, HashSet::from([slot(middle, 1), slot(middle, 2)]));
+        assert_eq!(rw.reads, vec![slot(outer, 0), slot(middle, 1)]);
+        assert_eq!(rw.writes, vec![slot(middle, 1), slot(middle, 2)]);
 
         // An execution the executor refuses (nonce from the future):
         // both sides fall back to the static value-transfer footprint.

@@ -327,6 +327,54 @@ mod tests {
         assert_eq!(g.parents(2), &[0]);
     }
 
+    /// Permuting a trace's storage accesses and repeating some leaves
+    /// its `RwSet` and the DAG's adjacency slices untouched, unsorted:
+    /// key order follows the keys, not access order or hash order.
+    #[test]
+    fn adjacency_order_is_a_function_of_the_keys() {
+        let txs = vec![
+            tx(1, 2, 0),
+            tx(3, 4, 0),
+            tx(5, 6, 0),
+            tx(7, 8, 0),
+            tx(9, 2, 0),
+        ];
+        let writers = [(7, 3, true), (7, 1, true), (8, 2, true)];
+        let accesses = [(8, 2, false), (7, 1, false), (7, 3, false), (7, 9, true)];
+        let shuffled = [
+            (7, 9, true),
+            (7, 3, false),
+            (7, 9, true),
+            (8, 2, false),
+            (7, 1, false),
+            (7, 3, false),
+        ];
+        let block = |last_two: &[(u64, u64, bool)]| {
+            let mut traces: Vec<TxTrace> = writers.iter().map(|&w| trace_with(&[w])).collect();
+            traces.push(trace_with(last_two));
+            traces.push(trace_with(last_two));
+            let sets: Vec<RwSet> = txs
+                .iter()
+                .zip(&traces)
+                .map(|(tx, tr)| tx_rw_set(tx, tr))
+                .collect();
+            let g = DepGraph::from_rw_sets(&txs, &sets);
+            (sets, g)
+        };
+        let (sets_a, a) = block(&accesses);
+        let (sets_b, b) = block(&shuffled);
+        assert_eq!(sets_a, sets_b);
+        assert_eq!(
+            a.parents(3),
+            &[1, 0, 2],
+            "parents follow the sorted read keys"
+        );
+        for i in 0..a.len() {
+            assert_eq!(a.parents(i), b.parents(i));
+            assert_eq!(a.children(i), b.children(i));
+        }
+    }
+
     #[test]
     fn from_rw_sets_matches_from_conflicts() {
         let txs = vec![tx(1, 2, 5), tx(3, 4, 0), tx(5, 2, 1)];

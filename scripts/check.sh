@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline, step for step: formatting, lints,
 # rustdoc, tier-1 build/tests, the full workspace test suite, the parexec stress loop, the
-# spine's build and tests, the statedb fuzz smoke, the chain_sim golden, the
-# node_pipeline and read_serve examples, and the golden diff of the paper's
-# tables. Run before pushing.
+# spine's build and tests, the statedb fuzz smoke, the chain_sim golden, every
+# other example, and the golden diff of the paper's tables. Run before
+# pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +50,11 @@ cargo run --release -q --example chain_sim | sed -n 1,9p | diff -u crates/bench/
 echo "==> node_pipeline and read_serve (assert a store snapshot-restore round trip and the read layer's head root)"
 cargo run --release -q --example node_pipeline
 cargo run --release -q --example read_serve
+
+echo "==> remaining examples (block_replay and scheduler_trace assert a simulated schedule against their DAG)"
+for example in block_replay scheduler_trace quickstart hotspot_tuning throughput; do
+    cargo run --release -q --example "$example" >/dev/null
+done
 
 echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
 cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -
