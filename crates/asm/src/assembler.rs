@@ -305,7 +305,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtpu_evm::interpreter::jumpdest_map;
+    use mtpu_evm::CodeAnalysis;
 
     #[test]
     fn push_auto_width() {
@@ -337,11 +337,11 @@ mod tests {
             .op(Opcode::Stop);
         let code = a.assemble().unwrap();
         // jump("end") = PUSH2 xx xx JUMP (4 bytes); "loop" at 4.
-        let map = jumpdest_map(&code);
-        assert!(map[4], "loop label emits JUMPDEST");
+        let analysis = CodeAnalysis::analyze(&code);
+        assert!(analysis.is_jumpdest(4), "loop label emits JUMPDEST");
         // The PUSH2 target of the first jump is the "end" JUMPDEST.
         let target = u16::from_be_bytes([code[1], code[2]]) as usize;
-        assert!(map[target]);
+        assert!(analysis.is_jumpdest(target));
         assert_eq!(code[target], Opcode::Jumpdest as u8);
     }
 

@@ -82,13 +82,16 @@ fn labels_resolve_to_jumpdests() {
             asm.op(Opcode::Pop);
         }
         let code = asm.assemble().unwrap();
-        let map = mtpu_evm::interpreter::jumpdest_map(&code);
+        let analysis = mtpu_evm::CodeAnalysis::analyze(&code);
         // Every PUSH2 target of a jump is a valid JUMPDEST.
         for insn in decode(&code) {
             if insn.op == Some(Opcode::Push2) {
                 let target = insn.imm_value().low_u64() as usize;
                 assert!(target < code.len());
-                assert!(map[target], "label target must be a JUMPDEST");
+                assert!(
+                    analysis.is_jumpdest(target),
+                    "label target must be a JUMPDEST"
+                );
             }
         }
     }

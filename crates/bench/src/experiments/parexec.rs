@@ -71,7 +71,7 @@ pub fn sweep() -> String {
             let wall = best_wall(|| {
                 let result =
                     exec.execute_block_delta_with_dag_hints(base, &block.block, &block.graph, &[]);
-                reexec = result.stats.reexecutions;
+                reexec = result.stats.conflicts;
                 result.stats.wall
             });
             last_reexec = reexec;

@@ -74,11 +74,10 @@ pub const OP_TABLE: [OpInfo; 256] = {
 /// Analysis of one bytecode: a packed-u64 jumpdest bitmap plus the
 /// superinstruction fusion side-table.
 ///
-/// Replaces the per-frame `Vec<bool>` of [`crate::interpreter::jumpdest_map`]
-/// with a 64x denser, shareable representation. The fusion table is always
-/// built (so toggling the fusion flag at runtime needs no cache
-/// invalidation); whether the dispatch loop consults it is decided per
-/// frame by [`crate::config::fusion_enabled`].
+/// The bitmap is a 64x denser, shareable form of a per-frame `Vec<bool>`
+/// jumpdest map. The fusion table is always built (so toggling the fusion
+/// flag at runtime needs no cache invalidation); whether the dispatch loop
+/// consults it is decided per frame by [`crate::config::fusion_enabled`].
 #[derive(Debug)]
 pub struct CodeAnalysis {
     bitmap: Box<[u64]>,
@@ -287,8 +286,25 @@ pub fn global_cache() -> &'static AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpreter::jumpdest_map;
     use crate::stack::STACK_LIMIT;
+
+    /// The reference jumpdest scan: one `bool` per code byte, walked
+    /// through the opcode declarations rather than [`OP_TABLE`].
+    fn jumpdest_map(code: &[u8]) -> Vec<bool> {
+        let mut map = vec![false; code.len()];
+        let mut pc = 0usize;
+        while pc < code.len() {
+            match Opcode::from_u8(code[pc]) {
+                Some(Opcode::Jumpdest) => {
+                    map[pc] = true;
+                    pc += 1;
+                }
+                Some(op) => pc += 1 + op.immediate_len(),
+                None => pc += 1,
+            }
+        }
+        map
+    }
 
     #[test]
     fn table_matches_opcode_declarations() {

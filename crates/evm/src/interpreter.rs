@@ -162,24 +162,6 @@ pub struct Evm<'a, S: StateOps, T: Tracer> {
     pub refund: u64,
 }
 
-/// Computes the set of valid jump destinations of `code`, skipping PUSH
-/// immediates.
-pub fn jumpdest_map(code: &[u8]) -> Vec<bool> {
-    let mut map = vec![false; code.len()];
-    let mut pc = 0usize;
-    while pc < code.len() {
-        match Opcode::from_u8(code[pc]) {
-            Some(Opcode::Jumpdest) => {
-                map[pc] = true;
-                pc += 1;
-            }
-            Some(op) => pc += 1 + op.immediate_len(),
-            None => pc += 1,
-        }
-    }
-    map
-}
-
 /// Replays the constituent instructions of a fused region into the tracer
 /// (and the per-category telemetry counters), so trace-driven consumers —
 /// the MTPU cycle model replays `TxTrace` step streams — observe the

@@ -308,9 +308,12 @@ impl Mempool {
     ///
     /// # Errors
     ///
-    /// Returns a [`Rejected`] reason; the pool is unchanged except that a
-    /// full pool may still have evicted cheaper tail transactions to make
-    /// room before discovering the incoming one is itself the cheapest.
+    /// Returns a [`Rejected`] reason. A transaction its sender's queue
+    /// refuses ([`Rejected::Underpriced`], [`Rejected::SenderLimit`]) is
+    /// rejected before anything is evicted for it. A full pool may still
+    /// have evicted cheaper tail transactions before finding the incoming
+    /// one is itself the cheapest ([`Rejected::PoolFull`]), or before a
+    /// concurrent admission by the same sender filled its place.
     pub fn admit<S: StateRead>(&self, tx: Transaction, state: &S) -> Result<Admitted, Rejected> {
         match admission_preflight(state, &tx) {
             Ok(_future) => {}
@@ -323,8 +326,8 @@ impl Mempool {
         // Budget enforcement happens before taking the sender's shard
         // lock (the victim scan visits every shard). The incoming fee
         // must beat the cheapest tail it displaces.
-        if !self.make_room(&tx, bytes) {
-            return self.reject(Rejected::PoolFull);
+        if let Err(why) = self.make_room(&tx, bytes) {
+            return self.reject(why);
         }
 
         let pooled = self.extract(tx, state, bytes);
@@ -336,14 +339,13 @@ impl Mempool {
             ..Default::default()
         });
 
+        // Checked again: the same sender may have been admitting
+        // concurrently since `make_room` looked.
+        if let Err(why) = self.fits(queue, &pooled.tx) {
+            drop(shard);
+            return self.reject(why);
+        }
         if let Some(old) = queue.txs.get(&nonce) {
-            // Replace-by-fee: the bump threshold keeps gossip-level
-            // replacement spam from grinding the pool.
-            let bump = old.tx.gas_price * U256::from(self.cfg.rbf_bump_pct) / U256::from(100u64);
-            if pooled.tx.gas_price <= old.tx.gas_price + bump {
-                drop(shard);
-                return self.reject(Rejected::Underpriced);
-            }
             let old_bytes = old.bytes;
             queue.txs.insert(nonce, Arc::new(pooled));
             drop(shard);
@@ -358,11 +360,6 @@ impl Mempool {
             }
             self.update_depth_gauge();
             return Ok(Admitted::Replaced);
-        }
-
-        if queue.txs.len() >= self.cfg.max_per_sender {
-            drop(shard);
-            return self.reject(Rejected::SenderLimit);
         }
 
         queue.txs.insert(nonce, Arc::new(pooled));
@@ -387,6 +384,23 @@ impl Mempool {
                 obs::metrics().parked.inc();
             }
             Ok(Admitted::Parked)
+        }
+    }
+
+    /// Whether the sender's `queue` takes `tx`: a same-nonce replacement
+    /// must outbid its predecessor by the replace-by-fee bump (which keeps
+    /// gossip-level replacement spam from grinding the pool), and a new
+    /// nonce needs a free place under the per-sender limit.
+    fn fits(&self, queue: &SenderQueue, tx: &Transaction) -> Result<(), Rejected> {
+        match queue.txs.get(&tx.nonce) {
+            Some(old) => {
+                let bump =
+                    old.tx.gas_price * U256::from(self.cfg.rbf_bump_pct) / U256::from(100u64);
+                let outbids = tx.gas_price > old.tx.gas_price + bump;
+                outbids.then_some(()).ok_or(Rejected::Underpriced)
+            }
+            None if queue.txs.len() >= self.cfg.max_per_sender => Err(Rejected::SenderLimit),
+            None => Ok(()),
         }
     }
 
@@ -419,16 +433,21 @@ impl Mempool {
     }
 
     /// Evicts lowest-fee sender tails until `incoming` (`incoming_bytes`
-    /// of RLP) fits the budgets. Returns `false` when the incoming fee
-    /// does not beat the cheapest tail (the incoming transaction is the
-    /// right victim).
-    fn make_room(&self, incoming: &Transaction, incoming_bytes: usize) -> bool {
+    /// of RLP) fits the budgets. Whatever the sender's queue refuses (see
+    /// [`Mempool::fits`]) is refused first, so it evicts nothing; the
+    /// pool is full ([`Rejected::PoolFull`]) when the incoming fee does
+    /// not beat the cheapest tail (the incoming transaction is the right
+    /// victim).
+    fn make_room(&self, incoming: &Transaction, incoming_bytes: usize) -> Result<(), Rejected> {
         // A same-nonce resubmission displaces its predecessor instead of
         // adding an entry: the count does not grow, only the byte
         // difference needs room, and the predecessor is no victim.
         let replaced_bytes = {
             let shard = self.shard_of(incoming.from).lock().expect("shard poisoned");
             let queue = shard.senders.get(&incoming.from);
+            if let Some(q) = queue {
+                self.fits(q, incoming)?;
+            }
             queue.and_then(|q| Some(q.txs.get(&incoming.nonce)?.bytes))
         };
         let spare = replaced_bytes.map(|_| (incoming.from, incoming.nonce));
@@ -438,15 +457,15 @@ impl Mempool {
             let over_bytes = self.pooled_bytes() + incoming_bytes
                 > self.cfg.max_bytes + replaced_bytes.unwrap_or(0);
             if !over_count && !over_bytes {
-                return true;
+                return Ok(());
             }
             let Some((victim_fee, sender, nonce)) = self.cheapest_tail(spare) else {
                 // Nothing to evict: the pool is empty yet the incoming
                 // transaction alone busts the byte budget.
-                return false;
+                return Err(Rejected::PoolFull);
             };
             if victim_fee >= incoming.gas_price {
-                return false;
+                return Err(Rejected::PoolFull);
             }
             self.remove(sender, nonce);
             self.evicted.fetch_add(1, Ordering::Relaxed);

@@ -199,6 +199,44 @@ fn sender_limit_caps_one_chain() {
     assert_eq!(pool.admit(tx(1, 2, 10), &state), Err(Rejected::SenderLimit));
 }
 
+/// A transaction its sender's queue refuses must not evict anyone on its
+/// way out: otherwise a sender at its quota, or an underpriced
+/// replacement, drains the pool one cheap tail at a time.
+#[test]
+fn rejected_admission_evicts_nothing() {
+    let state = genesis(4);
+
+    // Count budget: sender 1 is at its per-sender limit.
+    let pool = Mempool::new(PoolConfig {
+        max_txs: 3,
+        max_per_sender: 2,
+        ..PoolConfig::default()
+    });
+    assert_eq!(pool.admit(tx(1, 0, 100), &state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(1, 1, 100), &state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(2, 0, 5), &state), Ok(Admitted::Ready));
+    assert_eq!(
+        pool.admit(tx(1, 2, 500), &state),
+        Err(Rejected::SenderLimit)
+    );
+    assert_eq!((pool.len(), pool.stats().evicted), (3, 0));
+
+    // Byte budget: a replacement one byte longer than its predecessor
+    // (fee 130 RLP-encodes in two bytes, 120 in one) but under the bump.
+    let (old, new) = (tx(1, 0, 120), tx(1, 0, 130));
+    assert!(new.rlp_encode().len() > old.rlp_encode().len());
+    let pool = Mempool::new(PoolConfig {
+        max_bytes: old.rlp_encode().len() + tx(2, 0, 5).rlp_encode().len(),
+        ..PoolConfig::default()
+    });
+    assert_eq!(pool.admit(old, &state), Ok(Admitted::Ready));
+    assert_eq!(pool.admit(tx(2, 0, 5), &state), Ok(Admitted::Ready));
+    let bytes = pool.pooled_bytes();
+    assert_eq!(pool.admit(new, &state), Err(Rejected::Underpriced));
+    assert_eq!((pool.len(), pool.stats().evicted), (2, 0));
+    assert_eq!(pool.pooled_bytes(), bytes);
+}
+
 #[test]
 fn commit_reanchors_chains_and_rejects_stale_readmission() {
     let state = genesis(4);

@@ -40,6 +40,9 @@
 //! ```
 
 pub mod obs;
+mod slots;
+
+pub use slots::{SlotTable, Wake};
 
 use mtpu::sched::DepGraph;
 use mtpu_evm::executor::execute_transaction;
@@ -50,14 +53,13 @@ use mtpu_evm::state::State;
 use mtpu_evm::trace::NoopTracer;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How many times a speculator re-executes a transaction after a failed
 /// pre-validation before parking it for the commit lane's in-place
 /// re-execution.
-pub const DEFAULT_RETRY_CAP: usize = 3;
+const RETRY_CAP: usize = 3;
 
 /// Admission-time prefetch hints for one transaction: the state locations
 /// its declared (or trace-derived) read set names. Before the block's
@@ -73,13 +75,6 @@ pub struct TxHints {
     pub storage: Vec<(Address, U256)>,
     /// Accounts whose metadata (balance, nonce, code) it will touch.
     pub accounts: Vec<Address>,
-}
-
-impl TxHints {
-    /// `true` when there is nothing to forward.
-    pub fn is_empty(&self) -> bool {
-        self.storage.is_empty() && self.accounts.is_empty()
-    }
 }
 
 /// Forwards one transaction's hints to the backend, with storage keys
@@ -123,14 +118,12 @@ pub struct BlockStats {
     pub threads: usize,
     /// Transactions in the block.
     pub txs: usize,
-    /// Total executions (>= `txs`; the excess is re-execution work caused
-    /// by conflicts).
+    /// Total executions: `txs + conflicts`, since every failed validation
+    /// is repaired by exactly one re-execution.
     pub executions: u64,
-    /// Executions repeated because read-set validation failed — always
-    /// `spec_retries + fallbacks`.
-    pub reexecutions: u64,
     /// Read-set validation failures observed (speculators'
-    /// pre-validations plus the lane's validations).
+    /// pre-validations plus the lane's validations) — always
+    /// `spec_retries + fallbacks`.
     pub conflicts: u64,
     /// Bounded speculative re-executions: a speculator re-ran the
     /// transaction because its pre-validation found stale reads, up to
@@ -173,8 +166,9 @@ impl BlockStats {
 }
 
 /// Aggregate statistics over a sustained multi-block run — what the node
-/// driver and the `block_pipeline` bench accumulate while blocks stream
-/// through the execute/commit pipeline.
+/// driver accumulates while blocks stream through the execute/commit
+/// pipeline (`chain_stats_accumulate_across_blocks` below; the spine's node
+/// workloads report its `reexec_ratio()`, `conflicts` and `fallbacks`).
 #[derive(Debug, Clone, Default)]
 pub struct ChainStats {
     /// Blocks absorbed.
@@ -183,20 +177,10 @@ pub struct ChainStats {
     pub txs: usize,
     /// Total executions.
     pub executions: u64,
-    /// Re-executions caused by conflicts.
-    pub reexecutions: u64,
-    /// Read-set validation failures.
+    /// Read-set validation failures, each repaired by one re-execution.
     pub conflicts: u64,
-    /// Bounded speculative re-executions.
-    pub spec_retries: u64,
     /// The lane's in-place re-executions of stale outcomes.
     pub fallbacks: u64,
-    /// Commits the lane executed in place.
-    pub in_place: u64,
-    /// Commits of validated speculative outcomes.
-    pub speculated: u64,
-    /// Summed per-block execution wall time (excludes inter-block work).
-    pub exec_wall: Duration,
 }
 
 impl ChainStats {
@@ -205,22 +189,8 @@ impl ChainStats {
         self.blocks += 1;
         self.txs += s.txs;
         self.executions += s.executions;
-        self.reexecutions += s.reexecutions;
         self.conflicts += s.conflicts;
-        self.spec_retries += s.spec_retries;
         self.fallbacks += s.fallbacks;
-        self.in_place += s.in_place;
-        self.speculated += s.speculated;
-        self.exec_wall += s.wall;
-    }
-
-    /// Committed transactions per second of summed execution wall time.
-    pub fn tx_per_exec_sec(&self) -> f64 {
-        let secs = self.exec_wall.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.txs as f64 / secs
     }
 
     /// Fraction of executions that were conflict repairs.
@@ -228,7 +198,7 @@ impl ChainStats {
         if self.executions == 0 {
             return 0.0;
         }
-        self.reexecutions as f64 / self.executions as f64
+        self.conflicts as f64 / self.executions as f64
     }
 }
 
@@ -291,36 +261,14 @@ impl BlockResult {
 #[derive(Debug, Clone, Copy)]
 pub struct ParExecutor {
     threads: usize,
-    retry_cap: usize,
 }
 
 impl ParExecutor {
-    /// An executor with `threads` workers (clamped to at least 1) and the
-    /// default speculative retry cap.
+    /// An executor with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         ParExecutor {
             threads: threads.max(1),
-            retry_cap: DEFAULT_RETRY_CAP,
         }
-    }
-
-    /// Sets how many speculative re-executions a speculator attempts
-    /// after a failed pre-validation before parking the transaction for
-    /// the commit lane, which repairs it in place. `0` disables
-    /// speculative repair entirely (every conflict falls back).
-    pub fn with_retry_cap(mut self, cap: usize) -> Self {
-        self.retry_cap = cap;
-        self
-    }
-
-    /// Number of worker threads (the commit lane included).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Speculative re-execution retry cap.
-    pub fn retry_cap(&self) -> usize {
-        self.retry_cap
     }
 
     /// Executes `block` against `base` using the sender-nonce-order DAG —
@@ -381,15 +329,23 @@ impl ParExecutor {
             fire_hints(base, h);
         }
 
-        let shared = Shared::new(base, &block.header, &block.transactions, dag);
+        let shared = Shared {
+            base,
+            header: &block.header,
+            txs: &block.transactions,
+            dag,
+            committed: (0..n).map(|_| OnceLock::new()).collect(),
+            table: Mutex::new(SlotTable::new(dag)),
+            lane: Condvar::new(),
+            speculators: Condvar::new(),
+        };
         // The lane runs transaction 0 itself, so a block keeps at most
         // `n − 1` speculators busy.
         let speculators = (self.threads - 1).min(n.saturating_sub(1));
-        let retry_cap = self.retry_cap;
         let (lane, spec_stats) = std::thread::scope(|scope| {
             let shared = &shared;
             let handles: Vec<_> = (1..=speculators)
-                .map(|w| scope.spawn(move || speculate(shared, retry_cap, w)))
+                .map(|w| scope.spawn(move || speculate(shared, w)))
                 .collect();
             let lane = commit_lane(shared, started);
             let join = |h: std::thread::ScopedJoinHandle<'_, WorkerStats>| {
@@ -399,8 +355,9 @@ impl ParExecutor {
         });
 
         // Every failed validation is repaired by exactly one re-execution:
-        // a speculator's own bounded retry, or the lane's fallback.
-        let fallbacks = lane.stats.aborted;
+        // a speculator's own bounded retry, or the lane's fallback. Every
+        // lane execution is committed.
+        let (fallbacks, in_place) = (lane.stats.aborted, lane.stats.executed);
         let mut workers = vec![lane.stats];
         workers.extend(spec_stats);
         workers.resize(self.threads, WorkerStats::default());
@@ -412,12 +369,11 @@ impl ParExecutor {
                 threads: self.threads,
                 txs: n,
                 executions: workers.iter().map(|w| w.executed).sum(),
-                reexecutions: conflicts,
                 conflicts,
                 spec_retries: conflicts - fallbacks,
                 fallbacks,
-                in_place: n as u64 - lane.speculated,
-                speculated: lane.speculated,
+                in_place,
+                speculated: n as u64 - in_place,
                 wall: started.elapsed(),
                 workers,
             },
@@ -433,30 +389,6 @@ struct TxOutcome {
     receipt: Receipt,
 }
 
-/// Who has a transaction. The lane and the speculators claim through the
-/// slot's mutex, so a transaction is first-executed by exactly one of them.
-enum Slot {
-    /// Nobody yet: the lane takes it when its cursor arrives, a
-    /// speculator when it pops it off the ready queue.
-    Free,
-    /// A speculator is running it; the lane waits on the slot's condvar.
-    Held,
-    /// A speculator's outcome, waiting for the lane's validation.
-    Parked(Box<TxOutcome>),
-    /// The lane has it (executed in place, or took the parked outcome).
-    Taken,
-}
-
-/// The speculators' work queue, fed by the lane as commits release DAG
-/// children. A speculator takes the *highest* ready index: the further
-/// ahead of the lane's cursor it works, the likelier its outcome is parked
-/// by the time the lane arrives, instead of the lane waiting on it.
-struct Ready {
-    queue: BinaryHeap<usize>,
-    /// The lane committed the last transaction: speculators exit.
-    done: bool,
-}
-
 /// Everything the lane and the speculators share for one block.
 struct Shared<'a, B: StateRead + Sync> {
     base: &'a B,
@@ -468,63 +400,44 @@ struct Shared<'a, B: StateRead + Sync> {
     /// folds these into a private copy between executions, so nobody
     /// takes a lock to read state.
     committed: Vec<OnceLock<TxDelta>>,
-    slots: Vec<(Mutex<Slot>, Condvar)>,
-    ready: Mutex<Ready>,
-    wake: Condvar,
+    /// Every hand-off decision; touched only through [`Shared::step`].
+    table: Mutex<SlotTable<Box<TxOutcome>>>,
+    /// Where the lane sleeps while a speculator holds its head, and where
+    /// speculators sleep while nothing is ready.
+    lane: Condvar,
+    speculators: Condvar,
 }
 
-impl<'a, B: StateRead + Sync> Shared<'a, B> {
-    fn new(
-        base: &'a B,
-        header: &'a BlockHeader,
-        txs: &'a [Transaction],
-        dag: &'a DepGraph,
-    ) -> Self {
-        // Transaction 0 is the lane's first head, never a speculator's.
-        let queue = (1..txs.len())
-            .filter(|&i| dag.parents(i).is_empty())
-            .collect();
-        Shared {
-            base,
-            header,
-            txs,
-            dag,
-            committed: (0..txs.len()).map(|_| OnceLock::new()).collect(),
-            slots: (0..txs.len())
-                .map(|_| (Mutex::new(Slot::Free), Condvar::new()))
-                .collect(),
-            ready: Mutex::new(Ready { queue, done: false }),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Moves slot `i` from [`Slot::Free`] to `to`; `false` when the other
-    /// side claimed it first.
-    fn claim(&self, i: usize, to: Slot) -> bool {
-        let mut slot = self.slots[i].0.lock().expect("slot poisoned");
-        let free = matches!(*slot, Slot::Free);
-        if free {
-            *slot = to;
-        }
-        free
-    }
-
-    /// Blocks until a transaction is ready or the block is fully
-    /// committed. `None` means "no more work, exit".
-    fn next_ready(&self) -> Option<usize> {
-        let mut ready = self.ready.lock().expect("ready queue poisoned");
-        loop {
-            if let Some(i) = ready.queue.pop() {
-                if mtpu_telemetry::enabled() {
-                    obs::metrics().queue_depth.record(ready.queue.len() as u64);
-                }
-                return Some(i);
+impl<B: StateRead + Sync> Shared<'_, B> {
+    /// The only way to touch the table: applies `transition` under the
+    /// lock, sleeping on the caller's condvar `own` while it yields `None`
+    /// (that time is added to `idle`), then wakes whoever the table says
+    /// its transitions unblocked.
+    fn step<R>(
+        &self,
+        own: &Condvar,
+        idle: &mut Duration,
+        mut transition: impl FnMut(&mut SlotTable<Box<TxOutcome>>) -> Option<R>,
+    ) -> R {
+        let mut table = self.table.lock().expect("slot table poisoned");
+        let mut slept = None;
+        let out = loop {
+            if let Some(out) = transition(&mut table) {
+                break out;
             }
-            if ready.done {
-                return None;
-            }
-            ready = self.wake.wait(ready).expect("ready queue poisoned");
+            slept.get_or_insert_with(Instant::now);
+            table = own.wait(table).expect("slot table poisoned");
+        };
+        let wake = table.take_wake();
+        drop(table);
+        *idle += slept.map_or(Duration::ZERO, |t| t.elapsed());
+        if wake.lane {
+            self.lane.notify_one();
         }
+        if wake.speculators {
+            self.speculators.notify_all();
+        }
+        out
     }
 }
 
@@ -557,8 +470,6 @@ struct Lane {
     /// Every transaction's delta, merged: the block's delta.
     prefix: BlockDelta,
     stats: WorkerStats,
-    /// Commits whose delta a speculator produced and the lane validated.
-    speculated: u64,
 }
 
 /// The commit lane, on the calling thread: walks the block in canonical
@@ -575,9 +486,7 @@ fn commit_lane<B: StateRead + Sync>(shared: &Shared<'_, B>, started: Instant) ->
         receipts: Vec::with_capacity(n),
         prefix: BlockDelta::new(),
         stats: WorkerStats::default(),
-        speculated: 0,
     };
-    let mut parents_left: Vec<usize> = (0..n).map(|i| shared.dag.parents(i).len()).collect();
     for i in 0..n {
         let view = OverlayedView {
             base: shared.base,
@@ -592,16 +501,14 @@ fn commit_lane<B: StateRead + Sync>(shared: &Shared<'_, B>, started: Instant) ->
             );
             (delta, receipt)
         };
-        let (delta, receipt) = if shared.claim(i, Slot::Taken) {
-            lane.stats.executed += 1;
-            in_place("in_place")
-        } else {
-            let parked = take_parked(shared, i, &mut lane.stats.idle);
-            match parked.reads.validate_detailed(&view) {
-                Ok(()) => {
-                    lane.speculated += 1;
-                    (parked.delta, parked.receipt)
-                }
+        let parked = shared.step(&shared.lane, &mut lane.stats.idle, SlotTable::lane_head);
+        let (delta, receipt) = match parked {
+            None => {
+                lane.stats.executed += 1;
+                in_place("in_place")
+            }
+            Some(parked) => match parked.reads.validate_detailed(&view) {
+                Ok(()) => (parked.delta, parked.receipt),
                 Err(kind) => {
                     lane.stats.aborted += 1;
                     lane.stats.executed += 1;
@@ -613,7 +520,7 @@ fn commit_lane<B: StateRead + Sync>(shared: &Shared<'_, B>, started: Instant) ->
                     }
                     in_place("fallback")
                 }
-            }
+            },
         };
 
         {
@@ -624,60 +531,23 @@ fn commit_lane<B: StateRead + Sync>(shared: &Shared<'_, B>, started: Instant) ->
                 .expect("only the lane publishes, once per transaction");
         }
         lane.receipts.push(receipt);
-
-        // The next index is the lane's own next head: queueing it would
-        // only invite a speculator to race for it, so a serial chain
-        // never leaves this thread.
-        let mut ready = None;
-        for &child in shared.dag.children(i) {
-            let child = child as usize;
-            parents_left[child] -= 1;
-            if parents_left[child] == 0 && child != i + 1 {
-                ready
-                    .get_or_insert_with(|| shared.ready.lock().expect("ready queue poisoned"))
-                    .queue
-                    .push(child);
-            }
-        }
-        if ready.is_some() {
-            shared.wake.notify_all();
-        }
+        shared.step(&shared.lane, &mut lane.stats.idle, |t| {
+            t.commit(shared.dag);
+            Some(())
+        });
     }
-    shared.ready.lock().expect("ready queue poisoned").done = true;
-    shared.wake.notify_all();
 
     lane.stats.committed = n as u64;
     lane.stats.busy = started.elapsed().saturating_sub(lane.stats.idle);
     if mtpu_telemetry::enabled() {
         let m = obs::metrics();
         m.commits.add(n as u64);
-        m.commit_speculated.add(lane.speculated);
-        m.commit_in_place.add(n as u64 - lane.speculated);
+        m.commit_speculated.add(n as u64 - lane.stats.executed);
+        m.commit_in_place.add(lane.stats.executed);
         m.busy_ns.add(lane.stats.busy.as_nanos() as u64);
         m.idle_ns.add(lane.stats.idle.as_nanos() as u64);
     }
     lane
-}
-
-/// Takes the outcome a speculator parked (or is about to park) for the
-/// lane's head `i`, adding the wait to `idle`.
-fn take_parked<B: StateRead + Sync>(
-    shared: &Shared<'_, B>,
-    i: usize,
-    idle: &mut Duration,
-) -> Box<TxOutcome> {
-    let (slot, parked) = &shared.slots[i];
-    let waited = Instant::now();
-    let mut slot = parked
-        .wait_while(slot.lock().expect("slot poisoned"), |s| {
-            matches!(s, Slot::Held)
-        })
-        .expect("slot poisoned");
-    *idle += waited.elapsed();
-    match std::mem::replace(&mut *slot, Slot::Taken) {
-        Slot::Parked(outcome) => outcome,
-        Slot::Free | Slot::Held | Slot::Taken => unreachable!("the lane waits for a held slot"),
-    }
 }
 
 /// A speculator's private copy of the committed prefix: the deltas the
@@ -718,11 +588,7 @@ impl<B: StateRead + Sync> Replica<'_, B> {
 /// recorded overlays over its [`Replica`] of the committed prefix — a
 /// consistent, possibly old cut — and parks each outcome for the lane to
 /// validate.
-fn speculate<B: StateRead + Sync>(
-    shared: &Shared<'_, B>,
-    retry_cap: usize,
-    worker: usize,
-) -> WorkerStats {
+fn speculate<B: StateRead + Sync>(shared: &Shared<'_, B>, worker: usize) -> WorkerStats {
     if mtpu_telemetry::enabled() {
         mtpu_telemetry::name_thread(&format!("worker{worker}"));
     }
@@ -732,17 +598,14 @@ fn speculate<B: StateRead + Sync>(
         prefix: BlockDelta::new(),
         synced: 0,
     };
-    loop {
-        let idle_started = Instant::now();
-        let claimed = shared.next_ready();
-        stats.idle += idle_started.elapsed();
-        let Some(i) = claimed else {
-            break;
-        };
-        if !shared.claim(i, Slot::Held) {
-            continue; // the lane got there first
+    let claim = |t: &mut SlotTable<Box<TxOutcome>>| {
+        let claimed = t.claim();
+        if mtpu_telemetry::enabled() && matches!(claimed, Some(Some(_))) {
+            obs::metrics().queue_depth.record(t.ready_len() as u64);
         }
-
+        claimed
+    };
+    while let Some(i) = shared.step(&shared.speculators, &mut stats.idle, claim) {
         let busy_started = Instant::now();
         let span = mtpu_telemetry::span("exec", "parexec").arg("tx", i);
         let run = |replica: &Replica<'_, B>| {
@@ -767,7 +630,7 @@ fn speculate<B: StateRead + Sync>(
         // keeps losing this race parks its last outcome anyway — the lane
         // re-executes it in place, so the cap bounds wasted work without
         // risking livelock or divergence.
-        for _ in 0..retry_cap {
+        for _ in 0..RETRY_CAP {
             if !replica.catch_up() {
                 break;
             }
@@ -786,9 +649,11 @@ fn speculate<B: StateRead + Sync>(
         }
         drop(span);
 
-        let (slot, parked) = &shared.slots[i];
-        *slot.lock().expect("slot poisoned") = Slot::Parked(outcome);
-        parked.notify_one();
+        // `park` never waits, so this runs once and the outcome moves in.
+        let mut outcome = Some(outcome);
+        shared.step(&shared.speculators, &mut stats.idle, |t| {
+            outcome.take().map(|o| t.park(i, o))
+        });
         stats.busy += busy_started.elapsed();
     }
     if mtpu_telemetry::enabled() {
@@ -1014,8 +879,7 @@ mod tests {
         }
         assert_eq!(chain.blocks, 3);
         assert_eq!(chain.txs, 12);
-        assert_eq!(chain.executions, 12 + chain.reexecutions);
-        assert!(chain.tx_per_exec_sec() > 0.0);
+        assert_eq!(chain.executions, 12 + chain.conflicts);
         assert!(chain.reexec_ratio() < 1.0);
     }
 
@@ -1035,8 +899,8 @@ mod tests {
         let executed: u64 = stats.workers.iter().map(|w| w.executed).sum();
         assert_eq!(committed, 3);
         assert_eq!(executed, stats.executions);
-        assert_eq!(stats.executions, stats.txs as u64 + stats.reexecutions);
-        assert_eq!(stats.reexecutions, stats.spec_retries + stats.fallbacks);
+        assert_eq!(stats.executions, stats.txs as u64 + stats.conflicts);
+        assert_eq!(stats.conflicts, stats.spec_retries + stats.fallbacks);
         assert!(stats.tx_per_sec() > 0.0);
         assert!(stats.utilization() <= 1.0);
     }
@@ -1059,23 +923,16 @@ mod tests {
         let mut seq_state = base.clone();
         let seq_receipts = sequential(&mut seq_state, &block);
 
-        for cap in [0, 1, DEFAULT_RETRY_CAP] {
-            let exec = ParExecutor::new(8).with_retry_cap(cap);
-            assert_eq!(exec.retry_cap(), cap);
-            let result = exec.execute_block(&base, &block);
-            assert_eq!(result.receipts, seq_receipts);
-            assert_eq!(result.state.state_root(), seq_state.state_root());
-            let stats = &result.stats;
-            assert_eq!(stats.reexecutions, stats.spec_retries + stats.fallbacks);
-            assert_eq!(stats.executions, stats.txs as u64 + stats.reexecutions);
-            // The cap bounds per-transaction speculative repair work.
-            assert!(stats.spec_retries <= cap as u64 * stats.txs as u64);
-            if cap == 0 {
-                assert_eq!(stats.spec_retries, 0, "cap 0 disables speculative repair");
-            }
-            let aborted: u64 = stats.workers.iter().map(|w| w.aborted).sum();
-            assert_eq!(aborted, stats.conflicts);
-        }
+        let result = ParExecutor::new(8).execute_block(&base, &block);
+        assert_eq!(result.receipts, seq_receipts);
+        assert_eq!(result.state.state_root(), seq_state.state_root());
+        let stats = &result.stats;
+        assert_eq!(stats.conflicts, stats.spec_retries + stats.fallbacks);
+        assert_eq!(stats.executions, stats.txs as u64 + stats.conflicts);
+        // The cap bounds per-transaction speculative repair work.
+        assert!(stats.spec_retries <= RETRY_CAP as u64 * stats.txs as u64);
+        let aborted: u64 = stats.workers.iter().map(|w| w.aborted).sum();
+        assert_eq!(aborted, stats.conflicts);
     }
 
     /// What a [`Probe`] saw, in arrival order.
@@ -1255,7 +1112,7 @@ mod tests {
                     assert_eq!(state.state_root(), seq_state.state_root(), "{name}");
                     let stats = &r.stats;
                     assert_eq!(stats.in_place + stats.speculated, n as u64);
-                    assert_eq!(stats.executions, n as u64 + stats.reexecutions);
+                    assert_eq!(stats.executions, n as u64 + stats.conflicts);
                     if name == "chain" {
                         // No child is ever ready ahead of the cursor.
                         assert_eq!((stats.speculated, stats.executions), (0, n as u64));

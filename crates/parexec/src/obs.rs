@@ -27,10 +27,11 @@ pub struct ParexecMetrics {
     /// The lane's in-place re-executions of stale parked outcomes
     /// (`parexec.reexec.fallback`).
     pub fallbacks: Counter,
-    /// Ready-queue depth sampled at each claim (`parexec.queue_depth`).
+    /// Ready-heap entries left after each speculator claim
+    /// (`parexec.queue_depth`).
     pub queue_depth: Histogram,
-    /// Nanoseconds speculators spent parked on the ready queue and the
-    /// lane spent waiting for a held head (`parexec.worker.idle_ns`).
+    /// Nanoseconds speculators slept waiting for ready work and the lane
+    /// slept on a held head (`parexec.worker.idle_ns`).
     pub idle_ns: Counter,
     /// Nanoseconds workers spent executing, validating and committing
     /// (`parexec.worker.busy_ns`).

@@ -24,8 +24,9 @@
 //!
 //! Consistency contract: a read at height *H* is bit-identical to the
 //! same read against a sequential [`State`](mtpu_evm::State) replayed to
-//! *H* — the property tests and the `read_qps` bench assert exactly this.
-//! See DESIGN.md §13.
+//! *H* — `tests/readserve.rs` asserts exactly this, and the spine's
+//! `node_readers` pass checks every read it sampled against a sequential
+//! replay (a divergence marks the run incorrect). See DESIGN.md §13.
 
 pub mod chain;
 pub mod feed;

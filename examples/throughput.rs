@@ -131,7 +131,7 @@ fn main() {
             "{label:<42} {:>12} {:>9.0} {:>8} {:>6.0}%",
             format!("{:.2?}", s.wall),
             s.tx_per_sec(),
-            s.reexecutions,
+            s.conflicts,
             100.0 * s.utilization()
         );
     }

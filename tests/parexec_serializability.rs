@@ -50,7 +50,7 @@ fn parallel_equals_sequential_with_sender_order_dag() {
             assert_eq!(result.stats.txs, 48);
             assert_eq!(
                 result.stats.executions,
-                48 + result.stats.reexecutions,
+                48 + result.stats.conflicts,
                 "every tx executes once plus its conflict repairs"
             );
         }
@@ -107,13 +107,12 @@ fn block_delta_reproduces_final_state() {
     assert_eq!(replayed.state_root(), prepared.state_after.state_root());
 }
 
-/// The authenticated-commitment oracle: across thread counts and
-/// speculative retry caps, the parallel engine must land on the same
-/// 32-byte Merkle Patricia Trie root as the sequential reference — both
-/// when rebuilt from the post-state and when committed incrementally
-/// from the block's delta.
+/// The authenticated-commitment oracle: across thread counts, the
+/// parallel engine must land on the same 32-byte Merkle Patricia Trie
+/// root as the sequential reference — both when rebuilt from the
+/// post-state and when committed incrementally from the block's delta.
 #[test]
-fn merkle_root_matches_across_threads_and_retry_caps() {
+fn merkle_root_matches_across_threads() {
     for (r, &ratio) in [0.0, 0.5, 1.0].iter().enumerate() {
         let mut generator = Generator::new(0x3007 + r as u64);
         let prepared = generator.prepared_block(&config(40, ratio));
@@ -124,26 +123,23 @@ fn merkle_root_matches_across_threads_and_retry_caps() {
         assert_ne!(oracle, base.merkle_root(), "block must change state");
 
         for &threads in &[1usize, 4, 8] {
-            for &cap in &[0usize, 1, 8] {
-                let exec = ParExecutor::new(threads).with_retry_cap(cap);
-                let result = exec.execute_block(base, &prepared.block);
-                assert_eq!(
-                    result.merkle_root(),
-                    oracle,
-                    "post-state merkle root diverged at threads {threads} cap {cap}"
-                );
-                assert_eq!(
-                    result.delta_merkle_root(base),
-                    oracle,
-                    "incremental merkle root diverged at threads {threads} cap {cap}"
-                );
-            }
+            let result = ParExecutor::new(threads).execute_block(base, &prepared.block);
+            assert_eq!(
+                result.merkle_root(),
+                oracle,
+                "post-state merkle root diverged at threads {threads}"
+            );
+            assert_eq!(
+                result.delta_merkle_root(base),
+                oracle,
+                "incremental merkle root diverged at threads {threads}"
+            );
         }
     }
 }
 
 /// The execute/commit-overlap oracle: a multi-block chain is executed
-/// across the thread-count × retry-cap grid and committed two ways —
+/// at each thread count and committed two ways —
 /// synchronously after each block, and pipelined through the background
 /// commit thread (`AsyncCommitter::submit`) with
 /// the handles only joined after every block was submitted. Every
@@ -175,41 +171,39 @@ fn async_commit_pipeline_matches_synchronous_roots() {
     };
 
     for &threads in &[1usize, 4, 8] {
-        for &cap in &[0usize, 8] {
-            let exec = ParExecutor::new(threads).with_retry_cap(cap);
+        let exec = ParExecutor::new(threads);
 
-            // Synchronous: commit each block's delta before executing
-            // the next.
-            let mut committer = seeded(threads);
-            let mut state = genesis.clone();
-            let mut sync_roots = Vec::new();
-            for block in &blocks {
-                let result = exec.execute_block(&state, block);
-                sync_roots.push(commit_block_delta(&mut committer, &state, &result.delta));
-                state = result.state;
-            }
-            assert_eq!(
-                sync_roots, oracle_roots,
-                "synchronous roots diverged at threads {threads} cap {cap}"
-            );
-
-            // Pipelined: submit every block's commit to the background
-            // thread, joining the handles only at the end — block N+1
-            // executes while block N hashes.
-            let committer = AsyncCommitter::new(seeded(threads));
-            let mut state = genesis.clone();
-            let mut handles = Vec::new();
-            for block in &blocks {
-                let result = exec.execute_block(&state, block);
-                handles.push(committer.submit(&state, &result.delta));
-                state = result.state;
-            }
-            let pipe_roots: Vec<B256> = handles.into_iter().map(|h| h.wait()).collect();
-            assert_eq!(
-                pipe_roots, oracle_roots,
-                "pipelined roots diverged at threads {threads} cap {cap}"
-            );
+        // Synchronous: commit each block's delta before executing
+        // the next.
+        let mut committer = seeded(threads);
+        let mut state = genesis.clone();
+        let mut sync_roots = Vec::new();
+        for block in &blocks {
+            let result = exec.execute_block(&state, block);
+            sync_roots.push(commit_block_delta(&mut committer, &state, &result.delta));
+            state = result.state;
         }
+        assert_eq!(
+            sync_roots, oracle_roots,
+            "synchronous roots diverged at threads {threads}"
+        );
+
+        // Pipelined: submit every block's commit to the background
+        // thread, joining the handles only at the end — block N+1
+        // executes while block N hashes.
+        let committer = AsyncCommitter::new(seeded(threads));
+        let mut state = genesis.clone();
+        let mut handles = Vec::new();
+        for block in &blocks {
+            let result = exec.execute_block(&state, block);
+            handles.push(committer.submit(&state, &result.delta));
+            state = result.state;
+        }
+        let pipe_roots: Vec<B256> = handles.into_iter().map(|h| h.wait()).collect();
+        assert_eq!(
+            pipe_roots, oracle_roots,
+            "pipelined roots diverged at threads {threads}"
+        );
     }
 }
 
