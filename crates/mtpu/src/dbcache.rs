@@ -67,16 +67,24 @@ pub enum FillStop {
     BlockEnd,
 }
 
-/// The fill unit: builds one line at a time from the miss stream.
+/// Deepest line-relative stack the fill unit can reach: a `SWAP16` pads
+/// it to 17 entries and each of a line's ops pushes at most one more.
+const LINE_STACK: usize = 17 + MAX_LINE_OPS;
+
+/// The fill unit: builds one line at a time from the miss stream. Its
+/// state is inline, so filling allocates nothing until a line is stored.
 #[derive(Debug, Clone)]
 pub struct LineBuilder {
     code: B256,
-    start_pc: Option<u32>,
-    ops: Vec<(u32, Opcode, bool)>,
+    ops: [(u32, Opcode, bool); MAX_LINE_OPS],
+    len: usize,
     /// One slot per `OpCategory`.
     used_units: u16,
-    /// Line-relative stack: `Some(i)` = produced by line op `i`.
-    stack: Vec<Option<u8>>,
+    /// Line-relative stack, top first: `Some(i)` = produced by line op
+    /// `i`, `None` = a value from before the line. Only the first `depth`
+    /// entries are live.
+    stack: [Option<u8>; LINE_STACK],
+    depth: usize,
     forward_used: bool,
     forwarding_enabled: bool,
     closed: bool,
@@ -87,10 +95,11 @@ impl LineBuilder {
     pub fn new(code: B256, forwarding_enabled: bool) -> Self {
         LineBuilder {
             code,
-            start_pc: None,
-            ops: Vec::with_capacity(8),
+            ops: [(0, Opcode::Stop, false); MAX_LINE_OPS],
+            len: 0,
             used_units: 0,
-            stack: Vec::with_capacity(16),
+            stack: [None; LINE_STACK],
+            depth: 0,
             forward_used: false,
             forwarding_enabled,
             closed: false,
@@ -99,12 +108,27 @@ impl LineBuilder {
 
     /// Number of ops currently in the line.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// `true` when no op has been added yet.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
+    }
+
+    /// The line op that produced stack position `pos` (1 = top), if any.
+    fn producer_at(&self, pos: usize) -> Option<u8> {
+        if pos <= self.depth {
+            self.stack[pos - 1]
+        } else {
+            None
+        }
+    }
+
+    fn push_top(&mut self, v: Option<u8>) {
+        self.stack.copy_within(0..self.depth, 1);
+        self.stack[0] = v;
+        self.depth += 1;
     }
 
     /// Attempts to append `uop`. On `Err`, the line must be finalized and
@@ -113,7 +137,7 @@ impl LineBuilder {
         if self.closed {
             return Err(FillStop::BlockEnd);
         }
-        if self.ops.len() >= MAX_LINE_OPS {
+        if self.len >= MAX_LINE_OPS {
             return Err(FillStop::UnitConflict);
         }
         // Stack-manipulation instructions do not occupy a functional-unit
@@ -128,25 +152,25 @@ impl LineBuilder {
         let eff = stack_effect(uop.op);
         // A folded/const operand comes from the synthetic instruction or
         // the Constants Table: it removes the read of the top operand.
-        let reads: Vec<usize> = if uop.const_operand && !eff.reads.is_empty() {
-            // The constant replaces the value that would have been pushed
-            // on top; remaining operands shift up one position.
-            eff.reads[..eff.reads.len() - 1].to_vec()
-        } else {
-            eff.reads.clone()
+        // The constant replaces the value that would have been pushed on
+        // top; remaining operands shift up one position.
+        let reads = match eff.reads() {
+            [rest @ .., _] if uop.const_operand => rest,
+            all => all,
         };
-        let mut raw_producers: Vec<u8> = Vec::new();
-        for &pos in &reads {
-            if let Some(Some(p)) = self.stack.get(pos - 1).copied() {
-                raw_producers.push(p);
+        // RAW dependencies on earlier line ops: how many, and the first.
+        let (mut raw, mut producer) = (0, 0u8);
+        for &pos in reads {
+            if let Some(p) = self.producer_at(pos) {
+                if raw == 0 {
+                    producer = p;
+                }
+                raw += 1;
             }
         }
-        if !raw_producers.is_empty() {
-            let single = raw_producers.len() == 1;
-            let producer_ok = single && {
-                let (_, pop, _) = self.ops[raw_producers[0] as usize];
-                is_reconfigurable(pop)
-            };
+        if raw > 0 {
+            let single = raw == 1;
+            let producer_ok = single && is_reconfigurable(self.ops[producer as usize].1);
             let consumer_ok = is_reconfigurable(uop.op);
             let can_forward = self.forwarding_enabled
                 && !self.forward_used
@@ -163,18 +187,16 @@ impl LineBuilder {
         if !is_stack {
             self.used_units |= unit_bit;
         }
-        let idx = self.ops.len() as u8;
-        if self.start_pc.is_none() {
-            self.start_pc = Some(uop.pc);
-        }
-        self.ops.push((uop.pc, uop.op, uop.const_operand));
+        let idx = self.len as u8;
+        self.ops[self.len] = (uop.pc, uop.op, uop.const_operand);
+        self.len += 1;
 
         if let Some(n) = eff.dup_depth {
-            let src = self.stack.get(n - 1).copied().flatten();
-            self.stack.insert(0, src);
+            self.push_top(self.producer_at(n));
         } else if let Some(n) = eff.swap_depth {
-            while self.stack.len() < n + 1 {
-                self.stack.push(None);
+            while self.depth < n + 1 {
+                self.stack[self.depth] = None;
+                self.depth += 1;
             }
             self.stack.swap(0, n);
         } else {
@@ -183,13 +205,11 @@ impl LineBuilder {
             } else {
                 eff.pops
             };
-            for _ in 0..pops {
-                if !self.stack.is_empty() {
-                    self.stack.remove(0);
-                }
-            }
+            let pops = pops.min(self.depth);
+            self.stack.copy_within(pops..self.depth, 0);
+            self.depth -= pops;
             for _ in 0..eff.pushes {
-                self.stack.insert(0, Some(idx));
+                self.push_top(Some(idx));
             }
         }
         // Control transfers complete the line (next-PC recorded).
@@ -203,15 +223,15 @@ impl LineBuilder {
     /// instructions (single-instruction lines are not stored — paper
     /// §3.4.1 — the caller records them in the path side table instead).
     pub fn finish(self) -> Option<Line> {
-        if self.ops.len() < 2 {
+        if self.len < 2 {
             return None;
         }
         Some(Line {
             key: LineKey {
                 code: self.code,
-                pc: self.start_pc.expect("nonempty line has a start"),
+                pc: self.ops[0].0,
             },
-            ops: self.ops,
+            ops: self.ops[..self.len].to_vec(),
             forwarded: self.forward_used,
         })
     }
@@ -226,7 +246,9 @@ struct Entry {
 /// Cumulative DB-cache statistics (satellite of the Table 7 metrics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbCacheStats {
-    /// Lookups that found a resident line.
+    /// Lookups that found a resident line with the key's tag. The
+    /// pipeline validates such a line against the upcoming stream and
+    /// issues a mismatch as a miss; it still counts here.
     pub hits: u64,
     /// Total lookups.
     pub lookups: u64,
@@ -259,6 +281,9 @@ impl DbCacheStats {
 pub struct DbCache {
     sets: Vec<Vec<Entry>>,
     ways: usize,
+    /// The `LineKey` hash state after its `code` field, for the code
+    /// looked up last: a lookup in the same code hashes only the pc.
+    code_hasher: Option<(B256, DefaultHasher)>,
     tick: u64,
     hits: u64,
     lookups: u64,
@@ -274,6 +299,7 @@ impl DbCache {
         DbCache {
             sets: vec![Vec::new(); set_count],
             ways,
+            code_hasher: None,
             tick: 0,
             hits: 0,
             lookups: 0,
@@ -282,9 +308,21 @@ impl DbCache {
         }
     }
 
-    fn set_index(&self, key: &LineKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
+    /// The set of `key`: `DefaultHasher` over the derived `Hash` of
+    /// `LineKey` (its `code`, then its `pc`), resumed from the cached
+    /// state after `code`. The index must not change: it decides which
+    /// lines conflict, and with them every simulated value.
+    fn set_index(&mut self, key: &LineKey) -> usize {
+        let state = match &mut self.code_hasher {
+            Some((code, state)) if *code == key.code => state,
+            slot => {
+                let mut state = DefaultHasher::new();
+                key.code.hash(&mut state);
+                &mut slot.insert((key.code, state)).1
+            }
+        };
+        let mut h = state.clone();
+        key.pc.hash(&mut h);
         (h.finish() as usize) % self.sets.len()
     }
 
@@ -533,6 +571,26 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident, 2);
         assert!((s.hit_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn set_index_is_the_hash_of_the_whole_key() {
+        let mut c = DbCache::new(DbCacheConfig {
+            entries: 2048,
+            ways: 4,
+        });
+        let codes = [B256::ZERO, B256::keccak(b"a"), B256::keccak(b"b")];
+        // Alternate codes so the cached code state is both reused and
+        // replaced.
+        for i in 0..300u32 {
+            let key = LineKey {
+                code: codes[(i as usize / 7) % codes.len()],
+                pc: i.wrapping_mul(2_654_435_761),
+            };
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            assert_eq!(c.set_index(&key), (h.finish() as usize) % 512, "{key:?}");
+        }
     }
 
     #[test]

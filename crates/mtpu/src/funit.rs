@@ -80,14 +80,19 @@ pub fn is_reconfigurable(op: Opcode) -> bool {
         )
 }
 
+/// Most stack positions one instruction reads (`CALL`'s seven operands).
+const MAX_READS: usize = 7;
+
 /// Stack positions (1 = top) an instruction *reads* before executing, and
 /// its net effect, for the fill unit's RAW analysis. DUP reads a single
 /// deep position; SWAP reads the two positions it exchanges; everything
 /// else reads the values it pops.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StackEffect {
-    /// Read positions, 1-based from the top.
-    pub reads: Vec<usize>,
+    /// Read positions, 1-based from the top; the first `read_count` are
+    /// meaningful.
+    reads: [usize; MAX_READS],
+    read_count: usize,
     /// Values consumed from the top.
     pub pops: usize,
     /// Values produced onto the top.
@@ -98,13 +103,23 @@ pub struct StackEffect {
     pub dup_depth: Option<usize>,
 }
 
+impl StackEffect {
+    /// Read positions, 1-based from the top.
+    pub fn reads(&self) -> &[usize] {
+        &self.reads[..self.read_count]
+    }
+}
+
 /// Computes the [`StackEffect`] of an opcode.
 pub fn stack_effect(op: Opcode) -> StackEffect {
     let b = op as u8;
+    let mut reads = [0; MAX_READS];
     if op.is_dup() {
         let n = (b - 0x7f) as usize;
+        reads[0] = n;
         return StackEffect {
-            reads: vec![n],
+            reads,
+            read_count: 1,
             pops: 0,
             pushes: 1,
             swap_depth: None,
@@ -113,8 +128,10 @@ pub fn stack_effect(op: Opcode) -> StackEffect {
     }
     if op.is_swap() {
         let n = (b - 0x8f) as usize;
+        reads[..2].copy_from_slice(&[1, n + 1]);
         return StackEffect {
-            reads: vec![1, n + 1],
+            reads,
+            read_count: 2,
             pops: 0,
             pushes: 0,
             swap_depth: Some(n),
@@ -122,8 +139,12 @@ pub fn stack_effect(op: Opcode) -> StackEffect {
         };
     }
     let pops = op.stack_pops();
+    for (i, r) in reads[..pops].iter_mut().enumerate() {
+        *r = i + 1;
+    }
     StackEffect {
-        reads: (1..=pops).collect(),
+        reads,
+        read_count: pops,
         pops,
         pushes: op.stack_pushes(),
         swap_depth: None,
@@ -162,22 +183,31 @@ mod tests {
     #[test]
     fn stack_effects() {
         let add = stack_effect(Opcode::Add);
-        assert_eq!(add.reads, vec![1, 2]);
+        assert_eq!(add.reads(), [1, 2]);
         assert_eq!((add.pops, add.pushes), (2, 1));
 
         let dup3 = stack_effect(Opcode::Dup3);
-        assert_eq!(dup3.reads, vec![3]);
+        assert_eq!(dup3.reads(), [3]);
         assert_eq!((dup3.pops, dup3.pushes), (0, 1));
         assert_eq!(dup3.dup_depth, Some(3));
 
         let swap2 = stack_effect(Opcode::Swap2);
-        assert_eq!(swap2.reads, vec![1, 3]);
+        assert_eq!(swap2.reads(), [1, 3]);
         assert_eq!(swap2.swap_depth, Some(2));
         assert_eq!((swap2.pops, swap2.pushes), (0, 0));
 
         let push = stack_effect(Opcode::Push7);
-        assert!(push.reads.is_empty());
+        assert!(push.reads().is_empty());
         assert_eq!((push.pops, push.pushes), (0, 1));
+    }
+
+    #[test]
+    fn every_opcode_fits_the_read_array() {
+        // `stack_effect` panics on an op that reads more than MAX_READS.
+        for op in (0..=u8::MAX).filter_map(Opcode::from_u8) {
+            stack_effect(op);
+        }
+        assert_eq!(stack_effect(Opcode::Call).reads(), [1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! constants is evaluated by [`Opcode::eval_pure`], the interpreter's own
 //! semantics.
 
+use crate::stream::BitSet;
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::TxTrace;
 use mtpu_primitives::U256;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Abstract value with an optional producing-PUSH step for elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +47,13 @@ impl AVal {
 #[derive(Debug, Clone, Default)]
 pub struct PathAnalysis {
     /// PCs of the pre-executable Compare/Check prefix.
-    pub preexec_pcs: HashSet<u32>,
+    pub preexec_pcs: BitSet,
     /// PCs of PUSH instructions whose value moves to the Constants Table.
-    pub eliminated_push_pcs: HashSet<u32>,
+    pub eliminated_push_pcs: BitSet,
     /// PCs of constant instructions (operands served by the table).
-    pub const_operand_pcs: HashSet<u32>,
+    pub const_operand_pcs: BitSet,
     /// PCs of SLOADs whose key is resolvable before execution.
-    pub prefetch_pcs: HashSet<u32>,
+    pub prefetch_pcs: BitSet,
     /// Bytes of bytecode on the executed path (chunked loading, §3.4.2).
     pub loaded_bytes: u64,
     /// Total bytecode size.
@@ -90,16 +91,6 @@ fn preexecutable(op: Opcode) -> bool {
 /// core memories): at most this many operands can be separated from the
 /// stack per contract entry.
 pub const CONSTANTS_TABLE_SLOTS: usize = 128;
-
-/// Truncates a pc set to its `cap` lowest program counters.
-fn cap_pcs(set: &mut HashSet<u32>, cap: usize) {
-    if set.len() > cap {
-        let mut v: Vec<u32> = set.iter().copied().collect();
-        v.sort_unstable();
-        v.truncate(cap);
-        *set = v.into_iter().collect();
-    }
-}
 
 /// Analyzes the top frame of `trace` executing `code`.
 pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
@@ -336,8 +327,8 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
     }
     // The Constants Table is a finite structure: bound the number of
     // separated operands (and the PUSHes they replace) per entry.
-    cap_pcs(&mut out.const_operand_pcs, CONSTANTS_TABLE_SLOTS);
-    cap_pcs(&mut out.eliminated_push_pcs, CONSTANTS_TABLE_SLOTS);
+    out.const_operand_pcs.truncate(CONSTANTS_TABLE_SLOTS);
+    out.eliminated_push_pcs.truncate(CONSTANTS_TABLE_SLOTS);
     out
 }
 

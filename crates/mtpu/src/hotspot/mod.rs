@@ -12,7 +12,7 @@ mod analysis;
 
 pub use analysis::{analyze_path, PathAnalysis};
 
-use crate::stream::StreamTransforms;
+use crate::stream::{BitSet, StreamTransforms};
 use mtpu_evm::trace::TxTrace;
 use mtpu_primitives::Address;
 use std::collections::HashMap;
@@ -107,22 +107,29 @@ impl ContractTable {
         let Some(a) = self.entries.get(&key) else {
             return (StreamTransforms::none(), None);
         };
-        let mut tr = StreamTransforms::none();
+        // Every step set is sized for the whole trace up front, so the
+        // build allocates per set, not per step.
+        let bound = trace.steps.len();
+        let mut tr = StreamTransforms {
+            skip_steps: BitSet::with_bound(bound),
+            eliminated_pushes: BitSet::with_bound(bound),
+            const_operand_steps: BitSet::with_bound(bound),
+            prefetched_steps: BitSet::with_bound(bound),
+        };
         // Pre-execution skips the leading run of Compare/Check pcs.
-        for (i, s) in trace.steps.iter().enumerate() {
-            if s.frame != 0 || !a.preexec_pcs.contains(&s.pc) {
-                break;
-            }
+        let skipped = trace
+            .steps
+            .iter()
+            .take_while(|s| s.frame == 0 && a.preexec_pcs.contains(&s.pc))
+            .count();
+        for i in 0..skipped {
             tr.skip_steps.insert(i as u32);
         }
-        for (i, s) in trace.steps.iter().enumerate() {
+        for (i, s) in trace.steps.iter().enumerate().skip(skipped) {
             if s.frame != 0 {
                 continue;
             }
             let i = i as u32;
-            if tr.skip_steps.contains(&i) {
-                continue;
-            }
             if a.eliminated_push_pcs.contains(&s.pc) {
                 tr.eliminated_pushes.insert(i);
             }
@@ -379,7 +386,10 @@ mod tests {
         assert!(tr.skip_steps.contains(&10));
         assert!(!tr.skip_steps.contains(&11));
         // Skipped steps are not double-counted as eliminated.
-        assert!(tr.eliminated_pushes.is_disjoint(&tr.skip_steps));
+        assert!(!tr
+            .eliminated_pushes
+            .iter()
+            .any(|s| tr.skip_steps.contains(&s)));
         // The SLOAD at step index 11 is prefetched.
         assert!(tr.prefetched_steps.contains(&11));
     }

@@ -9,7 +9,9 @@ use std::sync::OnceLock;
 
 /// Cached handles for the MTPU simulator's metrics.
 pub struct MtpuMetrics {
-    /// DB-cache line hits (`mtpu.db.hit`).
+    /// DB-cache tag matches (`mtpu.db.hit`). A matched line that then
+    /// fails validation against the stream issues as a miss but is
+    /// still counted here.
     pub db_hit: Counter,
     /// DB-cache lookups that missed (`mtpu.db.miss`).
     pub db_miss: Counter,

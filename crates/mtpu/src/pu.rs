@@ -7,9 +7,9 @@ use crate::dbcache::{DbCache, DbCacheStats, Line, LineBuilder, LineKey};
 use crate::funit::{lat_class, LatClass};
 use crate::stream::{build_stream, MicroOp, StreamStats, StreamTransforms};
 use mtpu_evm::opcode::Opcode;
-use mtpu_evm::trace::{FrameInfo, TxTrace};
+use mtpu_evm::trace::{FrameInfo, StorageAccess, TxTrace};
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Fixed transaction/block attribute bytes loaded with every frame
 /// context (Table 4's fixed-length fields).
@@ -25,8 +25,9 @@ pub struct TxJob {
     pub stream_stats: StreamStats,
     /// Frame metadata from the trace.
     pub frames: Vec<FrameInfo>,
-    /// Storage operand of each SLOAD/SSTORE step.
-    pub storage_by_step: HashMap<u32, (Address, U256, bool)>,
+    /// Storage operand of each SLOAD/SSTORE step, in step order (as the
+    /// trace recorded them).
+    pub storage: Vec<StorageAccess>,
     /// Original executed instruction count (before folding/elimination).
     pub instructions: u64,
     /// Gas consumed (receipt value; deducted per line via the G field).
@@ -51,16 +52,15 @@ impl TxJob {
         loaded_bytes_override: Option<u64>,
     ) -> Self {
         let (stream, stream_stats) = build_stream(trace, cfg.enable_folding, transforms);
-        let storage_by_step = trace
-            .storage
-            .iter()
-            .map(|s| (s.step, (s.address, s.key, s.write)))
-            .collect();
+        debug_assert!(
+            trace.storage.windows(2).all(|w| w[0].step <= w[1].step),
+            "storage accesses are recorded in step order"
+        );
         TxJob {
             stream,
             stream_stats,
             frames: trace.frames.clone(),
-            storage_by_step,
+            storage: trace.storage.clone(),
             instructions: trace.steps.len() as u64,
             gas_used: trace.gas_used,
             loaded_bytes_override,
@@ -79,6 +79,16 @@ impl TxJob {
     /// `true` for a plain value transfer (no contract execution).
     pub fn is_plain_transfer(&self) -> bool {
         self.stream.is_empty()
+    }
+
+    /// The storage slot step `step` accesses (the last one recorded for
+    /// it).
+    fn storage_at(&self, step: u32) -> Option<(Address, U256)> {
+        let end = self.storage.partition_point(|a| a.step <= step);
+        self.storage[..end]
+            .last()
+            .filter(|a| a.step == step)
+            .map(|a| (a.address, a.key))
     }
 }
 
@@ -519,17 +529,17 @@ impl Pu {
     ) -> u64 {
         match lat_class(u.op) {
             LatClass::Storage => {
-                let acc = job.storage_by_step.get(&u.step).copied();
+                let acc = job.storage_at(u.step);
                 if u.op == Opcode::Sload {
                     if cfg.hotspot_opt && u.prefetched {
                         t.prefetch_hits += 1;
-                        if let Some((a, k, _)) = acc {
+                        if let Some((a, k)) = acc {
                             state_buffer.insert(a, k);
                         }
                         return cfg.lat.dcache_hit;
                     }
                     match acc {
-                        Some((a, k, _)) => {
+                        Some((a, k)) => {
                             if state_buffer.probe(a, k) {
                                 cfg.lat.state_buffer_hit
                             } else {
@@ -540,7 +550,7 @@ impl Pu {
                     }
                 } else {
                     // SSTORE: the write buffer absorbs the latency.
-                    if let Some((a, k, _)) = acc {
+                    if let Some((a, k)) = acc {
                         state_buffer.insert(a, k);
                     }
                     cfg.lat.state_buffer_hit

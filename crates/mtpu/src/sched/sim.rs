@@ -11,10 +11,11 @@ use crate::pu::{Pu, StateBuffer, TxJob, TxTiming};
 use crate::sched::depgraph::DepGraph;
 use crate::sched::tables::{SchedulingTable, TransactionTable};
 use mtpu_primitives::B256;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Outcome of scheduling one block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleResult {
     /// Total cycles until the last transaction completed.
     pub makespan: u64,
@@ -50,9 +51,30 @@ impl ScheduleResult {
     }
 }
 
-/// Identity used for redundancy: the top-frame code hash.
-fn contract_of(job: &TxJob) -> B256 {
-    job.top_code()
+/// Interns each job's redundancy identity — the top-frame code hash —
+/// to a dense contract id, and counts each id's invocations: V, the
+/// composite DAG's node value.
+fn intern_contracts(jobs: &[TxJob]) -> (Vec<usize>, Vec<u32>) {
+    let mut ids: HashMap<B256, usize> = HashMap::new();
+    let mut remaining: Vec<u32> = Vec::new();
+    let contract = jobs
+        .iter()
+        .map(|job| {
+            let id = *ids.entry(job.top_code()).or_insert_with(|| {
+                remaining.push(0);
+                remaining.len() - 1
+            });
+            remaining[id] += 1;
+            id
+        })
+        .collect();
+    (contract, remaining)
+}
+
+/// Each transaction's count of DAG parents, for schedulers that release
+/// a transaction when the count falls to zero.
+fn parent_counts(graph: &DepGraph) -> Vec<usize> {
+    (0..graph.len()).map(|i| graph.parents(i).len()).collect()
 }
 
 /// Sequentially executes the block on a single PU in block order
@@ -97,19 +119,21 @@ pub fn simulate_sync(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Sche
         busy: vec![0; cfg.pu_count],
         timing: TxTiming::default(),
     };
-    let mut completed = vec![false; n];
-    let mut scheduled = vec![false; n];
+    // Released once every parent has completed, lowest block index
+    // first.
+    let mut waiting = parent_counts(graph);
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| waiting[i] == 0).map(Reverse).collect();
     let mut done = 0usize;
     let mut t = 0u64;
     while done < n {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&i| !scheduled[i] && graph.parents(i).iter().all(|&p| completed[p as usize]))
-            .take(cfg.pu_count)
+        let round: Vec<usize> = (0..cfg.pu_count)
+            .map_while(|_| ready.pop().map(|Reverse(tx)| tx))
             .collect();
-        assert!(!ready.is_empty(), "acyclic DAG always has ready work");
+        assert!(!round.is_empty(), "acyclic DAG always has ready work");
         t += cfg.lat.sync_round_cycles;
         let mut round_end = t;
-        for (k, &tx) in ready.iter().enumerate() {
+        for (k, &tx) in round.iter().enumerate() {
             let timing = pus[k].execute(&jobs[tx], &mut buffer, cfg);
             res.start[tx] = t;
             res.end[tx] = t + timing.cycles;
@@ -117,11 +141,15 @@ pub fn simulate_sync(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Sche
             res.busy[k] += timing.cycles;
             res.timing.accumulate(&timing);
             round_end = round_end.max(res.end[tx]);
-            scheduled[tx] = true;
         }
-        for &tx in &ready {
-            completed[tx] = true;
+        for &tx in &round {
             done += 1;
+            for &c in graph.children(tx) {
+                waiting[c as usize] -= 1;
+                if waiting[c as usize] == 0 {
+                    ready.push(Reverse(c as usize));
+                }
+            }
         }
         t = round_end;
     }
@@ -149,121 +177,95 @@ pub fn simulate_st(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Schedu
         return res;
     }
 
-    // Remaining-invocation counts per contract: the composite DAG's node
-    // values (V).
-    let contracts: Vec<B256> = jobs.iter().map(contract_of).collect();
-    let mut remaining: HashMap<B256, u32> = HashMap::new();
-    for c in &contracts {
-        *remaining.entry(*c).or_default() += 1;
-    }
-
-    let mut completed = vec![false; n];
-    let mut staged = vec![false; n]; // in window, running, or done
+    let (contract, mut remaining) = intern_contracts(jobs);
+    // A transaction enters `ready` (eligible for the window) once every
+    // parent has been dispatched, i.e. is running or completed (paper
+    // §3.2.1), and leaves it when staged.
+    let mut waiting = parent_counts(graph);
+    let mut ready: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
     let mut running: Vec<Option<usize>> = vec![None; cfg.pu_count];
+    // Contract of each PU's last transaction while it still holds that
+    // context (`Pu::last_code`).
+    let mut held: Vec<Option<usize>> = vec![None; cfg.pu_count];
     let mut free_at = vec![0u64; cfg.pu_count];
     let mut window: Vec<Option<usize>> = vec![None; m];
     let mut table = SchedulingTable::new(cfg.pu_count);
     let mut tt = TransactionTable::new(m);
+    let mut idle: Vec<usize> = Vec::with_capacity(cfg.pu_count);
     let mut done = 0usize;
 
-    // CPU-side: stage eligible transactions into empty window slots.
-    // Eligible: unstaged, and every parent completed or running (paper
-    // §3.2.1: prefer redundancy with running transactions, else max V).
-    let refill = |window: &mut Vec<Option<usize>>,
+    // CPU-side: stage the best eligible transactions into empty window
+    // slots — redundant with a running transaction first, then high V,
+    // then block order — the best into the lowest empty slot.
+    let refill = |window: &mut [Option<usize>],
                   tt: &mut TransactionTable,
-                  staged: &mut Vec<bool>,
-                  completed: &[bool],
+                  ready: &mut Vec<usize>,
                   running: &[Option<usize>],
-                  remaining: &HashMap<B256, u32>| {
-        let running_contracts: Vec<B256> =
-            running.iter().flatten().map(|&tx| contracts[tx]).collect();
-        let mut eligible: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !staged[i]
-                    && graph
-                        .parents(i)
-                        .iter()
-                        .all(|&p| completed[p as usize] || running.contains(&Some(p as usize)))
-            })
-            .collect();
-        eligible.sort_by_key(|&i| {
-            let redundant = running_contracts.contains(&contracts[i]);
-            let v = remaining.get(&contracts[i]).copied().unwrap_or(0);
-            // Redundant first, then high V, then block order.
-            (!redundant, std::cmp::Reverse(v), i)
-        });
-        let mut it = eligible.into_iter();
+                  remaining: &[u32]| {
+        let empty = window.iter().filter(|w| w.is_none()).count();
+        let k = empty.min(ready.len());
+        if k == 0 {
+            return;
+        }
+        // Keys are unique (block index last), so the top k and their
+        // order are those of a full sort.
+        let key = |&i: &usize| {
+            let redundant = running
+                .iter()
+                .flatten()
+                .any(|&tx| contract[tx] == contract[i]);
+            (!redundant, Reverse(remaining[contract[i]]), i)
+        };
+        if k < ready.len() {
+            ready.select_nth_unstable_by_key(k - 1, key);
+        }
+        ready[..k].sort_unstable_by_key(key);
+        let mut chosen = ready.drain(..k);
         for (slot, w) in window.iter_mut().enumerate() {
             if w.is_none() {
-                if let Some(tx) = it.next() {
+                if let Some(tx) = chosen.next() {
                     *w = Some(tx);
-                    staged[tx] = true;
-                    let v = remaining.get(&contracts[tx]).copied().unwrap_or(0);
-                    tt.fill(slot, v, tx as u32);
+                    tt.fill(slot, remaining[contract[tx]], tx as u32);
                 }
             }
         }
     };
 
     // Recompute De/Re rows against the current window (CPU update ③/⑤).
+    // An idle PU keeps Re affinity with the contract whose context it
+    // still holds.
     let update_rows = |table: &mut SchedulingTable,
                        window: &[Option<usize>],
                        running: &[Option<usize>],
-                       pus: &[Pu]| {
+                       held: &[Option<usize>]| {
         for (p, r) in running.iter().enumerate() {
-            match r {
-                Some(tx) => {
-                    let mut de = 0u64;
-                    let mut re = 0u64;
-                    for (slot, w) in window.iter().enumerate() {
-                        if let Some(cand) = w {
-                            if graph.parents(*cand).contains(&(*tx as u32)) {
-                                de |= 1 << slot;
-                            }
-                            if contracts[*cand] == contracts[*tx] {
-                                re |= 1 << slot;
-                            }
-                        }
+            let affinity = r.map_or(held[p], |tx| Some(contract[tx]));
+            let mut de = 0u64;
+            let mut re = 0u64;
+            for (slot, w) in window.iter().enumerate() {
+                if let Some(cand) = *w {
+                    if r.is_some_and(|tx| graph.parents(cand).contains(&(tx as u32))) {
+                        de |= 1 << slot;
                     }
-                    table.set_row(p, de, re);
-                }
-                None => {
-                    // Re affinity survives between transactions: the PU
-                    // still holds the last contract's context.
-                    let mut re = 0u64;
-                    if let Some(last) = pus[p].last_code {
-                        for (slot, w) in window.iter().enumerate() {
-                            if let Some(cand) = w {
-                                if contracts[*cand] == last {
-                                    re |= 1 << slot;
-                                }
-                            }
-                        }
+                    if affinity == Some(contract[cand]) {
+                        re |= 1 << slot;
                     }
-                    table.set_row(p, 0, re);
                 }
             }
+            table.set_row(p, de, re);
         }
     };
 
     while done < n {
-        refill(
-            &mut window,
-            &mut tt,
-            &mut staged,
-            &completed,
-            &running,
-            &remaining,
-        );
-        update_rows(&mut table, &window, &running, &pus);
+        refill(&mut window, &mut tt, &mut ready, &running, &remaining);
+        update_rows(&mut table, &window, &running, &held);
 
         // Dispatch to every idle PU, earliest-free first.
         let mut dispatched = false;
-        let mut idle: Vec<usize> = (0..cfg.pu_count)
-            .filter(|&p| running[p].is_none())
-            .collect();
+        idle.clear();
+        idle.extend((0..cfg.pu_count).filter(|&p| running[p].is_none()));
         idle.sort_by_key(|&p| (free_at[p], p));
-        for p in idle {
+        for &p in &idle {
             let mask = table.selectable_mask();
             let re = table.row(p).re;
             if let Some(slot) = tt.select(mask, re) {
@@ -280,21 +282,21 @@ pub fn simulate_st(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Schedu
                 res.busy[p] += cfg.lat.select_cycles + timing.cycles;
                 res.timing.accumulate(&timing);
                 running[p] = Some(tx);
+                held[p] = pus[p].last_code.map(|_| contract[tx]);
                 free_at[p] = res.end[tx];
-                *remaining.get_mut(&contracts[tx]).expect("counted") -= 1;
+                remaining[contract[tx]] -= 1;
+                for &c in graph.children(tx) {
+                    waiting[c as usize] -= 1;
+                    if waiting[c as usize] == 0 {
+                        ready.push(c as usize);
+                    }
+                }
                 // Order matters (the paper's dirty-read hazard, §3.2.2):
                 // newly staged candidates must have valid De bits before
                 // any other PU can see them, so refill precedes the row
                 // update.
-                refill(
-                    &mut window,
-                    &mut tt,
-                    &mut staged,
-                    &completed,
-                    &running,
-                    &remaining,
-                );
-                update_rows(&mut table, &window, &running, &pus);
+                refill(&mut window, &mut tt, &mut ready, &running, &remaining);
+                update_rows(&mut table, &window, &running, &held);
                 dispatched = true;
             } else if mtpu_telemetry::enabled() {
                 // Classify why the idle PU could not dispatch.
@@ -313,8 +315,7 @@ pub fn simulate_st(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Schedu
             .min_by_key(|&p| (free_at[p], p));
         match next {
             Some(p) => {
-                let tx = running[p].take().expect("running");
-                completed[tx] = true;
+                running[p] = None;
                 done += 1;
                 table.invalidate(p);
                 // Idle PUs that were starved wait until this completion.

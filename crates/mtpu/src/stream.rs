@@ -5,7 +5,6 @@
 
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::TxTrace;
-use std::collections::HashSet;
 
 /// One decoded micro-operation flowing through the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,19 +54,114 @@ pub fn is_foldable_target(op: Opcode) -> bool {
     )
 }
 
+/// A set of small `u32`s — program counters or trace step indices — as a
+/// dense bit vector: membership is a shift and a mask, and iteration is
+/// ascending. Members are bounded by a code length or a trace length, so
+/// the vector stays a few hundred words at most.
+#[derive(Debug, Clone, Default)]
+pub struct BitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BitSet {
+    /// An empty set that holds members below `bound` without growing.
+    pub fn with_bound(bound: usize) -> Self {
+        BitSet {
+            words: Vec::with_capacity(bound.div_ceil(64)),
+            len: 0,
+        }
+    }
+
+    /// Adds `v`; `true` when it was not yet a member.
+    pub fn insert(&mut self, v: u32) -> bool {
+        let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.len += fresh as usize;
+        fresh
+    }
+
+    /// `true` when `v` is a member (by reference, as `HashSet::contains`
+    /// takes it, so call sites read the same).
+    pub fn contains(&self, v: &u32) -> bool {
+        self.words
+            .get(*v as usize / 64)
+            .is_some_and(|w| w & (1u64 << (v % 64)) != 0)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the set has no member.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as u32 * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Keeps only the `cap` smallest members.
+    pub fn truncate(&mut self, cap: usize) {
+        if self.len <= cap {
+            return;
+        }
+        let mut kept = 0;
+        for word in &mut self.words {
+            let ones = word.count_ones() as usize;
+            if kept + ones <= cap {
+                kept += ones;
+                continue;
+            }
+            // Clear this word's highest members until the count fits.
+            while kept + word.count_ones() as usize > cap {
+                *word &= !(1u64 << (63 - word.leading_zeros()));
+            }
+            kept = cap;
+        }
+        self.len = cap;
+    }
+}
+
+impl FromIterator<u32> for BitSet {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut set = BitSet::default();
+        for v in iter {
+            set.insert(v);
+        }
+        set
+    }
+}
+
 /// Stream-level transformations requested by the hotspot optimizer.
 #[derive(Debug, Clone, Default)]
 pub struct StreamTransforms {
     /// Steps to drop entirely: the pre-executed Compare/Check chunks.
-    pub skip_steps: HashSet<u32>,
+    pub skip_steps: BitSet,
     /// PUSH steps eliminated because their value moved to the Constants
     /// Table; the consuming instruction reads the table instead.
-    pub eliminated_pushes: HashSet<u32>,
+    pub eliminated_pushes: BitSet,
     /// Steps (consumers of eliminated pushes) whose operand comes from
     /// the Constants Table.
-    pub const_operand_steps: HashSet<u32>,
+    pub const_operand_steps: BitSet,
     /// SLOAD steps whose data was prefetched before execution.
-    pub prefetched_steps: HashSet<u32>,
+    pub prefetched_steps: BitSet,
 }
 
 impl StreamTransforms {
@@ -99,8 +193,7 @@ pub fn build_stream(
     tr: &StreamTransforms,
 ) -> (Vec<MicroOp>, StreamStats) {
     let mut stats = StreamStats::default();
-    // Phase 1: filter + annotate.
-    let mut pending: Vec<MicroOp> = Vec::with_capacity(trace.steps.len());
+    let mut out: Vec<MicroOp> = Vec::with_capacity(trace.steps.len());
     for (i, s) in trace.steps.iter().enumerate() {
         let i = i as u32;
         if tr.skip_steps.contains(&i) {
@@ -111,7 +204,7 @@ pub fn build_stream(
             stats.eliminated += 1;
             continue;
         }
-        pending.push(MicroOp {
+        let next = MicroOp {
             step: i,
             frame: s.frame,
             pc: s.pc,
@@ -119,23 +212,20 @@ pub fn build_stream(
             const_operand: tr.const_operand_steps.contains(&i),
             insn_count: 1,
             prefetched: tr.prefetched_steps.contains(&i),
-        });
-    }
-    if !enable_folding {
-        return (pending, stats);
-    }
-    // Phase 2: fold PUSH + target pairs (adjacent, same frame, and the
-    // target actually consumes the pushed value, i.e. consecutive pcs).
-    let mut out: Vec<MicroOp> = Vec::with_capacity(pending.len());
-    let mut i = 0;
-    while i < pending.len() {
-        let cur = pending[i];
-        if cur.op.is_push() && !cur.const_operand && i + 1 < pending.len() {
-            let next = pending[i + 1];
+        };
+        // Fold a PUSH + target pair: adjacent survivors, same frame, and
+        // the target actually consumes the pushed value (consecutive
+        // pcs). A folded op is never a PUSH, so pairs do not chain.
+        if let Some(cur) = out.last_mut().filter(|_| enable_folding) {
             let contiguous = next.frame == cur.frame
                 && next.pc as usize == cur.pc as usize + 1 + cur.op.immediate_len();
-            if contiguous && is_foldable_target(next.op) && !next.const_operand {
-                out.push(MicroOp {
+            if cur.op.is_push()
+                && !cur.const_operand
+                && contiguous
+                && is_foldable_target(next.op)
+                && !next.const_operand
+            {
+                *cur = MicroOp {
                     step: next.step,
                     frame: cur.frame,
                     pc: cur.pc,
@@ -143,14 +233,12 @@ pub fn build_stream(
                     const_operand: true,
                     insn_count: 2,
                     prefetched: next.prefetched,
-                });
+                };
                 stats.folded += 1;
-                i += 2;
                 continue;
             }
         }
-        out.push(cur);
-        i += 1;
+        out.push(next);
     }
     (out, stats)
 }
@@ -233,6 +321,38 @@ mod tests {
         assert_eq!(st.skipped_preexec, 2);
         assert_eq!(st.eliminated, 1);
         assert_eq!(st.folded, 0);
+    }
+
+    #[test]
+    fn bit_set_matches_a_hash_set() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut dense = BitSet::with_bound(64);
+        let mut reference = std::collections::HashSet::new();
+        for _ in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = (x % 700) as u32;
+            assert_eq!(dense.insert(v), reference.insert(v));
+        }
+        assert_eq!(dense.len(), reference.len());
+        for v in 0..800 {
+            assert_eq!(dense.contains(&v), reference.contains(&v), "{v}");
+        }
+        let mut sorted: Vec<u32> = reference.into_iter().collect();
+        sorted.sort_unstable();
+        assert_eq!(dense.iter().collect::<Vec<_>>(), sorted);
+
+        // `truncate` keeps the lowest members, as a sort-and-cut does.
+        for cap in [sorted.len() + 1, sorted.len(), 130, 64, 1, 0] {
+            let mut capped = dense.clone();
+            capped.truncate(cap);
+            let want = &sorted[..cap.min(sorted.len())];
+            assert_eq!(capped.iter().collect::<Vec<_>>(), want);
+            assert_eq!(capped.len(), want.len());
+        }
+        assert!(BitSet::default().is_empty());
+        assert!(!BitSet::default().contains(&0));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline, step for step: formatting, lints,
 # rustdoc, tier-1 build/tests, the full workspace test suite, the parexec
-# stress step (deep protocol explorer + oracle loop), the spine's build and
-# tests, the statedb fuzz smoke, the chain_sim golden, every other example,
-# and the golden diff of the paper's tables. Run before pushing.
+# stress step (deep protocol explorer + oracle loop), the scheduler
+# differential's deep sweep, the spine's build and tests, the statedb fuzz
+# smoke, the chain_sim golden, every other example, and the golden diff of
+# the paper's tables. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +40,11 @@ for _ in $(seq 20); do
     cargo test --release -q --test parexec_serializability -- \
         --skip merkle_root --skip async_commit --skip fusion_is_invisible >/dev/null
 done
+
+echo "==> scheduler differential deep sweep (release): simulate_st against its plain re-statement"
+# tests/sim_schedule.rs: every pu_count 1-8 x candidate_slots {1, 4, 16,
+# 64} x redundancy on/off over 40 DAGs; ignored in the tier-1 run.
+cargo test --release -q --test sim_schedule -- --ignored
 
 echo "==> spine (the benchmark is its own workspace: an API break in crates/* fails here)"
 cargo build --release --offline --manifest-path spine/Cargo.toml

@@ -188,9 +188,9 @@ fn hotspot_analysis_is_sound_on_all_top8_paths() {
             .filter(|s| s.frame == 0 && s.opcode() == Opcode::Sload)
             .map(|s| s.pc)
             .collect();
-        for pc in &a.prefetch_pcs {
+        for pc in a.prefetch_pcs.iter() {
             assert!(
-                sload_pcs.contains(pc),
+                sload_pcs.contains(&pc),
                 "{contract}: prefetch pc {pc} is not an SLOAD"
             );
         }
@@ -201,9 +201,9 @@ fn hotspot_analysis_is_sound_on_all_top8_paths() {
             .filter(|s| s.frame == 0 && s.opcode().is_push())
             .map(|s| s.pc)
             .collect();
-        for pc in &a.eliminated_push_pcs {
+        for pc in a.eliminated_push_pcs.iter() {
             assert!(
-                push_pcs.contains(pc),
+                push_pcs.contains(&pc),
                 "{contract}: eliminated pc {pc} is not a PUSH"
             );
         }
