@@ -26,7 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Manifest schema line; bump when the on-disk layout changes.
@@ -43,25 +43,6 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
 struct StoredFile {
     file: Arc<File>,
     len: u64,
-}
-
-/// Upper bound on prefetched slot values held in the warm cache. When an
-/// insert would overflow it, the whole cache is dropped — entries are
-/// hints, never the only copy of anything.
-const WARM_CAP: usize = 4096;
-
-/// How long the prefetch worker waits after the hint that woke it before
-/// taking the queue: longer than a block's hints take to arrive, a few
-/// percent of the time the block then takes to execute.
-const PREFETCH_COALESCE: std::time::Duration = std::time::Duration::from_micros(100);
-
-/// One queued request for the background prefetch worker.
-#[derive(Debug)]
-enum PrefetchJob {
-    /// Resolve these slots of `addr` into the warm cache.
-    Storage(Address, Vec<U256>),
-    /// Touch the account record so its file page is OS-cache resident.
-    Account(Address),
 }
 
 /// Point-in-time counters and sizes, for benches and reports.
@@ -121,26 +102,6 @@ pub struct AccountsDb {
     /// Resolved code blobs (content-addressed; bounded by distinct
     /// contracts, which is small next to accounts).
     code_cache: RwLock<HashMap<B256, Arc<Vec<u8>>>>,
-    /// Slot values resolved ahead of demand by the prefetch worker,
-    /// consulted by the read path on write-cache misses. Bounded by
-    /// [`WARM_CAP`]; cleared on every flush (see `flush_locked`).
-    warm: RwLock<HashMap<(Address, U256), U256>>,
-    /// Bumped by every flush before the warm cache is cleared; the
-    /// prefetch worker re-checks it under the warm write lock before
-    /// publishing, so a value read against the pre-flush layout can never
-    /// land in the post-flush cache.
-    warm_gen: AtomicU64,
-    /// Hints the prefetch worker has not taken yet. It takes all of them
-    /// at once, so hints arriving in a burst (a block's worth, before its
-    /// first transaction executes) are one batch however the two threads
-    /// happen to be scheduled.
-    prefetch_jobs: Mutex<Vec<PrefetchJob>>,
-    /// Wakes the prefetch worker, present once
-    /// [`AccountsDb::enable_prefetch`] has run: one token per batch, sent by
-    /// the hint that finds `prefetch_jobs` empty.
-    prefetch_tx: Mutex<Option<std::sync::mpsc::Sender<()>>>,
-    /// `true` once the prefetch worker runs; hints are dropped before.
-    prefetch_on: AtomicBool,
     /// Serializes flush and snapshot.
     flush_lock: Mutex<()>,
     head_height: AtomicU64,
@@ -173,11 +134,6 @@ impl AccountsDb {
             index: RwLock::new(FlatIndex::new()),
             files: RwLock::new(Vec::new()),
             code_cache: RwLock::new(HashMap::new()),
-            warm: RwLock::new(HashMap::new()),
-            warm_gen: AtomicU64::new(0),
-            prefetch_jobs: Mutex::new(Vec::new()),
-            prefetch_tx: Mutex::new(None),
-            prefetch_on: AtomicBool::new(false),
             flush_lock: Mutex::new(()),
             head_height: AtomicU64::new(0),
             flushed_height: AtomicU64::new(0),
@@ -565,13 +521,6 @@ impl AccountsDb {
                 }
             }
         }
-        // Flushed entries are about to leave the write cache; anything the
-        // prefetch worker warmed against the old flat layout must go with
-        // them, or a stale warm value could mask the freshly indexed one.
-        // The generation bump (before the clear) fences out worker inserts
-        // whose file read predates this flush.
-        self.warm_gen.fetch_add(1, Ordering::Release);
-        self.warm.write().expect("warm cache poisoned").clear();
         self.cache.evict_flushed(up_to);
         self.flushed_height.fetch_max(up_to, Ordering::SeqCst);
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -713,159 +662,11 @@ impl AccountsDb {
         (*code).clone()
     }
 
-    /// Spawns the background prefetch worker (idempotent). Hints arriving
-    /// via [`StateRead::hint_prefetch_storage`] and
-    /// [`StateRead::hint_prefetch_account`] are then served
-    /// asynchronously: the worker resolves them against the flat layer
-    /// and parks the values in the bounded warm cache that the
-    /// synchronous read path consults on write-cache misses. The worker
-    /// holds only a `Weak` reference and exits when the store is dropped
-    /// (the queue closes with it).
-    pub fn enable_prefetch(self: &Arc<Self>) {
-        let mut tx = self.prefetch_tx.lock().expect("prefetch queue poisoned");
-        if tx.is_some() {
-            return;
-        }
-        let (sender, receiver) = std::sync::mpsc::channel::<()>();
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("accountsdb-prefetch".into())
-            .spawn(move || {
-                while receiver.recv().is_ok() {
-                    // The hint that starts a batch is usually the first of
-                    // a block's worth: let the burst land and take it
-                    // whole, instead of draining it hint by hint and being
-                    // woken for each (on the caller's core, at its cost).
-                    std::thread::sleep(PREFETCH_COALESCE);
-                    let Some(db) = weak.upgrade() else { return };
-                    let jobs = std::mem::take(
-                        &mut *db.prefetch_jobs.lock().expect("prefetch queue poisoned"),
-                    );
-                    db.run_prefetch_jobs(jobs);
-                }
-            })
-            .expect("spawn accountsdb prefetch worker");
-        *tx = Some(sender);
-        self.prefetch_on.store(true, Ordering::Release);
-    }
-
-    /// Entries currently held in the warm prefetch cache (introspection
-    /// for tests and benches).
-    pub fn warm_entries(&self) -> usize {
-        self.warm.read().expect("warm cache poisoned").len()
-    }
-
-    fn warm_storage(&self, addr: Address, key: U256) -> Option<U256> {
-        self.warm
-            .read()
-            .expect("warm cache poisoned")
-            .get(&(addr, key))
-            .copied()
-    }
-
-    /// One batch of hints: accounts and slots named more than once (the
-    /// contract every transaction of the block calls) are resolved once.
-    fn run_prefetch_jobs(&self, jobs: Vec<PrefetchJob>) {
-        let mut accounts: Vec<Address> = Vec::new();
-        let mut slots: HashMap<Address, Vec<U256>> = HashMap::new();
-        for job in jobs {
-            match job {
-                PrefetchJob::Account(addr) => accounts.push(addr),
-                PrefetchJob::Storage(addr, keys) => slots.entry(addr).or_default().extend(keys),
-            }
-        }
-        accounts.sort_unstable();
-        accounts.dedup();
-        for addr in accounts {
-            // Touching the record pulls its file page into the OS cache;
-            // the metadata itself is cheap to re-decode. An account the
-            // write cache holds is never read from a file.
-            if self.cache.with_entry(addr, |_| ()).is_none() {
-                let _ = self.flat_account(addr);
-            }
-        }
-        for (addr, mut keys) in slots {
-            keys.sort_unstable();
-            keys.dedup();
-            self.prefetch_storage(addr, keys);
-        }
-    }
-
-    /// Resolves `keys` of `addr` against the flat layer into the warm cache.
-    fn prefetch_storage(&self, addr: Address, keys: Vec<U256>) {
-        let gen = self.warm_gen.load(Ordering::Acquire);
-        // Keys the write cache resolves are served without
-        // touching a file — nothing to warm for those.
-        let wanted: Vec<U256> = match self.cache.with_entry(addr, |c| {
-            keys.iter()
-                .copied()
-                .filter(|k| !c.deleted && !c.reset_storage && !c.storage.contains_key(k))
-                .collect::<Vec<_>>()
-        }) {
-            Some(w) => w,
-            None => keys,
-        };
-        if wanted.is_empty() {
-            return;
-        }
-        let locs: Vec<(U256, Loc)> = {
-            let ix = self.index.read().expect("index poisoned");
-            wanted
-                .iter()
-                .filter_map(|&k| ix.slot(addr, k).map(|l| (k, l)))
-                .collect()
-        };
-        if locs.is_empty() {
-            return;
-        }
-        let mut resolved = Vec::with_capacity(locs.len());
-        for (k, loc) in locs {
-            let mut buf = [0u8; 32];
-            self.read_payload(loc, &mut buf);
-            resolved.push((k, U256::from_be_bytes(buf)));
-        }
-        if mtpu_telemetry::enabled() {
-            obs::metrics().prefetch_batch.inc();
-        }
-        let mut warm = self.warm.write().expect("warm cache poisoned");
-        if self.warm_gen.load(Ordering::Acquire) != gen {
-            // A flush moved the flat layout under this read; the
-            // values may predate it. Drop them — they were hints.
-            return;
-        }
-        if warm.len() + resolved.len() > WARM_CAP {
-            warm.clear();
-        }
-        for (k, v) in resolved {
-            warm.insert((addr, k), v);
-        }
-    }
-
-    /// Queues `job` for the worker; a no-op until
-    /// [`AccountsDb::enable_prefetch`] has run. Only the hint that starts a
-    /// batch signals the worker — a signal per hint would park and wake it
-    /// once per hint whenever it drains faster than the caller produces,
-    /// which makes the caller's cost depend on how the two are scheduled.
-    fn queue_prefetch(&self, job: PrefetchJob) {
-        if !self.prefetch_on.load(Ordering::Acquire) {
-            return;
-        }
-        let starts_batch = {
-            let mut jobs = self.prefetch_jobs.lock().expect("prefetch queue poisoned");
-            jobs.push(job);
-            jobs.len() == 1
-        };
-        if starts_batch {
-            if let Some(tx) = self
-                .prefetch_tx
-                .lock()
-                .expect("prefetch queue poisoned")
-                .as_ref()
-            {
-                let _ = tx.send(());
-            }
-        }
-    }
+    /// A no-op: execution reads go write cache → index → file on demand,
+    /// and there is no prefetch worker to start. It stays only because
+    /// `spine/`'s staged loop names it, behind
+    /// `mtpu_evm::prefetch_enabled()` (always `false`).
+    pub fn enable_prefetch(self: &Arc<Self>) {}
 
     /// One metadata field of `addr` through cache → flat layer: `cached`
     /// or `flat` picks it from a live record, `absent` stands for a
@@ -985,22 +786,9 @@ impl StateRead for AccountsDb {
             }
             Some(None) | None => {
                 self.note_miss();
-                match self.warm_storage(addr, key) {
-                    Some(v) => v,
-                    None => self.flat_storage(addr, key),
-                }
+                self.flat_storage(addr, key)
             }
         }
-    }
-
-    fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
-        if !keys.is_empty() {
-            self.queue_prefetch(PrefetchJob::Storage(addr, keys.to_vec()));
-        }
-    }
-
-    fn hint_prefetch_account(&self, addr: Address) {
-        self.queue_prefetch(PrefetchJob::Account(addr));
     }
 }
 
@@ -1374,58 +1162,6 @@ mod tests {
             assert_eq!(db.read_balance(addr(h)), U256::from(h * 10));
         }
         drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prefetch_worker_warms_flat_reads_and_flush_invalidates() {
-        let dir = scratch_dir("prefetch");
-        let db = Arc::new(AccountsDb::open(&dir).unwrap());
-        absorb_tx(&db, &creation(addr(1), 10, 0, None, &[(1, 11), (2, 22)]), 1);
-        db.flush_up_to(1).unwrap();
-
-        // No worker yet: a hint must not pile up where nothing drains it.
-        db.hint_prefetch_account(addr(1));
-        assert!(db.prefetch_jobs.lock().unwrap().is_empty());
-
-        // A block's worth, every transaction naming the same contract.
-        db.enable_prefetch();
-        for _ in 0..128 {
-            db.hint_prefetch_storage(addr(1), &[U256::from(1u64), U256::from(2u64)]);
-            db.hint_prefetch_account(addr(1));
-        }
-        let mut warmed = false;
-        for _ in 0..2000 {
-            if db.warm_entries() == 2 && db.prefetch_jobs.lock().unwrap().is_empty() {
-                warmed = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(warmed, "worker never resolved the hinted slots");
-        assert_eq!(
-            db.read_storage(addr(1), U256::from(1u64)),
-            U256::from(11u64)
-        );
-
-        // A later block rewrites slot 1; the flush that lands it must
-        // drop the warm copy so the read path sees the new value.
-        let mut d = AccountDelta::default();
-        d.storage.insert(U256::from(1u64), U256::from(111u64));
-        let mut tx = TxDelta::default();
-        tx.accounts.insert(addr(1), d);
-        absorb_tx(&db, &tx, 2);
-        assert_eq!(
-            db.read_storage(addr(1), U256::from(1u64)),
-            U256::from(111u64),
-            "write cache shadows the warm copy before the flush"
-        );
-        db.flush_up_to(2).unwrap();
-        assert_eq!(db.warm_entries(), 0, "flush clears the warm cache");
-        assert_eq!(
-            db.read_storage(addr(1), U256::from(1u64)),
-            U256::from(111u64)
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

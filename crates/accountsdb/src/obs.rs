@@ -17,9 +17,6 @@ pub struct AccountsDbMetrics {
     pub flush: Counter,
     /// Snapshots written (`accountsdb.snapshot`).
     pub snapshot: Counter,
-    /// Prefetch batches resolved by the background worker
-    /// (`accountsdb.prefetch_batch`).
-    pub prefetch_batch: Counter,
     /// Current write-cache depth in accounts (`accountsdb.cache_depth`).
     pub cache_depth: Gauge,
     /// Blocks between the head and the last flushed height
@@ -39,7 +36,6 @@ pub fn metrics() -> &'static AccountsDbMetrics {
             cache_miss: reg.counter("accountsdb.cache_miss"),
             flush: reg.counter("accountsdb.flush"),
             snapshot: reg.counter("accountsdb.snapshot"),
-            prefetch_batch: reg.counter("accountsdb.prefetch_batch"),
             cache_depth: reg.gauge("accountsdb.cache_depth"),
             flush_lag: reg.gauge("accountsdb.flush_lag"),
             read_ns: reg.histogram("accountsdb.read_ns"),

@@ -28,8 +28,10 @@ pub fn set_fusion_enabled(on: bool) {
     FUSION.store(on, Ordering::Relaxed);
 }
 
-/// Always `true`: admission hints are the only execution prefetch path
-/// and a flat backend always forwards them (DESIGN.md §15).
+/// Always `false`: no backend prefetches, so there is nothing to hint. It
+/// stays only because `spine/`'s staged loop asks it whether to forward
+/// admission hints; answering `false` makes that loop run what
+/// `NodeDriver::run_flat` runs (DESIGN.md §15).
 pub fn prefetch_enabled() -> bool {
-    true
+    false
 }

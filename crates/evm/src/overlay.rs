@@ -44,20 +44,22 @@ pub trait StateRead {
     /// Storage slot value (zero for absent slots).
     fn read_storage(&self, addr: Address, key: U256) -> U256;
     /// Reads several storage slots of one account into `out` (cleared
-    /// first, then one value per key in order). Layered views override
-    /// this to resolve their own layers once and batch the rest into one
-    /// base read; the default loops [`StateRead::read_storage`].
+    /// first, then one value per key in order). The default loops
+    /// [`StateRead::read_storage`], and no view in this workspace
+    /// overrides it; it stays because `spine/`'s timing adapter
+    /// implements it and `ReadServer::get_many` calls it.
     fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.read_storage(addr, k)));
     }
     /// Advisory: the given storage slots of `addr` are likely to be read
-    /// soon. Backends may warm caches asynchronously; values are *not*
-    /// returned here and correctness never depends on the hint. Default:
-    /// no-op.
+    /// soon. A no-op: no backend in this workspace warms a cache from
+    /// hints, and none overrides this. It stays because `spine/`'s timing
+    /// adapter implements it and `parexec`'s hint forwarding calls it.
     fn hint_prefetch_storage(&self, _addr: Address, _keys: &[U256]) {}
-    /// Advisory: the account at `addr` is likely to be read soon.
-    /// Default: no-op.
+    /// Advisory: the account at `addr` is likely to be read soon. A
+    /// no-op, kept for the same reason as
+    /// [`StateRead::hint_prefetch_storage`].
     fn hint_prefetch_account(&self, _addr: Address) {}
 }
 
@@ -83,12 +85,6 @@ impl<T: StateRead + ?Sized> StateRead for &T {
     fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
         (**self).read_storage_many(addr, keys, out)
     }
-    fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
-        (**self).hint_prefetch_storage(addr, keys)
-    }
-    fn hint_prefetch_account(&self, addr: Address) {
-        (**self).hint_prefetch_account(addr)
-    }
 }
 
 impl<T: StateRead + ?Sized> StateRead for std::sync::Arc<T> {
@@ -112,12 +108,6 @@ impl<T: StateRead + ?Sized> StateRead for std::sync::Arc<T> {
     }
     fn read_storage_many(&self, addr: Address, keys: &[U256], out: &mut Vec<U256>) {
         (**self).read_storage_many(addr, keys, out)
-    }
-    fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
-        (**self).hint_prefetch_storage(addr, keys)
-    }
-    fn hint_prefetch_account(&self, addr: Address) {
-        (**self).hint_prefetch_account(addr)
     }
 }
 
@@ -648,14 +638,6 @@ impl<B: StateRead> StateRead for OverlayedView<'_, B> {
             .account(addr)
             .and_then(|d| d.read_storage(&key))
             .unwrap_or_else(|| self.base.read_storage(addr, key))
-    }
-
-    fn hint_prefetch_storage(&self, addr: Address, keys: &[U256]) {
-        self.base.hint_prefetch_storage(addr, keys)
-    }
-
-    fn hint_prefetch_account(&self, addr: Address) {
-        self.base.hint_prefetch_account(addr)
     }
 }
 

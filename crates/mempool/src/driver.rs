@@ -239,10 +239,6 @@ impl NodeDriver {
         source: S,
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
-        // The admission-time read sets ride along as hints: the store
-        // starts pulling a block's slots off disk before its first
-        // transaction executes.
-        db.enable_prefetch();
         let db: &AccountsDb = db;
 
         let genesis_started = Instant::now();
@@ -330,7 +326,7 @@ impl NodeDriver {
                     db,
                     &packed.block,
                     &packed.graph,
-                    &packed.prefetch_hints(),
+                    &[],
                 );
                 // Pipeline the commitment; resolve the *previous* block's
                 // root now that its hashing had a whole block to overlap.

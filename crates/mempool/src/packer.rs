@@ -18,9 +18,8 @@
 
 use crate::obs;
 use crate::pool::{Mempool, PooledTx, ReadyChain};
-use mtpu::sched::{DepGraph, RwSet, SlotKey};
+use mtpu::sched::{DepGraph, RwSet};
 use mtpu_evm::tx::{Block, BlockHeader, Transaction};
-use mtpu_parexec::TxHints;
 use mtpu_primitives::U256;
 
 /// Budgets and policy of one packing pass.
@@ -68,27 +67,6 @@ impl PackedBlock {
             return 0.0;
         }
         self.independent as f64 / self.block.transactions.len() as f64
-    }
-
-    /// The admission-time read sets as per-transaction prefetch hints for
-    /// the execution stage. Only reads matter — a write's prior value is
-    /// loaded on demand by the SSTORE refund logic through the same path,
-    /// and most written slots are read first anyway (and thus in the read
-    /// set).
-    pub fn prefetch_hints(&self) -> Vec<TxHints> {
-        self.rw_sets
-            .iter()
-            .map(|rw| {
-                let mut h = TxHints::default();
-                for key in &rw.reads {
-                    match *key {
-                        SlotKey::Storage(addr, slot) => h.storage.push((addr, slot)),
-                        SlotKey::Balance(addr) => h.accounts.push(addr),
-                    }
-                }
-                h
-            })
-            .collect()
     }
 }
 

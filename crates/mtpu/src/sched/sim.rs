@@ -317,7 +317,6 @@ pub fn simulate_st(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> Schedu
             Some(p) => {
                 running[p] = None;
                 done += 1;
-                table.invalidate(p);
                 // Idle PUs that were starved wait until this completion.
                 for q in 0..cfg.pu_count {
                     if running[q].is_none() && free_at[q] < free_at[p] {

@@ -3,8 +3,11 @@
 //! The candidate window holds up to *m* transactions staged in main
 //! memory by the CPU. Each PU row of the Scheduling Table carries two
 //! m-bit vectors: `De` (candidate *i* depends on the transaction this PU
-//! is executing) and `Re` (candidate *i* is redundant with it), plus a
-//! valid bit that avoids dirty reads during asynchronous CPU updates.
+//! is executing) and `Re` (candidate *i* is redundant with it). The
+//! paper adds a valid bit that avoids dirty reads during asynchronous
+//! CPU updates; this sequential model has no such window (refill
+//! precedes every row update, and every row is rewritten before each
+//! selection), so a finished PU's row is simply an all-zero `De`.
 //! The Transaction Table tracks per-candidate locks (L) and priorities
 //! (V, the node value of the composite DAG).
 
@@ -20,9 +23,6 @@ pub struct PuRow {
     /// Redundancy bits: bit *i* set ⇔ candidate *i* calls the same
     /// contract as the transaction this PU is executing.
     pub re: u64,
-    /// Valid bit; invalid rows are treated as all-zero `De` (a completed
-    /// transaction no longer constrains anyone).
-    pub valid: bool,
 }
 
 /// The Scheduling Table: one row per PU.
@@ -41,16 +41,7 @@ impl SchedulingTable {
 
     /// Updates PU `pu`'s row (CPU-side operation ③ of Fig. 6).
     pub fn set_row(&mut self, pu: usize, de: u64, re: u64) {
-        self.rows[pu] = PuRow {
-            de,
-            re,
-            valid: true,
-        };
-    }
-
-    /// Invalidates PU `pu`'s row (its transaction completed).
-    pub fn invalidate(&mut self, pu: usize) {
-        self.rows[pu].valid = false;
+        self.rows[pu] = PuRow { de, re };
     }
 
     /// The row of PU `pu`.
@@ -60,15 +51,9 @@ impl SchedulingTable {
 
     /// Candidates free of dependencies on *any* running transaction —
     /// step ① of the selection flow: the complement of the OR of all
-    /// other PUs' valid `De` vectors.
+    /// PUs' `De` vectors (an idle PU's is zero).
     pub fn selectable_mask(&self) -> u64 {
-        let mut blocked = 0u64;
-        for r in &self.rows {
-            if r.valid {
-                blocked |= r.de;
-            }
-        }
-        !blocked
+        !self.rows.iter().fold(0, |blocked, r| blocked | r.de)
     }
 }
 
@@ -168,23 +153,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn selectable_mask_ors_valid_rows() {
+    fn selectable_mask_ors_every_row() {
         let mut t = SchedulingTable::new(3);
         t.set_row(0, 0b00100, 0);
         t.set_row(1, 0b00000, 0);
         t.set_row(2, 0b11000, 0);
         // Blocked = 0b11100 -> selectable low bits 0b...00011.
         assert_eq!(t.selectable_mask() & 0b11111, 0b00011);
-        t.invalidate(2);
+        t.set_row(2, 0, 0); // its transaction completed
         assert_eq!(t.selectable_mask() & 0b11111, 0b11011);
     }
 
     #[test]
     fn paper_fig6_walkthrough() {
-        // PU0 finishes T0. PU1 runs T1 (De 00100: T4... encoded per slot),
-        // PU2 runs Ta (De 00000). Candidates: slots 0..4 = T2,T3,T4,Tb,Tc.
+        // PU0 finishes T0; its row keeps only Re, which marks T2 (slot 0)
+        // as redundant with the contract PU0 still holds. PU1 runs T1 (De
+        // 00100: T4... encoded per slot), PU2 runs Ta (De 00000).
+        // Candidates: slots 0..4 = T2,T3,T4,Tb,Tc.
+        let re = 0b00101;
         let mut st = SchedulingTable::new(3);
-        st.invalidate(0); // T0 done
+        st.set_row(0, 0, re);
         st.set_row(1, 0b00100, 0); // T4 depends on T1
         st.set_row(2, 0b00000, 0);
         let mask = st.selectable_mask();
@@ -195,8 +183,7 @@ mod tests {
         for (i, v) in [(0, 3u32), (1, 3), (2, 3), (3, 1), (4, 2)] {
             tt.fill(i, v, i as u32);
         }
-        // PU0's Re marks T2 (slot 0) as redundant: chosen first.
-        let re = 0b00101;
+        // PU0's Re picks the redundant T2 first.
         assert_eq!(tt.select(mask, re), Some(0));
         // Without redundancy, the max-V candidate wins.
         assert_eq!(tt.select(mask, 0), Some(0)); // V=3, lowest index

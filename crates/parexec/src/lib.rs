@@ -61,14 +61,15 @@ use std::time::{Duration, Instant};
 /// re-execution.
 const RETRY_CAP: usize = 3;
 
-/// Admission-time prefetch hints for one transaction: the state locations
-/// its declared (or trace-derived) read set names. Before the block's
-/// first execution every transaction's hints are forwarded to the base
-/// backend via [`StateRead::hint_prefetch_storage`] and
-/// [`StateRead::hint_prefetch_account`], so a backend with real read
-/// latency (the flat accounts-DB) can overlap its file reads with the
-/// execution of the transactions ahead. Hints are purely advisory: a
-/// wrong or stale hint costs a wasted read, never a wrong result.
+/// Per-transaction read hints: the state locations a transaction's
+/// declared read set names. [`ParExecutor::execute_block_delta_with_dag_hints`]
+/// forwards them to the base through [`StateRead::hint_prefetch_storage`]
+/// and [`StateRead::hint_prefetch_account`] before the block executes.
+/// No backend in this workspace acts on them: the flat accounts-DB reads
+/// write cache → index → file on demand, and every other backend keeps
+/// the no-op defaults. The type stays only because `spine/` names it; the
+/// node driver passes no hints. Hints are advisory either way: a wrong or
+/// stale hint never changes a result.
 #[derive(Debug, Clone, Default)]
 pub struct TxHints {
     /// Storage slots the transaction is expected to read.
@@ -300,8 +301,8 @@ impl ParExecutor {
     /// its backend.
     ///
     /// Every transaction's `hints[i]` is forwarded to the backend (see
-    /// [`TxHints`]) once, in block order, before anything executes. Pass an
-    /// empty slice for no hints.
+    /// [`TxHints`]) once, in block order, before anything executes; no
+    /// backend here acts on them, so callers pass an empty slice.
     ///
     /// # Panics
     ///

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline, step for step: formatting, lints,
-# rustdoc, tier-1 build/tests, the full workspace test suite, the parexec
-# stress step (deep protocol explorer + oracle loop), the scheduler
-# differential's deep sweep, the spine's build and tests, the statedb fuzz
-# smoke, the chain_sim golden, every other example, and the golden diff of
-# the paper's tables. Run before pushing.
+# rustdoc, tier-1 build/tests, the full workspace test suite, the stress
+# step (deep protocol explorer + parexec oracle loop + read-layer race
+# loop), the scheduler differential's deep sweep, the spine's build and
+# tests, the statedb fuzz smoke, the chain_sim golden, every other
+# example, and the golden diff of the paper's tables. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +26,7 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> parexec stress (release): the deep protocol explorer once, then the oracles x20"
+echo "==> stress (release): the deep protocol explorer once, then the parexec oracles and the read-layer race x20"
 # The explorer (tests/parexec_protocol.rs) checks every interleaving of the
 # lane/speculator hand-off table; its deep search (every DAG of 5
 # transactions, 3 speculators) is ignored in the tier-1 run and runs here.
@@ -39,6 +39,11 @@ for _ in $(seq 20); do
     cargo test --release -q -p mtpu-parexec >/dev/null
     cargo test --release -q --test parexec_serializability -- \
         --skip merkle_root --skip async_commit --skip fusion_is_invisible >/dev/null
+done
+# tests/readserve.rs races readers against the writer; a race there once
+# failed 2 runs in 10, which a single tier-1 run does not see.
+for _ in $(seq 20); do
+    cargo test --release -q --test readserve >/dev/null
 done
 
 echo "==> scheduler differential deep sweep (release): simulate_st against its plain re-statement"

@@ -9,11 +9,10 @@
 //! process-global, so the tests in this binary serialize around
 //! [`FUSION_LOCK`] and always restore the enabled state.
 //!
-//! The same harness also differentially tests the storage *prefetch*
-//! path: admission hints warm the flat store's cache ahead of execution,
-//! and that must be observationally invisible — identical receipts and
-//! roots with and without hints, across thread counts and against the
-//! in-memory backend.
+//! The same harness also differentially tests the flat accounts-DB as an
+//! execution backend: blocks whose reads resolve through its storage
+//! files must give receipts and roots identical to the in-memory backend
+//! and to sequential execution, across thread counts.
 
 use mtpu_repro::accountsdb::AccountsDb;
 use mtpu_repro::asm::Assembler;
@@ -27,7 +26,7 @@ use mtpu_repro::evm::{
 };
 use mtpu_repro::mempool::{BlockPacker, Mempool, PackerConfig, PoolConfig};
 use mtpu_repro::mtpu::sched::DepGraph;
-use mtpu_repro::parexec::{ParExecutor, TxHints};
+use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::primitives::{Address, SplitMix64, B256, U256};
 use std::sync::{Arc, Mutex};
 
@@ -386,7 +385,7 @@ fn top8_fixture_block_is_observationally_identical() {
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtpu-prefetch-diff-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("mtpu-flat-diff-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -401,18 +400,16 @@ fn flat_of(base: &State, tag: &str) -> (Arc<AccountsDb>, std::path::PathBuf) {
     (db, dir)
 }
 
-/// One input of the prefetch grid: a block over `base`, plus the DAG the
-/// flat leg schedules by and the admission hints it warms from.
+/// One input of the flat-store grid: a block over `base`, plus the DAG
+/// the flat leg schedules by.
 struct GridBlock {
     name: &'static str,
     base: State,
     block: Block,
     dag: DepGraph,
-    hints: Vec<TxHints>,
 }
 
-/// The mixed TOP8 block (keccak-keyed ledgers), in submission order with
-/// no hints.
+/// The mixed TOP8 block (keccak-keyed ledgers), in submission order.
 fn top8_grid_block() -> GridBlock {
     let mut rng = SplitMix64::seed_from_u64(0x93e7_0b8f);
     let users = mtpu_repro::contracts::fixture::USER_COUNT;
@@ -440,7 +437,6 @@ fn top8_grid_block() -> GridBlock {
             transactions: txs,
         },
         base: fx.state,
-        hints: Vec::new(),
     }
 }
 
@@ -546,8 +542,7 @@ fn install_contracts(state: &mut State) {
 
 /// 48 calls to `to`, the `i`-th carrying `signature_of(i)`'s selector,
 /// admitted to a fresh pool and packed into one block the way the node
-/// does it — so the hints are the admission footprints the driver would
-/// fire, every key the call reads among them.
+/// does it, so the DAG is the one the driver would schedule by.
 fn synthetic_grid_block(
     name: &'static str,
     to: Address,
@@ -574,28 +569,21 @@ fn synthetic_grid_block(
     });
     let packed = packer.pack(&pool, BlockHeader::default());
     assert_eq!(packed.block.transactions.len(), 48, "{name}: packed whole");
-    let hints = packed.prefetch_hints();
-    assert!(
-        hints.iter().all(|h| h.storage.len() as u64 >= STRIPE_SLOTS),
-        "{name}: admission saw every slot the call reads"
-    );
     GridBlock {
         name,
         base,
-        hints,
         block: packed.block,
         dag: packed.graph,
     }
 }
 
-/// Hints on vs off over the TOP8 fixture block and two blocks whose
-/// whole read set is constant-keyed (`const-ledger`: 48/96 constant-slot
-/// SLOADs; `striped-scan`: an 8-arm dispatcher over disjoint stripes):
-/// receipts and merkle roots must be bit-identical across thread counts,
-/// between the in-memory backend and the flat store, and between a flat
-/// store warmed by admission hints and one that never sees a hint.
+/// The TOP8 fixture block and two blocks whose whole read set is
+/// constant-keyed (`const-ledger`: 48/96 constant-slot SLOADs;
+/// `striped-scan`: an 8-arm dispatcher over disjoint stripes): receipts
+/// and merkle roots must be bit-identical across thread counts, between
+/// sequential execution, the in-memory backend and the flat store.
 #[test]
-fn prefetch_grid_is_observationally_identical() {
+fn flat_grid_is_observationally_identical() {
     let inputs = [
         top8_grid_block(),
         synthetic_grid_block("const-ledger", ledger_address(), |i| {
@@ -615,7 +603,6 @@ fn prefetch_grid_is_observationally_identical() {
         base,
         block,
         dag,
-        hints,
     } in &inputs
     {
         let mut seq_state = base.clone();
@@ -626,7 +613,7 @@ fn prefetch_grid_is_observationally_identical() {
         for threads in [1usize, 4, 8] {
             let exec = ParExecutor::new(threads);
 
-            // In-memory State backend: hints have nothing to warm.
+            // In-memory State backend.
             let result = exec.execute_block(base, block);
             assert_eq!(
                 result.receipts, seq_receipts,
@@ -638,40 +625,30 @@ fn prefetch_grid_is_observationally_identical() {
                 "{name} threads={threads} state: root"
             );
 
-            // Flat accounts-DB backend, warmed through the async hint
-            // path or not at all.
-            for prefetch in [true, false] {
-                let tag = format!("{name} prefetch={prefetch} threads={threads}");
-                let (db, dir) = flat_of(base, &format!("grid-{name}-{prefetch}-{threads}"));
-                let hints: &[TxHints] = if prefetch {
-                    db.enable_prefetch();
-                    hints
-                } else {
-                    &[]
-                };
-                let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), block, dag, hints);
-                assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
-                assert_eq!(
-                    delta_merkle_root(base, &r.delta),
-                    want_root,
-                    "{tag} flat: root"
-                );
-                drop(db);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
+            // Flat accounts-DB backend, every read served from its files.
+            let tag = format!("{name} threads={threads}");
+            let (db, dir) = flat_of(base, &format!("grid-{name}-{threads}"));
+            let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), block, dag, &[]);
+            assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
+            assert_eq!(
+                delta_merkle_root(base, &r.delta),
+                want_root,
+                "{tag} flat: root"
+            );
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
 
-/// The stale-prefetch scenario end-to-end: a counter contract every
-/// transaction of one block increments (PUSH1 0; SLOAD; ... SSTORE),
-/// called by many independent senders. The warm cache holds the
-/// pre-block value of slot 0 while earlier transactions are busy
-/// overwriting it — the read path must never serve it past their writes,
-/// and speculators that read it must be caught by the lane's validation,
-/// landing on the exact sequential count.
+/// Stale base reads end-to-end: a counter contract every transaction of
+/// one block increments (PUSH1 0; SLOAD; ... SSTORE), called by many
+/// senders that `DepGraph::sender_order` declares independent. The base
+/// holds the pre-block value of slot 0 while earlier transactions are
+/// busy overwriting it; speculators that read it there must be caught by
+/// the lane's validation, landing on the exact sequential count.
 #[test]
-fn stale_prefetch_is_repaired_by_validation() {
+fn stale_base_reads_are_repaired_by_validation() {
     // PUSH1 0; SLOAD; PUSH1 1; ADD; PUSH1 0; SSTORE; STOP
     let code = vec![0x60, 0x00, 0x54, 0x60, 0x01, 0x01, 0x60, 0x00, 0x55, 0x00];
     let contract = Address::from_low_u64(CONTRACT);
@@ -709,30 +686,20 @@ fn stale_prefetch_is_repaired_by_validation() {
         assert_eq!(
             result.state.storage(contract, U256::ZERO),
             want,
-            "threads={threads} state backend lost increments to stale prefetches"
+            "threads={threads} state backend lost increments to stale reads"
         );
 
-        // Flat backend with async hints: every transaction hints slot 0,
-        // so the warm cache definitely holds the (soon-stale) pre-block
-        // value while later transactions execute.
+        // Flat backend: its files hold the (soon-stale) pre-block value
+        // of slot 0 while later transactions execute.
         let (db, dir) = flat_of(&base, &format!("stale-{threads}"));
-        db.enable_prefetch();
-        let hints: Vec<TxHints> = block
-            .transactions
-            .iter()
-            .map(|_| TxHints {
-                storage: vec![(contract, U256::ZERO)],
-                accounts: vec![contract],
-            })
-            .collect();
         let dag = DepGraph::sender_order(&block.transactions);
-        let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &hints);
+        let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &[]);
         assert!(r.receipts.iter().all(|rc| rc.success));
         db.absorb(&r.delta, 1);
         assert_eq!(
             db.read_storage(contract, U256::ZERO),
             want,
-            "threads={threads} flat backend lost increments to stale prefetches"
+            "threads={threads} flat backend lost increments to stale reads"
         );
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);

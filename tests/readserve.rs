@@ -138,25 +138,29 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
         },
     );
 
+    let publish = |h: u64| {
+        server.on_block(CommittedBlock {
+            height: h,
+            block: empty_block(h),
+            receipts: Arc::new(Vec::new()),
+            state: None,
+            delta: deltas[h as usize - 1].clone(),
+        })
+    };
     let done = AtomicBool::new(false);
     let verified = AtomicU64::new(0);
     std::thread::scope(|s| {
-        // Writer: publish the whole chain, roots trailing by one block the
-        // way the pipelined committer does.
+        // Writer: report the genesis root (`ReadServer::new` leaves it to
+        // the caller), then publish all but the last block, roots
+        // trailing by one block the way the pipelined committer does.
         s.spawn(|| {
-            for h in 1..=BLOCKS {
-                server.on_block(CommittedBlock {
-                    height: h,
-                    block: empty_block(h),
-                    receipts: Arc::new(Vec::new()),
-                    state: None,
-                    delta: deltas[h as usize - 1].clone(),
-                });
+            server.on_root(0, roots[0]);
+            for h in 1..BLOCKS {
+                publish(h);
                 if h > 1 {
                     server.on_root(h - 1, roots[h as usize - 1]);
                 }
             }
-            server.on_root(BLOCKS, roots[BLOCKS as usize]);
             done.store(true, Ordering::Release);
         });
 
@@ -203,6 +207,13 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
         verified.load(Ordering::Relaxed) >= 3,
         "readers never overlapped the writer"
     );
+    // The last block lands once the readers have let go. Pruning stops at
+    // a pinned front, and a reader may hold the oldest height through the
+    // whole race, so only a publish nobody pins is sure to slide the
+    // window.
+    publish(BLOCKS);
+    server.on_root(BLOCKS - 1, roots[BLOCKS as usize - 1]);
+    server.on_root(BLOCKS, roots[BLOCKS as usize]);
 
     // After the dust settles: every retained height, exhaustively, plus
     // its resolved root.

@@ -207,7 +207,6 @@ fn reference_st(jobs: &[TxJob], graph: &DepGraph, cfg: &MtpuConfig) -> ScheduleR
                 let tx = running[p].take().expect("running");
                 completed[tx] = true;
                 done += 1;
-                table.invalidate(p);
                 for q in 0..cfg.pu_count {
                     if running[q].is_none() && free_at[q] < free_at[p] {
                         free_at[q] = free_at[p];
