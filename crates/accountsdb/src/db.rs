@@ -12,8 +12,11 @@
 //! snapshot recorded.
 
 use crate::cache::{CachedAccount, WriteCache};
+use crate::durable::{
+    flush_plan, snapshot_plan, storage_path, Fs, FsOp, RealFs, MANIFEST_FILE, STORAGE_DIR,
+};
 use crate::file::{
-    decode_account_payload, encode_account, encode_code, encode_header, encode_slot,
+    corrupt, decode_account_payload, encode_account, encode_code, encode_header, encode_slot,
     encode_tombstone, replay, AccountMeta, Loc, Record, ACCOUNT_PAYLOAD_LEN,
 };
 use crate::index::{CodeLoc, FlatIndex};
@@ -21,9 +24,9 @@ use crate::obs;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
 use mtpu_evm::state::{Account, State};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::collections::HashMap;
+use std::fs::File;
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,12 +34,6 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Manifest schema line; bump when the on-disk layout changes.
 const MANIFEST_SCHEMA: &str = "mtpu-accountsdb/v1";
-const MANIFEST_FILE: &str = "MANIFEST";
-const STORAGE_DIR: &str = "storage";
-
-fn corrupt(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// One immutable, fully written storage file.
 #[derive(Debug)]
@@ -54,16 +51,8 @@ pub struct DbStats {
     pub cache_misses: u64,
     /// Flushes performed.
     pub flushes: u64,
-    /// Cache entries written out across all flushes.
-    pub flushed_entries: u64,
-    /// Snapshots written.
-    pub snapshots: u64,
     /// Accounts currently in the write cache.
     pub cache_entries: usize,
-    /// Accounts in the index (live and tombstoned).
-    pub indexed_accounts: usize,
-    /// Slot entries in the index (including stale generations).
-    pub indexed_slots: usize,
     /// Storage files in the set.
     pub files: usize,
     /// Total bytes across the storage files.
@@ -96,6 +85,8 @@ impl DbStats {
 #[derive(Debug)]
 pub struct AccountsDb {
     dir: PathBuf,
+    /// Runs every file write, sync and rename of flush and snapshot.
+    fs: Arc<dyn Fs>,
     cache: WriteCache,
     index: RwLock<FlatIndex>,
     files: RwLock<Vec<StoredFile>>,
@@ -111,8 +102,6 @@ pub struct AccountsDb {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     flushes: AtomicU64,
-    flushed_entries: AtomicU64,
-    snapshots: AtomicU64,
 }
 
 impl AccountsDb {
@@ -126,12 +115,23 @@ impl AccountsDb {
     /// Fails on I/O errors, an unknown manifest schema, or corrupt
     /// manifested file contents.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<AccountsDb> {
+        AccountsDb::open_with_fs(dir, Arc::new(RealFs))
+    }
+
+    /// [`AccountsDb::open`], with flush and snapshot running their file
+    /// operations through `fs` instead of the real file system.
+    ///
+    /// # Errors
+    ///
+    /// As [`AccountsDb::open`].
+    pub fn open_with_fs(dir: impl AsRef<Path>, fs: Arc<dyn Fs>) -> io::Result<AccountsDb> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(dir.join(STORAGE_DIR))?;
         let db = AccountsDb {
             dir: dir.clone(),
+            fs,
             cache: WriteCache::new(),
-            index: RwLock::new(FlatIndex::new()),
+            index: RwLock::new(FlatIndex::default()),
             files: RwLock::new(Vec::new()),
             code_cache: RwLock::new(HashMap::new()),
             flush_lock: Mutex::new(()),
@@ -141,8 +141,6 @@ impl AccountsDb {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
-            flushed_entries: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
         };
 
         let Some(Manifest { height, root, lens }) = read_manifest(&dir.join(MANIFEST_FILE))? else {
@@ -177,11 +175,6 @@ impl AccountsDb {
         Ok(db)
     }
 
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Height of the last absorbed block.
     pub fn head_height(&self) -> u64 {
         self.head_height.load(Ordering::SeqCst)
@@ -204,10 +197,6 @@ impl AccountsDb {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> DbStats {
-        let (indexed_accounts, indexed_slots) = {
-            let ix = self.index.read().expect("index poisoned");
-            (ix.account_count(), ix.slot_count())
-        };
         let (files, file_bytes) = {
             let files = self.files.read().expect("file set poisoned");
             (files.len(), files.iter().map(|f| f.len).sum())
@@ -216,11 +205,7 @@ impl AccountsDb {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
-            flushed_entries: self.flushed_entries.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
             cache_entries: self.cache.len(),
-            indexed_accounts,
-            indexed_slots,
             files,
             file_bytes,
             head_height: self.head_height(),
@@ -419,39 +404,27 @@ impl AccountsDb {
 
         // Code blobs not yet in the file set, deduplicated and sorted so
         // the file bytes are a pure function of the batch.
-        let mut code_to_write: Vec<(B256, Arc<Vec<u8>>)> = Vec::new();
-        {
+        let mut code_to_write: Vec<(B256, Arc<Vec<u8>>)> = {
             let ix = self.index.read().expect("index poisoned");
-            let mut seen: HashSet<B256> = HashSet::new();
-            for (_, e) in &batch {
-                if let Some(code) = &e.new_code {
-                    if ix.code(e.code_hash).is_none() && seen.insert(e.code_hash) {
-                        code_to_write.push((e.code_hash, code.clone()));
-                    }
-                }
-            }
-        }
+            batch
+                .iter()
+                .filter_map(|(_, e)| Some((e.code_hash, e.new_code.clone()?)))
+                .filter(|(hash, _)| ix.code(*hash).is_none())
+                .collect()
+        };
         code_to_write.sort_unstable_by_key(|(h, _)| *h);
-
-        enum IndexOp {
-            Code(B256, u64, u32),
-            Delete(Address),
-            Account(Address, u64, bool),
-            Slot(Address, U256, u64),
-        }
+        code_to_write.dedup_by_key(|(h, _)| *h);
 
         let file_id = self.files.read().expect("file set poisoned").len() as u32;
         let mut buf = Vec::new();
         encode_header(&mut buf, up_to);
-        let mut ops: Vec<IndexOp> = Vec::new();
+        let mut records = Vec::new();
         for (hash, code) in &code_to_write {
-            let off = encode_code(&mut buf, *hash, code);
-            ops.push(IndexOp::Code(*hash, off, code.len() as u32));
+            records.push(encode_code(&mut buf, *hash, code));
         }
         for (addr, e) in &batch {
             if e.deleted {
-                encode_tombstone(&mut buf, *addr);
-                ops.push(IndexOp::Delete(*addr));
+                records.push(encode_tombstone(&mut buf, *addr));
                 continue;
             }
             let meta = AccountMeta {
@@ -460,72 +433,30 @@ impl AccountsDb {
                 balance: e.balance,
                 code_hash: e.code_hash,
             };
-            let off = encode_account(&mut buf, *addr, &meta);
-            ops.push(IndexOp::Account(*addr, off, e.reset_storage));
+            records.push(encode_account(&mut buf, *addr, meta));
             let mut keys: Vec<U256> = e.storage.keys().copied().collect();
             keys.sort_unstable();
             for key in keys {
-                let off = encode_slot(&mut buf, *addr, key, e.storage[&key]);
-                ops.push(IndexOp::Slot(*addr, key, off));
+                records.push(encode_slot(&mut buf, *addr, key, e.storage[&key]));
             }
         }
 
-        let path = storage_path(&self.dir, file_id);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all_at(&buf, 0)?;
-        file.sync_data()?;
+        let len = buf.len() as u64;
+        self.execute(&flush_plan(&self.dir, file_id, buf))?;
+        let file = Arc::new(File::open(storage_path(&self.dir, file_id))?);
         self.files
             .write()
             .expect("file set poisoned")
-            .push(StoredFile {
-                file: Arc::new(file),
-                len: buf.len() as u64,
-            });
-
+            .push(StoredFile { file, len });
         {
             let mut ix = self.index.write().expect("index poisoned");
-            for op in &ops {
-                match op {
-                    IndexOp::Code(hash, off, len) => ix.upsert_code(
-                        *hash,
-                        CodeLoc {
-                            loc: Loc {
-                                file: file_id,
-                                offset: *off,
-                            },
-                            len: *len,
-                        },
-                    ),
-                    IndexOp::Delete(addr) => ix.delete_account(*addr),
-                    IndexOp::Account(addr, off, reset) => ix.upsert_account(
-                        *addr,
-                        Loc {
-                            file: file_id,
-                            offset: *off,
-                        },
-                        *reset,
-                    ),
-                    IndexOp::Slot(addr, key, off) => ix.upsert_slot(
-                        *addr,
-                        *key,
-                        Loc {
-                            file: file_id,
-                            offset: *off,
-                        },
-                    ),
-                }
+            for record in &records {
+                apply_record(&mut ix, file_id, record);
             }
         }
         self.cache.evict_flushed(up_to);
         self.flushed_height.fetch_max(up_to, Ordering::SeqCst);
         self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.flushed_entries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         if mtpu_telemetry::enabled() {
             obs::metrics().flush.inc();
         }
@@ -559,21 +490,17 @@ impl AccountsDb {
             }
             text
         };
-        // The temp file reaches disk before the rename publishes it, so a
-        // crash can never leave a renamed but empty or torn MANIFEST.
-        let tmp = self.dir.join("MANIFEST.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(manifest.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
+        self.execute(&snapshot_plan(&self.dir, manifest))?;
         *self.snapshot_root.lock().expect("snapshot root poisoned") = root;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
         if mtpu_telemetry::enabled() {
             obs::metrics().snapshot.inc();
         }
         Ok(())
+    }
+
+    /// Runs a plan's operations in order, stopping at the first error.
+    fn execute(&self, plan: &[FsOp]) -> io::Result<()> {
+        plan.iter().try_for_each(|op| self.fs.apply(op))
     }
 
     fn update_gauges(&self) {
@@ -792,10 +719,6 @@ impl StateRead for AccountsDb {
     }
 }
 
-fn storage_path(dir: &Path, id: u32) -> PathBuf {
-    dir.join(STORAGE_DIR).join(format!("{id:06}.acc"))
-}
-
 fn apply_record(index: &mut FlatIndex, file: u32, record: &Record) {
     match record {
         Record::Account {
@@ -853,10 +776,7 @@ fn read_manifest(path: &Path) -> io::Result<Option<Manifest>> {
         Some(MANIFEST_SCHEMA) => {}
         other => return Err(corrupt(format!("unknown manifest schema {other:?}"))),
     }
-    let height: u64 = lines
-        .next()
-        .and_then(|l| l.parse().ok())
-        .ok_or_else(|| corrupt("manifest missing height"))?;
+    let height = field(lines.next(), "height")?;
     let root = match lines.next() {
         Some("-") => None,
         Some(hex) => Some(
@@ -865,20 +785,17 @@ fn read_manifest(path: &Path) -> io::Result<Option<Manifest>> {
         ),
         None => return Err(corrupt("manifest missing root line")),
     };
-    let count: usize = lines
-        .next()
-        .and_then(|l| l.parse().ok())
-        .ok_or_else(|| corrupt("manifest missing file count"))?;
-    let mut lens = Vec::with_capacity(count);
-    for _ in 0..count {
-        lens.push(
-            lines
-                .next()
-                .and_then(|l| l.parse().ok())
-                .ok_or_else(|| corrupt("manifest missing file length"))?,
-        );
-    }
+    let count: usize = field(lines.next(), "file count")?;
+    let lens = (0..count)
+        .map(|_| field(lines.next(), "file length"))
+        .collect::<io::Result<_>>()?;
     Ok(Some(Manifest { height, root, lens }))
+}
+
+/// One numeric MANIFEST line.
+fn field<T: std::str::FromStr>(line: Option<&str>, what: &str) -> io::Result<T> {
+    line.and_then(|l| l.parse().ok())
+        .ok_or_else(|| corrupt(format!("manifest missing {what}")))
 }
 
 #[cfg(test)]
@@ -1177,7 +1094,6 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.flushes, 1);
-        assert_eq!(s.flushed_entries, 1);
         assert_eq!(s.files, 1);
         assert!(s.file_bytes > 0);
         assert_eq!(s.flush_lag(), 0);

@@ -68,9 +68,8 @@ pub fn encode_header(buf: &mut Vec<u8>, height: u64) {
     buf.extend_from_slice(&height.to_be_bytes());
 }
 
-/// Appends an account record; returns the payload offset (of the flags
-/// byte) within `buf`.
-pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: &AccountMeta) -> u64 {
+/// Appends an account record; returns it as [`replay`] reads it back.
+pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: AccountMeta) -> Record {
     buf.push(TAG_ACCOUNT);
     buf.extend_from_slice(addr.as_bytes());
     let payload = buf.len() as u64;
@@ -82,35 +81,44 @@ pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: &AccountMeta) -> u
     buf.extend_from_slice(&meta.nonce.to_be_bytes());
     buf.extend_from_slice(&meta.balance.to_be_bytes());
     buf.extend_from_slice(meta.code_hash.as_bytes());
-    payload
+    Record::Account {
+        addr,
+        meta,
+        payload,
+    }
 }
 
-/// Appends an account tombstone record.
-pub fn encode_tombstone(buf: &mut Vec<u8>, addr: Address) {
+/// Appends an account tombstone record; returns it as [`replay`] does.
+pub fn encode_tombstone(buf: &mut Vec<u8>, addr: Address) -> Record {
     buf.push(TAG_TOMBSTONE);
     buf.extend_from_slice(addr.as_bytes());
+    Record::Tombstone { addr }
 }
 
-/// Appends a storage-slot record; returns the payload offset (of the
-/// 32-byte value) within `buf`.
-pub fn encode_slot(buf: &mut Vec<u8>, addr: Address, key: U256, value: U256) -> u64 {
+/// Appends a storage-slot record; returns it as [`replay`] does.
+pub fn encode_slot(buf: &mut Vec<u8>, addr: Address, key: U256, value: U256) -> Record {
     buf.push(TAG_SLOT);
     buf.extend_from_slice(addr.as_bytes());
     buf.extend_from_slice(&key.to_be_bytes());
     let payload = buf.len() as u64;
     buf.extend_from_slice(&value.to_be_bytes());
-    payload
+    Record::Slot {
+        addr,
+        key,
+        value,
+        payload,
+    }
 }
 
-/// Appends a code-blob record; returns the payload offset (of the first
-/// code byte) within `buf`.
-pub fn encode_code(buf: &mut Vec<u8>, hash: B256, code: &[u8]) -> u64 {
+/// Appends a code-blob record; returns it as [`replay`] does.
+pub fn encode_code(buf: &mut Vec<u8>, hash: B256, code: &[u8]) -> Record {
+    let len = code.len() as u32;
     buf.push(TAG_CODE);
     buf.extend_from_slice(hash.as_bytes());
-    buf.extend_from_slice(&(code.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&len.to_be_bytes());
     let payload = buf.len() as u64;
     buf.extend_from_slice(code);
-    payload
+    Record::Code { hash, len, payload }
 }
 
 /// Decodes an account payload previously written by [`encode_account`].
@@ -162,7 +170,8 @@ pub enum Record {
     },
 }
 
-fn corrupt(msg: impl Into<String>) -> std::io::Error {
+/// An `InvalidData` error: damaged or unknown on-disk contents.
+pub(crate) fn corrupt(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -272,51 +281,33 @@ mod tests {
         };
         let mut buf = Vec::new();
         encode_header(&mut buf, 42);
-        let code_off = encode_code(&mut buf, B256::keccak(b"code"), b"code");
-        let meta_off = encode_account(&mut buf, addr, &meta);
-        encode_tombstone(&mut buf, Address::from_low_u64(8));
-        let slot_off = encode_slot(&mut buf, addr, U256::from(1u64), U256::from(55u64));
-
-        let records = replay(&buf).unwrap();
-        assert_eq!(records.len(), 4);
-        assert_eq!(
-            records[0],
-            Record::Code {
-                hash: B256::keccak(b"code"),
-                len: 4,
-                payload: code_off,
-            }
-        );
-        assert_eq!(
-            records[1],
-            Record::Account {
-                addr,
-                meta,
-                payload: meta_off,
-            }
-        );
-        assert_eq!(
-            records[2],
-            Record::Tombstone {
-                addr: Address::from_low_u64(8)
-            }
-        );
-        assert_eq!(
-            records[3],
-            Record::Slot {
-                addr,
-                key: U256::from(1u64),
-                value: U256::from(55u64),
-                payload: slot_off,
-            }
-        );
+        let written = vec![
+            encode_code(&mut buf, B256::keccak(b"code"), b"code"),
+            encode_account(&mut buf, addr, meta),
+            encode_tombstone(&mut buf, Address::from_low_u64(8)),
+            encode_slot(&mut buf, addr, U256::from(1u64), U256::from(55u64)),
+        ];
+        // What the encoders return is what replay reads back.
+        assert_eq!(replay(&buf).unwrap(), written);
 
         // Payload offsets decode back to the encoded values.
+        let Record::Account {
+            payload: meta_off, ..
+        } = written[1]
+        else {
+            unreachable!()
+        };
         let meta_bytes: &[u8; ACCOUNT_PAYLOAD_LEN] = buf
             [meta_off as usize..meta_off as usize + ACCOUNT_PAYLOAD_LEN]
             .try_into()
             .unwrap();
         assert_eq!(decode_account_payload(meta_bytes), meta);
+        let Record::Code {
+            payload: code_off, ..
+        } = written[0]
+        else {
+            unreachable!()
+        };
         assert_eq!(&buf[code_off as usize..code_off as usize + 4], b"code");
     }
 

@@ -52,11 +52,6 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        FlatIndex::default()
-    }
-
     /// The account entry, if the address was ever recorded.
     pub fn account(&self, addr: Address) -> Option<AccountEntry> {
         self.accounts.get(&addr).copied()
@@ -112,16 +107,6 @@ impl FlatIndex {
         self.code.entry(hash).or_insert(loc);
     }
 
-    /// Number of indexed accounts (live and tombstoned).
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
-    /// Number of indexed slot entries (including stale generations).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Iterates every indexed account entry.
     pub fn iter_accounts(&self) -> impl Iterator<Item = (Address, AccountEntry)> + '_ {
         self.accounts.iter().map(|(a, e)| (*a, *e))
@@ -147,7 +132,7 @@ mod tests {
 
     #[test]
     fn generation_bump_hides_stale_slots() {
-        let mut ix = FlatIndex::new();
+        let mut ix = FlatIndex::default();
         let addr = Address::from_low_u64(1);
         let key = U256::from(5u64);
         ix.upsert_account(addr, loc(0, 16), true);
@@ -169,7 +154,7 @@ mod tests {
 
     #[test]
     fn non_reset_upsert_keeps_slots_visible() {
-        let mut ix = FlatIndex::new();
+        let mut ix = FlatIndex::default();
         let addr = Address::from_low_u64(2);
         ix.upsert_account(addr, loc(0, 16), true);
         ix.upsert_slot(addr, U256::ONE, loc(0, 40));

@@ -20,7 +20,7 @@
 //!   the block critical path.
 //! - snapshot/restore ([`AccountsDb::snapshot`], [`AccountsDb::open`]) —
 //!   an atomic MANIFEST names the durable file set; reopening replays
-//!   exactly the manifested bytes.
+//!   exactly the manifested bytes; [`durable`] plans every file operation.
 //!
 //! [`AccountsDb`] implements [`StateRead`](mtpu_evm::overlay::StateRead),
 //! so the parallel executor can run directly against it; merkle roots and
@@ -28,6 +28,7 @@
 
 pub mod cache;
 pub mod db;
+pub mod durable;
 pub mod file;
 pub mod index;
 pub mod obs;

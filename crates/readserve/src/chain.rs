@@ -1,14 +1,12 @@
 //! The published snapshot window: contiguous heights, bounded retention,
-//! reader-aware pruning, and a transaction-hash index for receipt
-//! lookups.
+//! and a transaction-hash index for receipt lookups.
 //!
 //! Publication is append-only and readers never block writers for long: a
 //! lookup takes the window's read lock only to clone one `Arc` out, and
 //! the write lock is held only for the push + prune bookkeeping of a
-//! publish. Pruning is *reader-aware*: the window slides once it exceeds
-//! the retention budget, but a snapshot is only dropped when the chain
-//! holds the last reference — a reader that pinned an old height keeps
-//! exactly that height (and nothing newer than necessary) alive.
+//! publish. The window never holds more than its retention budget: a
+//! reader that pinned an old height keeps reading it through its own
+//! `Arc`, but no longer finds it in the window.
 
 use crate::obs;
 use crate::snapshot::BlockSnapshot;
@@ -27,7 +25,7 @@ struct Window {
     pruned: u64,
 }
 
-/// The lock-guarded, refcount-pruned window of published snapshots.
+/// The lock-guarded, retention-bounded window of published snapshots.
 #[derive(Debug)]
 pub struct SnapshotChain {
     window: RwLock<Window>,
@@ -44,8 +42,7 @@ impl SnapshotChain {
     }
 
     /// Publishes the next snapshot (heights must arrive in order) and
-    /// prunes the tail of the window past the retention budget — but only
-    /// snapshots no reader holds anymore.
+    /// prunes the tail of the window past the retention budget.
     pub fn publish(&self, snap: Arc<BlockSnapshot>) {
         let mut w = self.window.write().expect("snapshot window poisoned");
         if let Some(last) = w.snaps.back() {
@@ -61,13 +58,7 @@ impl SnapshotChain {
         w.snaps.push_back(snap);
         let mut pruned_now = 0u64;
         while w.snaps.len() > self.retention {
-            // strong_count == 1 means the window holds the only handle:
-            // no reader can observe the drop.
-            let front = w.snaps.front().expect("len > retention >= 1");
-            if Arc::strong_count(front) > 1 {
-                break;
-            }
-            let dropped = w.snaps.pop_front().expect("front just seen");
+            let dropped = w.snaps.pop_front().expect("len > retention >= 1");
             for tx in dropped.block().transactions.iter() {
                 w.tx_index.remove(&tx.hash());
             }
@@ -141,6 +132,8 @@ mod tests {
     use super::*;
     use mtpu_evm::state::State;
     use mtpu_evm::tx::{Block, BlockHeader};
+    use mtpu_evm::StateRead;
+    use mtpu_primitives::{Address, U256};
 
     fn snap(height: u64, base: &Arc<State>) -> Arc<BlockSnapshot> {
         Arc::new(BlockSnapshot::new(
@@ -160,24 +153,47 @@ mod tests {
     }
 
     #[test]
-    fn window_slides_once_readers_drop() {
+    fn window_slides_past_a_pinned_snapshot() {
         let base = Arc::new(State::new());
         let chain = SnapshotChain::new(2);
         chain.publish(snap(0, &base));
         let pinned = chain.at(0).expect("height 0 retained");
         chain.publish(snap(1, &base));
         chain.publish(snap(2, &base));
-        // Over budget, but height 0 is pinned by a reader: nothing drops.
-        assert_eq!(chain.retained(), Some((0, 2)));
-        assert_eq!(chain.pruned(), 0);
+        // Over budget: height 0 leaves the window although a reader holds
+        // it, and the reader's handle still reads.
+        assert_eq!(chain.retained(), Some((1, 2)));
+        assert_eq!(chain.pruned(), 1);
+        assert!(chain.at(0).is_none());
+        assert_eq!(pinned.height(), 0);
+        assert_eq!(pinned.read_balance(Address::from_low_u64(1)), U256::ZERO);
 
         drop(pinned);
         chain.publish(snap(3, &base));
-        // The reader released height 0: the window snaps back to budget.
         assert_eq!(chain.retained(), Some((2, 3)));
         assert_eq!(chain.pruned(), 2);
-        assert!(chain.at(0).is_none());
         assert!(chain.at(2).is_some());
+    }
+
+    #[test]
+    fn a_reader_pinning_genesis_does_not_stretch_the_window() {
+        let mut genesis = State::new();
+        genesis.credit(Address::from_low_u64(7), U256::from(42u64));
+        genesis.finalize_tx();
+        let base = Arc::new(genesis);
+        let chain = SnapshotChain::new(24);
+        chain.publish(snap(0, &base));
+        let pinned = chain.at(0).expect("genesis retained");
+        for h in 1..=64 {
+            chain.publish(snap(h, &base));
+        }
+        assert_eq!(chain.len(), 24);
+        assert_eq!(chain.pruned(), 41);
+        assert_eq!(chain.retained(), Some((41, 64)));
+        assert_eq!(
+            pinned.read_balance(Address::from_low_u64(7)),
+            U256::from(42u64)
+        );
     }
 
     #[test]

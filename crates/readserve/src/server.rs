@@ -6,10 +6,10 @@
 //! Publication is delta-only. Each block arrives from
 //! [`NodeDriver::run_flat`](mtpu_mempool::NodeDriver::run_flat) as its
 //! frozen [`BlockDelta`], and the chain grows one delta per block on top
-//! of the last materialized base. Once it exceeds
-//! [`ReadServeConfig::max_delta_chain`] the server *folds* — clones the
-//! base, applies the chain, and re-anchors — bounding the per-read
-//! resolution walk without ever touching the live database.
+//! of the last materialized base. Once it exceeds `MAX_DELTA_CHAIN` (32)
+//! the server *folds* — clones the base, applies the chain, and
+//! re-anchors — bounding the per-read resolution walk without ever
+//! touching the live database.
 //! [`CommittedBlock::state`] is ignored: the delta is authoritative.
 
 use crate::chain::SnapshotChain;
@@ -25,14 +25,15 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Longest delta chain a snapshot may carry before the server folds the
+/// chain into a fresh materialized base.
+const MAX_DELTA_CHAIN: usize = 32;
+
 /// Tuning knobs for the read layer.
 #[derive(Debug, Clone)]
 pub struct ReadServeConfig {
     /// Snapshots kept in the window before pruning kicks in.
     pub retention: usize,
-    /// Longest delta chain a snapshot may carry before the server folds
-    /// the chain into a fresh materialized base.
-    pub max_delta_chain: usize,
     /// Per-subscriber event queue depth before old events are shed.
     pub feed_capacity: usize,
 }
@@ -41,7 +42,6 @@ impl Default for ReadServeConfig {
     fn default() -> Self {
         ReadServeConfig {
             retention: 64,
-            max_delta_chain: 32,
             feed_capacity: 64,
         }
     }
@@ -60,7 +60,6 @@ struct Builder {
 /// is the driver's [`BlockSink`] and every reader thread's query surface.
 #[derive(Debug)]
 pub struct ReadServer {
-    cfg: ReadServeConfig,
     chain: SnapshotChain,
     feed: Arc<SubscriptionFeed>,
     builder: Mutex<Builder>,
@@ -84,7 +83,6 @@ impl ReadServer {
                 chain: Vec::new(),
             }),
             pending_receipts: Mutex::new(HashMap::new()),
-            cfg,
         });
         server.chain.publish(Arc::new(BlockSnapshot::new(
             0,
@@ -249,9 +247,9 @@ impl BlockSink for ReadServer {
         let snap = {
             let mut b = self.builder.lock().expect("builder poisoned");
             b.chain.push(cb.delta);
-            if b.chain.len() > self.cfg.max_delta_chain {
+            if b.chain.len() > MAX_DELTA_CHAIN {
                 // Fold: materialize the chain into a fresh base so
-                // per-read resolution stays O(max_delta_chain).
+                // per-read resolution stays O(MAX_DELTA_CHAIN).
                 let mut folded = (*b.base).clone();
                 for delta in &b.chain {
                     delta.apply_to(&mut folded);
@@ -355,31 +353,29 @@ mod tests {
 
     #[test]
     fn delta_publication_folds_past_max_chain() {
-        let server = ReadServer::new(
-            genesis(),
-            ReadServeConfig {
-                retention: 16,
-                max_delta_chain: 3,
-                feed_capacity: 8,
-            },
-        );
-        for h in 1..=8u64 {
+        let server = ReadServer::new(genesis(), ReadServeConfig::default());
+        let blocks = MAX_DELTA_CHAIN as u64 + 8;
+        for h in 1..=blocks {
             server.on_block(delta_block(&server, h, a(3), u(10)));
             server.on_root(h, b(h));
         }
         let latest = server.latest().expect("retained");
-        assert_eq!(latest.height(), 8);
+        assert_eq!(latest.height(), blocks);
+        assert_eq!(latest.base_height(), MAX_DELTA_CHAIN as u64 + 1, "one fold");
         assert!(
-            latest.delta_chain_len() <= 3,
+            latest.delta_chain_len() <= MAX_DELTA_CHAIN,
             "fold must bound the chain, got {}",
             latest.delta_chain_len()
         );
-        // 8 credits of 10 on top of nothing.
-        assert_eq!(server.get_balance(None, a(3)), Some((8, u(80))));
+        // One credit of 10 per block on top of nothing.
+        assert_eq!(
+            server.get_balance(None, a(3)),
+            Some((blocks, u(blocks * 10)))
+        );
         // Historic heights still resolve their own prefix.
         assert_eq!(server.get_balance(Some(4), a(3)), Some((4, u(40))));
         assert_eq!(server.get_balance(Some(0), a(3)), Some((0, U256::ZERO)));
-        assert_eq!(server.latest().unwrap().merkle_root(), Some(b(8)));
+        assert_eq!(server.latest().unwrap().merkle_root(), Some(b(blocks)));
     }
 
     #[test]

@@ -26,7 +26,7 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> stress (release): the deep protocol explorer once, then the parexec oracles and the read-layer race x20"
+echo "==> stress (release): the deep protocol explorer and the deep crash sweep once, then the parexec oracles and the read-layer race x20"
 # The explorer (tests/parexec_protocol.rs) checks every interleaving of the
 # lane/speculator hand-off table; its deep search (every DAG of 5
 # transactions, 3 speculators) is ignored in the tier-1 run and runs here.
@@ -35,6 +35,9 @@ echo "==> stress (release): the deep protocol explorer once, then the parexec or
 # loop spend their time hashing tries, not in the engine; the workspace
 # step above ran them once.
 cargo test --release -q --test parexec_protocol -- --ignored
+# The flat store's crash explorer (tests/accountsdb_crash.rs): the deep
+# sweep tries every tear offset over 8 flushes and 3 snapshots (~10 s).
+cargo test --release -q --test accountsdb_crash -- --ignored
 for _ in $(seq 20); do
     cargo test --release -q -p mtpu-parexec >/dev/null
     cargo test --release -q --test parexec_serializability -- \

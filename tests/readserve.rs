@@ -133,7 +133,6 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
         genesis,
         ReadServeConfig {
             retention: 24,
-            max_delta_chain: 4, // force folds mid-run
             feed_capacity: 8,
         },
     );
@@ -151,16 +150,17 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
     let verified = AtomicU64::new(0);
     std::thread::scope(|s| {
         // Writer: report the genesis root (`ReadServer::new` leaves it to
-        // the caller), then publish all but the last block, roots
-        // trailing by one block the way the pipelined committer does.
+        // the caller), then publish every block, roots trailing by one
+        // block the way the pipelined committer does.
         s.spawn(|| {
             server.on_root(0, roots[0]);
-            for h in 1..BLOCKS {
+            for h in 1..=BLOCKS {
                 publish(h);
                 if h > 1 {
                     server.on_root(h - 1, roots[h as usize - 1]);
                 }
             }
+            server.on_root(BLOCKS, roots[BLOCKS as usize]);
             done.store(true, Ordering::Release);
         });
 
@@ -207,13 +207,6 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
         verified.load(Ordering::Relaxed) >= 3,
         "readers never overlapped the writer"
     );
-    // The last block lands once the readers have let go. Pruning stops at
-    // a pinned front, and a reader may hold the oldest height through the
-    // whole race, so only a publish nobody pins is sure to slide the
-    // window.
-    publish(BLOCKS);
-    server.on_root(BLOCKS - 1, roots[BLOCKS as usize - 1]);
-    server.on_root(BLOCKS, roots[BLOCKS as usize]);
 
     // After the dust settles: every retained height, exhaustively, plus
     // its resolved root.
@@ -234,7 +227,15 @@ fn snapshot_reads_match_sequential_replay_while_blocks_keep_committing() {
         }
         assert_eq!(snap.merkle_root(), Some(roots[h as usize]));
     }
-    assert!(server.pruned() > 0, "the window never slid");
+    // The window is exactly its budget, whatever the readers pinned, and
+    // the chain folded past its 32-delta bound.
+    assert_eq!((lo, hi), (BLOCKS - 23, BLOCKS));
+    assert_eq!(server.pruned(), BLOCKS + 1 - 24);
+    let latest = server.latest().expect("retained");
+    assert!(
+        latest.base_height() > 0,
+        "the server never folded its delta chain"
+    );
 }
 
 /// Receipts live exactly as long as their snapshot: lookup by hash works
@@ -299,7 +300,10 @@ fn receipts_prune_with_their_snapshots() {
 fn make_driver(blocks: usize) -> NodeDriver {
     NodeDriver::new(
         Mempool::new(PoolConfig::default()),
-        BlockPacker::new(PackerConfig::default()),
+        BlockPacker::new(PackerConfig {
+            max_txs: 16,
+            ..PackerConfig::default()
+        }),
         DriverConfig {
             blocks,
             threads: 4,
@@ -326,23 +330,18 @@ fn make_source(seed: u64) -> Bounded {
 }
 
 /// End to end against the real pipeline: attach a [`ReadServer`] to a
-/// deterministic `NodeDriver::run_flat` session, with a delta chain short
-/// enough that the server folds mid-session, then check everything the
+/// deterministic `NodeDriver::run_flat` session, of small blocks and long
+/// enough that the server folds its delta chain, then check everything the
 /// server can say — roots, receipts, point reads, `eth_call` simulation,
 /// subscription events — against a sequential replay of the very blocks
 /// it served.
 #[test]
 fn driver_run_serves_reads_identical_to_sequential_replay() {
-    const BLOCKS: usize = 4;
+    // The server folds once its chain passes 32 deltas.
+    const BLOCKS: usize = 34;
     let source = make_source(0xFEED);
     let genesis = source.gen.genesis_state().clone();
-    let server = ReadServer::new(
-        genesis.clone(),
-        ReadServeConfig {
-            max_delta_chain: 2, // force a fold inside a 4-block session
-            ..ReadServeConfig::default()
-        },
-    );
+    let server = ReadServer::new(genesis.clone(), ReadServeConfig::default());
     let sub = server.subscribe();
 
     let dir = std::env::temp_dir().join(format!("mtpu-readserve-flat-{}", std::process::id()));
