@@ -10,8 +10,8 @@
 //! storage (the account was created or re-created), so fall-through must
 //! yield zero instead.
 
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// Number of cache shards; reads take one read lock on one shard.
@@ -39,7 +39,7 @@ pub struct CachedAccount {
     /// Code written since the last flush (shared, not yet in any file).
     pub new_code: Option<Arc<Vec<u8>>>,
     /// Slots written since the last flush (zero value = cleared).
-    pub storage: HashMap<U256, U256>,
+    pub storage: FastMap<U256, U256>,
 }
 
 impl CachedAccount {
@@ -53,7 +53,7 @@ impl CachedAccount {
             balance: U256::ZERO,
             code_hash: B256::ZERO,
             new_code: None,
-            storage: HashMap::new(),
+            storage: FastMap::default(),
         }
     }
 }
@@ -61,7 +61,7 @@ impl CachedAccount {
 /// The sharded cache map.
 #[derive(Debug)]
 pub struct WriteCache {
-    shards: Vec<RwLock<HashMap<Address, CachedAccount>>>,
+    shards: Vec<RwLock<FastMap<Address, CachedAccount>>>,
 }
 
 impl Default for WriteCache {
@@ -74,7 +74,9 @@ impl WriteCache {
     /// An empty cache.
     pub fn new() -> Self {
         WriteCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(FastMap::default()))
+                .collect(),
         }
     }
 
@@ -172,7 +174,7 @@ mod tests {
             balance: U256::from(balance),
             code_hash: B256::ZERO,
             new_code: None,
-            storage: HashMap::new(),
+            storage: FastMap::default(),
         }
     }
 

@@ -23,8 +23,8 @@ use crate::index::{CodeLoc, FlatIndex};
 use crate::obs;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
 use mtpu_evm::state::{Account, State};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
-use std::collections::HashMap;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -92,7 +92,7 @@ pub struct AccountsDb {
     files: RwLock<Vec<StoredFile>>,
     /// Resolved code blobs (content-addressed; bounded by distinct
     /// contracts, which is small next to accounts).
-    code_cache: RwLock<HashMap<B256, Arc<Vec<u8>>>>,
+    code_cache: RwLock<FastMap<B256, Arc<Vec<u8>>>>,
     /// Serializes flush and snapshot.
     flush_lock: Mutex<()>,
     head_height: AtomicU64,
@@ -133,7 +133,7 @@ impl AccountsDb {
             cache: WriteCache::new(),
             index: RwLock::new(FlatIndex::default()),
             files: RwLock::new(Vec::new()),
-            code_cache: RwLock::new(HashMap::new()),
+            code_cache: RwLock::new(FastMap::default()),
             flush_lock: Mutex::new(()),
             head_height: AtomicU64::new(0),
             flushed_height: AtomicU64::new(0),
@@ -271,7 +271,7 @@ impl AccountsDb {
                 .collect();
             (accounts, slots)
         };
-        let mut storage: HashMap<Address, HashMap<U256, U256>> = HashMap::new();
+        let mut storage: FastMap<Address, FastMap<U256, U256>> = FastMap::default();
         for (addr, key) in slots {
             let value = self.flat_storage(addr, key);
             if !value.is_zero() {
@@ -1048,7 +1048,9 @@ mod tests {
         assert_eq!((acc.nonce, acc.balance), (8, U256::from(100u64)));
         assert_eq!(acc.code, b"code".to_vec());
         assert_eq!(acc.code_hash, B256::keccak(b"code"));
-        let slots: HashMap<U256, U256> = [(U256::from(1u64), U256::from(11u64))].into();
+        let slots: FastMap<U256, U256> = [(U256::from(1u64), U256::from(11u64))]
+            .into_iter()
+            .collect();
         assert_eq!(acc.storage, slots, "a cleared slot must not export");
         let _ = std::fs::remove_dir_all(&dir);
     }

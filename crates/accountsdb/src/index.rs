@@ -9,8 +9,8 @@
 //! stale storage.
 
 use crate::file::Loc;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::HashMap;
 
 /// Index entry for one account.
 #[derive(Debug, Clone, Copy)]
@@ -46,9 +46,9 @@ pub struct SlotEntry {
 /// need a consistent (account generation, slot entry) pair.
 #[derive(Debug, Default)]
 pub struct FlatIndex {
-    accounts: HashMap<Address, AccountEntry>,
-    slots: HashMap<(Address, U256), SlotEntry>,
-    code: HashMap<B256, CodeLoc>,
+    accounts: FastMap<Address, AccountEntry>,
+    slots: FastMap<(Address, U256), SlotEntry>,
+    code: FastMap<B256, CodeLoc>,
 }
 
 impl FlatIndex {

@@ -2,8 +2,8 @@
 //! helpers, used to author the synthetic TOP8 contracts.
 
 use mtpu_evm::opcode::Opcode;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::U256;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Width in bytes of label-referencing PUSH instructions. Two bytes
@@ -257,7 +257,7 @@ impl Assembler {
     /// label addresses, and oversized immediates.
     pub fn assemble(&self) -> Result<Vec<u8>, AsmError> {
         // Pass 1: compute offsets.
-        let mut offsets: HashMap<&str, usize> = HashMap::new();
+        let mut offsets: FastMap<&str, usize> = FastMap::default();
         let mut pc = 0usize;
         for item in &self.items {
             match item {

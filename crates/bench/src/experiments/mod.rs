@@ -5,6 +5,5 @@ pub mod ablation;
 pub mod compare;
 pub mod drift;
 pub mod ilp;
-pub mod parexec;
 pub mod sched;
 pub mod stat;

@@ -5,6 +5,7 @@
 use mtpu_contracts::{addresses, erc20, helpers, Fixture};
 use mtpu_evm::state::State;
 use mtpu_evm::{execute_transaction, trace_transaction, BlockHeader, NoopTracer, Receipt};
+use mtpu_primitives::map::FastSet;
 use mtpu_primitives::{Address, U256};
 
 fn run(fx: &mut Fixture, state: &mut State, user: u64, c: &str, f: &str, args: &[U256]) -> Receipt {
@@ -759,7 +760,7 @@ fn unknown_selector_hits_fallback() {
 #[test]
 fn all_contracts_have_nonempty_code_and_unique_addresses() {
     let fx = Fixture::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FastSet::default();
     for spec in fx.contracts.iter().chain(fx.extras.iter()) {
         assert!(!spec.code.is_empty(), "{} has empty code", spec.name);
         assert!(seen.insert(spec.address), "{} address reused", spec.name);

@@ -22,8 +22,9 @@
 use crate::fusion::FusedTable;
 use crate::gas;
 use crate::opcode::Opcode;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-opcode metadata consulted once per interpreter step.
@@ -155,7 +156,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<B256, Arc<CodeAnalysis>>,
+    map: FastMap<B256, Arc<CodeAnalysis>>,
     order: VecDeque<B256>,
     // Plain counters guarded by the shard lock: every probe already holds
     // it, so no cross-shard atomics are needed, and per-shard breakdowns

@@ -48,7 +48,7 @@ impl State {
 /// If `committer` already holds accounts or buffered updates: a full
 /// build would silently keep accounts absent from `state`.
 pub fn commit_full<S: NodeStore>(committer: &mut StateCommitter<S>, state: &State) -> B256 {
-    // The state iterates in HashMap order; address order pins the
+    // The state iterates in hash order; address order pins the
     // storage tries' build order — and with it the store's append order —
     // to a pure function of the state, as `delta_updates` does for a block.
     let mut accounts: Vec<(Address, &Account)> = state.iter_live_accounts().collect();
@@ -91,7 +91,7 @@ pub fn delta_updates<B: StateRead>(
             (addr, Some(up))
         })
         .collect();
-    // BlockDelta iterates in HashMap order; sorting pins the committer's
+    // BlockDelta iterates in hash order; sorting pins the committer's
     // touch order — and with it the store's append order — to a pure
     // function of the block's contents.
     updates.sort_unstable_by_key(|(addr, _)| *addr);

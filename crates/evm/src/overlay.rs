@@ -21,9 +21,9 @@
 //! for validation and the commutative coinbase accrual.
 
 use crate::state::{Account, Checkpoint, State, StateOps};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Read-only world-state access for overlay bases and validation views.
 ///
@@ -140,11 +140,11 @@ impl StateRead for State {
 /// validation fails unconditionally, forcing re-execution.
 #[derive(Debug, Clone, Default)]
 pub struct ReadSet {
-    exists: HashMap<Address, bool>,
-    balances: HashMap<Address, U256>,
-    nonces: HashMap<Address, u64>,
-    code_hashes: HashMap<Address, B256>,
-    storage: HashMap<(Address, U256), U256>,
+    exists: FastMap<Address, bool>,
+    balances: FastMap<Address, U256>,
+    nonces: FastMap<Address, u64>,
+    code_hashes: FastMap<Address, B256>,
+    storage: FastMap<(Address, U256), U256>,
     poisoned: bool,
 }
 
@@ -349,7 +349,7 @@ pub struct AccountDelta {
     /// New code + hash, if written.
     pub code: Option<(Vec<u8>, B256)>,
     /// Written storage slots (zero value = cleared).
-    pub storage: HashMap<U256, U256>,
+    pub storage: FastMap<U256, U256>,
 }
 
 /// The read rule every layered view resolves a field through. Each
@@ -431,7 +431,7 @@ impl AccountDelta {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxDelta {
     /// Written accounts.
-    pub accounts: HashMap<Address, AccountDelta>,
+    pub accounts: FastMap<Address, AccountDelta>,
     /// Commutative balance credits applied blindly at commit.
     pub accruals: Vec<(Address, U256)>,
 }
@@ -495,7 +495,7 @@ fn apply_account_delta(state: &mut State, addr: Address, d: &AccountDelta) {
 /// is exactly the sequential state after the committed prefix.
 #[derive(Debug, Clone, Default)]
 pub struct BlockDelta {
-    accounts: HashMap<Address, AccountDelta>,
+    accounts: FastMap<Address, AccountDelta>,
 }
 
 impl BlockDelta {

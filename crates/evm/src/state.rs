@@ -4,8 +4,8 @@
 //! This plays the role of the paper's *State* data in main memory
 //! (Table 4): address, nonce, balance, code, storage.
 
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{keccak256, Address, B256, EMPTY_CODE_HASH, U256};
-use std::collections::HashMap;
 
 /// A single account: externally owned (empty code) or contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub struct Account {
     /// Keccak-256 of `code`.
     pub code_hash: B256,
     /// Contract storage.
-    pub storage: HashMap<U256, U256>,
+    pub storage: FastMap<U256, U256>,
 }
 
 impl Account {
@@ -91,7 +91,7 @@ impl Checkpoint {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct State {
-    accounts: HashMap<Address, Account>,
+    accounts: FastMap<Address, Account>,
     journal: Vec<JournalEntry>,
     destructed: Vec<Address>,
 }
@@ -473,7 +473,7 @@ impl StateOps for State {
 impl State {
     /// Mutable access to the account table for delta application by the
     /// parallel-execution overlay machinery. Bypasses the journal.
-    pub(crate) fn accounts_mut(&mut self) -> &mut HashMap<Address, Account> {
+    pub(crate) fn accounts_mut(&mut self) -> &mut FastMap<Address, Account> {
         &mut self.accounts
     }
 }

@@ -19,8 +19,9 @@ use mtpu::sched::{speculative_rw_set, static_rw_set, RwSet};
 use mtpu_evm::overlay::{StateOverlay, StateRead};
 use mtpu_evm::tx::{BlockHeader, Transaction};
 use mtpu_evm::{admission_preflight, TxError};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -164,7 +165,7 @@ impl SenderQueue {
 
 #[derive(Debug, Default)]
 struct Shard {
-    senders: HashMap<Address, SenderQueue>,
+    senders: FastMap<Address, SenderQueue>,
 }
 
 impl Shard {

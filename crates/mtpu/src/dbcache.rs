@@ -311,7 +311,11 @@ impl DbCache {
     /// The set of `key`: `DefaultHasher` over the derived `Hash` of
     /// `LineKey` (its `code`, then its `pc`), resumed from the cached
     /// state after `code`. The index must not change: it decides which
-    /// lines conflict, and with them every simulated value.
+    /// lines conflict, and with them every simulated value. It models a
+    /// fixed hardware index function, so it stays on the unseeded
+    /// `DefaultHasher` rather than the per-process seeded
+    /// [`FastMap`](mtpu_primitives::map::FastMap) hasher, whose sets would
+    /// move from run to run; `set_index_is_pinned` holds its literal values.
     fn set_index(&mut self, key: &LineKey) -> usize {
         let state = match &mut self.code_hasher {
             Some((code, state)) if *code == key.code => state,
@@ -591,6 +595,33 @@ mod tests {
             key.hash(&mut h);
             assert_eq!(c.set_index(&key), (h.finish() as usize) % 512, "{key:?}");
         }
+    }
+
+    #[test]
+    fn set_index_is_pinned() {
+        // The literal sets of fixed keys at 512 sets. A change to `B256`'s
+        // derived `Hash`, to `DefaultHasher` or to `set_index` fails here
+        // by name before it moves a simulated table.
+        let mut c = DbCache::new(DbCacheConfig {
+            entries: 2048,
+            ways: 4,
+        });
+        let pinned: [(B256, u32, usize); 8] = [
+            (B256::ZERO, 0, 37),
+            (B256::ZERO, 1, 83),
+            (B256::ZERO, 0x5b, 287),
+            (B256::ZERO, 24_576, 333),
+            (B256::keccak(b"a"), 0, 197),
+            (B256::keccak(b"a"), 7, 488),
+            (B256::keccak(b"b"), 42, 244),
+            (B256::keccak(b"b"), u32::MAX, 129),
+        ];
+        let got: Vec<usize> = pinned
+            .iter()
+            .map(|&(code, pc, _)| c.set_index(&LineKey { code, pc }))
+            .collect();
+        let want: Vec<usize> = pinned.iter().map(|&(_, _, set)| set).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

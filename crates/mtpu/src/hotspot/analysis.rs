@@ -14,8 +14,8 @@
 use crate::stream::BitSet;
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::TxTrace;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::U256;
-use std::collections::HashMap;
 
 /// Abstract value with an optional producing-PUSH step for elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +135,7 @@ pub fn analyze_path(trace: &TxTrace, code: &[u8]) -> PathAnalysis {
     // are fixed at pre-execution time.
     let mut prefix_alive = true;
     let mut stack: Vec<AVal> = Vec::with_capacity(64);
-    let mut memory: HashMap<u64, AVal> = HashMap::new();
+    let mut memory: FastMap<u64, AVal> = FastMap::default();
     // Consumed-once bookkeeping: a PUSH is eliminable only if its single
     // consumer is a constant instruction.
     for (idx, s) in trace.steps.iter().enumerate() {

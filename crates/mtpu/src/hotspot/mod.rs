@@ -14,8 +14,8 @@ pub use analysis::{analyze_path, PathAnalysis};
 
 use crate::stream::{BitSet, StreamTransforms};
 use mtpu_evm::trace::TxTrace;
+use mtpu_primitives::map::{FastMap, FastSet};
 use mtpu_primitives::Address;
-use std::collections::HashMap;
 
 /// Key of a Contract Table entry: contract address + entry function.
 pub type HotspotKey = (Address, [u8; 4]);
@@ -23,8 +23,8 @@ pub type HotspotKey = (Address, [u8; 4]);
 /// The Contract Table: per-(contract, entry-function) optimization state.
 #[derive(Debug, Clone, Default)]
 pub struct ContractTable {
-    entries: HashMap<HotspotKey, PathAnalysis>,
-    invocations: HashMap<HotspotKey, u64>,
+    entries: FastMap<HotspotKey, PathAnalysis>,
+    invocations: FastMap<HotspotKey, u64>,
 }
 
 impl ContractTable {
@@ -89,7 +89,7 @@ impl ContractTable {
     /// Contract Table whose stale entries age out as hotspots drift
     /// (paper §2.2.3).
     pub fn retain_top(&mut self, n: usize) {
-        let keep: std::collections::HashSet<HotspotKey> = self.top_keys(n).into_iter().collect();
+        let keep: FastSet<HotspotKey> = self.top_keys(n).into_iter().collect();
         self.entries.retain(|k, _| keep.contains(k));
     }
 

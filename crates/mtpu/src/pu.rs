@@ -8,8 +8,9 @@ use crate::funit::{lat_class, LatClass};
 use crate::stream::{build_stream, MicroOp, StreamStats, StreamTransforms};
 use mtpu_evm::opcode::Opcode;
 use mtpu_evm::trace::{FrameInfo, StorageAccess, TxTrace};
+use mtpu_primitives::map::FastSet;
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed transaction/block attribute bytes loaded with every frame
 /// context (Table 4's fixed-length fields).
@@ -123,7 +124,7 @@ impl StateBufferStats {
 /// approximately-LRU set of recently touched (address, key) state slots.
 #[derive(Debug, Clone)]
 pub struct StateBuffer {
-    present: HashSet<(Address, U256)>,
+    present: FastSet<(Address, U256)>,
     order: VecDeque<(Address, U256)>,
     capacity: usize,
     hits: u64,
@@ -142,7 +143,7 @@ impl StateBuffer {
     /// Creates a buffer holding up to `capacity` slots.
     pub fn new(capacity: usize) -> Self {
         StateBuffer {
-            present: HashSet::new(),
+            present: FastSet::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             hits: 0,

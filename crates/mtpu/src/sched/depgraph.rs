@@ -9,8 +9,8 @@
 use super::rwset::{tx_rw_set, RwSet, SlotKey};
 use mtpu_evm::trace::TxTrace;
 use mtpu_evm::tx::Transaction;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::Address;
-use std::collections::HashMap;
 
 /// Directed acyclic dependency graph over the transactions of one block
 /// (edge `i -> j` means `j` must observe `i`'s effects).
@@ -112,9 +112,9 @@ impl DepGraph {
         assert_eq!(txs.len(), sets.len());
         let n = txs.len();
         let mut g = DepGraph::new(n);
-        let mut last_writer: HashMap<SlotKey, usize> = HashMap::new();
-        let mut readers_since: HashMap<SlotKey, Vec<usize>> = HashMap::new();
-        let mut last_of_sender: HashMap<Address, usize> = HashMap::new();
+        let mut last_writer: FastMap<SlotKey, usize> = FastMap::default();
+        let mut readers_since: FastMap<SlotKey, Vec<usize>> = FastMap::default();
+        let mut last_of_sender: FastMap<Address, usize> = FastMap::default();
 
         for i in 0..n {
             // Nonce ordering: transactions of one sender execute in order.
@@ -155,7 +155,7 @@ impl DepGraph {
     /// when a block ships without a consensus-computed dependency graph.
     pub fn sender_order(txs: &[Transaction]) -> DepGraph {
         let mut g = DepGraph::new(txs.len());
-        let mut last_of_sender: HashMap<Address, usize> = HashMap::new();
+        let mut last_of_sender: FastMap<Address, usize> = FastMap::default();
         for (i, tx) in txs.iter().enumerate() {
             if let Some(&prev) = last_of_sender.get(&tx.from) {
                 g.add_edge(prev, i);

@@ -10,9 +10,10 @@ use crate::config::MtpuConfig;
 use crate::pu::{Pu, StateBuffer, TxJob, TxTiming};
 use crate::sched::depgraph::DepGraph;
 use crate::sched::tables::{SchedulingTable, TransactionTable};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Outcome of scheduling one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +56,7 @@ impl ScheduleResult {
 /// to a dense contract id, and counts each id's invocations: V, the
 /// composite DAG's node value.
 fn intern_contracts(jobs: &[TxJob]) -> (Vec<usize>, Vec<u32>) {
-    let mut ids: HashMap<B256, usize> = HashMap::new();
+    let mut ids: FastMap<B256, usize> = FastMap::default();
     let mut remaining: Vec<u32> = Vec::new();
     let contract = jobs
         .iter()
@@ -462,7 +463,7 @@ mod tests {
         let st = simulate_st(&jobs, &graph, &cfg);
         // Count affinity violations: consecutive txs of a contract on
         // different PUs are allowed, but the bulk should stick.
-        let mut per_contract_pus: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut per_contract_pus: FastMap<u64, Vec<usize>> = FastMap::default();
         for (i, &pu) in st.pu_of.iter().enumerate() {
             per_contract_pus.entry(i as u64 % 2).or_default().push(pu);
         }

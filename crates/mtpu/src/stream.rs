@@ -327,7 +327,7 @@ mod tests {
     fn bit_set_matches_a_hash_set() {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut dense = BitSet::with_bound(64);
-        let mut reference = std::collections::HashSet::new();
+        let mut reference = mtpu_primitives::map::FastSet::default();
         for _ in 0..500 {
             x ^= x << 13;
             x ^= x >> 7;

@@ -52,6 +52,7 @@ use mtpu_evm::overlay::{
 use mtpu_evm::state::State;
 use mtpu_evm::trace::NoopTracer;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -84,8 +85,7 @@ fn fire_hints<B: StateRead>(base: &B, hints: &TxHints) {
     for &addr in &hints.accounts {
         base.hint_prefetch_account(addr);
     }
-    let mut by_addr: std::collections::HashMap<Address, Vec<U256>> =
-        std::collections::HashMap::new();
+    let mut by_addr: FastMap<Address, Vec<U256>> = FastMap::default();
     for &(addr, key) in &hints.storage {
         by_addr.entry(addr).or_default().push(key);
     }

@@ -19,6 +19,7 @@
 
 pub mod hex;
 pub mod keccak;
+pub mod map;
 pub mod prng;
 pub mod rlp;
 mod types;

@@ -10,8 +10,9 @@
 
 use crate::obs;
 use crate::snapshot::BlockSnapshot;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 
 #[derive(Debug, Default)]
@@ -20,7 +21,7 @@ struct Window {
     snaps: VecDeque<Arc<BlockSnapshot>>,
     /// Transaction hash → (height, index in block) for every retained
     /// block.
-    tx_index: HashMap<B256, (u64, usize)>,
+    tx_index: FastMap<B256, (u64, usize)>,
     /// Snapshots pruned over the chain's lifetime.
     pruned: u64,
 }

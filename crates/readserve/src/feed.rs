@@ -9,8 +9,9 @@
 
 use crate::obs;
 use mtpu_evm::tx::Receipt;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// One committed block, as delivered to subscribers. The root is always
@@ -37,7 +38,7 @@ struct SubQueue {
 
 #[derive(Debug, Default)]
 struct FeedInner {
-    subs: HashMap<u64, SubQueue>,
+    subs: FastMap<u64, SubQueue>,
     next_id: u64,
     /// Height of the newest published event.
     head: u64,

@@ -20,8 +20,8 @@ use mtpu_evm::state::State;
 use mtpu_evm::tx::Receipt;
 use mtpu_evm::{call_readonly, BlockDelta, ReadCall, ReadCallOutcome, StateRead};
 use mtpu_mempool::{BlockSink, CommittedBlock};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -65,7 +65,7 @@ pub struct ReadServer {
     builder: Mutex<Builder>,
     /// Receipts parked between `on_block` (snapshot readable) and
     /// `on_root` (root resolved, feed event emitted).
-    pending_receipts: Mutex<HashMap<u64, Arc<Vec<Receipt>>>>,
+    pending_receipts: Mutex<FastMap<u64, Arc<Vec<Receipt>>>>,
 }
 
 impl ReadServer {
@@ -82,7 +82,7 @@ impl ReadServer {
                 base_height: 0,
                 chain: Vec::new(),
             }),
-            pending_receipts: Mutex::new(HashMap::new()),
+            pending_receipts: Mutex::new(FastMap::default()),
         });
         server.chain.publish(Arc::new(BlockSnapshot::new(
             0,

@@ -17,6 +17,9 @@
 //! inline-node boundaries, the node codec, the full build, the node
 //! reference counts — panics; success prints a one-line summary.
 
+// The reference model keeps std's HashMap: it shares no hasher with the trie store it checks.
+#![allow(clippy::disallowed_types)]
+
 use mtpu_primitives::{SplitMix64, B256};
 use mtpu_statedb::{empty_root, Link, MemStore, Node, NodeBatch, NodeDb, NodeStore, Trie};
 use std::collections::{HashMap, HashSet};

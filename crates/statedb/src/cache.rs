@@ -20,8 +20,9 @@
 //! [`mtpu_telemetry::enabled`] per the workspace cost contract).
 
 use crate::node::Node;
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -43,7 +44,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 #[derive(Debug, Clone)]
 pub struct BoundedMemo<K, V> {
     /// Live entries, each with the sequence number of its queue entry.
-    map: HashMap<K, (V, u64)>,
+    map: FastMap<K, (V, u64)>,
     /// Insertion order, oldest first; may hold stale entries.
     order: VecDeque<(K, u64)>,
     next_seq: u64,
@@ -54,7 +55,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
     /// A memo holding at most `capacity` entries (0 disables memoizing).
     pub fn new(capacity: usize) -> Self {
         BoundedMemo {
-            map: HashMap::new(),
+            map: FastMap::default(),
             order: VecDeque::new(),
             next_seq: 0,
             capacity,

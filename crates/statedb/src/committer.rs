@@ -24,9 +24,9 @@
 use crate::cache::BoundedMemo;
 use crate::store::NodeStore;
 use crate::trie::{empty_root, NodeBatch, NodeDb, Trie, TrieStats};
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::rlp::{self, Item};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Bound on each secure-key memo (addresses and slots memoized
@@ -146,7 +146,7 @@ pub struct StateCommitter<S: NodeStore> {
     /// which is what makes the parallel merge deterministic.
     dirty: Vec<(Address, OpenAccount)>,
     /// Address → index into `dirty`.
-    dirty_index: HashMap<Address, usize>,
+    dirty_index: FastMap<Address, usize>,
     keys: SecureKeys,
     threads: usize,
 }
@@ -198,7 +198,7 @@ impl<S: NodeStore> StateCommitter<S> {
             db: NodeDb::new(store),
             accounts: Trie::empty(),
             dirty: Vec::new(),
-            dirty_index: HashMap::new(),
+            dirty_index: FastMap::default(),
             keys: SecureKeys::new(),
             threads: 1,
         }

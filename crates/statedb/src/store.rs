@@ -15,9 +15,9 @@
 //! so the store holds exactly the live trie, and a root becomes
 //! unreadable once a later mutation supersedes its nodes.
 
+use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Hash-addressed, reference-counted storage of encoded trie nodes.
 pub trait NodeStore {
@@ -50,7 +50,7 @@ pub trait NodeStore {
 /// and its link count, so a slot is as large as a bare `Vec<u8>` one.
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
-    nodes: HashMap<B256, (Box<[u8]>, u32)>,
+    nodes: FastMap<B256, (Box<[u8]>, u32)>,
 }
 
 impl MemStore {

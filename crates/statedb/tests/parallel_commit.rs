@@ -7,6 +7,9 @@
 //! reference model. Any divergence in the deterministic batch merge,
 //! the dirty-account buffering or the subtrie fan-out panics here.
 
+// The reference model keeps std's HashMap: it shares no hasher with the committer it checks.
+#![allow(clippy::disallowed_types)]
+
 use mtpu_primitives::{Address, SplitMix64, B256, EMPTY_CODE_HASH, U256};
 use mtpu_statedb::{AccountUpdate, MemStore, StateCommitter};
 use std::collections::HashMap;

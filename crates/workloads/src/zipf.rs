@@ -218,12 +218,12 @@ impl ZipfGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use mtpu_primitives::map::FastMap;
 
     #[test]
     fn zipf_skews_toward_low_ranks() {
         let mut g = ZipfGen::new(7, ZipfConfig::default());
-        let mut counts = HashMap::new();
+        let mut counts = FastMap::default();
         let draws = 20_000;
         for _ in 0..draws {
             *counts.entry(g.sample_sender()).or_insert(0u64) += 1;
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn nonces_are_contiguous_per_sender() {
         let mut g = ZipfGen::new(11, ZipfConfig::default());
-        let mut next: HashMap<_, u64> = HashMap::new();
+        let mut next: FastMap<_, u64> = FastMap::default();
         for _ in 0..2_000 {
             let tx = g.next_tx();
             let want = next.entry(tx.from).or_insert(0);

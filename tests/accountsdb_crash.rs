@@ -29,9 +29,10 @@ use mtpu_repro::accountsdb::durable::{Fs, FsOp, RealFs};
 use mtpu_repro::accountsdb::AccountsDb;
 use mtpu_repro::evm::overlay::{AccountDelta, BlockDelta, TxDelta};
 use mtpu_repro::evm::state::State;
+use mtpu_repro::primitives::map::FastSet;
 use mtpu_repro::primitives::{Address, B256, U256};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,7 +129,7 @@ fn block(h: u64) -> TxDelta {
         1 => Some(AccountDelta {
             shadows_base: true,
             balance: Some(U256::from(77u64)),
-            storage: [(U256::ONE, U256::from(5u64))].into(),
+            storage: [(U256::ONE, U256::from(5u64))].into_iter().collect(),
             ..Default::default()
         }),
         4 => Some(AccountDelta {
@@ -139,7 +140,7 @@ fn block(h: u64) -> TxDelta {
         6 => Some(AccountDelta {
             shadows_base: true,
             balance: Some(U256::from(66u64)),
-            storage: [(U256::from(9u64), U256::from(9u64))].into(),
+            storage: [(U256::from(9u64), U256::from(9u64))].into_iter().collect(),
             ..Default::default()
         }),
         _ => None,
@@ -425,7 +426,7 @@ fn explore(schedule: &str, every_tear: bool) -> usize {
     let session = record(schedule);
     let dir = scratch_dir("image");
     let mut disk = Disk::default();
-    let mut seen = HashSet::new();
+    let mut seen = FastSet::default();
     for crash in 0..=session.ops.len() {
         if crash > 0 {
             disk.apply(&session.ops[crash - 1]);

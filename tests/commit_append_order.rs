@@ -7,10 +7,10 @@
 
 use mtpu_repro::evm::{commit_block_delta, commit_full};
 use mtpu_repro::parexec::ParExecutor;
+use mtpu_repro::primitives::map::FastSet;
 use mtpu_repro::primitives::B256;
 use mtpu_repro::statedb::{MemStore, NodeStore, StateCommitter};
 use mtpu_repro::workloads::{BlockConfig, Generator};
-use std::collections::HashSet;
 
 /// A [`MemStore`] that also appends each node the first time it sees
 /// it to a log as `[u32 BE length][raw node bytes]`: the byte stream an
@@ -19,7 +19,7 @@ use std::collections::HashSet;
 #[derive(Debug, Default)]
 struct AppendLog {
     nodes: MemStore,
-    seen: HashSet<B256>,
+    seen: FastSet<B256>,
     log: Vec<u8>,
 }
 

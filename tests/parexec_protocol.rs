@@ -26,8 +26,8 @@
 
 use mtpu_repro::mtpu::sched::DepGraph;
 use mtpu_repro::parexec::SlotTable;
+use mtpu_repro::primitives::map::{FastMap, FastSet};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -280,10 +280,10 @@ impl World {
 
 struct Explorer<'d> {
     dag: &'d DepGraph,
-    seen: HashSet<u64>,
+    seen: FastSet<u64>,
     path: Vec<String>,
     /// Transitions taken, by the label's first two words.
-    taken: HashMap<String, usize>,
+    taken: FastMap<String, usize>,
 }
 
 impl Explorer<'_> {
@@ -327,12 +327,12 @@ impl Explorer<'_> {
 /// Explores every interleaving of the lane and `speculators` speculators
 /// over `dag`; returns how often each kind of transition was taken
 /// (`"lane validates"`, `"s0 parks"`, ...).
-fn explore(dag: &DepGraph, speculators: usize) -> HashMap<String, usize> {
+fn explore(dag: &DepGraph, speculators: usize) -> FastMap<String, usize> {
     let mut explorer = Explorer {
         dag,
-        seen: HashSet::new(),
+        seen: FastSet::default(),
         path: Vec::new(),
-        taken: HashMap::new(),
+        taken: FastMap::default(),
     };
     explorer.visit(World::new(dag, speculators));
     explorer.taken

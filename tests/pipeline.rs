@@ -10,6 +10,7 @@ use mtpu_repro::mtpu::pu::{Pu, StateBuffer, TxJob};
 use mtpu_repro::mtpu::sched::{simulate_sequential, simulate_st};
 use mtpu_repro::mtpu::stream::StreamTransforms;
 use mtpu_repro::mtpu::MtpuConfig;
+use mtpu_repro::primitives::map::FastSet;
 use mtpu_repro::primitives::U256;
 use mtpu_repro::workloads::{BlockConfig, Generator};
 
@@ -182,7 +183,7 @@ fn hotspot_analysis_is_sound_on_all_top8_paths() {
             );
         }
         // Prefetch pcs must be SLOAD sites on the path.
-        let sload_pcs: std::collections::HashSet<u32> = trace
+        let sload_pcs: FastSet<u32> = trace
             .steps
             .iter()
             .filter(|s| s.frame == 0 && s.opcode() == Opcode::Sload)
@@ -195,7 +196,7 @@ fn hotspot_analysis_is_sound_on_all_top8_paths() {
             );
         }
         // Eliminated pushes must be PUSH sites on the path.
-        let push_pcs: std::collections::HashSet<u32> = trace
+        let push_pcs: FastSet<u32> = trace
             .steps
             .iter()
             .filter(|s| s.frame == 0 && s.opcode().is_push())

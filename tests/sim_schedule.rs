@@ -16,6 +16,9 @@
 //! deep sweep runs every `pu_count` × `candidate_slots` pair on more DAGs
 //! (`cargo test --release --test sim_schedule -- --ignored`).
 
+// The reference scheduler keeps std's HashMap: it shares no hasher with the simulator it checks.
+#![allow(clippy::disallowed_types)]
+
 use mtpu_repro::evm::opcode::Opcode;
 use mtpu_repro::evm::trace::{CallKind, FrameInfo, StorageAccess, TraceStep, TxTrace};
 use mtpu_repro::evm::tx::Transaction;

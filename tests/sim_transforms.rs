@@ -5,6 +5,9 @@
 //! `StreamStats` and loaded-bytes override as the hash-set version of
 //! both below (`reference_transforms`, `reference_stream`).
 
+// The reference transforms keep std's HashSet: they share no hasher with the simulator they check.
+#![allow(clippy::disallowed_types)]
+
 use mtpu_repro::evm::trace::TxTrace;
 use mtpu_repro::mtpu::hotspot::{ContractTable, PathAnalysis};
 use mtpu_repro::mtpu::pu::TxJob;

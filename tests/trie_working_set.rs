@@ -11,11 +11,12 @@
 //! at 1 and 4 commit threads against a fresh `bulk_load` of a plain
 //! model: same root, same number of stored nodes.
 
+use mtpu_repro::primitives::map::FastMap;
 use mtpu_repro::primitives::{Address, SplitMix64, B256, EMPTY_CODE_HASH, U256};
 use mtpu_repro::statedb::{
     empty_root, AccountRecord, AccountUpdate, Link, MemStore, Node, NodeStore, StateCommitter,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 const SEEDS: u64 = 8;
 const ROUNDS: usize = 40;
@@ -78,8 +79,8 @@ fn fresh_build(model: &Model) -> (B256, usize) {
 /// Every node reachable from `root` and the number of links to it: one
 /// for the root handle, one per hash link inside each distinct stored
 /// node, and one per account leaf naming a storage root.
-fn link_counts(store: &MemStore, root: B256) -> HashMap<B256, u32> {
-    let mut counts = HashMap::new();
+fn link_counts(store: &MemStore, root: B256) -> FastMap<B256, u32> {
+    let mut counts = FastMap::default();
     if root == empty_root() {
         return counts;
     }
@@ -136,7 +137,7 @@ fn collect_links(node: &Node, accounts: bool, out: &mut Vec<(B256, bool)>) {
 /// reachable node stored, every count equal to its links.
 fn check_working_set(c: &StateCommitter<MemStore>, root: B256, at: &str) {
     let want = link_counts(c.store(), root);
-    let got: HashMap<B256, u32> = c.store().counts().map(|(h, n)| (*h, n)).collect();
+    let got: FastMap<B256, u32> = c.store().counts().map(|(h, n)| (*h, n)).collect();
     let unreachable = got.keys().filter(|h| !want.contains_key(h)).count();
     let miscounted: Vec<_> = want
         .iter()
