@@ -1,10 +1,11 @@
 //! [`AccountsDb`]: the flat account store itself.
 //!
-//! Reads go cache → index → positional file read; committed block deltas
+//! Reads go write cache → index, both in memory; committed block deltas
 //! are absorbed into the write cache fully resolved; a flush moves every
 //! entry at or below a height cursor into a fresh append-only storage
-//! file and the index; a snapshot flushes everything and writes an atomic
-//! MANIFEST naming the durable file set. Reopening honors only the
+//! file and the index (the files are a write-only durability log that
+//! only [`AccountsDb::open`] reads back); a snapshot flushes everything
+//! and writes an atomic MANIFEST naming the durable file set. Reopening honors only the
 //! MANIFEST — files flushed after the last snapshot are invisible. The
 //! MANIFEST is the node's one durable checkpoint: the state trie is not
 //! stored, it is derived from the reopened store
@@ -16,18 +17,16 @@ use crate::durable::{
     flush_plan, snapshot_plan, storage_path, Fs, FsOp, RealFs, MANIFEST_FILE, STORAGE_DIR,
 };
 use crate::file::{
-    corrupt, decode_account_payload, encode_account, encode_code, encode_header, encode_slot,
-    encode_tombstone, replay, AccountMeta, Loc, Record, ACCOUNT_PAYLOAD_LEN,
+    corrupt, encode_account, encode_code, encode_header, encode_slot, encode_tombstone, replay,
+    AccountMeta, Record,
 };
-use crate::index::{CodeLoc, FlatIndex};
+use crate::index::FlatIndex;
 use crate::obs;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
 use mtpu_evm::state::{Account, State};
 use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
-use std::fs::File;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -35,19 +34,12 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Manifest schema line; bump when the on-disk layout changes.
 const MANIFEST_SCHEMA: &str = "mtpu-accountsdb/v1";
 
-/// One immutable, fully written storage file.
-#[derive(Debug)]
-struct StoredFile {
-    file: Arc<File>,
-    len: u64,
-}
-
 /// Point-in-time counters and sizes, for benches and reports.
 #[derive(Debug, Clone, Default)]
 pub struct DbStats {
     /// Reads served by the write cache.
     pub cache_hits: u64,
-    /// Reads that fell through to the index + files.
+    /// Reads that fell through to the index.
     pub cache_misses: u64,
     /// Flushes performed.
     pub flushes: u64,
@@ -89,10 +81,8 @@ pub struct AccountsDb {
     fs: Arc<dyn Fs>,
     cache: WriteCache,
     index: RwLock<FlatIndex>,
-    files: RwLock<Vec<StoredFile>>,
-    /// Resolved code blobs (content-addressed; bounded by distinct
-    /// contracts, which is small next to accounts).
-    code_cache: RwLock<FastMap<B256, Arc<Vec<u8>>>>,
+    /// Byte length of each storage file, in id order.
+    file_lens: RwLock<Vec<u64>>,
     /// Serializes flush and snapshot.
     flush_lock: Mutex<()>,
     head_height: AtomicU64,
@@ -132,8 +122,7 @@ impl AccountsDb {
             fs,
             cache: WriteCache::new(),
             index: RwLock::new(FlatIndex::default()),
-            files: RwLock::new(Vec::new()),
-            code_cache: RwLock::new(FastMap::default()),
+            file_lens: RwLock::new(Vec::new()),
             flush_lock: Mutex::new(()),
             head_height: AtomicU64::new(0),
             flushed_height: AtomicU64::new(0),
@@ -148,27 +137,21 @@ impl AccountsDb {
         };
         {
             let mut index = db.index.write().expect("index poisoned");
-            let mut files = db.files.write().expect("file set poisoned");
-            for (id, len) in lens.iter().copied().enumerate() {
-                let path = storage_path(&dir, id as u32);
-                let file = File::open(&path)?;
-                let actual = file.metadata()?.len();
+            for (id, &len) in lens.iter().enumerate() {
+                let mut bytes = std::fs::read(storage_path(&dir, id as u32))?;
+                let actual = bytes.len() as u64;
                 if actual < len {
                     return Err(corrupt(format!(
                         "storage file {id} shorter than manifest: {actual} < {len}"
                     )));
                 }
-                let mut bytes = vec![0u8; len as usize];
-                file.read_exact_at(&mut bytes, 0)?;
-                for record in replay(&bytes)? {
-                    apply_record(&mut index, id as u32, &record);
+                bytes.truncate(len as usize);
+                for record in &replay(&bytes)? {
+                    apply_record(&mut index, record);
                 }
-                files.push(StoredFile {
-                    file: Arc::new(file),
-                    len,
-                });
             }
         }
+        *db.file_lens.write().expect("file set poisoned") = lens;
         db.head_height.store(height, Ordering::SeqCst);
         db.flushed_height.store(height, Ordering::SeqCst);
         *db.snapshot_root.lock().expect("snapshot root poisoned") = root;
@@ -198,8 +181,8 @@ impl AccountsDb {
     /// Point-in-time statistics.
     pub fn stats(&self) -> DbStats {
         let (files, file_bytes) = {
-            let files = self.files.read().expect("file set poisoned");
-            (files.len(), files.iter().map(|f| f.len).sum())
+            let lens = self.file_lens.read().expect("file set poisoned");
+            (lens.len(), lens.iter().sum())
         };
         DbStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -243,14 +226,14 @@ impl AccountsDb {
     }
 
     /// The whole store as a [`State`]: every live account with its code
-    /// and non-zero slots, read through the index and the storage files.
+    /// and non-zero slots, read from the index.
     /// The inverse of [`AccountsDb::bootstrap_from_state`], and how a
     /// reopened store derives its trie: `export_state().merkle_root()`
     /// is the root [`AccountsDb::snapshot`] recorded.
     ///
     /// # Panics
     ///
-    /// If the write cache holds entries. The files then hold the whole
+    /// If the write cache holds entries. The index then holds the whole
     /// state only right after [`AccountsDb::open`] or
     /// [`AccountsDb::snapshot`], so call it there.
     pub fn export_state(&self) -> State {
@@ -259,34 +242,21 @@ impl AccountsDb {
             0,
             "export_state needs an empty write cache (call it after open or snapshot)"
         );
-        let (accounts, slots) = {
-            let ix = self.index.read().expect("index poisoned");
-            let accounts: Vec<Address> = ix
-                .iter_accounts()
-                .filter_map(|(addr, e)| e.meta.map(|_| addr))
-                .collect();
-            let slots: Vec<(Address, U256)> = ix
-                .iter_live_slots()
-                .map(|(addr, key, _)| (addr, key))
-                .collect();
-            (accounts, slots)
-        };
+        let ix = self.index.read().expect("index poisoned");
         let mut storage: FastMap<Address, FastMap<U256, U256>> = FastMap::default();
-        for (addr, key) in slots {
-            let value = self.flat_storage(addr, key);
+        for (addr, key, value) in ix.iter_live_slots() {
             if !value.is_zero() {
                 storage.entry(addr).or_default().insert(key, value);
             }
         }
         let mut state = State::new();
-        for addr in accounts {
-            let meta = self.flat_account(addr).expect("live account has metadata");
+        for (addr, meta) in ix.iter_accounts().filter_map(|(a, e)| Some((a, e.meta?))) {
             state.insert_account(
                 addr,
                 Account {
                     nonce: meta.nonce,
                     balance: meta.balance,
-                    code: self.code_for_hash(meta.code_hash),
+                    code: code_for_hash(&ix, meta.code_hash),
                     code_hash: meta.code_hash,
                     storage: storage.remove(&addr).unwrap_or_default(),
                 },
@@ -415,7 +385,7 @@ impl AccountsDb {
         code_to_write.sort_unstable_by_key(|(h, _)| *h);
         code_to_write.dedup_by_key(|(h, _)| *h);
 
-        let file_id = self.files.read().expect("file set poisoned").len() as u32;
+        let file_id = self.file_lens.read().expect("file set poisoned").len() as u32;
         let mut buf = Vec::new();
         encode_header(&mut buf, up_to);
         let mut records = Vec::new();
@@ -443,15 +413,11 @@ impl AccountsDb {
 
         let len = buf.len() as u64;
         self.execute(&flush_plan(&self.dir, file_id, buf))?;
-        let file = Arc::new(File::open(storage_path(&self.dir, file_id))?);
-        self.files
-            .write()
-            .expect("file set poisoned")
-            .push(StoredFile { file, len });
+        self.file_lens.write().expect("file set poisoned").push(len);
         {
             let mut ix = self.index.write().expect("index poisoned");
             for record in &records {
-                apply_record(&mut ix, file_id, record);
+                apply_record(&mut ix, record);
             }
         }
         self.cache.evict_flushed(up_to);
@@ -477,15 +443,15 @@ impl AccountsDb {
         let guard = self.flush_lock.lock().expect("flush lock poisoned");
         self.flush_locked(&guard, u64::MAX)?;
         let manifest = {
-            let files = self.files.read().expect("file set poisoned");
+            let lens = self.file_lens.read().expect("file set poisoned");
             let mut text = format!(
                 "{MANIFEST_SCHEMA}\n{}\n{}\n{}\n",
                 self.head_height(),
                 root.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
-                files.len()
+                lens.len()
             );
-            for f in files.iter() {
-                text.push_str(&f.len.to_string());
+            for len in lens.iter() {
+                text.push_str(&len.to_string());
                 text.push('\n');
             }
             text
@@ -526,70 +492,27 @@ impl AccountsDb {
         }
     }
 
-    fn read_payload(&self, loc: Loc, buf: &mut [u8]) {
-        let started = mtpu_telemetry::enabled().then(std::time::Instant::now);
-        let file = {
-            let files = self.files.read().expect("file set poisoned");
-            files[loc.file as usize].file.clone()
-        };
-        file.read_exact_at(buf, loc.offset)
-            .expect("storage file read");
-        if let Some(t) = started {
-            obs::metrics().read_ns.record(t.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// The flat-layer account metadata, bypassing the cache.
     fn flat_account(&self, addr: Address) -> Option<AccountMeta> {
-        let loc = self
-            .index
+        self.index
             .read()
             .expect("index poisoned")
             .account(addr)?
-            .meta?;
-        let mut buf = [0u8; ACCOUNT_PAYLOAD_LEN];
-        self.read_payload(loc, &mut buf);
-        Some(decode_account_payload(&buf))
+            .meta
     }
 
     /// The flat-layer slot value, bypassing the cache.
     fn flat_storage(&self, addr: Address, key: U256) -> U256 {
-        let Some(loc) = self.index.read().expect("index poisoned").slot(addr, key) else {
-            return U256::ZERO;
-        };
-        let mut buf = [0u8; 32];
-        self.read_payload(loc, &mut buf);
-        U256::from_be_bytes(buf)
+        let ix = self.index.read().expect("index poisoned");
+        ix.slot(addr, key).unwrap_or(U256::ZERO)
     }
 
-    /// Resolves a code hash to its blob (empty for the empty-code hashes
-    /// and for hashes the store has never seen).
-    fn code_for_hash(&self, hash: B256) -> Vec<u8> {
-        if hash == B256::ZERO || hash == EMPTY_CODE_HASH {
-            return Vec::new();
-        }
-        if let Some(code) = self
-            .code_cache
-            .read()
-            .expect("code cache poisoned")
-            .get(&hash)
-        {
-            return (**code).clone();
-        }
-        let Some(cl) = self.index.read().expect("index poisoned").code(hash) else {
-            return Vec::new();
-        };
-        let mut buf = vec![0u8; cl.len as usize];
-        self.read_payload(cl.loc, &mut buf);
-        let code = Arc::new(buf);
-        self.code_cache
-            .write()
-            .expect("code cache poisoned")
-            .insert(hash, code.clone());
-        (*code).clone()
+    /// [`code_for_hash`] under the index's read lock.
+    fn code(&self, hash: B256) -> Vec<u8> {
+        code_for_hash(&self.index.read().expect("index poisoned"), hash)
     }
 
-    /// A no-op: execution reads go write cache → index → file on demand,
+    /// A no-op: execution reads go write cache → index on demand,
     /// and there is no prefetch worker to start. It stays only because
     /// `spine/`'s staged loop names it, behind
     /// `mtpu_evm::prefetch_enabled()` (always `false`).
@@ -626,7 +549,7 @@ impl AccountsDb {
     }
 }
 
-/// Execution reads: cache → index → file, with hit/miss accounting.
+/// Execution reads: write cache → index, with hit/miss accounting.
 impl StateRead for AccountsDb {
     fn read_exists(&self, addr: Address) -> bool {
         match self.cache.with_entry(addr, |c| !c.deleted) {
@@ -679,12 +602,12 @@ impl StateRead for AccountsDb {
             }
             Some(Cached::ByHash(hash)) => {
                 self.note_hit();
-                self.code_for_hash(hash)
+                self.code(hash)
             }
             None => {
                 self.note_miss();
                 match self.flat_account(addr) {
-                    Some(meta) => self.code_for_hash(meta.code_hash),
+                    Some(meta) => self.code(meta.code_hash),
                     None => Vec::new(),
                 }
             }
@@ -719,41 +642,23 @@ impl StateRead for AccountsDb {
     }
 }
 
-fn apply_record(index: &mut FlatIndex, file: u32, record: &Record) {
+/// Resolves a code hash to its blob (empty for the empty-code hashes
+/// and for hashes the store has never seen).
+fn code_for_hash(ix: &FlatIndex, hash: B256) -> Vec<u8> {
+    if hash == B256::ZERO || hash == EMPTY_CODE_HASH {
+        return Vec::new();
+    }
+    ix.code(hash).map(|c| c.to_vec()).unwrap_or_default()
+}
+
+/// Folds one record into the index: the one way a value reaches it, from
+/// a flush and from the replay in [`AccountsDb::open`] alike.
+fn apply_record(index: &mut FlatIndex, record: &Record) {
     match record {
-        Record::Account {
-            addr,
-            meta,
-            payload,
-        } => index.upsert_account(
-            *addr,
-            Loc {
-                file,
-                offset: *payload,
-            },
-            meta.reset_storage,
-        ),
+        Record::Account { addr, meta } => index.upsert_account(*addr, *meta),
         Record::Tombstone { addr } => index.delete_account(*addr),
-        Record::Slot {
-            addr, key, payload, ..
-        } => index.upsert_slot(
-            *addr,
-            *key,
-            Loc {
-                file,
-                offset: *payload,
-            },
-        ),
-        Record::Code { hash, len, payload } => index.upsert_code(
-            *hash,
-            CodeLoc {
-                loc: Loc {
-                    file,
-                    offset: *payload,
-                },
-                len: *len,
-            },
-        ),
+        Record::Slot { addr, key, value } => index.upsert_slot(*addr, *key, *value),
+        Record::Code { hash, code } => index.upsert_code(*hash, code.clone()),
     }
 }
 

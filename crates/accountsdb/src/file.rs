@@ -2,9 +2,10 @@
 //!
 //! Each flush of the write cache produces one immutable, numbered file
 //! (`storage/NNNNNN.acc`): an 16-byte header followed by a sequence of
-//! records. Files are replayed in id order on open; within and across
-//! files, the *latest* record for a location wins — the in-memory index
-//! only ever points at the newest one.
+//! records. The files are a write-only durability log: only
+//! [`AccountsDb::open`](crate::AccountsDb::open) reads them, replaying
+//! them in id order; within and across files, the *latest* record for a
+//! location wins — the in-memory index holds only the newest value.
 //!
 //! Record wire format (all integers big-endian):
 //!
@@ -22,6 +23,7 @@
 //! content-addressed and written at most once per file set.
 
 use mtpu_primitives::{Address, B256, U256};
+use std::sync::Arc;
 
 /// File magic: first 8 header bytes of every storage file.
 pub const MAGIC: &[u8; 8] = b"mtpuacc1";
@@ -32,21 +34,12 @@ pub const HEADER_LEN: u64 = 16;
 pub const FLAG_RESET_STORAGE: u8 = 1;
 
 /// Byte length of an account record's payload (`flags..code_hash`).
-pub const ACCOUNT_PAYLOAD_LEN: usize = 1 + 8 + 32 + 32;
+const ACCOUNT_PAYLOAD_LEN: usize = 1 + 8 + 32 + 32;
 
 const TAG_ACCOUNT: u8 = 1;
 const TAG_TOMBSTONE: u8 = 2;
 const TAG_SLOT: u8 = 3;
 const TAG_CODE: u8 = 4;
-
-/// The location of one record payload inside the file set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Loc {
-    /// Storage-file id (position in the manifest's file list).
-    pub file: u32,
-    /// Byte offset of the payload within that file.
-    pub offset: u64,
-}
 
 /// The resolved per-account metadata stored in an account record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +65,6 @@ pub fn encode_header(buf: &mut Vec<u8>, height: u64) {
 pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: AccountMeta) -> Record {
     buf.push(TAG_ACCOUNT);
     buf.extend_from_slice(addr.as_bytes());
-    let payload = buf.len() as u64;
     buf.push(if meta.reset_storage {
         FLAG_RESET_STORAGE
     } else {
@@ -81,11 +73,7 @@ pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: AccountMeta) -> Re
     buf.extend_from_slice(&meta.nonce.to_be_bytes());
     buf.extend_from_slice(&meta.balance.to_be_bytes());
     buf.extend_from_slice(meta.code_hash.as_bytes());
-    Record::Account {
-        addr,
-        meta,
-        payload,
-    }
+    Record::Account { addr, meta }
 }
 
 /// Appends an account tombstone record; returns it as [`replay`] does.
@@ -100,29 +88,24 @@ pub fn encode_slot(buf: &mut Vec<u8>, addr: Address, key: U256, value: U256) -> 
     buf.push(TAG_SLOT);
     buf.extend_from_slice(addr.as_bytes());
     buf.extend_from_slice(&key.to_be_bytes());
-    let payload = buf.len() as u64;
     buf.extend_from_slice(&value.to_be_bytes());
-    Record::Slot {
-        addr,
-        key,
-        value,
-        payload,
-    }
+    Record::Slot { addr, key, value }
 }
 
 /// Appends a code-blob record; returns it as [`replay`] does.
-pub fn encode_code(buf: &mut Vec<u8>, hash: B256, code: &[u8]) -> Record {
-    let len = code.len() as u32;
+pub fn encode_code(buf: &mut Vec<u8>, hash: B256, code: &Arc<Vec<u8>>) -> Record {
     buf.push(TAG_CODE);
     buf.extend_from_slice(hash.as_bytes());
-    buf.extend_from_slice(&len.to_be_bytes());
-    let payload = buf.len() as u64;
+    buf.extend_from_slice(&(code.len() as u32).to_be_bytes());
     buf.extend_from_slice(code);
-    Record::Code { hash, len, payload }
+    Record::Code {
+        hash,
+        code: code.clone(),
+    }
 }
 
 /// Decodes an account payload previously written by [`encode_account`].
-pub fn decode_account_payload(bytes: &[u8; ACCOUNT_PAYLOAD_LEN]) -> AccountMeta {
+fn decode_account_payload(bytes: &[u8; ACCOUNT_PAYLOAD_LEN]) -> AccountMeta {
     AccountMeta {
         reset_storage: bytes[0] & FLAG_RESET_STORAGE != 0,
         nonce: u64::from_be_bytes(bytes[1..9].try_into().expect("8 bytes")),
@@ -131,24 +114,22 @@ pub fn decode_account_payload(bytes: &[u8; ACCOUNT_PAYLOAD_LEN]) -> AccountMeta 
     }
 }
 
-/// One replayed record plus the in-file offset of its payload.
+/// One decoded record: the values the index holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// Account upsert: payload offset names the meta bytes.
+    /// Account upsert.
     Account {
         /// Account address.
         addr: Address,
         /// Decoded metadata.
         meta: AccountMeta,
-        /// Payload offset for the index.
-        payload: u64,
     },
     /// Account deletion.
     Tombstone {
         /// Account address.
         addr: Address,
     },
-    /// Storage-slot write: payload offset names the 32-byte value.
+    /// Storage-slot write.
     Slot {
         /// Account address.
         addr: Address,
@@ -156,17 +137,13 @@ pub enum Record {
         key: U256,
         /// Slot value (zero = cleared).
         value: U256,
-        /// Payload offset for the index.
-        payload: u64,
     },
-    /// Code blob: payload offset names the first code byte.
+    /// Code blob.
     Code {
         /// keccak(code).
         hash: B256,
-        /// Blob length in bytes.
-        len: u32,
-        /// Payload offset for the index.
-        payload: u64,
+        /// The blob.
+        code: Arc<Vec<u8>>,
     },
 }
 
@@ -196,7 +173,6 @@ pub fn replay(bytes: &[u8]) -> std::io::Result<Vec<Record>> {
             TAG_ACCOUNT => {
                 let addr = read_addr(bytes, pos)?;
                 pos += 20;
-                let payload = pos as u64;
                 let meta: &[u8; ACCOUNT_PAYLOAD_LEN] = bytes
                     .get(pos..pos + ACCOUNT_PAYLOAD_LEN)
                     .and_then(|s| s.try_into().ok())
@@ -204,7 +180,6 @@ pub fn replay(bytes: &[u8]) -> std::io::Result<Vec<Record>> {
                 records.push(Record::Account {
                     addr,
                     meta: decode_account_payload(meta),
-                    payload,
                 });
                 pos += ACCOUNT_PAYLOAD_LEN;
             }
@@ -218,15 +193,9 @@ pub fn replay(bytes: &[u8]) -> std::io::Result<Vec<Record>> {
                 pos += 20;
                 let key = read_u256(bytes, pos)?;
                 pos += 32;
-                let payload = pos as u64;
                 let value = read_u256(bytes, pos)?;
                 pos += 32;
-                records.push(Record::Slot {
-                    addr,
-                    key,
-                    value,
-                    payload,
-                });
+                records.push(Record::Slot { addr, key, value });
             }
             TAG_CODE => {
                 let hash = bytes
@@ -239,11 +208,13 @@ pub fn replay(bytes: &[u8]) -> std::io::Result<Vec<Record>> {
                     .map(|s| u32::from_be_bytes(s.try_into().expect("4 bytes")))
                     .ok_or_else(|| corrupt("truncated code length"))?;
                 pos += 4;
-                let payload = pos as u64;
-                if bytes.len() < pos + len as usize {
-                    return Err(corrupt("truncated code blob"));
-                }
-                records.push(Record::Code { hash, len, payload });
+                let code = bytes
+                    .get(pos..pos + len as usize)
+                    .ok_or_else(|| corrupt("truncated code blob"))?;
+                records.push(Record::Code {
+                    hash,
+                    code: Arc::new(code.to_vec()),
+                });
                 pos += len as usize;
             }
             other => return Err(corrupt(format!("unknown record tag {other}"))),
@@ -282,33 +253,13 @@ mod tests {
         let mut buf = Vec::new();
         encode_header(&mut buf, 42);
         let written = vec![
-            encode_code(&mut buf, B256::keccak(b"code"), b"code"),
+            encode_code(&mut buf, B256::keccak(b"code"), &Arc::new(b"code".to_vec())),
             encode_account(&mut buf, addr, meta),
             encode_tombstone(&mut buf, Address::from_low_u64(8)),
             encode_slot(&mut buf, addr, U256::from(1u64), U256::from(55u64)),
         ];
         // What the encoders return is what replay reads back.
         assert_eq!(replay(&buf).unwrap(), written);
-
-        // Payload offsets decode back to the encoded values.
-        let Record::Account {
-            payload: meta_off, ..
-        } = written[1]
-        else {
-            unreachable!()
-        };
-        let meta_bytes: &[u8; ACCOUNT_PAYLOAD_LEN] = buf
-            [meta_off as usize..meta_off as usize + ACCOUNT_PAYLOAD_LEN]
-            .try_into()
-            .unwrap();
-        assert_eq!(decode_account_payload(meta_bytes), meta);
-        let Record::Code {
-            payload: code_off, ..
-        } = written[0]
-        else {
-            unreachable!()
-        };
-        assert_eq!(&buf[code_off as usize..code_off as usize + 4], b"code");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The in-memory index over the storage-file set: for every account and
-//! storage slot, where its *newest* record lives.
+//! The in-memory index of the flat store: for every account, storage
+//! slot and code blob, its *newest* value. A write-cache miss is one probe
+//! here; the storage files are read only to rebuild the index on open.
 //!
 //! Generations make selfdestruct/recreate cheap: each account carries a
 //! generation counter bumped by tombstones and storage resets, and every
@@ -8,9 +9,10 @@
 //! no scan over the (unbounded) slot map is ever needed to invalidate
 //! stale storage.
 
-use crate::file::Loc;
+use crate::file::AccountMeta;
 use mtpu_primitives::map::FastMap;
 use mtpu_primitives::{Address, B256, U256};
+use std::sync::Arc;
 
 /// Index entry for one account.
 #[derive(Debug, Clone, Copy)]
@@ -18,28 +20,18 @@ pub struct AccountEntry {
     /// Storage generation; slot entries with a different generation are
     /// invisible.
     pub gen: u32,
-    /// Location of the newest account metadata payload; `None` after a
-    /// tombstone (the account does not exist).
-    pub meta: Option<Loc>,
+    /// The newest account metadata; `None` after a tombstone (the account
+    /// does not exist).
+    pub meta: Option<AccountMeta>,
 }
 
-/// Location of a code blob payload.
-#[derive(Debug, Clone, Copy)]
-pub struct CodeLoc {
-    /// Payload location.
-    pub loc: Loc,
-    /// Blob length in bytes.
-    pub len: u32,
-}
-
-/// Slot entry: where the newest value lives and which account generation
-/// wrote it.
+/// Slot entry: the newest value and the account generation that wrote it.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotEntry {
     /// Generation the slot was written under.
     pub gen: u32,
-    /// Location of the 32-byte value payload.
-    pub loc: Loc,
+    /// The value (zero = cleared).
+    pub value: U256,
 }
 
 /// The whole flat index, kept behind one `RwLock` in the store: lookups
@@ -48,7 +40,7 @@ pub struct SlotEntry {
 pub struct FlatIndex {
     accounts: FastMap<Address, AccountEntry>,
     slots: FastMap<(Address, U256), SlotEntry>,
-    code: FastMap<B256, CodeLoc>,
+    code: FastMap<B256, Arc<Vec<u8>>>,
 }
 
 impl FlatIndex {
@@ -57,31 +49,31 @@ impl FlatIndex {
         self.accounts.get(&addr).copied()
     }
 
-    /// The location of `addr`'s visible value for `key`, if any.
-    pub fn slot(&self, addr: Address, key: U256) -> Option<Loc> {
+    /// `addr`'s visible value for `key`, if any.
+    pub fn slot(&self, addr: Address, key: U256) -> Option<U256> {
         let gen = self.accounts.get(&addr).map(|a| a.gen).unwrap_or(0);
         match self.slots.get(&(addr, key)) {
-            Some(entry) if entry.gen == gen => Some(entry.loc),
+            Some(entry) if entry.gen == gen => Some(entry.value),
             _ => None,
         }
     }
 
-    /// The location of the blob for `hash`, if recorded.
-    pub fn code(&self, hash: B256) -> Option<CodeLoc> {
-        self.code.get(&hash).copied()
+    /// The blob for `hash`, if recorded.
+    pub fn code(&self, hash: B256) -> Option<&Arc<Vec<u8>>> {
+        self.code.get(&hash)
     }
 
-    /// Records an account upsert. `reset_storage` bumps the generation,
-    /// hiding every previously indexed slot of the account.
-    pub fn upsert_account(&mut self, addr: Address, loc: Loc, reset_storage: bool) {
+    /// Records an account upsert. `meta.reset_storage` bumps the
+    /// generation, hiding every previously indexed slot of the account.
+    pub fn upsert_account(&mut self, addr: Address, meta: AccountMeta) {
         let entry = self
             .accounts
             .entry(addr)
             .or_insert(AccountEntry { gen: 0, meta: None });
-        if reset_storage {
+        if meta.reset_storage {
             entry.gen += 1;
         }
-        entry.meta = Some(loc);
+        entry.meta = Some(meta);
     }
 
     /// Records an account deletion: the metadata vanishes and the
@@ -96,15 +88,15 @@ impl FlatIndex {
     }
 
     /// Records a slot write under the account's current generation.
-    pub fn upsert_slot(&mut self, addr: Address, key: U256, loc: Loc) {
+    pub fn upsert_slot(&mut self, addr: Address, key: U256, value: U256) {
         let gen = self.accounts.get(&addr).map(|a| a.gen).unwrap_or(0);
-        self.slots.insert((addr, key), SlotEntry { gen, loc });
+        self.slots.insert((addr, key), SlotEntry { gen, value });
     }
 
     /// Records a code blob (first write wins; blobs are content-addressed
     /// and immutable).
-    pub fn upsert_code(&mut self, hash: B256, loc: CodeLoc) {
-        self.code.entry(hash).or_insert(loc);
+    pub fn upsert_code(&mut self, hash: B256, code: Arc<Vec<u8>>) {
+        self.code.entry(hash).or_insert(code);
     }
 
     /// Iterates every indexed account entry.
@@ -114,10 +106,10 @@ impl FlatIndex {
 
     /// Iterates every slot entry that is visible under its account's
     /// current generation.
-    pub fn iter_live_slots(&self) -> impl Iterator<Item = (Address, U256, Loc)> + '_ {
+    pub fn iter_live_slots(&self) -> impl Iterator<Item = (Address, U256, U256)> + '_ {
         self.slots.iter().filter_map(|((addr, key), entry)| {
             let gen = self.accounts.get(addr).map(|a| a.gen).unwrap_or(0);
-            (entry.gen == gen).then_some((*addr, *key, entry.loc))
+            (entry.gen == gen).then_some((*addr, *key, entry.value))
         })
     }
 }
@@ -126,8 +118,13 @@ impl FlatIndex {
 mod tests {
     use super::*;
 
-    fn loc(file: u32, offset: u64) -> Loc {
-        Loc { file, offset }
+    fn meta(nonce: u64, reset_storage: bool) -> AccountMeta {
+        AccountMeta {
+            reset_storage,
+            nonce,
+            balance: U256::from(nonce * 10),
+            code_hash: B256::ZERO,
+        }
     }
 
     #[test]
@@ -135,9 +132,9 @@ mod tests {
         let mut ix = FlatIndex::default();
         let addr = Address::from_low_u64(1);
         let key = U256::from(5u64);
-        ix.upsert_account(addr, loc(0, 16), true);
-        ix.upsert_slot(addr, key, loc(0, 100));
-        assert_eq!(ix.slot(addr, key), Some(loc(0, 100)));
+        ix.upsert_account(addr, meta(1, true));
+        ix.upsert_slot(addr, key, U256::from(100u64));
+        assert_eq!(ix.slot(addr, key), Some(U256::from(100u64)));
 
         // Selfdestruct: meta gone, slot invisible without touching it.
         ix.delete_account(addr);
@@ -145,20 +142,33 @@ mod tests {
         assert_eq!(ix.slot(addr, key), None);
 
         // Recreate with reset: still invisible; a new write is visible.
-        ix.upsert_account(addr, loc(1, 16), true);
+        ix.upsert_account(addr, meta(2, true));
+        assert_eq!(ix.account(addr).unwrap().meta, Some(meta(2, true)));
         assert_eq!(ix.slot(addr, key), None);
-        ix.upsert_slot(addr, key, loc(1, 60));
-        assert_eq!(ix.slot(addr, key), Some(loc(1, 60)));
-        assert_eq!(ix.iter_live_slots().count(), 1);
+        ix.upsert_slot(addr, key, U256::from(60u64));
+        assert_eq!(ix.slot(addr, key), Some(U256::from(60u64)));
+        let live: Vec<_> = ix.iter_live_slots().collect();
+        assert_eq!(live, vec![(addr, key, U256::from(60u64))]);
     }
 
     #[test]
     fn non_reset_upsert_keeps_slots_visible() {
         let mut ix = FlatIndex::default();
         let addr = Address::from_low_u64(2);
-        ix.upsert_account(addr, loc(0, 16), true);
-        ix.upsert_slot(addr, U256::ONE, loc(0, 40));
-        ix.upsert_account(addr, loc(1, 16), false); // balance update
-        assert_eq!(ix.slot(addr, U256::ONE), Some(loc(0, 40)));
+        ix.upsert_account(addr, meta(1, true));
+        ix.upsert_slot(addr, U256::ONE, U256::from(40u64));
+        ix.upsert_account(addr, meta(2, false)); // balance update
+        assert_eq!(ix.slot(addr, U256::ONE), Some(U256::from(40u64)));
+        assert_eq!(ix.account(addr).unwrap().meta, Some(meta(2, false)));
+    }
+
+    #[test]
+    fn the_first_code_blob_of_a_hash_wins() {
+        let mut ix = FlatIndex::default();
+        let hash = B256::keccak(b"c");
+        ix.upsert_code(hash, Arc::new(b"c".to_vec()));
+        ix.upsert_code(hash, Arc::new(b"other".to_vec()));
+        assert_eq!(ix.code(hash).map(|c| c.as_slice()), Some(&b"c"[..]));
+        assert!(ix.code(B256::ZERO).is_none());
     }
 }

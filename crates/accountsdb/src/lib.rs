@@ -11,11 +11,12 @@
 //!
 //! - [`WriteCache`](cache::WriteCache) — committed block deltas land
 //!   here, fully resolved; recent state is served lock-cheap from memory.
-//! - [`FlatIndex`](index::FlatIndex) — `addr → (file, offset)` for the
-//!   newest record of every account, slot and code blob, with per-account
-//!   generations making selfdestruct/recreate O(1).
+//! - [`FlatIndex`](index::FlatIndex) — the newest value of every
+//!   account, slot and code blob, with per-account generations making
+//!   selfdestruct/recreate O(1); a write-cache miss is one probe here.
 //! - storage files ([`file`](mod@file)) — immutable, numbered, append-only record
-//!   files produced by each flush.
+//!   files produced by each flush: a write-only durability log that only
+//!   [`AccountsDb::open`] reads back.
 //! - [`FlushService`] — a background thread draining cache → file, off
 //!   the block critical path.
 //! - snapshot/restore ([`AccountsDb::snapshot`], [`AccountsDb::open`]) —
@@ -35,5 +36,4 @@ pub mod obs;
 pub mod service;
 
 pub use db::{AccountsDb, DbStats};
-pub use file::Loc;
 pub use service::FlushService;

@@ -3,14 +3,14 @@
 //! [`mtpu_telemetry::enabled`]. Metric names are documented in
 //! DESIGN.md §7.
 
-use mtpu_telemetry::{Counter, Gauge, Histogram};
+use mtpu_telemetry::{Counter, Gauge};
 use std::sync::OnceLock;
 
 /// Cached handles for the accounts-DB metrics.
 pub struct AccountsDbMetrics {
     /// Reads served by the write cache (`accountsdb.cache_hit`).
     pub cache_hit: Counter,
-    /// Reads that fell through to the index + storage files
+    /// Reads the write cache missed, answered by the in-memory index
     /// (`accountsdb.cache_miss`).
     pub cache_miss: Counter,
     /// Write-cache flushes into a storage file (`accountsdb.flush`).
@@ -22,8 +22,6 @@ pub struct AccountsDbMetrics {
     /// Blocks between the head and the last flushed height
     /// (`accountsdb.flush_lag`).
     pub flush_lag: Gauge,
-    /// Positional storage-file read latency in ns (`accountsdb.read_ns`).
-    pub read_ns: Histogram,
 }
 
 /// The process-wide cached handle set.
@@ -38,7 +36,6 @@ pub fn metrics() -> &'static AccountsDbMetrics {
             snapshot: reg.counter("accountsdb.snapshot"),
             cache_depth: reg.gauge("accountsdb.cache_depth"),
             flush_lag: reg.gauge("accountsdb.flush_lag"),
-            read_ns: reg.histogram("accountsdb.read_ns"),
         }
     })
 }

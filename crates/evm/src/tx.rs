@@ -84,6 +84,20 @@ impl Transaction {
         ])
     }
 
+    /// Length of [`Transaction::rlp_encode`]'s output, computed without
+    /// building it.
+    pub fn rlp_len(&self) -> usize {
+        let to: &[u8] = self.to.as_ref().map_or(&[], |a| a.as_bytes());
+        let payload = rlp::encoded_u256_len(U256::from(self.nonce))
+            + rlp::encoded_u256_len(self.gas_price)
+            + rlp::encoded_u256_len(U256::from(self.gas_limit))
+            + rlp::encoded_bytes_len(self.from.as_bytes())
+            + rlp::encoded_bytes_len(to)
+            + rlp::encoded_u256_len(self.value)
+            + rlp::encoded_bytes_len(&self.data);
+        rlp::header_len(payload) + payload
+    }
+
     /// Decodes a transaction produced by [`Transaction::rlp_encode`].
     ///
     /// # Errors
@@ -303,6 +317,42 @@ mod tests {
         let dec = Transaction::rlp_decode(&tx.rlp_encode()).unwrap();
         assert_eq!(dec.to, None);
         assert_eq!(dec, tx);
+    }
+
+    #[test]
+    fn rlp_len_matches_the_encoding_on_edge_cases() {
+        let words = [
+            U256::ZERO,
+            U256::ONE,
+            U256::from(0x7fu64),
+            U256::from(0x80u64),
+            U256::from(0x100u64),
+            U256::from(u64::MAX),
+            U256::MAX,
+        ];
+        // Empty, single bytes on both sides of 0x80, the short/long string
+        // header boundary (55/56) and lengths with two and three length bytes.
+        let datas: Vec<Vec<u8>> = [&[][..], &[0x7f], &[0x80], &[0xaa; 55], &[0xaa; 56]]
+            .iter()
+            .map(|d| d.to_vec())
+            .chain([vec![0x01; 256], vec![0x02; 70_000]])
+            .collect();
+        for to in [None, Some(Address::from_low_u64(2))] {
+            for data in &datas {
+                for &word in &words {
+                    let tx = Transaction {
+                        nonce: word.low_u64(),
+                        gas_price: word,
+                        gas_limit: word.low_u64(),
+                        from: Address::from_low_u64(1),
+                        to,
+                        value: word,
+                        data: data.clone(),
+                    };
+                    assert_eq!(tx.rlp_len(), tx.rlp_encode().len(), "{tx:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl Mempool {
             Err(TxError::IntrinsicGasTooLow) => return self.reject(Rejected::IntrinsicGas),
         };
 
-        let bytes = tx.rlp_encode().len();
+        let bytes = tx.rlp_len();
         // Budget enforcement happens before taking the sender's shard
         // lock (the victim scan visits every shard). The incoming fee
         // must beat the cheapest tail it displaces.

@@ -8,6 +8,7 @@ use mtpu_evm::tx::{Block, BlockHeader, Transaction};
 use mtpu_mempool::{Admitted, BlockPacker, Mempool, PackerConfig, PoolConfig, Rejected};
 use mtpu_parexec::ParExecutor;
 use mtpu_primitives::{Address, U256};
+use mtpu_workloads::{BlockConfig, Generator, ZipfConfig, ZipfGen};
 
 fn genesis(users: u64) -> State {
     let mut st = State::new();
@@ -392,4 +393,31 @@ fn external_block_purges_stale_pooled_transactions() {
     assert_eq!(pool.len(), 1);
     let chains = pool.ready_chains();
     assert_eq!(chains[0].txs[0].tx.nonce, 2);
+}
+
+/// The pool charges each transaction its encoded size through
+/// `rlp_len`, which must equal the encoding's length on every stream the
+/// benchmarks admit: the Zipf default, a contended Zipf stream and the
+/// paper's block generator.
+#[test]
+fn rlp_len_matches_the_encoding_over_generator_streams() {
+    let contended = ZipfConfig {
+        theta: 1.3,
+        hot_ratio: 0.8,
+        hot_slots: 1,
+        sct_ratio: 0.95,
+        ..ZipfConfig::default()
+    };
+    let mut txs = Vec::new();
+    for (seed, cfg) in [(1, ZipfConfig::default()), (2, contended)] {
+        let mut gen = ZipfGen::new(seed, cfg);
+        txs.extend((0..2_000).map(|_| gen.next_tx()));
+    }
+    let mut gen = Generator::new(3);
+    for _ in 0..4 {
+        txs.extend(gen.block(&BlockConfig::default()).transactions);
+    }
+    for tx in &txs {
+        assert_eq!(tx.rlp_len(), tx.rlp_encode().len(), "{tx:?}");
+    }
 }

@@ -308,10 +308,13 @@ impl DbCache {
         }
     }
 
-    /// The set of `key`: `DefaultHasher` over the derived `Hash` of
-    /// `LineKey` (its `code`, then its `pc`), resumed from the cached
-    /// state after `code`. The index must not change: it decides which
-    /// lines conflict, and with them every simulated value. It models a
+    /// The set of `key`: `DefaultHasher` over an explicit byte stream —
+    /// `write_usize(32)`, the 32 bytes of `code`, then `write_u32(pc)` —
+    /// resumed from the cached state after `code`. The stream is spelled
+    /// out rather than taken from `LineKey`'s `Hash`, so no change to a
+    /// primitive's `Hash` can move it. The index must not change: it
+    /// decides which lines conflict, and with them every simulated value.
+    /// It models a
     /// fixed hardware index function, so it stays on the unseeded
     /// `DefaultHasher` rather than the per-process seeded
     /// [`FastMap`](mtpu_primitives::map::FastMap) hasher, whose sets would
@@ -321,12 +324,13 @@ impl DbCache {
             Some((code, state)) if *code == key.code => state,
             slot => {
                 let mut state = DefaultHasher::new();
-                key.code.hash(&mut state);
+                state.write_usize(32);
+                state.write(key.code.as_bytes());
                 &mut slot.insert((key.code, state)).1
             }
         };
         let mut h = state.clone();
-        key.pc.hash(&mut h);
+        h.write_u32(key.pc);
         (h.finish() as usize) % self.sets.len()
     }
 
@@ -592,7 +596,9 @@ mod tests {
                 pc: i.wrapping_mul(2_654_435_761),
             };
             let mut h = DefaultHasher::new();
-            key.hash(&mut h);
+            h.write_usize(32);
+            h.write(key.code.as_bytes());
+            h.write_u32(key.pc);
             assert_eq!(c.set_index(&key), (h.finish() as usize) % 512, "{key:?}");
         }
     }

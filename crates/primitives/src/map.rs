@@ -168,7 +168,7 @@ impl Hasher for FoldHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{keccak256, Address, SplitMix64, U256};
+    use crate::{keccak256, Address, SplitMix64, B256, U256};
     use std::hash::Hash;
 
     const KEYS: usize = 1 << 16;
@@ -195,6 +195,36 @@ mod tests {
 
     fn sequential() -> impl Iterator<Item = u64> {
         0..KEYS as u64
+    }
+
+    /// The bytes of every `write` a key's `Hash` makes.
+    fn writes(key: impl Hash) -> Vec<Vec<u8>> {
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Hasher for Writes {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.push(bytes.to_vec());
+            }
+            fn finish(&self) -> u64 {
+                0
+            }
+        }
+        let mut w = Writes::default();
+        key.hash(&mut w);
+        w.0
+    }
+
+    #[test]
+    fn state_keys_hash_without_a_length_prefix() {
+        let addr = Address::from_low_u64(7);
+        assert_eq!(writes(addr), [addr.as_bytes().to_vec()]);
+        let hash = B256::keccak(b"x");
+        assert_eq!(writes(hash), [hash.as_bytes().to_vec()]);
+        let limbs = [1u64, 2, 3, u64::MAX];
+        assert_eq!(
+            writes(U256::from_limbs(limbs)),
+            limbs.map(|l| l.to_ne_bytes().to_vec())
+        );
     }
 
     #[test]

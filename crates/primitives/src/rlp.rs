@@ -121,6 +121,15 @@ pub fn encoded_bytes_len(b: &[u8]) -> usize {
     }
 }
 
+/// Exact encoded length of `v` as a canonical integer ([`Item::u256`]),
+/// computed without writing it.
+pub fn encoded_u256_len(v: U256) -> usize {
+    match v.byte_len() {
+        1 if v.low_u64() < 0x80 => 1,
+        len => header_len(len) + len,
+    }
+}
+
 /// Appends the encoding of the byte string `b` to `out`. With
 /// [`encode_header`] this lets an encoder write a structure straight
 /// into one exactly-sized buffer instead of building an [`Item`] tree.

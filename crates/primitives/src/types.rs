@@ -3,6 +3,7 @@
 use crate::keccak::keccak256;
 use crate::u256::U256;
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use core::str::FromStr;
 
 /// A 160-bit Ethereum account address.
@@ -13,8 +14,17 @@ use core::str::FromStr;
 /// assert_eq!(a.as_bytes()[19], 0xaa);
 /// # Ok::<(), mtpu_primitives::ParseBytesError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Address([u8; 20]);
+
+/// The 20 bytes alone: a derived `Hash` would first write the array's
+/// constant length, one wasted hasher step per map probe.
+impl Hash for Address {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
 
 impl Address {
     /// The zero address (used for contract creation and burns).
@@ -143,8 +153,16 @@ impl FromStr for Address {
 }
 
 /// A 256-bit hash or opaque word (block hashes, code hashes, storage roots).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct B256([u8; 32]);
+
+/// The 32 bytes alone, with no length prefix (see [`Address`]'s `Hash`).
+impl Hash for B256 {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
 
 impl B256 {
     /// The all-zero hash.

@@ -8,6 +8,7 @@
 
 use core::cmp::Ordering;
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use core::iter::{Product, Sum};
 use core::ops::{
     Add, AddAssign, BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Div, Mul,
@@ -31,8 +32,19 @@ pub const LIMBS: usize = 4;
 /// assert_eq!(a + U256::ONE, U256::ZERO); // wrapping
 /// assert_eq!(U256::from(7u64).evm_div(U256::ZERO), U256::ZERO);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct U256(pub(crate) [u64; LIMBS]);
+
+/// The four limbs alone: a derived `Hash` would first write the array's
+/// constant length, one wasted hasher step per map probe.
+impl Hash for U256 {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for limb in self.0 {
+            state.write_u64(limb);
+        }
+    }
+}
 
 impl U256 {
     /// The additive identity.

@@ -4,21 +4,25 @@
 //! Publication is append-only and readers never block writers for long: a
 //! lookup takes the window's read lock only to clone one `Arc` out, and
 //! the write lock is held only for the push + prune bookkeeping of a
-//! publish. The window never holds more than its retention budget: a
-//! reader that pinned an old height keeps reading it through its own
-//! `Arc`, but no longer finds it in the window.
+//! publish. Each transaction is hashed once, before the lock: its block
+//! keeps the hashes, and pruning it removes exactly those. The window
+//! never holds more than its retention budget: a reader that pinned an
+//! old height keeps reading it through its own `Arc`, but no longer
+//! finds it in the window.
 
 use crate::obs;
 use crate::snapshot::BlockSnapshot;
 use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 
 #[derive(Debug, Default)]
 struct Window {
-    /// Retained snapshots in height order (contiguous).
-    snaps: VecDeque<Arc<BlockSnapshot>>,
+    /// Retained snapshots in height order (contiguous), each with its
+    /// transactions' hashes in block order.
+    snaps: VecDeque<(Arc<BlockSnapshot>, Vec<B256>)>,
     /// Transaction hash → (height, index in block) for every retained
     /// block.
     tx_index: FastMap<B256, (u64, usize)>,
@@ -45,23 +49,34 @@ impl SnapshotChain {
     /// Publishes the next snapshot (heights must arrive in order) and
     /// prunes the tail of the window past the retention budget.
     pub fn publish(&self, snap: Arc<BlockSnapshot>) {
+        let hashes: Vec<B256> = snap
+            .block()
+            .transactions
+            .iter()
+            .map(|tx| tx.hash())
+            .collect();
         let mut w = self.window.write().expect("snapshot window poisoned");
-        if let Some(last) = w.snaps.back() {
+        if let Some((last, _)) = w.snaps.back() {
             assert_eq!(
                 last.height() + 1,
                 snap.height(),
                 "snapshots must publish in height order"
             );
         }
-        for (i, tx) in snap.block().transactions.iter().enumerate() {
-            w.tx_index.insert(tx.hash(), (snap.height(), i));
+        for (i, hash) in hashes.iter().enumerate() {
+            w.tx_index.insert(*hash, (snap.height(), i));
         }
-        w.snaps.push_back(snap);
+        w.snaps.push_back((snap, hashes));
         let mut pruned_now = 0u64;
         while w.snaps.len() > self.retention {
-            let dropped = w.snaps.pop_front().expect("len > retention >= 1");
-            for tx in dropped.block().transactions.iter() {
-                w.tx_index.remove(&tx.hash());
+            let (dropped, hashes) = w.snaps.pop_front().expect("len > retention >= 1");
+            for hash in hashes {
+                // A hash a newer retained block repeats stays indexed there.
+                if let Entry::Occupied(e) = w.tx_index.entry(hash) {
+                    if e.get().0 == dropped.height() {
+                        e.remove();
+                    }
+                }
             }
             w.pruned += 1;
             pruned_now += 1;
@@ -81,21 +96,21 @@ impl SnapshotChain {
             .expect("snapshot window poisoned")
             .snaps
             .back()
-            .cloned()
+            .map(|(snap, _)| snap.clone())
     }
 
     /// The snapshot at `height`, if still retained.
     pub fn at(&self, height: u64) -> Option<Arc<BlockSnapshot>> {
         let w = self.window.read().expect("snapshot window poisoned");
-        let lo = w.snaps.front()?.height();
+        let lo = w.snaps.front()?.0.height();
         let idx = height.checked_sub(lo)? as usize;
-        w.snaps.get(idx).cloned()
+        w.snaps.get(idx).map(|(snap, _)| snap.clone())
     }
 
     /// The retained height range `(oldest, newest)`, if non-empty.
     pub fn retained(&self) -> Option<(u64, u64)> {
         let w = self.window.read().expect("snapshot window poisoned");
-        Some((w.snaps.front()?.height(), w.snaps.back()?.height()))
+        Some((w.snaps.front()?.0.height(), w.snaps.back()?.0.height()))
     }
 
     /// Number of snapshots currently retained.
@@ -132,11 +147,19 @@ impl SnapshotChain {
 mod tests {
     use super::*;
     use mtpu_evm::state::State;
-    use mtpu_evm::tx::{Block, BlockHeader};
+    use mtpu_evm::tx::{Block, BlockHeader, Transaction};
     use mtpu_evm::StateRead;
     use mtpu_primitives::{Address, U256};
 
     fn snap(height: u64, base: &Arc<State>) -> Arc<BlockSnapshot> {
+        snap_with(height, base, Vec::new())
+    }
+
+    fn snap_with(
+        height: u64,
+        base: &Arc<State>,
+        transactions: Vec<Transaction>,
+    ) -> Arc<BlockSnapshot> {
         Arc::new(BlockSnapshot::new(
             height,
             base.clone(),
@@ -147,7 +170,7 @@ mod tests {
                     height,
                     ..Default::default()
                 },
-                transactions: Vec::new(),
+                transactions,
             }),
             Arc::new(Vec::new()),
         ))
@@ -195,6 +218,45 @@ mod tests {
             pinned.read_balance(Address::from_low_u64(7)),
             U256::from(42u64)
         );
+    }
+
+    /// A transfer distinct per `n`.
+    fn transfer(n: u64) -> Transaction {
+        Transaction::transfer(
+            Address::from_low_u64(1),
+            Address::from_low_u64(2),
+            U256::from(n),
+            n,
+        )
+    }
+
+    #[test]
+    fn lookup_finds_retained_transactions_and_misses_pruned_ones() {
+        let base = Arc::new(State::new());
+        let chain = SnapshotChain::new(2);
+        for h in 0..4 {
+            chain.publish(snap_with(
+                h,
+                &base,
+                vec![transfer(2 * h), transfer(2 * h + 1)],
+            ));
+        }
+        assert_eq!(chain.retained(), Some((2, 3)));
+        for n in 0..4 {
+            assert_eq!(chain.lookup_tx(transfer(n).hash()), None, "pruned tx {n}");
+        }
+        for n in 4..8 {
+            let found = chain.lookup_tx(transfer(n).hash());
+            assert_eq!(found, Some((n / 2, n as usize % 2)), "retained tx {n}");
+        }
+
+        // A hash repeated by a newer block stays indexed at the newer
+        // block when the older one is pruned.
+        chain.publish(snap_with(4, &base, vec![transfer(5)]));
+        chain.publish(snap_with(5, &base, Vec::new()));
+        assert_eq!(chain.retained(), Some((4, 5)));
+        assert_eq!(chain.lookup_tx(transfer(5).hash()), Some((4, 0)));
+        assert_eq!(chain.lookup_tx(transfer(6).hash()), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> stress (release): the deep protocol explorer and the deep crash sweep once, then the parexec oracles and the read-layer race x20"
+echo "==> stress (release): the deep protocol explorer, the deep crash sweep and the deep index model sweep once, then the parexec oracles and the read-layer race x20"
 # The explorer (tests/parexec_protocol.rs) checks every interleaving of the
 # lane/speculator hand-off table; its deep search (every DAG of 5
 # transactions, 3 speculators) is ignored in the tier-1 run and runs here.
@@ -38,6 +38,9 @@ cargo test --release -q --test parexec_protocol -- --ignored
 # The flat store's crash explorer (tests/accountsdb_crash.rs): the deep
 # sweep tries every tear offset over 8 flushes and 3 snapshots (~10 s).
 cargo test --release -q --test accountsdb_crash -- --ignored
+# The flat index against its BTreeMap model (tests/accountsdb_index.rs):
+# the deep sweep runs 4000 random operation sequences (~7 s).
+cargo test --release -q --test accountsdb_index -- --ignored
 for _ in $(seq 20); do
     cargo test --release -q -p mtpu-parexec >/dev/null
     cargo test --release -q --test parexec_serializability -- \

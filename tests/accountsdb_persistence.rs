@@ -118,6 +118,39 @@ fn snapshot_survives_restart_and_continues() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The storage files are a write-only durability log: once a store is
+/// open, its index holds every value, so deleting the files changes no
+/// read — every account, slot and code blob, and the derived root.
+#[test]
+fn an_open_store_reads_without_its_storage_files() {
+    let dir = scratch_dir("nofiles");
+    let executor = ParExecutor::new(2);
+    let mut generator = Generator::new(0x0F11E5);
+    let mut state = generator.fx.state.clone();
+
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&state, 0);
+    db.flush_up_to(0).expect("flush genesis");
+    for h in 1..=3 {
+        advance(&mut generator, &executor, &db, &mut state, h, 48);
+        db.flush_up_to(h).expect("flush block");
+    }
+    let head_root = state.merkle_root();
+    db.snapshot(Some(head_root)).expect("snapshot chain head");
+    drop(db);
+
+    let reopened = AccountsDb::open(&dir).expect("reopen accounts db");
+    let mut deleted = 0;
+    for entry in std::fs::read_dir(dir.join("storage")).expect("list storage files") {
+        std::fs::remove_file(entry.expect("storage entry").path()).expect("delete storage file");
+        deleted += 1;
+    }
+    assert_eq!(deleted, 4, "genesis and three blocks, one file each");
+    assert_reads_match(&reopened, &state, "storage files deleted");
+    assert_eq!(reopened.export_state().merkle_root(), head_root);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The satellite's sharp edge: the flush service has written (and
 /// fsynced) storage files for a block, but the process dies before the
 /// snapshot updates the MANIFEST. Reopen must land on the last durable

@@ -10,8 +10,8 @@
 //! [`FUSION_LOCK`] and always restore the enabled state.
 //!
 //! The same harness also differentially tests the flat accounts-DB as an
-//! execution backend: blocks whose reads resolve through its storage
-//! files must give receipts and roots identical to the in-memory backend
+//! execution backend: blocks whose reads all miss its write cache and
+//! resolve through its flat index must give receipts and roots identical to the in-memory backend
 //! and to sequential execution, across thread counts.
 
 use mtpu_repro::accountsdb::AccountsDb;
@@ -390,8 +390,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A flat store holding exactly `base`, with everything already moved
-/// into storage files so execution reads exercise the positional path.
+/// A flat store holding exactly `base`, with everything already flushed
+/// out of the write cache so execution reads exercise the index path.
 fn flat_of(base: &State, tag: &str) -> (Arc<AccountsDb>, std::path::PathBuf) {
     let dir = scratch_dir(tag);
     let db = Arc::new(AccountsDb::open(&dir).expect("open flat store"));
@@ -625,7 +625,7 @@ fn flat_grid_is_observationally_identical() {
                 "{name} threads={threads} state: root"
             );
 
-            // Flat accounts-DB backend, every read served from its files.
+            // Flat accounts-DB backend, every read served by its index.
             let tag = format!("{name} threads={threads}");
             let (db, dir) = flat_of(base, &format!("grid-{name}-{threads}"));
             let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), block, dag, &[]);
@@ -689,7 +689,7 @@ fn stale_base_reads_are_repaired_by_validation() {
             "threads={threads} state backend lost increments to stale reads"
         );
 
-        // Flat backend: its files hold the (soon-stale) pre-block value
+        // Flat backend: its index holds the (soon-stale) pre-block value
         // of slot 0 while later transactions execute.
         let (db, dir) = flat_of(&base, &format!("stale-{threads}"));
         let dag = DepGraph::sender_order(&block.transactions);

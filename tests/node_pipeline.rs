@@ -242,8 +242,8 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
                 "flat root diverged at block {i} threads {threads}"
             );
             db.absorb(&result.delta, height);
-            // Flush behind the head so later blocks read flushed files
-            // through the index, not just the write cache.
+            // Flush behind the head so later blocks read flushed values
+            // from the index, not just the write cache.
             db.flush_up_to(height.saturating_sub(1)).expect("flush");
         }
 
