@@ -1,35 +1,34 @@
 //! [`AccountsDb`]: the flat account store itself.
 //!
-//! Reads go write cache → index, both in memory; committed block deltas
-//! are absorbed into the write cache fully resolved; a flush moves every
-//! entry at or below a height cursor into a fresh append-only storage
-//! file and the index (the files are a write-only durability log that
-//! only [`AccountsDb::open`] reads back); a snapshot flushes everything
-//! and writes an atomic MANIFEST naming the durable file set. Reopening honors only the
-//! MANIFEST — files flushed after the last snapshot are invisible. The
-//! MANIFEST is the node's one durable checkpoint: the state trie is not
-//! stored, it is derived from the reopened store
-//! ([`AccountsDb::export_state`]) and checked against the root the
-//! snapshot recorded.
+//! One in-memory structure answers every read: the [`FlatIndex`], which
+//! holds the newest value of every account, slot and code blob. Absorb
+//! writes each committed block delta into it and notes the touched
+//! accounts in the flush queue; a flush writes every queued account last
+//! written at or below a height cursor, with its values read from the
+//! index, into a fresh append-only storage file (the files are a
+//! write-only durability log that only [`AccountsDb::open`] reads back);
+//! a snapshot flushes everything and writes an atomic MANIFEST naming the
+//! durable file set. Reopening honors only the MANIFEST — files flushed
+//! after the last snapshot are invisible. The MANIFEST is the node's one
+//! durable checkpoint: the state trie is not stored, it is derived from
+//! the reopened store ([`AccountsDb::export_state`]) and checked against
+//! the root the snapshot recorded.
 
-use crate::cache::{CachedAccount, WriteCache};
 use crate::durable::{
     flush_plan, snapshot_plan, storage_path, Fs, FsOp, RealFs, MANIFEST_FILE, STORAGE_DIR,
 };
-use crate::file::{
-    corrupt, encode_account, encode_code, encode_header, encode_slot, encode_tombstone, replay,
-    AccountMeta, Record,
-};
+use crate::file::{corrupt, encode_header, replay, AccountMeta, Record};
 use crate::index::FlatIndex;
 use crate::obs;
+use crate::queue::FlushQueue;
 use mtpu_evm::overlay::{BlockDelta, StateRead};
 use mtpu_evm::state::{Account, State};
-use mtpu_primitives::map::FastMap;
+use mtpu_primitives::map::{FastMap, FastSet};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// Manifest schema line; bump when the on-disk layout changes.
 const MANIFEST_SCHEMA: &str = "mtpu-accountsdb/v1";
@@ -37,14 +36,16 @@ const MANIFEST_SCHEMA: &str = "mtpu-accountsdb/v1";
 /// Point-in-time counters and sizes, for benches and reports.
 #[derive(Debug, Clone, Default)]
 pub struct DbStats {
-    /// Reads served by the write cache.
+    /// Always 0: every read is one index probe, and there is no cache to
+    /// hit. Kept because the spine's `accountsdb.cache_hit_ratio` row
+    /// reads it.
     pub cache_hits: u64,
-    /// Reads that fell through to the index.
+    /// Always 0, as [`DbStats::cache_hits`].
     pub cache_misses: u64,
     /// Flushes performed.
     pub flushes: u64,
-    /// Accounts currently in the write cache.
-    pub cache_entries: usize,
+    /// Accounts in the flush queue.
+    pub pending_accounts: usize,
     /// Storage files in the set.
     pub files: usize,
     /// Total bytes across the storage files.
@@ -56,18 +57,105 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    /// Fraction of reads served by the write cache.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
     /// Blocks the flush cursor trails the head.
     pub fn flush_lag(&self) -> u64 {
         self.head_height.saturating_sub(self.flushed_height)
+    }
+}
+
+/// The head state and what the files still lack of it, behind one lock.
+#[derive(Debug, Default)]
+struct Head {
+    /// Every account, slot and code blob at the absorbed head.
+    index: FlatIndex,
+    /// The accounts absorbed since their last flush.
+    queue: FlushQueue,
+}
+
+impl Head {
+    /// Indexes one live account at `height` through the records a flush
+    /// writes, and queues it. `meta.reset_storage` starts a new
+    /// incarnation, hiding the slots of the old one.
+    fn write(
+        &mut self,
+        addr: Address,
+        height: u64,
+        meta: AccountMeta,
+        code: Option<&[u8]>,
+        storage: &FastMap<U256, U256>,
+    ) {
+        if let Some(code) = code {
+            let code = Arc::new(code.to_vec());
+            let hash = meta.code_hash;
+            apply_record(&mut self.index, &Record::Code { hash, code });
+        }
+        apply_record(&mut self.index, &Record::Account { addr, meta });
+        for (&key, &value) in storage {
+            apply_record(&mut self.index, &Record::Slot { addr, key, value });
+        }
+        let slots = storage.keys().copied();
+        self.queue
+            .note(addr, height, meta.reset_storage, slots, code.is_some());
+    }
+
+    /// The live metadata of `addr`.
+    fn meta(&self, addr: Address) -> Option<AccountMeta> {
+        self.index.account(addr)?.meta
+    }
+
+    /// Encodes every queued account last written at or below `up_to`
+    /// into `buf`, values read from the index: first the code blobs no
+    /// file holds yet (deduplicated, by hash), then per account, by
+    /// address, its tombstone or its record and owed slots (by key).
+    /// Returns the accounts written and the blobs filed.
+    fn encode_flush(
+        &self,
+        up_to: u64,
+        filed: &FastSet<B256>,
+        buf: &mut Vec<u8>,
+    ) -> (usize, Vec<B256>) {
+        let batch = self.queue.collect_up_to(up_to);
+        if batch.is_empty() {
+            return (0, Vec::new());
+        }
+        let mut blobs: Vec<(B256, Arc<Vec<u8>>)> = batch
+            .iter()
+            .filter(|(_, p)| p.new_code)
+            .filter_map(|(addr, _)| {
+                let hash = self.meta(*addr)?.code_hash;
+                Some((hash, self.index.code(hash)?.clone()))
+            })
+            .filter(|(hash, _)| !filed.contains(hash))
+            .collect();
+        blobs.sort_unstable_by_key(|(hash, _)| *hash);
+        blobs.dedup_by_key(|(hash, _)| *hash);
+        encode_header(buf, up_to);
+        for (hash, code) in &blobs {
+            let (hash, code) = (*hash, code.clone());
+            Record::Code { hash, code }.encode(buf);
+        }
+        for (addr, pending) in &batch {
+            let addr = *addr;
+            let Some(meta) = self.meta(addr) else {
+                Record::Tombstone { addr }.encode(buf);
+                continue;
+            };
+            let meta = AccountMeta {
+                reset_storage: pending.reset,
+                ..meta
+            };
+            Record::Account { addr, meta }.encode(buf);
+            let mut keys: Vec<U256> = pending.slots.iter().copied().collect();
+            keys.sort_unstable();
+            for key in keys {
+                let value = self.index.slot(addr, key).unwrap_or(U256::ZERO);
+                Record::Slot { addr, key, value }.encode(buf);
+            }
+        }
+        (
+            batch.len(),
+            blobs.into_iter().map(|(hash, _)| hash).collect(),
+        )
     }
 }
 
@@ -79,18 +167,16 @@ pub struct AccountsDb {
     dir: PathBuf,
     /// Runs every file write, sync and rename of flush and snapshot.
     fs: Arc<dyn Fs>,
-    cache: WriteCache,
-    index: RwLock<FlatIndex>,
+    head: RwLock<Head>,
     /// Byte length of each storage file, in id order.
     file_lens: RwLock<Vec<u64>>,
-    /// Serializes flush and snapshot.
-    flush_lock: Mutex<()>,
+    /// Hashes of the code blobs some storage file holds. Holding it
+    /// serializes flush and snapshot.
+    filed_code: Mutex<FastSet<B256>>,
     head_height: AtomicU64,
     flushed_height: AtomicU64,
     /// Root recorded by the last snapshot (or found in the manifest).
     snapshot_root: Mutex<Option<B256>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     flushes: AtomicU64,
 }
 
@@ -120,15 +206,12 @@ impl AccountsDb {
         let db = AccountsDb {
             dir: dir.clone(),
             fs,
-            cache: WriteCache::new(),
-            index: RwLock::new(FlatIndex::default()),
+            head: RwLock::new(Head::default()),
             file_lens: RwLock::new(Vec::new()),
-            flush_lock: Mutex::new(()),
+            filed_code: Mutex::new(FastSet::default()),
             head_height: AtomicU64::new(0),
             flushed_height: AtomicU64::new(0),
             snapshot_root: Mutex::new(None),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
         };
 
@@ -136,7 +219,8 @@ impl AccountsDb {
             return Ok(db);
         };
         {
-            let mut index = db.index.write().expect("index poisoned");
+            let mut head = db.head.write().expect("head poisoned");
+            let mut filed = db.filed_code.lock().expect("flush lock poisoned");
             for (id, &len) in lens.iter().enumerate() {
                 let mut bytes = std::fs::read(storage_path(&dir, id as u32))?;
                 let actual = bytes.len() as u64;
@@ -147,7 +231,10 @@ impl AccountsDb {
                 }
                 bytes.truncate(len as usize);
                 for record in &replay(&bytes)? {
-                    apply_record(&mut index, record);
+                    if let Record::Code { hash, .. } = record {
+                        filed.insert(*hash);
+                    }
+                    apply_record(&mut head.index, record);
                 }
             }
         }
@@ -173,9 +260,9 @@ impl AccountsDb {
         *self.snapshot_root.lock().expect("snapshot root poisoned")
     }
 
-    /// Accounts currently held in the write cache.
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
+    /// Accounts absorbed since their last flush.
+    pub fn pending_accounts(&self) -> usize {
+        self.head().queue.len()
     }
 
     /// Point-in-time statistics.
@@ -185,10 +272,10 @@ impl AccountsDb {
             (lens.len(), lens.iter().sum())
         };
         DbStats {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_hits: 0,
+            cache_misses: 0,
             flushes: self.flushes.load(Ordering::Relaxed),
-            cache_entries: self.cache.len(),
+            pending_accounts: self.pending_accounts(),
             files,
             file_bytes,
             head_height: self.head_height(),
@@ -196,53 +283,34 @@ impl AccountsDb {
         }
     }
 
-    /// Seeds the write cache with every live account of `state` at
-    /// `height` — how a fresh store adopts a genesis. Call
-    /// [`AccountsDb::snapshot`] (or at least [`AccountsDb::flush_up_to`])
-    /// afterwards to move it into files.
+    /// Writes every live account of `state` at `height` — how a fresh
+    /// store adopts a genesis. Call [`AccountsDb::snapshot`] (or at least
+    /// [`AccountsDb::flush_up_to`]) afterwards to move it into files.
     pub fn bootstrap_from_state(&self, state: &State, height: u64) {
+        let mut head = self.head.write().expect("head poisoned");
         for (addr, acc) in state.iter_live_accounts() {
-            let new_code = if acc.code.is_empty() {
-                None
-            } else {
-                Some(Arc::new(acc.code.clone()))
+            let meta = AccountMeta {
+                reset_storage: true,
+                nonce: acc.nonce,
+                balance: acc.balance,
+                code_hash: acc.code_hash,
             };
-            self.cache.insert(
-                addr,
-                CachedAccount {
-                    height,
-                    deleted: false,
-                    reset_storage: true,
-                    nonce: acc.nonce,
-                    balance: acc.balance,
-                    code_hash: acc.code_hash,
-                    new_code,
-                    storage: acc.storage.clone(),
-                },
-            );
+            let code = (!acc.code.is_empty()).then_some(acc.code.as_slice());
+            head.write(addr, height, meta, code, &acc.storage);
         }
+        drop(head);
         self.head_height.store(height, Ordering::SeqCst);
         self.update_gauges();
     }
 
-    /// The whole store as a [`State`]: every live account with its code
-    /// and non-zero slots, read from the index.
+    /// The whole store at the absorbed head as a [`State`]: every live
+    /// account with its code and non-zero slots, read from the index.
     /// The inverse of [`AccountsDb::bootstrap_from_state`], and how a
     /// reopened store derives its trie: `export_state().merkle_root()`
     /// is the root [`AccountsDb::snapshot`] recorded.
-    ///
-    /// # Panics
-    ///
-    /// If the write cache holds entries. The index then holds the whole
-    /// state only right after [`AccountsDb::open`] or
-    /// [`AccountsDb::snapshot`], so call it there.
     pub fn export_state(&self) -> State {
-        assert_eq!(
-            self.cache.len(),
-            0,
-            "export_state needs an empty write cache (call it after open or snapshot)"
-        );
-        let ix = self.index.read().expect("index poisoned");
+        let head = self.head();
+        let ix = &head.index;
         let mut storage: FastMap<Address, FastMap<U256, U256>> = FastMap::default();
         for (addr, key, value) in ix.iter_live_slots() {
             if !value.is_zero() {
@@ -256,7 +324,7 @@ impl AccountsDb {
                 Account {
                     nonce: meta.nonce,
                     balance: meta.balance,
-                    code: code_for_hash(&ix, meta.code_hash),
+                    code: code_for_hash(ix, meta.code_hash),
                     code_hash: meta.code_hash,
                     storage: storage.remove(&addr).unwrap_or_default(),
                 },
@@ -265,9 +333,10 @@ impl AccountsDb {
         state
     }
 
-    /// Absorbs one committed block's delta at `height`. Metadata fields
-    /// the delta leaves unset are resolved against the pre-absorb view,
-    /// so cache entries are always self-contained for account metadata.
+    /// Absorbs one committed block's delta at `height` into the index and
+    /// the flush queue. Metadata fields the delta leaves unset are
+    /// resolved against the pre-absorb view, so each account record is
+    /// self-contained.
     ///
     /// Heights must be absorbed in increasing order (the flush cursor
     /// relies on it); concurrent readers are fine, concurrent absorbs are
@@ -277,157 +346,76 @@ impl AccountsDb {
             height >= self.head_height(),
             "absorb heights must not go back"
         );
+        let mut head = self.head.write().expect("head poisoned");
         for (addr, d) in delta.iter() {
             if d.deleted {
-                self.cache.insert(addr, CachedAccount::tombstone(height));
+                apply_record(&mut head.index, &Record::Tombstone { addr });
+                head.queue.note(addr, height, true, [], false);
                 continue;
             }
             // The delta's read rule decides each field it can; the rest
             // fall through to the (pre-absorb) view of this same account.
-            let nonce = d
-                .read_nonce()
-                .unwrap_or_else(|| self.meta(addr, |c| c.nonce, |m| m.nonce, 0).0);
-            let balance = d
-                .read_balance()
-                .unwrap_or_else(|| self.meta(addr, |c| c.balance, |m| m.balance, U256::ZERO).0);
-            let code_hash = d.read_code_hash().unwrap_or_else(|| {
-                self.meta(addr, |c| c.code_hash, |m| m.code_hash, B256::ZERO)
-                    .0
-            });
-            let new_code = d
-                .code
-                .as_ref()
-                .filter(|(code, _)| !code.is_empty())
-                .map(|(code, _)| Arc::new(code.clone()));
-            self.cache.upsert(
-                addr,
-                || CachedAccount {
-                    height,
-                    deleted: false,
-                    reset_storage: d.shadows_base,
-                    nonce,
-                    balance,
-                    code_hash,
-                    new_code: new_code.clone(),
-                    storage: d.storage.clone(),
-                },
-                |e| {
-                    if e.deleted || d.shadows_base {
-                        // (Re-)creation: stale dirty slots must not leak
-                        // into the new incarnation.
-                        *e = CachedAccount {
-                            height,
-                            deleted: false,
-                            reset_storage: true,
-                            nonce,
-                            balance,
-                            code_hash,
-                            new_code: new_code.clone(),
-                            storage: d.storage.clone(),
-                        };
-                    } else {
-                        e.height = height;
-                        e.nonce = nonce;
-                        e.balance = balance;
-                        e.code_hash = code_hash;
-                        if new_code.is_some() {
-                            e.new_code = new_code.clone();
-                        }
-                        for (k, v) in &d.storage {
-                            e.storage.insert(*k, *v);
-                        }
-                    }
-                },
-            );
+            let old = head.meta(addr);
+            let meta = AccountMeta {
+                reset_storage: d.shadows_base,
+                nonce: d.read_nonce().unwrap_or(old.map_or(0, |m| m.nonce)),
+                balance: d
+                    .read_balance()
+                    .unwrap_or(old.map_or(U256::ZERO, |m| m.balance)),
+                code_hash: d
+                    .read_code_hash()
+                    .unwrap_or(old.map_or(B256::ZERO, |m| m.code_hash)),
+            };
+            let code = d.code.as_ref().map(|(code, _)| code.as_slice());
+            let code = code.filter(|code| !code.is_empty());
+            head.write(addr, height, meta, code, &d.storage);
         }
+        drop(head);
         self.head_height.store(height, Ordering::SeqCst);
         self.update_gauges();
     }
 
-    /// Flushes every cache entry last written at or below `up_to` into a
-    /// fresh storage file, then folds the file into the index and evicts
-    /// the flushed entries. Data stays readable throughout: file first,
-    /// index second, eviction last.
+    /// Writes every queued account last written at or below `up_to` into
+    /// a fresh storage file, then drops it from the flush queue. Reads
+    /// never wait on it: the index already holds every value.
     ///
     /// Returns the number of accounts written (0 = no file created).
     ///
     /// # Errors
     ///
-    /// Propagates file-system errors; the store is still consistent (the
-    /// cache keeps everything that did not land in the index).
+    /// Propagates file-system errors; the queue then still holds every
+    /// account the failed flush collected.
     pub fn flush_up_to(&self, up_to: u64) -> io::Result<usize> {
-        let guard = self.flush_lock.lock().expect("flush lock poisoned");
-        self.flush_locked(&guard, up_to)
+        let mut filed = self.filed_code.lock().expect("flush lock poisoned");
+        self.flush_locked(&mut filed, up_to)
     }
 
-    fn flush_locked(
-        &self,
-        _guard: &std::sync::MutexGuard<'_, ()>,
-        up_to: u64,
-    ) -> io::Result<usize> {
+    fn flush_locked(&self, filed: &mut FastSet<B256>, up_to: u64) -> io::Result<usize> {
         let up_to = up_to.min(self.head_height());
-        let batch = self.cache.collect_up_to(up_to);
-        if batch.is_empty() {
+        let mut buf = Vec::new();
+        let (accounts, blobs) = self.head().encode_flush(up_to, filed, &mut buf);
+        if accounts == 0 {
             self.flushed_height.fetch_max(up_to, Ordering::SeqCst);
             return Ok(0);
         }
 
-        // Code blobs not yet in the file set, deduplicated and sorted so
-        // the file bytes are a pure function of the batch.
-        let mut code_to_write: Vec<(B256, Arc<Vec<u8>>)> = {
-            let ix = self.index.read().expect("index poisoned");
-            batch
-                .iter()
-                .filter_map(|(_, e)| Some((e.code_hash, e.new_code.clone()?)))
-                .filter(|(hash, _)| ix.code(*hash).is_none())
-                .collect()
-        };
-        code_to_write.sort_unstable_by_key(|(h, _)| *h);
-        code_to_write.dedup_by_key(|(h, _)| *h);
-
         let file_id = self.file_lens.read().expect("file set poisoned").len() as u32;
-        let mut buf = Vec::new();
-        encode_header(&mut buf, up_to);
-        let mut records = Vec::new();
-        for (hash, code) in &code_to_write {
-            records.push(encode_code(&mut buf, *hash, code));
-        }
-        for (addr, e) in &batch {
-            if e.deleted {
-                records.push(encode_tombstone(&mut buf, *addr));
-                continue;
-            }
-            let meta = AccountMeta {
-                reset_storage: e.reset_storage,
-                nonce: e.nonce,
-                balance: e.balance,
-                code_hash: e.code_hash,
-            };
-            records.push(encode_account(&mut buf, *addr, meta));
-            let mut keys: Vec<U256> = e.storage.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                records.push(encode_slot(&mut buf, *addr, key, e.storage[&key]));
-            }
-        }
-
         let len = buf.len() as u64;
         self.execute(&flush_plan(&self.dir, file_id, buf))?;
         self.file_lens.write().expect("file set poisoned").push(len);
-        {
-            let mut ix = self.index.write().expect("index poisoned");
-            for record in &records {
-                apply_record(&mut ix, record);
-            }
-        }
-        self.cache.evict_flushed(up_to);
+        filed.extend(blobs);
+        self.head
+            .write()
+            .expect("head poisoned")
+            .queue
+            .evict_flushed(up_to);
         self.flushed_height.fetch_max(up_to, Ordering::SeqCst);
         self.flushes.fetch_add(1, Ordering::Relaxed);
         if mtpu_telemetry::enabled() {
             obs::metrics().flush.inc();
         }
         self.update_gauges();
-        Ok(batch.len())
+        Ok(accounts)
     }
 
     /// Flushes everything and writes the MANIFEST atomically: after this
@@ -440,8 +428,8 @@ impl AccountsDb {
     /// Propagates file-system errors; an interrupted snapshot leaves the
     /// previous manifest in place (temp file + rename).
     pub fn snapshot(&self, root: Option<B256>) -> io::Result<()> {
-        let guard = self.flush_lock.lock().expect("flush lock poisoned");
-        self.flush_locked(&guard, u64::MAX)?;
+        let mut filed = self.filed_code.lock().expect("flush lock poisoned");
+        self.flush_locked(&mut filed, u64::MAX)?;
         let manifest = {
             let lens = self.file_lens.read().expect("file set poisoned");
             let mut text = format!(
@@ -471,174 +459,50 @@ impl AccountsDb {
 
     fn update_gauges(&self) {
         if mtpu_telemetry::enabled() {
-            let m = obs::metrics();
-            m.cache_depth.set(self.cache.len() as f64);
-            m.flush_lag
+            obs::metrics()
+                .flush_lag
                 .set(self.head_height().saturating_sub(self.flushed_height()) as f64);
         }
     }
 
-    fn note_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        if mtpu_telemetry::enabled() {
-            obs::metrics().cache_hit.inc();
-        }
+    /// The head state, for reading.
+    fn head(&self) -> RwLockReadGuard<'_, Head> {
+        self.head.read().expect("head poisoned")
     }
 
-    fn note_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        if mtpu_telemetry::enabled() {
-            obs::metrics().cache_miss.inc();
-        }
-    }
-
-    /// The flat-layer account metadata, bypassing the cache.
-    fn flat_account(&self, addr: Address) -> Option<AccountMeta> {
-        self.index
-            .read()
-            .expect("index poisoned")
-            .account(addr)?
-            .meta
-    }
-
-    /// The flat-layer slot value, bypassing the cache.
-    fn flat_storage(&self, addr: Address, key: U256) -> U256 {
-        let ix = self.index.read().expect("index poisoned");
-        ix.slot(addr, key).unwrap_or(U256::ZERO)
-    }
-
-    /// [`code_for_hash`] under the index's read lock.
-    fn code(&self, hash: B256) -> Vec<u8> {
-        code_for_hash(&self.index.read().expect("index poisoned"), hash)
-    }
-
-    /// A no-op: execution reads go write cache → index on demand,
-    /// and there is no prefetch worker to start. It stays only because
-    /// `spine/`'s staged loop names it, behind
-    /// `mtpu_evm::prefetch_enabled()` (always `false`).
+    /// A no-op: execution reads the index on demand, and there is no
+    /// prefetch worker to start. It stays only because `spine/`'s staged
+    /// loop names it, behind `mtpu_evm::prefetch_enabled()` (always
+    /// `false`).
     pub fn enable_prefetch(self: &Arc<Self>) {}
-
-    /// One metadata field of `addr` through cache → flat layer: `cached`
-    /// or `flat` picks it from a live record, `absent` stands for a
-    /// deleted or unknown account. The flag is `true` when the write cache
-    /// answered.
-    fn meta<T>(
-        &self,
-        addr: Address,
-        cached: impl FnOnce(&CachedAccount) -> T,
-        flat: impl FnOnce(AccountMeta) -> T,
-        absent: T,
-    ) -> (T, bool) {
-        match self
-            .cache
-            .with_entry(addr, |c| (!c.deleted).then(|| cached(c)))
-        {
-            Some(v) => (v.unwrap_or(absent), true),
-            None => (self.flat_account(addr).map(flat).unwrap_or(absent), false),
-        }
-    }
-
-    /// Counts a read's cache hit or miss and returns its value.
-    fn tracked<T>(&self, (v, hit): (T, bool)) -> T {
-        if hit {
-            self.note_hit();
-        } else {
-            self.note_miss();
-        }
-        v
-    }
 }
 
-/// Execution reads: write cache → index, with hit/miss accounting.
+/// Execution reads: one index probe each.
 impl StateRead for AccountsDb {
     fn read_exists(&self, addr: Address) -> bool {
-        match self.cache.with_entry(addr, |c| !c.deleted) {
-            Some(v) => {
-                self.note_hit();
-                v
-            }
-            None => {
-                self.note_miss();
-                self.index
-                    .read()
-                    .expect("index poisoned")
-                    .account(addr)
-                    .map(|e| e.meta.is_some())
-                    .unwrap_or(false)
-            }
-        }
+        self.head().meta(addr).is_some()
     }
 
     fn read_balance(&self, addr: Address) -> U256 {
-        self.tracked(self.meta(addr, |c| c.balance, |m| m.balance, U256::ZERO))
+        self.head().meta(addr).map_or(U256::ZERO, |m| m.balance)
     }
 
     fn read_nonce(&self, addr: Address) -> u64 {
-        self.tracked(self.meta(addr, |c| c.nonce, |m| m.nonce, 0))
+        self.head().meta(addr).map_or(0, |m| m.nonce)
     }
 
     fn read_code(&self, addr: Address) -> Vec<u8> {
-        enum Cached {
-            Empty,
-            Inline(Arc<Vec<u8>>),
-            ByHash(B256),
-        }
-        match self.cache.with_entry(addr, |c| {
-            if c.deleted {
-                Cached::Empty
-            } else if let Some(code) = &c.new_code {
-                Cached::Inline(code.clone())
-            } else {
-                Cached::ByHash(c.code_hash)
-            }
-        }) {
-            Some(Cached::Empty) => {
-                self.note_hit();
-                Vec::new()
-            }
-            Some(Cached::Inline(code)) => {
-                self.note_hit();
-                (*code).clone()
-            }
-            Some(Cached::ByHash(hash)) => {
-                self.note_hit();
-                self.code(hash)
-            }
-            None => {
-                self.note_miss();
-                match self.flat_account(addr) {
-                    Some(meta) => self.code(meta.code_hash),
-                    None => Vec::new(),
-                }
-            }
-        }
+        let head = self.head();
+        head.meta(addr)
+            .map_or_else(Vec::new, |m| code_for_hash(&head.index, m.code_hash))
     }
 
     fn read_code_hash(&self, addr: Address) -> B256 {
-        self.tracked(self.meta(addr, |c| c.code_hash, |m| m.code_hash, B256::ZERO))
+        self.head().meta(addr).map_or(B256::ZERO, |m| m.code_hash)
     }
 
     fn read_storage(&self, addr: Address, key: U256) -> U256 {
-        match self.cache.with_entry(addr, |c| {
-            if c.deleted {
-                Some(U256::ZERO)
-            } else if let Some(v) = c.storage.get(&key) {
-                Some(*v)
-            } else if c.reset_storage {
-                Some(U256::ZERO)
-            } else {
-                None // clean slot of a cached account: flat layer has it
-            }
-        }) {
-            Some(Some(v)) => {
-                self.note_hit();
-                v
-            }
-            Some(None) | None => {
-                self.note_miss();
-                self.flat_storage(addr, key)
-            }
-        }
+        self.head().index.slot(addr, key).unwrap_or(U256::ZERO)
     }
 }
 
@@ -652,7 +516,7 @@ fn code_for_hash(ix: &FlatIndex, hash: B256) -> Vec<u8> {
 }
 
 /// Folds one record into the index: the one way a value reaches it, from
-/// a flush and from the replay in [`AccountsDb::open`] alike.
+/// absorb and from the replay in [`AccountsDb::open`] alike.
 fn apply_record(index: &mut FlatIndex, record: &Record) {
     match record {
         Record::Account { addr, meta } => index.upsert_account(*addr, *meta),
@@ -784,11 +648,12 @@ mod tests {
             assert_eq!(db.read_code_hash(addr(2)), B256::keccak(b""));
             assert!(!db.read_exists(addr(9)));
         };
-        check(&db); // cache reads
+        check(&db); // absorbed reads
+        assert_eq!(db.pending_accounts(), 2);
 
         assert_eq!(db.flush_up_to(2).unwrap(), 2);
-        assert_eq!(db.cache_entries(), 0);
-        check(&db); // flat reads
+        assert_eq!(db.pending_accounts(), 0);
+        check(&db); // flushed reads
 
         let root = B256::keccak(b"fake-root");
         db.snapshot(Some(root)).unwrap();
@@ -824,8 +689,8 @@ mod tests {
         tx.accounts.insert(addr(1), d);
         absorb_tx(&db, &tx, 2);
 
-        // Cached entry carries the dirty slot; the clean slot falls
-        // through to the flat layer. Metadata was resolved at absorb.
+        // The rewritten slot and the untouched one both read from the
+        // index. Metadata was resolved at absorb.
         assert_eq!(db.read_balance(addr(1)), U256::from(90u64));
         assert_eq!(db.read_nonce(addr(1)), 0);
         assert_eq!(db.read_code(addr(1)), b"c".to_vec());
@@ -961,16 +826,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty write cache")]
-    fn export_state_refuses_a_dirty_write_cache() {
-        let dir = scratch_dir("export-dirty");
-        let db = AccountsDb::open(&dir).unwrap();
-        absorb_tx(&db, &creation(addr(1), 1, 0, None, &[]), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-        db.export_state();
-    }
-
-    #[test]
     fn flush_service_coalesces_and_quiesces() {
         let dir = scratch_dir("service");
         let db = Arc::new(AccountsDb::open(&dir).unwrap());
@@ -980,7 +835,7 @@ mod tests {
             service.request_flush(h.saturating_sub(2));
         }
         service.quiesce();
-        assert_eq!(db.cache_entries(), 0, "quiesce drains the cache");
+        assert_eq!(db.pending_accounts(), 0, "quiesce drains the queue");
         assert_eq!(db.flushed_height(), 10);
         for h in 1..=10u64 {
             assert_eq!(db.read_balance(addr(h)), U256::from(h * 10));
@@ -990,16 +845,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_hits_misses_and_flushes() {
+    fn stats_track_flushes() {
         let dir = scratch_dir("stats");
         let db = AccountsDb::open(&dir).unwrap();
         absorb_tx(&db, &creation(addr(1), 1, 0, None, &[]), 1);
-        let _ = db.read_balance(addr(1)); // hit
+        assert_eq!(db.stats().pending_accounts, 1);
         db.flush_up_to(1).unwrap();
-        let _ = db.read_balance(addr(1)); // miss → flat
         let s = db.stats();
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
+        assert_eq!(s.pending_accounts, 0);
         assert_eq!(s.flushes, 1);
         assert_eq!(s.files, 1);
         assert!(s.file_bytes > 0);

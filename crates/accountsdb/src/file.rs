@@ -1,6 +1,6 @@
 //! The append-only account-storage file format.
 //!
-//! Each flush of the write cache produces one immutable, numbered file
+//! Each flush produces one immutable, numbered file
 //! (`storage/NNNNNN.acc`): an 16-byte header followed by a sequence of
 //! records. The files are a write-only durability log: only
 //! [`AccountsDb::open`](crate::AccountsDb::open) reads them, replaying
@@ -61,50 +61,7 @@ pub fn encode_header(buf: &mut Vec<u8>, height: u64) {
     buf.extend_from_slice(&height.to_be_bytes());
 }
 
-/// Appends an account record; returns it as [`replay`] reads it back.
-pub fn encode_account(buf: &mut Vec<u8>, addr: Address, meta: AccountMeta) -> Record {
-    buf.push(TAG_ACCOUNT);
-    buf.extend_from_slice(addr.as_bytes());
-    buf.push(if meta.reset_storage {
-        FLAG_RESET_STORAGE
-    } else {
-        0
-    });
-    buf.extend_from_slice(&meta.nonce.to_be_bytes());
-    buf.extend_from_slice(&meta.balance.to_be_bytes());
-    buf.extend_from_slice(meta.code_hash.as_bytes());
-    Record::Account { addr, meta }
-}
-
-/// Appends an account tombstone record; returns it as [`replay`] does.
-pub fn encode_tombstone(buf: &mut Vec<u8>, addr: Address) -> Record {
-    buf.push(TAG_TOMBSTONE);
-    buf.extend_from_slice(addr.as_bytes());
-    Record::Tombstone { addr }
-}
-
-/// Appends a storage-slot record; returns it as [`replay`] does.
-pub fn encode_slot(buf: &mut Vec<u8>, addr: Address, key: U256, value: U256) -> Record {
-    buf.push(TAG_SLOT);
-    buf.extend_from_slice(addr.as_bytes());
-    buf.extend_from_slice(&key.to_be_bytes());
-    buf.extend_from_slice(&value.to_be_bytes());
-    Record::Slot { addr, key, value }
-}
-
-/// Appends a code-blob record; returns it as [`replay`] does.
-pub fn encode_code(buf: &mut Vec<u8>, hash: B256, code: &Arc<Vec<u8>>) -> Record {
-    buf.push(TAG_CODE);
-    buf.extend_from_slice(hash.as_bytes());
-    buf.extend_from_slice(&(code.len() as u32).to_be_bytes());
-    buf.extend_from_slice(code);
-    Record::Code {
-        hash,
-        code: code.clone(),
-    }
-}
-
-/// Decodes an account payload previously written by [`encode_account`].
+/// Decodes an account payload previously written by [`Record::encode`].
 fn decode_account_payload(bytes: &[u8; ACCOUNT_PAYLOAD_LEN]) -> AccountMeta {
     AccountMeta {
         reset_storage: bytes[0] & FLAG_RESET_STORAGE != 0,
@@ -114,7 +71,8 @@ fn decode_account_payload(bytes: &[u8; ACCOUNT_PAYLOAD_LEN]) -> AccountMeta {
     }
 }
 
-/// One decoded record: the values the index holds.
+/// One record: what a flush encodes and [`replay`] decodes, and what
+/// absorb and replay alike apply to the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// Account upsert.
@@ -145,6 +103,42 @@ pub enum Record {
         /// The blob.
         code: Arc<Vec<u8>>,
     },
+}
+
+impl Record {
+    /// Appends the record in the wire format [`replay`] reads back.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Record::Account { addr, meta } => {
+                buf.push(TAG_ACCOUNT);
+                buf.extend_from_slice(addr.as_bytes());
+                buf.push(if meta.reset_storage {
+                    FLAG_RESET_STORAGE
+                } else {
+                    0
+                });
+                buf.extend_from_slice(&meta.nonce.to_be_bytes());
+                buf.extend_from_slice(&meta.balance.to_be_bytes());
+                buf.extend_from_slice(meta.code_hash.as_bytes());
+            }
+            Record::Tombstone { addr } => {
+                buf.push(TAG_TOMBSTONE);
+                buf.extend_from_slice(addr.as_bytes());
+            }
+            Record::Slot { addr, key, value } => {
+                buf.push(TAG_SLOT);
+                buf.extend_from_slice(addr.as_bytes());
+                buf.extend_from_slice(&key.to_be_bytes());
+                buf.extend_from_slice(&value.to_be_bytes());
+            }
+            Record::Code { hash, code } => {
+                buf.push(TAG_CODE);
+                buf.extend_from_slice(hash.as_bytes());
+                buf.extend_from_slice(&(code.len() as u32).to_be_bytes());
+                buf.extend_from_slice(code);
+            }
+        }
+    }
 }
 
 /// An `InvalidData` error: damaged or unknown on-disk contents.
@@ -250,15 +244,27 @@ mod tests {
             balance: U256::from(999u64),
             code_hash: B256::keccak(b"code"),
         };
+        let written = vec![
+            Record::Code {
+                hash: B256::keccak(b"code"),
+                code: Arc::new(b"code".to_vec()),
+            },
+            Record::Account { addr, meta },
+            Record::Tombstone {
+                addr: Address::from_low_u64(8),
+            },
+            Record::Slot {
+                addr,
+                key: U256::from(1u64),
+                value: U256::from(55u64),
+            },
+        ];
         let mut buf = Vec::new();
         encode_header(&mut buf, 42);
-        let written = vec![
-            encode_code(&mut buf, B256::keccak(b"code"), &Arc::new(b"code".to_vec())),
-            encode_account(&mut buf, addr, meta),
-            encode_tombstone(&mut buf, Address::from_low_u64(8)),
-            encode_slot(&mut buf, addr, U256::from(1u64), U256::from(55u64)),
-        ];
-        // What the encoders return is what replay reads back.
+        for record in &written {
+            record.encode(&mut buf);
+        }
+        // What the store encodes is what replay reads back.
         assert_eq!(replay(&buf).unwrap(), written);
     }
 
@@ -267,7 +273,10 @@ mod tests {
         assert!(replay(b"not-a-file").is_err());
         let mut buf = Vec::new();
         encode_header(&mut buf, 0);
-        encode_tombstone(&mut buf, Address::from_low_u64(1));
+        Record::Tombstone {
+            addr: Address::from_low_u64(1),
+        }
+        .encode(&mut buf);
         buf.truncate(buf.len() - 1);
         assert!(replay(&buf).is_err());
         let mut buf2 = Vec::new();

@@ -1,6 +1,7 @@
 //! The in-memory index of the flat store: for every account, storage
-//! slot and code blob, its *newest* value. A write-cache miss is one probe
-//! here; the storage files are read only to rebuild the index on open.
+//! slot and code blob, its *newest* value at the absorbed head. Every
+//! execution read is one probe here; the storage files are read only to
+//! rebuild the index on open.
 //!
 //! Generations make selfdestruct/recreate cheap: each account carries a
 //! generation counter bumped by tombstones and storage resets, and every

@@ -7,18 +7,21 @@
 //! spirit of Solana's accounts-db, serving execution reads in O(1) while
 //! the trie is maintained asynchronously for commitment only.
 //!
-//! Layers, top to bottom:
+//! Parts, in the order a committed block moves through them:
 //!
-//! - [`WriteCache`](cache::WriteCache) — committed block deltas land
-//!   here, fully resolved; recent state is served lock-cheap from memory.
 //! - [`FlatIndex`](index::FlatIndex) — the newest value of every
 //!   account, slot and code blob, with per-account generations making
-//!   selfdestruct/recreate O(1); a write-cache miss is one probe here.
+//!   selfdestruct/recreate O(1). Absorb writes each block delta into it,
+//!   and every execution read is one probe here.
+//! - the flush queue — the accounts absorbed since their last flush: the
+//!   height that last wrote each, a reset flag, the slot keys owed and
+//!   whether new code came in. It holds no values, and no read looks at
+//!   it.
 //! - storage files ([`file`](mod@file)) — immutable, numbered, append-only record
-//!   files produced by each flush: a write-only durability log that only
-//!   [`AccountsDb::open`] reads back.
-//! - [`FlushService`] — a background thread draining cache → file, off
-//!   the block critical path.
+//!   files produced by each flush, its values read from the index: a
+//!   write-only durability log that only [`AccountsDb::open`] reads back.
+//! - [`FlushService`] — a background thread draining the queue into
+//!   files, off the block critical path.
 //! - snapshot/restore ([`AccountsDb::snapshot`], [`AccountsDb::open`]) —
 //!   an atomic MANIFEST names the durable file set; reopening replays
 //!   exactly the manifested bytes; [`durable`] plans every file operation.
@@ -27,12 +30,12 @@
 //! so the parallel executor can run directly against it; merkle roots and
 //! receipts stay bit-identical to the in-memory `State` baseline.
 
-pub mod cache;
 pub mod db;
 pub mod durable;
 pub mod file;
 pub mod index;
 pub mod obs;
+mod queue;
 pub mod service;
 
 pub use db::{AccountsDb, DbStats};

@@ -1,6 +1,7 @@
 //! The background flush service: a single worker thread that drains the
-//! write cache into storage files so the driver never pays flush I/O on
-//! the critical path.
+//! flush queue into storage files so the driver never pays flush I/O on
+//! the critical path. Reads never wait for it: absorb already wrote every
+//! value into the index.
 //!
 //! Requests are *coalesced*: if the driver outruns the disk and several
 //! flush requests queue up, the worker collapses them into one flush at
@@ -15,7 +16,7 @@ use std::thread::JoinHandle;
 enum Cmd {
     /// Flush everything at or below the given height.
     Flush(u64),
-    /// Flush everything and reply when the cache is drained.
+    /// Flush everything and reply when the queue is drained.
     Quiesce(Sender<()>),
 }
 
@@ -47,7 +48,7 @@ impl FlushService {
         let _ = self.tx.send(Cmd::Flush(up_to));
     }
 
-    /// Flushes everything absorbed so far and blocks until the cache is
+    /// Flushes everything absorbed so far and blocks until the queue is
     /// drained — the barrier to take before a snapshot or shutdown.
     pub fn quiesce(&self) {
         let (reply_tx, reply_rx) = mpsc::channel();

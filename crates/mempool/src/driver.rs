@@ -89,7 +89,7 @@ pub struct DriverConfig {
     /// execution and commitment; `false` ingests inline between blocks —
     /// slower, but fully deterministic for a deterministic source.
     pub background_ingest: bool,
-    /// How many blocks the background write-cache flush trails the head.
+    /// How many blocks the background flush trails the head.
     /// Larger values batch more writes per storage file.
     pub flush_lag: u64,
 }
@@ -217,8 +217,8 @@ impl NodeDriver {
     }
 
     /// Runs a session against the flat accounts store: execution and
-    /// admission read `db` (write cache → index → storage files), each
-    /// block's delta is absorbed into it in place, and the write cache
+    /// admission read `db` (one in-memory index probe per read), each
+    /// block's delta is absorbed into it in place, and its flush queue
     /// drains through `flush` in the background,
     /// [`DriverConfig::flush_lag`] blocks behind the head. The MPT is
     /// maintained commitment-only behind the pipelined [`AsyncCommitter`].

@@ -67,7 +67,7 @@ const RETRY_CAP: usize = 3;
 /// forwards them to the base through [`StateRead::hint_prefetch_storage`]
 /// and [`StateRead::hint_prefetch_account`] before the block executes.
 /// No backend in this workspace acts on them: the flat accounts-DB reads
-/// write cache → index → file on demand, and every other backend keeps
+/// its in-memory index on demand, and every other backend keeps
 /// the no-op defaults. The type stays only because `spine/` names it; the
 /// node driver passes no hints. Hints are advisory either way: a wrong or
 /// stale hint never changes a result.

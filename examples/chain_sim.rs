@@ -58,7 +58,7 @@ fn main() {
     assert_eq!(genesis_root, generator.fx.state.merkle_root());
 
     // The flat accounts store shadows the chain: deltas absorb after
-    // each block, the write cache drains in the background.
+    // each block, the flush queue drains in the background.
     let flat_dir = std::env::temp_dir().join(format!("mtpu-chain-sim-flat-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&flat_dir);
     let flat = Arc::new(AccountsDb::open(&flat_dir).expect("open accounts db"));

@@ -1,8 +1,8 @@
 //! The front half of the node, end to end: a Zipfian transaction stream
 //! is ingested into the bounded sharded mempool on its own thread while
 //! the driver packs conflict-aware blocks, executes them on the parallel
-//! engine against the flat accounts store (write cache → index, storage
-//! files as its durability log, MPT commitment-only) and pipelines their state commitments —
+//! engine against the flat accounts store (reads from its in-memory index,
+//! storage files as its durability log, MPT commitment-only) and pipelines their state commitments —
 //! ingestion, execution and trie hashing all overlapped, block after
 //! block. A snapshot → restore round trip of the store then reopens at
 //! the session's head root.
@@ -133,8 +133,7 @@ fn main() {
     flush.quiesce();
     let stats = db.stats();
     println!(
-        "store: cache hit ratio {:.1}%, {} flushes over {} files ({} KiB)",
-        100.0 * stats.hit_ratio(),
+        "store: {} flushes over {} files ({} KiB)",
         stats.flushes,
         stats.files,
         stats.file_bytes / 1024

@@ -45,6 +45,14 @@ use std::sync::{Arc, Mutex};
 const SESSION: &str = "FFS FFS";
 /// 8 flushes and 3 snapshots.
 const DEEP_SESSION: &str = "FFFS FFFS FFS";
+/// `L` absorbs a block and flushes two blocks behind the head, as the
+/// node does, leaving the two newest blocks to a later file. After a
+/// flush to the head, the first two `L`s find nothing to write: here the
+/// lagged flushes at heights 3, 4 and 8 write files, then 2 snapshots.
+const LAGGED_SESSION: &str = "LLLLS LLLS";
+/// Lagged files at heights 3, 7, 8 and 13, a flush at the head at 10,
+/// and 3 snapshots.
+const DEEP_LAGGED_SESSION: &str = "LLLS LLLLS FLLLS";
 /// Bound on the pending directory entries whose subsets are enumerated.
 const MAX_PENDING: usize = 12;
 
@@ -172,6 +180,9 @@ fn record(schedule: &str) -> Session {
         delta.apply_to(&mut state);
         match step {
             'F' => assert!(db.flush_up_to(h).unwrap() > 0),
+            'L' => {
+                db.flush_up_to(h.saturating_sub(2)).unwrap();
+            }
             'S' => {
                 let root = state.merkle_root();
                 let started = recorded();
@@ -507,5 +518,24 @@ fn every_crash_point_reopens_at_a_started_snapshot() {
 #[ignore = "deep sweep (every tear offset, 8 flushes, 3 snapshots); run with --ignored"]
 fn every_crash_point_and_tear_offset_of_a_longer_session() {
     let images = explore(DEEP_SESSION, true);
+    assert!(images > 1000, "only {images} distinct crash images");
+}
+
+#[test]
+fn every_crash_point_of_lagged_flushes_reopens_at_a_started_snapshot() {
+    let files = record(LAGGED_SESSION)
+        .ops
+        .iter()
+        .filter(|op| matches!(op, FsOp::Write(path, _) if path.starts_with("storage")))
+        .count();
+    assert_eq!(files, 5, "three lagged files and two snapshot flushes");
+    let images = explore(LAGGED_SESSION, false);
+    assert!(images > 50, "only {images} distinct crash images");
+}
+
+#[test]
+#[ignore = "deep sweep of lagged flushes (every tear offset, 8 flushes, 3 snapshots); run with --ignored"]
+fn every_crash_point_and_tear_offset_of_a_longer_lagged_session() {
+    let images = explore(DEEP_LAGGED_SESSION, true);
     assert!(images > 1000, "only {images} distinct crash images");
 }

@@ -1,6 +1,6 @@
 //! The flat index against a plain model.
 //!
-//! [`FlatIndex`] answers every write-cache miss of the flat store, so it
+//! [`FlatIndex`] answers every execution read of the flat store, so it
 //! must hold exactly the newest value of every account, slot and code
 //! blob. Its generations make a tombstone or a storage reset O(1): stale
 //! slot entries stay in the map and are hidden, not removed. The model

@@ -8,13 +8,13 @@
 //! The MANIFEST is the node's only durable checkpoint, so its crash
 //! semantics are checked here: work the flush service made durable in
 //! storage files but that never reached a MANIFEST update is dropped on
-//! reopen ("kill between write-cache flush and MANIFEST update"), leaving
+//! reopen ("kill between flush and MANIFEST update"), leaving
 //! the store at the last durable snapshot, and replaying the lost blocks
 //! reaches the uninterrupted run's root.
 
 use mtpu_repro::accountsdb::AccountsDb;
 use mtpu_repro::evm::overlay::{AccountDelta, BlockDelta, TxDelta};
-use mtpu_repro::evm::state::State;
+use mtpu_repro::evm::state::{Account, State};
 use mtpu_repro::evm::{commit_block_delta, commit_full, StateRead};
 use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::primitives::{Address, B256, U256};
@@ -103,10 +103,10 @@ fn snapshot_survives_restart_and_continues() {
     let reopened = AccountsDb::open(&dir).expect("reopen accounts db");
     assert_eq!(reopened.head_height(), 3);
     assert_eq!(reopened.snapshot_root(), Some(head_root));
-    // ...and every account/slot reads back bit-identically — the write
-    // cache is gone, so these all come through the index + files.
+    // ...and every account/slot reads back bit-identically from the
+    // index the manifested files rebuilt.
     assert_reads_match(&reopened, &state, "after restart");
-    assert_eq!(reopened.cache_entries(), 0);
+    assert_eq!(reopened.pending_accounts(), 0);
     assert_derived_root(&reopened, &state, "after restart");
 
     // The chain keeps growing from the restored store.
@@ -178,7 +178,7 @@ fn flush_without_manifest_is_dropped_on_reopen() {
         db.stats().files
     };
     assert_eq!(db.head_height(), 2);
-    drop(db); // crash between write-cache flush and MANIFEST update
+    drop(db); // crash between flush and MANIFEST update
 
     // Reopen: back at the durable snapshot; block 2's flushed records
     // must not leak in through the orphaned file.
@@ -406,5 +406,235 @@ fn open_rejects_a_storage_file_shorter_than_its_manifest() {
     let bytes = std::fs::read(&file).expect("read storage file");
     std::fs::write(&file, &bytes[..bytes.len() - 1]).expect("truncate storage file");
     assert!(AccountsDb::open(&dir).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn account(n: u64) -> Address {
+    Address::from_low_u64(n)
+}
+
+/// A (re-)creation: shadows the base, with optional code and slots.
+fn created(balance: u64, code: Option<&[u8]>, slots: &[(u64, u64)]) -> AccountDelta {
+    AccountDelta {
+        shadows_base: true,
+        balance: Some(U256::from(balance)),
+        nonce: Some(1),
+        code: code.map(|c| (c.to_vec(), B256::keccak(c))),
+        storage: slots
+            .iter()
+            .map(|&(k, v)| (U256::from(k), U256::from(v)))
+            .collect(),
+        ..Default::default()
+    }
+}
+
+/// A write on top of the account's current incarnation.
+fn updated(balance: u64, slots: &[(u64, u64)]) -> AccountDelta {
+    AccountDelta {
+        shadows_base: false,
+        ..created(balance, None, slots)
+    }
+}
+
+fn deleted() -> AccountDelta {
+    AccountDelta {
+        shadows_base: true,
+        deleted: true,
+        ..Default::default()
+    }
+}
+
+/// Deployed by two accounts, in blocks on either side of a flush cutoff.
+const SHARED_CODE: &[u8] = b"\x60\x2a\x60\x00\x55 shared blob";
+
+/// Block `h` of the partial-flush chain. With every flush two blocks
+/// behind the head:
+/// - account 1 (genesis, with code) is written again at 2 and 3;
+/// - account 2 is created at 1 and written again at 3 and 4, each time
+///   past the cutoff of the flush that follows;
+/// - account 3 is deleted at 3 and re-created at 4, one pending entry;
+/// - account 4 is deleted at 4 and re-created at 7, and the flush after
+///   block 6 files its tombstone in between;
+/// - account 5 is re-created at 2 without a delete, so its first slots
+///   are hidden by the storage reset alone;
+/// - accounts 6 and 7 deploy [`SHARED_CODE`] at 2 and 5;
+/// - account 8 is created at 1 and pays at every block.
+fn partial_flush_block(h: u64) -> TxDelta {
+    let edits = match h {
+        1 => vec![
+            (2, created(20, None, &[(1, 11)])),
+            (3, created(30, None, &[(1, 5), (2, 6)])),
+            (5, created(50, None, &[(1, 10), (2, 20)])),
+        ],
+        2 => vec![
+            (1, updated(101, &[(2, 0), (3, 3)])),
+            (4, created(40, None, &[(1, 7)])),
+            (5, created(51, None, &[(3, 30)])),
+            (6, created(60, Some(SHARED_CODE), &[(1, 1)])),
+        ],
+        3 => vec![
+            (1, updated(102, &[(1, 4)])),
+            (2, updated(21, &[(2, 22)])),
+            (3, deleted()),
+        ],
+        4 => vec![
+            (2, updated(22, &[(1, 0)])),
+            (3, created(31, None, &[(9, 9)])),
+            (4, deleted()),
+        ],
+        5 => vec![(7, created(70, Some(SHARED_CODE), &[(2, 2)]))],
+        7 => vec![(4, created(41, None, &[(2, 8)]))],
+        _ => vec![],
+    };
+    let mut tx = TxDelta::default();
+    for (n, d) in edits {
+        tx.accounts.insert(account(n), d);
+    }
+    let pay = [(h % 3, h)];
+    let payer = if h == 1 {
+        created(800 + h, None, &pay)
+    } else {
+        updated(800 + h, &pay)
+    };
+    tx.accounts.insert(account(8), payer);
+    tx
+}
+
+/// Every live account of `state`, by address.
+fn accounts_of(state: &State) -> Vec<(Address, Account)> {
+    let mut accounts: Vec<(Address, Account)> = state
+        .iter_live_accounts()
+        .map(|(addr, acc)| (addr, acc.clone()))
+        .collect();
+    accounts.sort_unstable_by_key(|(addr, _)| *addr);
+    accounts
+}
+
+/// keccak of every storage file in `dir`, in file order.
+fn storage_file_hashes(dir: &Path) -> Vec<String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.join("storage"))
+        .expect("list storage files")
+        .map(|entry| entry.expect("storage entry").path())
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| B256::keccak(&std::fs::read(p).expect("read storage file")).to_string())
+        .collect()
+}
+
+/// The node flushes two blocks behind the head, so most flushes leave
+/// pending accounts behind. The bytes of every file such flushes write are
+/// pinned: which accounts a cutoff collects ("last written at or below
+/// it"), their slots, their reset flags and each code blob's one filing.
+/// A change that moves a literal changes what a flush writes. A reopen
+/// after the snapshot derives the live store's state.
+#[test]
+fn partial_flushes_write_pinned_bytes() {
+    let dir = scratch_dir("partial");
+    let mut state = State::new();
+    state.insert_account(
+        account(1),
+        Account {
+            nonce: 1,
+            balance: U256::from(100u64),
+            code: b"genesis code".to_vec(),
+            code_hash: B256::keccak(b"genesis code"),
+            storage: [(U256::ONE, U256::ONE), (U256::from(2u64), U256::from(2u64))]
+                .into_iter()
+                .collect(),
+        },
+    );
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&state, 0);
+    for h in 1..=8 {
+        let mut delta = BlockDelta::new();
+        delta.merge(&partial_flush_block(h), &db);
+        db.absorb(&delta, h);
+        delta.apply_to(&mut state);
+        db.flush_up_to(h.saturating_sub(2)).expect("lagged flush");
+    }
+    db.snapshot(Some(state.merkle_root())).expect("snapshot");
+
+    assert_eq!(
+        storage_file_hashes(&dir),
+        [
+            "0xd722ff1183f95949bf90cffa727a557c06d7d83e3865dd8f5b16b85ae30b5cb9",
+            "0x1945fed3dd17b6e9dc064f6e53786063fdc3aae5ce20991d20c08ee6869637c3",
+            "0xcd00c6739b946b7a768c08dfdb2c87965ad9037a7077e4a85388a992797b1ea3",
+            "0x4d1a3f8b0f64c346e3e20af4f068c033a5eb68b8b78a8dca69c465ff39f6b301",
+            "0x528ad719344ff06fd74e29e886cf3d40c00eb6b681eb635d3ee4c46abf0835ee",
+            "0xf7f4d266f5b6e5971a40d7af25d356ac47aae07a41866be3d93d3140564ac257",
+        ]
+    );
+    assert_reads_match(&db, &state, "partial flushes");
+    let live = accounts_of(&db.export_state());
+    assert_eq!(live, accounts_of(&state), "live store vs sequential state");
+    drop(db);
+    let reopened = AccountsDb::open(&dir).expect("reopen accounts db");
+    assert_eq!(
+        accounts_of(&reopened.export_state()),
+        live,
+        "reopened store"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A code blob deployed by two accounts, in blocks on either side of a
+/// flush cutoff, lands in exactly one storage file, and a reopened store
+/// reads it for both accounts.
+#[test]
+fn a_code_blob_shared_across_a_flush_cutoff_is_filed_once() {
+    let dir = scratch_dir("shared-blob");
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    for (h, n) in [(1, 1), (2, 2)] {
+        let mut tx = TxDelta::default();
+        tx.accounts
+            .insert(account(n), created(n, Some(SHARED_CODE), &[]));
+        let mut delta = BlockDelta::new();
+        delta.merge(&tx, &db);
+        db.absorb(&delta, h);
+    }
+    assert_eq!(db.flush_up_to(1).expect("flush block 1"), 1);
+    db.snapshot(None).expect("snapshot");
+    drop(db);
+
+    let filings: Vec<usize> = std::fs::read_dir(dir.join("storage"))
+        .expect("list storage files")
+        .map(|entry| {
+            let bytes = std::fs::read(entry.expect("storage entry").path()).expect("read file");
+            bytes
+                .windows(SHARED_CODE.len())
+                .filter(|w| *w == SHARED_CODE)
+                .count()
+        })
+        .collect();
+    assert_eq!(filings.len(), 2, "one file per flush");
+    assert_eq!(filings.iter().sum::<usize>(), 1, "blob filed {filings:?}");
+
+    let reopened = AccountsDb::open(&dir).expect("reopen accounts db");
+    for n in [1, 2] {
+        assert_eq!(reopened.read_code(account(n)), SHARED_CODE);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The index holds the absorbed head, flushed or not, so `export_state`
+/// runs at any head: generator blocks absorbed without a single flush
+/// export the sequential state's root.
+#[test]
+fn export_state_before_any_flush_has_the_sequential_root() {
+    let dir = scratch_dir("export-unflushed");
+    let executor = ParExecutor::new(2);
+    let mut generator = Generator::new(0xE4F0);
+    let mut state = generator.fx.state.clone();
+
+    let db = AccountsDb::open(&dir).expect("open accounts db");
+    db.bootstrap_from_state(&state, 0);
+    for h in 1..=3 {
+        advance(&mut generator, &executor, &db, &mut state, h, 48);
+        assert_derived_root(&db, &state, "unflushed head");
+    }
+    assert_eq!(db.stats().files, 0, "nothing was flushed");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,8 +10,8 @@
 //! [`FUSION_LOCK`] and always restore the enabled state.
 //!
 //! The same harness also differentially tests the flat accounts-DB as an
-//! execution backend: blocks whose reads all miss its write cache and
-//! resolve through its flat index must give receipts and roots identical to the in-memory backend
+//! execution backend: blocks whose reads all resolve through its flat
+//! index must give receipts and roots identical to the in-memory backend
 //! and to sequential execution, across thread counts.
 
 use mtpu_repro::accountsdb::AccountsDb;
@@ -390,8 +390,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A flat store holding exactly `base`, with everything already flushed
-/// out of the write cache so execution reads exercise the index path.
+/// A flat store holding exactly `base`, already flushed, so execution
+/// runs over a store whose files hold everything it reads.
 fn flat_of(base: &State, tag: &str) -> (Arc<AccountsDb>, std::path::PathBuf) {
     let dir = scratch_dir(tag);
     let db = Arc::new(AccountsDb::open(&dir).expect("open flat store"));

@@ -242,8 +242,7 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
                 "flat root diverged at block {i} threads {threads}"
             );
             db.absorb(&result.delta, height);
-            // Flush behind the head so later blocks read flushed values
-            // from the index, not just the write cache.
+            // Flush behind the head, as the node does.
             db.flush_up_to(height.saturating_sub(1)).expect("flush");
         }
 
@@ -306,9 +305,10 @@ fn flat_driver_replays_sequentially_and_survives_snapshot_restore() {
             a.height
         );
     }
+    let stats = db.stats();
     assert!(
-        db.stats().cache_hits > 0,
-        "execution never hit the write cache"
+        stats.flushes > 0 && stats.files > 0,
+        "the session never flushed"
     );
 
     // Snapshot, drop everything, reopen: the restored store carries the
