@@ -22,9 +22,8 @@
 use crate::fusion::FusedTable;
 use crate::gas;
 use crate::opcode::Opcode;
-use mtpu_primitives::map::FastMap;
+use mtpu_primitives::map::BoundedMemo;
 use mtpu_primitives::B256;
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-opcode metadata consulted once per interpreter step.
@@ -154,10 +153,8 @@ const SHARD_COUNT: usize = 16;
 /// Default total capacity (in distinct bytecodes) of the global cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-#[derive(Default)]
 struct Shard {
-    map: FastMap<B256, Arc<CodeAnalysis>>,
-    order: VecDeque<B256>,
+    memo: BoundedMemo<B256, Arc<CodeAnalysis>>,
     // Plain counters guarded by the shard lock: every probe already holds
     // it, so no cross-shard atomics are needed, and per-shard breakdowns
     // come for free.
@@ -167,13 +164,12 @@ struct Shard {
 }
 
 impl Shard {
-    /// Drops the oldest entry. One `VecDeque` pop plus one map removal —
-    /// the fast path run at most once per insert.
-    fn evict_oldest(&mut self) {
-        if let Some(oldest) = self.order.pop_front() {
-            self.map.remove(&oldest);
-            self.evictions += 1;
-            crate::obs::metrics().analysis_evictions.inc();
+    fn new(capacity: usize) -> Shard {
+        Shard {
+            memo: BoundedMemo::new(capacity),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
@@ -196,15 +192,14 @@ impl Shard {
 /// finished first wins the insert and the loser adopts its entry.
 pub struct AnalysisCache {
     shards: [Mutex<Shard>; SHARD_COUNT],
-    per_shard_cap: usize,
 }
 
 impl AnalysisCache {
     /// Creates a cache holding at most `capacity` analyses.
     pub fn new(capacity: usize) -> AnalysisCache {
+        let per_shard_cap = capacity.div_ceil(SHARD_COUNT).max(1);
         AnalysisCache {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            per_shard_cap: capacity.div_ceil(SHARD_COUNT).max(1),
+            shards: std::array::from_fn(|_| Mutex::new(Shard::new(per_shard_cap))),
         }
     }
 
@@ -222,7 +217,7 @@ impl AnalysisCache {
         let shard = self.shard_of(&hash);
         {
             let mut guard = shard.lock().unwrap();
-            if let Some(found) = guard.map.get(&hash) {
+            if let Some(found) = guard.memo.get(&hash) {
                 let found = Arc::clone(found);
                 guard.hits += 1;
                 crate::obs::metrics().analysis_hits.inc();
@@ -235,14 +230,12 @@ impl AnalysisCache {
         // case another thread finished the same bytecode meanwhile.
         let analysis = Arc::new(CodeAnalysis::analyze(code));
         let mut guard = shard.lock().unwrap();
-        if let Some(found) = guard.map.get(&hash) {
+        if let Some(found) = guard.memo.get(&hash) {
             return Arc::clone(found);
         }
-        guard.map.insert(hash, Arc::clone(&analysis));
-        guard.order.push_back(hash);
-        if guard.order.len() > self.per_shard_cap {
-            guard.evict_oldest();
-        }
+        let evicted = guard.memo.insert(hash, Arc::clone(&analysis));
+        guard.evictions += evicted;
+        crate::obs::metrics().analysis_evictions.add(evicted);
         analysis
     }
 
@@ -250,7 +243,7 @@ impl AnalysisCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().map.len())
+            .map(|s| s.lock().unwrap().memo.len())
             .sum()
     }
 

@@ -78,7 +78,8 @@ pub struct DriverConfig {
     pub blocks: usize,
     /// `parexec` worker threads.
     pub threads: usize,
-    /// Worker threads the state committer fans subtrie hashing across.
+    /// Ignored: the state committer hashes on the committer thread. It
+    /// stays only because `spine/`'s session config names it.
     pub commit_threads: usize,
     /// Transactions admitted per ingestion slice.
     pub ingest_batch: usize,
@@ -99,7 +100,7 @@ impl Default for DriverConfig {
         DriverConfig {
             blocks: 16,
             threads: 4,
-            commit_threads: 4,
+            commit_threads: 1,
             ingest_batch: 256,
             prefill: 512,
             background_ingest: true,
@@ -242,8 +243,7 @@ impl NodeDriver {
         let db: &AccountsDb = db;
 
         let genesis_started = Instant::now();
-        let mut committer =
-            StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
+        let mut committer = StateCommitter::new(MemStore::new());
         let genesis_root = commit_full(&mut committer, genesis);
         let committer = AsyncCommitter::new(committer);
         let started = Instant::now();

@@ -16,6 +16,9 @@
 //! iteration order does not cluster, because the two maps do not share a
 //! seed.
 //!
+//! [`BoundedMemo`] is the workspace's one bounded FIFO map: a [`FastMap`]
+//! plus its insertion order, evicting the oldest entry at capacity.
+//!
 //! ```
 //! use mtpu_primitives::map::FastMap;
 //! use mtpu_primitives::{Address, U256};
@@ -26,7 +29,8 @@
 //! ```
 
 use std::cell::Cell;
-use std::hash::{BuildHasher, Hasher, RandomState};
+use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -165,11 +169,106 @@ impl Hasher for FoldHasher {
     }
 }
 
+/// A bounded FIFO map, for caches and memos whose keys never change
+/// meaning (content hashes, the keccak of an address or a slot).
+///
+/// [`BoundedMemo::remove`] leaves the key's queue entry behind as a
+/// stale entry. Every entry carries the sequence number it was queued
+/// under, so eviction skips stale entries, even one whose key has since
+/// been re-inserted, and the queue is compacted whenever it would pass
+/// twice the capacity. Live entries never exceed the capacity; queue
+/// entries never exceed twice the capacity.
+#[derive(Debug, Clone)]
+pub struct BoundedMemo<K, V> {
+    /// Live entries, each with the sequence number of its queue entry.
+    map: FastMap<K, (V, u64)>,
+    /// Insertion order, oldest first; may hold stale entries.
+    order: VecDeque<(K, u64)>,
+    next_seq: u64,
+    capacity: usize,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
+    /// A memo holding at most `capacity` entries (0 disables memoizing).
+    pub fn new(capacity: usize) -> Self {
+        BoundedMemo {
+            map: FastMap::default(),
+            order: VecDeque::new(),
+            next_seq: 0,
+            capacity,
+        }
+    }
+
+    /// Entries currently memoized.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` when nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Most entries held at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The memoized value for `key`, if present.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(v, _)| v)
+    }
+
+    /// Memoizes `value` under `key` unless the key is already present (or
+    /// memoizing is disabled), evicting the oldest entries at capacity.
+    /// Returns how many entries were evicted.
+    pub fn insert(&mut self, key: K, value: V) -> u64 {
+        if self.capacity == 0 || self.map.contains_key(&key) {
+            return 0;
+        }
+        let mut evicted = 0;
+        while self.map.len() >= self.capacity {
+            let Some((old, seq)) = self.order.pop_front() else {
+                break;
+            };
+            if self.map.get(&old).is_some_and(|&(_, live)| live == seq) {
+                self.map.remove(&old);
+                evicted += 1;
+            }
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.order.push_back((key.clone(), seq));
+        self.map.insert(key, (value, seq));
+        if self.order.len() > 2 * self.capacity {
+            let map = &self.map;
+            self.order
+                .retain(|(k, seq)| map.get(k).is_some_and(|&(_, live)| live == *seq));
+        }
+        evicted
+    }
+
+    /// Removes `key`, returning its value. Not an eviction.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(key).map(|(v, _)| v)
+    }
+
+    /// The memoized value for `key`, computing and inserting it with `f`
+    /// on a miss.
+    pub fn get_or_insert_with(&mut self, key: &K, f: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.get(key) {
+            return v.clone();
+        }
+        let v = f();
+        self.insert(key.clone(), v.clone());
+        v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{keccak256, Address, SplitMix64, B256, U256};
-    use std::hash::Hash;
 
     const KEYS: usize = 1 << 16;
 
@@ -345,5 +444,71 @@ mod tests {
             map.keys().eq(copy.keys()),
             "a cloned map iterates in its source's order"
         );
+    }
+
+    #[test]
+    fn memo_computes_once_and_evicts_fifo() {
+        let mut m: BoundedMemo<u32, u64> = BoundedMemo::new(2);
+        let calls = Cell::new(0u32);
+        let probe = |m: &mut BoundedMemo<u32, u64>, k: u32| {
+            m.get_or_insert_with(&k, || {
+                calls.set(calls.get() + 1);
+                u64::from(k) * 10
+            })
+        };
+        assert_eq!(probe(&mut m, 1), 10);
+        assert_eq!(probe(&mut m, 1), 10);
+        assert_eq!(calls.get(), 1, "second lookup must hit the memo");
+        probe(&mut m, 2);
+        probe(&mut m, 3); // evicts key 1
+        assert_eq!(m.len(), 2);
+        assert_eq!(probe(&mut m, 1), 10);
+        assert_eq!(calls.get(), 4, "evicted key is recomputed");
+    }
+
+    #[test]
+    fn zero_capacity_memo_still_computes() {
+        let mut m: BoundedMemo<u32, u64> = BoundedMemo::new(0);
+        assert_eq!(m.get_or_insert_with(&5, || 50), 50);
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn interleaved_removes_and_re_inserts_keep_the_queue_bounded() {
+        let cap = 64;
+        let mut m: BoundedMemo<u32, u32> = BoundedMemo::new(cap);
+        let mut evicted = 0;
+        for i in 0..10 * cap as u32 {
+            evicted += m.insert(i, i);
+            // Remove and re-insert a recent key, the way a node cache sees
+            // a mutation walk followed by the commit of an unchanged node.
+            if i % 3 == 0 {
+                let back = i - i % 7;
+                if let Some(v) = m.remove(&back) {
+                    evicted += m.insert(back, v);
+                }
+            }
+            if i % 5 == 0 {
+                m.remove(&(i / 2));
+            }
+            assert!(m.len() <= cap, "live entries over capacity");
+            assert!(m.order.len() <= 2 * cap, "queue over 2x capacity");
+        }
+        assert!(evicted > 0, "overfilling must evict");
+        // Every live entry still has exactly one live queue entry.
+        let live = m
+            .order
+            .iter()
+            .filter(|(k, seq)| m.map.get(k).is_some_and(|&(_, s)| s == *seq))
+            .count();
+        assert_eq!(live, m.len());
+        // Inserts removed straight back never fill the map, so only the
+        // compaction keeps their stale queue entries bounded.
+        let mut d: BoundedMemo<u32, u32> = BoundedMemo::new(cap);
+        for i in 0..10 * cap as u32 {
+            assert_eq!(d.insert(i, i), 0);
+            d.remove(&i);
+            assert!(d.order.len() <= 2 * cap, "queue over 2x capacity");
+        }
     }
 }

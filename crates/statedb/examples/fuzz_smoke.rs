@@ -21,7 +21,7 @@
 #![allow(clippy::disallowed_types)]
 
 use mtpu_primitives::{SplitMix64, B256};
-use mtpu_statedb::{empty_root, Link, MemStore, Node, NodeBatch, NodeDb, NodeStore, Trie};
+use mtpu_statedb::{empty_root, Link, MemStore, Node, NodeDb, NodeStore, Trie};
 use std::collections::{HashMap, HashSet};
 
 const OPS: usize = 5_000;
@@ -106,7 +106,7 @@ fn main() {
             let secure_root = secure.commit(&mut secure_db);
             assert_eq!(
                 secure_root,
-                Trie::build_sorted(&mut NodeBatch::new(), &mut leaves),
+                Trie::build_sorted(&mut NodeDb::new(MemStore::new()), &mut leaves),
                 "bottom-up build diverged from the secure-keyed trie at op {op}"
             );
             assert_eq!(

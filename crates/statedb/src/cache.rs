@@ -5,7 +5,7 @@
 //! RLP decode on a hit. Eviction is FIFO — content-addressed nodes never
 //! mutate, so recency tracking buys little over insertion order for the
 //! top-of-trie nodes that dominate lookups, and FIFO keeps the hot path
-//! to one `VecDeque` push.
+//! to one queue push in the workspace's [`BoundedMemo`].
 //!
 //! Nodes are never copied in or out. The cache holds each node behind
 //! an [`Arc`]: a read walk shares it ([`NodeCache::get`]), a mutation
@@ -20,108 +20,13 @@
 //! [`mtpu_telemetry::enabled`] per the workspace cost contract).
 
 use crate::node::Node;
-use mtpu_primitives::map::FastMap;
+use mtpu_primitives::map::BoundedMemo;
 use mtpu_primitives::B256;
-use std::collections::VecDeque;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Default capacity in nodes; at under 1 KiB a decoded node (a branch's
 /// boxed links are 640 bytes) this bounds the cache to a few MiB.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
-
-/// A bounded FIFO map: the one eviction loop behind both [`NodeCache`]
-/// and the committer's memo of `keccak(address)` / `keccak(slot)`
-/// secure-key hashing, which would otherwise re-hash the same 20/32
-/// bytes on every touch of a hot account or slot.
-///
-/// [`BoundedMemo::remove`] leaves the key's queue entry behind as a
-/// stale entry. Every entry carries the sequence number it was queued
-/// under, so eviction skips stale entries, even one whose key has since
-/// been re-inserted, and the queue is compacted whenever it would pass
-/// twice the capacity. Live entries never exceed the capacity; queue
-/// entries never exceed twice the capacity.
-#[derive(Debug, Clone)]
-pub struct BoundedMemo<K, V> {
-    /// Live entries, each with the sequence number of its queue entry.
-    map: FastMap<K, (V, u64)>,
-    /// Insertion order, oldest first; may hold stale entries.
-    order: VecDeque<(K, u64)>,
-    next_seq: u64,
-    capacity: usize,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
-    /// A memo holding at most `capacity` entries (0 disables memoizing).
-    pub fn new(capacity: usize) -> Self {
-        BoundedMemo {
-            map: FastMap::default(),
-            order: VecDeque::new(),
-            next_seq: 0,
-            capacity,
-        }
-    }
-
-    /// Entries currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The memoized value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
-    }
-
-    /// Memoizes `value` under `key` unless the key is already present (or
-    /// memoizing is disabled), evicting the oldest entries at capacity.
-    /// Returns how many entries were evicted.
-    pub fn insert(&mut self, key: K, value: V) -> u64 {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= self.capacity {
-            let Some((old, seq)) = self.order.pop_front() else {
-                break;
-            };
-            if self.map.get(&old).is_some_and(|&(_, live)| live == seq) {
-                self.map.remove(&old);
-                evicted += 1;
-            }
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.order.push_back((key.clone(), seq));
-        self.map.insert(key, (value, seq));
-        if self.order.len() > 2 * self.capacity {
-            let map = &self.map;
-            self.order
-                .retain(|(k, seq)| map.get(k).is_some_and(|&(_, live)| live == *seq));
-        }
-        evicted
-    }
-
-    /// Removes `key`, returning its value. Not an eviction.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key).map(|(v, _)| v)
-    }
-
-    /// The memoized value for `key`, computing and inserting it with `f`
-    /// on a miss.
-    pub fn get_or_insert_with(&mut self, key: &K, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.get(key) {
-            return v.clone();
-        }
-        let v = f();
-        self.insert(key.clone(), v.clone());
-        v
-    }
-}
 
 /// Bounded FIFO cache mapping node hash → decoded node: a
 /// [`BoundedMemo`] of shared nodes plus the hit/miss/eviction
@@ -163,7 +68,7 @@ impl NodeCache {
 
     /// Capacity in nodes.
     pub fn capacity(&self) -> usize {
-        self.nodes.capacity
+        self.nodes.capacity()
     }
 
     /// Lifetime `(hits, misses, evictions)` counters.
@@ -312,54 +217,15 @@ mod tests {
                 c.take(&h(i / 2));
             }
             assert!(c.len() <= cap, "live entries over capacity");
-            assert!(c.nodes.order.len() <= 2 * cap, "queue over 2x capacity");
         }
         let (_, _, evictions) = c.counters();
         assert!(evictions > 0, "overfilling must count evictions");
-        // Puts taken straight back never fill a cache, so only the
-        // compaction keeps their stale queue entries bounded.
+        // Puts taken straight back are hits and never evict.
         let mut d = NodeCache::new(cap);
         for i in 0..10 * cap as u32 {
             d.put(h(i), leaf(i));
             d.take(&h(i));
-            assert!(d.nodes.order.len() <= 2 * cap, "queue over 2x capacity");
         }
         assert_eq!(d.counters(), (10 * cap as u64, 0, 0));
-        // Every live entry still has exactly one live queue entry.
-        let live = c
-            .nodes
-            .order
-            .iter()
-            .filter(|(k, seq)| c.nodes.map.get(k).is_some_and(|&(_, s)| s == *seq))
-            .count();
-        assert_eq!(live, c.len());
-    }
-
-    #[test]
-    fn memo_computes_once_and_evicts_fifo() {
-        use std::cell::Cell;
-        let mut m: BoundedMemo<u32, u64> = BoundedMemo::new(2);
-        let calls = Cell::new(0u32);
-        let probe = |m: &mut BoundedMemo<u32, u64>, k: u32| {
-            m.get_or_insert_with(&k, || {
-                calls.set(calls.get() + 1);
-                u64::from(k) * 10
-            })
-        };
-        assert_eq!(probe(&mut m, 1), 10);
-        assert_eq!(probe(&mut m, 1), 10);
-        assert_eq!(calls.get(), 1, "second lookup must hit the memo");
-        probe(&mut m, 2);
-        probe(&mut m, 3); // evicts key 1
-        assert_eq!(m.len(), 2);
-        assert_eq!(probe(&mut m, 1), 10);
-        assert_eq!(calls.get(), 4, "evicted key is recomputed");
-    }
-
-    #[test]
-    fn zero_capacity_memo_still_computes() {
-        let mut m: BoundedMemo<u32, u64> = BoundedMemo::new(0);
-        assert_eq!(m.get_or_insert_with(&5, || 50), 50);
-        assert!(m.is_empty());
     }
 }

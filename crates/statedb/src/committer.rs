@@ -21,21 +21,15 @@
 //! while the account is dirty. Resetting or deleting an account
 //! releases that link, so the store keeps only live storage nodes.
 
-use crate::cache::BoundedMemo;
 use crate::store::NodeStore;
-use crate::trie::{empty_root, NodeBatch, NodeDb, Trie, TrieStats};
-use mtpu_primitives::map::FastMap;
+use crate::trie::{empty_root, NodeDb, Trie, TrieStats};
+use mtpu_primitives::map::{BoundedMemo, FastMap};
 use mtpu_primitives::rlp::{self, Item};
 use mtpu_primitives::{Address, B256, EMPTY_CODE_HASH, U256};
-use std::time::Instant;
 
 /// Bound on each secure-key memo (addresses and slots memoized
 /// separately); at 52–64 bytes an entry this is a few hundred KiB.
 const SECURE_KEY_MEMO_CAPACITY: usize = 4096;
-
-/// Fewest dirty accounts worth fanning storage-trie commits across
-/// threads; below this the spawn cost dominates.
-const PAR_MIN_SUBTRIES: usize = 4;
 
 /// The four-field account body stored in an account-trie leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,13 +136,12 @@ pub struct StateCommitter<S: NodeStore> {
     db: NodeDb<S>,
     accounts: Trie,
     /// Accounts with open (uncommitted) storage tries, in first-touch
-    /// order — the canonical order every commit path processes them in,
-    /// which is what makes the parallel merge deterministic.
+    /// order — the order a commit hashes them in, so the store's append
+    /// order does not follow hash-map iteration order.
     dirty: Vec<(Address, OpenAccount)>,
     /// Address → index into `dirty`.
     dirty_index: FastMap<Address, usize>,
     keys: SecureKeys,
-    threads: usize,
 }
 
 /// A buffered account: its pending record fields plus its open storage
@@ -200,26 +193,13 @@ impl<S: NodeStore> StateCommitter<S> {
             dirty: Vec::new(),
             dirty_index: FastMap::default(),
             keys: SecureKeys::new(),
-            threads: 1,
         }
     }
 
-    /// Sets the worker-thread count for [`StateCommitter::commit`]
-    /// (builder form). 1 (the default) commits serially; the root is
-    /// identical either way.
-    pub fn with_threads(mut self, threads: usize) -> StateCommitter<S> {
-        self.set_threads(threads);
+    /// Returns the committer unchanged: every commit runs on the calling
+    /// thread. It stays only because `spine/`'s staged loop names it.
+    pub fn with_threads(self, _threads: usize) -> StateCommitter<S> {
         self
-    }
-
-    /// Sets the worker-thread count for subsequent commits.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured commit worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Reads an account record, if the account exists. For an account
@@ -258,9 +238,8 @@ impl<S: NodeStore> StateCommitter<S> {
     }
 
     /// Applies one account's changes to its buffered record and open
-    /// storage trie. Nothing is hashed here — the storage trie commits
-    /// (possibly on a worker thread) at the next
-    /// [`StateCommitter::commit`].
+    /// storage trie. Nothing is hashed here — the storage trie commits at
+    /// the next [`StateCommitter::commit`].
     pub fn update_account(&mut self, addr: &Address, up: &AccountUpdate) {
         let i = match self.dirty_index.get(addr) {
             Some(&i) => i,
@@ -319,20 +298,14 @@ impl<S: NodeStore> StateCommitter<S> {
 
     /// Commits every dirty path and returns the state root.
     ///
-    /// Buffered storage tries commit first — across up to
-    /// [`StateCommitter::threads`] scoped workers when the dirty set is
-    /// large enough — then their account leaves are inserted in
-    /// first-touch order and the accounts trie commits (itself fanning
-    /// dirty root-branch children across the workers). Every path yields
-    /// the same root and the same store append order; see DESIGN.md §10.
+    /// Buffered storage tries commit first, in first-touch order, then
+    /// their account leaves are inserted in the same order and the
+    /// accounts trie commits. The store's append order is therefore a
+    /// pure function of the updates; see DESIGN.md §10.
     pub fn commit(&mut self) -> B256 {
         let _span = mtpu_telemetry::span("statedb.commit", "statedb");
         self.flush_dirty();
-        if self.threads > 1 {
-            self.accounts.commit_parallel(&mut self.db, self.threads)
-        } else {
-            self.accounts.commit(&mut self.db)
-        }
+        self.accounts.commit(&mut self.db)
     }
 
     /// Builds a whole state into this fresh committer in one sorted pass
@@ -347,7 +320,7 @@ impl<S: NodeStore> StateCommitter<S> {
     /// [`StateCommitter::update_account`] loop plus
     /// [`StateCommitter::commit`] sinks them, so the store's contents and
     /// append order, the cache and [`TrieStats`] end exactly as that
-    /// path leaves them. Serial at any [`StateCommitter::threads`].
+    /// path leaves them.
     ///
     /// # Panics
     ///
@@ -396,48 +369,8 @@ impl<S: NodeStore> StateCommitter<S> {
         }
         let mut dirty = std::mem::take(&mut self.dirty);
         self.dirty_index.clear();
-        let workers = self.threads.min(dirty.len());
-        if workers > 1 && dirty.len() >= PAR_MIN_SUBTRIES {
-            // Contiguous runs of the first-touch order, one per worker;
-            // absorbing the batches in run order reproduces the exact
-            // append order of the serial loop below.
-            let chunk = dirty.len().div_ceil(workers);
-            let mut busy_ns = 0u64;
-            let batches: Vec<NodeBatch> = std::thread::scope(|s| {
-                let handles: Vec<_> = dirty
-                    .chunks_mut(chunk)
-                    .map(|entries| {
-                        s.spawn(move || {
-                            let started = Instant::now();
-                            let mut batch = NodeBatch::new();
-                            for (_, entry) in entries.iter_mut() {
-                                entry.record.storage_root = entry.storage.commit_into(&mut batch);
-                            }
-                            (batch, started.elapsed().as_nanos() as u64)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        let (batch, ns) = h.join().expect("storage-commit worker panicked");
-                        busy_ns += ns;
-                        batch
-                    })
-                    .collect()
-            });
-            for batch in batches {
-                self.db.absorb_batch(batch);
-            }
-            if mtpu_telemetry::enabled() {
-                let m = crate::obs::metrics();
-                m.par_subtries.add(dirty.len() as u64);
-                m.par_busy_ns.add(busy_ns);
-            }
-        } else {
-            for (_, entry) in dirty.iter_mut() {
-                entry.record.storage_root = entry.storage.commit_into(&mut self.db);
-            }
+        for (_, entry) in dirty.iter_mut() {
+            entry.record.storage_root = entry.storage.commit_into(&mut self.db);
         }
         for (addr, entry) in &dirty {
             let key = self.keys.account(addr);

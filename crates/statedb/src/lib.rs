@@ -28,6 +28,8 @@
 //!   (`keccak(address)` keys, `rlp([nonce, balance, storage_root,
 //!   code_hash])` leaves, per-account storage tries), built incrementally
 //!   or, for a whole state, in one pass ([`StateCommitter::bulk_load`]).
+//!   Every commit runs on the calling thread, in first-touch order, so
+//!   the store's append order is a pure function of the updates.
 //!
 //! Telemetry: when the global `mtpu-telemetry` registry is enabled the
 //! trie mirrors its work counters as `statedb.*` metrics; disabled, each
@@ -41,8 +43,8 @@ pub mod obs;
 pub mod store;
 pub mod trie;
 
-pub use cache::{BoundedMemo, NodeCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{NodeCache, DEFAULT_CACHE_CAPACITY};
 pub use committer::{AccountRecord, AccountUpdate, StateCommitter};
 pub use node::{Link, Node, NodeError};
 pub use store::{MemStore, NodeStore};
-pub use trie::{empty_root, NodeBatch, NodeDb, NodeSink, Trie, TrieStats};
+pub use trie::{empty_root, NodeDb, NodeSink, Trie, TrieStats};

@@ -34,16 +34,6 @@ pub struct StatedbMetrics {
     /// Nodes hashed per commit (`statedb.commit.nodes`), the dirty-path
     /// size distribution.
     pub commit_nodes: Histogram,
-    /// Storage subtries committed on worker threads
-    /// (`statedb.parallel.subtries`).
-    pub par_subtries: Counter,
-    /// Nodes merged into the store from worker batches
-    /// (`statedb.parallel.batch_nodes`).
-    pub par_batch_nodes: Counter,
-    /// Cumulative worker-thread hashing time
-    /// (`statedb.parallel.workers_busy_ns`) — compare against the commit
-    /// span's wall time to read parallel efficiency.
-    pub par_busy_ns: Counter,
 }
 
 /// The process-wide cached handle set.
@@ -61,9 +51,6 @@ pub fn metrics() -> &'static StatedbMetrics {
             nodes_released: reg.counter("statedb.node.released"),
             commits: reg.counter("statedb.commit"),
             commit_nodes: reg.histogram("statedb.commit.nodes"),
-            par_subtries: reg.counter("statedb.parallel.subtries"),
-            par_batch_nodes: reg.counter("statedb.parallel.batch_nodes"),
-            par_busy_ns: reg.counter("statedb.parallel.workers_busy_ns"),
         }
     })
 }

@@ -22,11 +22,6 @@ use crate::node::{Link, Node};
 use crate::store::NodeStore;
 use mtpu_primitives::B256;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Fewest dirty branch children worth fanning out across threads in
-/// [`Trie::commit_parallel`]; below this the spawn cost dominates.
-const PAR_MIN_CHILDREN: usize = 4;
 
 /// Most released encodings a [`NodeDb`] keeps as spares. A mutation
 /// releases the node it supersedes and the next commit encodes its
@@ -72,13 +67,11 @@ pub struct TrieStats {
 /// Receives the nodes a commit or a full build hashes, in bottom-up
 /// traversal order.
 ///
-/// [`NodeDb`] sinks straight into its store; [`NodeBatch`] buffers them
-/// so a worker thread can hash a subtree without touching the shared
-/// store, to be merged later via [`NodeDb::absorb_batch`]. The order in
-/// which nodes reach a sink is a pure function of the trie contents
-/// (bottom-up, children before parents, branch children in nibble
-/// order), which is what makes the parallel merge deterministic and
-/// lets [`Trie::build_sorted`] reproduce a commit's sink sequence.
+/// [`NodeDb`] sinks straight into its store; a test can substitute a
+/// recorder to see every hashed node. The order in which nodes reach a
+/// sink is a pure function of the trie contents (bottom-up, children
+/// before parents, branch children in nibble order), which lets
+/// [`Trie::build_sorted`] reproduce a commit's sink sequence.
 pub trait NodeSink {
     /// Accepts one freshly encoded and hashed node, moved out of the
     /// trie it was committed from (its link is now [`Link::Hash`]) or
@@ -90,43 +83,6 @@ pub trait NodeSink {
     /// of the right length.
     fn encode(&mut self, node: &Node) -> Vec<u8> {
         node.encode()
-    }
-}
-
-/// An ordered buffer of committed nodes produced off-thread by
-/// [`Trie::commit_into`], merged into the shared [`NodeDb`] with
-/// [`NodeDb::absorb_batch`]. It holds the nodes themselves, moved out of
-/// the trie, so absorbing moves them on into the cache without a copy.
-#[derive(Debug, Default)]
-pub struct NodeBatch {
-    nodes: Vec<(B256, Vec<u8>, Node)>,
-}
-
-impl NodeBatch {
-    /// An empty batch.
-    pub fn new() -> NodeBatch {
-        NodeBatch::default()
-    }
-
-    /// Nodes buffered so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when no nodes are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The buffered nodes' hashes and encodings, in sink order.
-    pub fn iter(&self) -> impl Iterator<Item = (&B256, &[u8])> {
-        self.nodes.iter().map(|(h, raw, _)| (h, raw.as_slice()))
-    }
-}
-
-impl NodeSink for NodeBatch {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
-        self.nodes.push((hash, raw, node));
     }
 }
 
@@ -149,14 +105,9 @@ pub struct NodeDb<S: NodeStore> {
 impl<S: NodeStore> NodeDb<S> {
     /// Wraps `store` with the default-capacity cache.
     pub fn new(store: S) -> Self {
-        NodeDb::with_cache(store, NodeCache::default())
-    }
-
-    /// Wraps `store` with an explicitly sized cache.
-    pub fn with_cache(store: S, cache: NodeCache) -> Self {
         NodeDb {
             store,
-            cache,
+            cache: NodeCache::default(),
             nodes_hashed: 0,
             nodes_loaded: 0,
             nodes_released: 0,
@@ -290,52 +241,23 @@ impl<S: NodeStore> NodeDb<S> {
             m.commit_nodes.record(self.nodes_hashed - hashed_before);
         }
     }
+}
 
+impl<S: NodeStore> NodeSink for NodeDb<S> {
     /// Adds the link to a freshly hashed node: stores it (or counts one
     /// more link to the stored copy) and moves it into the cache.
-    fn put_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
+        self.nodes_hashed += 1;
         if !self.store.put(hash, raw) {
             // The stored copy already holds this node's child links.
             for_each_hash_link(&node, &mut |child| self.release(child));
         }
         self.cache.put(hash, Arc::new(node));
-    }
-
-    fn store_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
-        self.nodes_hashed += 1;
-        self.put_node(hash, raw, node);
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.inc();
             m.nodes_stored.inc();
         }
-    }
-
-    /// Merges a worker-produced [`NodeBatch`] into the store and cache,
-    /// preserving the batch's insertion order — callers absorb batches in
-    /// job order, so the store sees the exact byte sequence a sequential
-    /// commit of the same tries would have appended.
-    pub fn absorb_batch(&mut self, batch: NodeBatch) {
-        let n = batch.nodes.len() as u64;
-        if n == 0 {
-            return;
-        }
-        self.nodes_hashed += n;
-        for (hash, raw, node) in batch.nodes {
-            self.put_node(hash, raw, node);
-        }
-        if mtpu_telemetry::enabled() {
-            let m = crate::obs::metrics();
-            m.nodes_hashed.add(n);
-            m.nodes_stored.add(n);
-            m.par_batch_nodes.add(n);
-        }
-    }
-}
-
-impl<S: NodeStore> NodeSink for NodeDb<S> {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
-        self.store_node(hash, raw, node);
     }
 
     fn encode(&mut self, node: &Node) -> Vec<u8> {
@@ -458,10 +380,9 @@ impl Trie {
     ///
     /// Committing a dirty trie never *reads* the store — mutations only
     /// ever splice in-memory [`Link::Node`]s, and everything below a
-    /// [`Link::Hash`] is already committed — so a worker thread can run
-    /// this against a private [`NodeBatch`] with no access to the shared
-    /// [`NodeDb`] at all. Unlike [`Trie::commit`] this does not bump the
-    /// commits counter or record telemetry; wrappers do.
+    /// [`Link::Hash`] is already committed — so the sink needs no store
+    /// behind it. Unlike [`Trie::commit`] this does not bump the commits
+    /// counter or record telemetry; wrappers do.
     pub fn commit_into<K: NodeSink>(&mut self, sink: &mut K) -> B256 {
         match &mut self.root {
             None => empty_root(),
@@ -508,85 +429,6 @@ impl Trie {
         }
         let root = build_node(sink, leaves, 0);
         sink_owned(sink, root)
-    }
-
-    /// Like [`Trie::commit`], but hashes dirty children of the root
-    /// branch on up to `threads` scoped worker threads.
-    ///
-    /// Produces a store byte-stream — and therefore a root — identical
-    /// to the serial commit: each worker hashes a contiguous run of
-    /// dirty children (taken in nibble order) into a private
-    /// [`NodeBatch`], the batches are absorbed in run order, and the
-    /// root node is hashed last, which is exactly the serial traversal
-    /// order. Falls back to [`Trie::commit`] when the fan-out is too
-    /// small to pay for the spawns.
-    pub fn commit_parallel<S: NodeStore>(&mut self, db: &mut NodeDb<S>, threads: usize) -> B256 {
-        let fan_out = match &self.root {
-            Some(Link::Node(node)) => match node.as_ref() {
-                Node::Branch { children, .. } => children
-                    .iter()
-                    .flatten()
-                    .filter(|c| matches!(c, Link::Node(_)))
-                    .count(),
-                _ => 0,
-            },
-            _ => 0,
-        };
-        if threads <= 1 || fan_out < PAR_MIN_CHILDREN {
-            return self.commit(db);
-        }
-        let hashed_before = db.nodes_hashed;
-        let mut busy_ns = 0u64;
-        {
-            let Some(Link::Node(node)) = &mut self.root else {
-                unreachable!("fan_out > 0 implies a dirty root")
-            };
-            let Node::Branch { children, .. } = node.as_mut() else {
-                unreachable!("fan_out > 0 implies a branch root")
-            };
-            let mut dirty: Vec<&mut Link> = children
-                .iter_mut()
-                .flatten()
-                .filter(|c| matches!(c, Link::Node(_)))
-                .collect();
-            let workers = threads.min(dirty.len());
-            let chunk = dirty.len().div_ceil(workers);
-            let batches: Vec<NodeBatch> = std::thread::scope(|s| {
-                let handles: Vec<_> = dirty
-                    .as_mut_slice()
-                    .chunks_mut(chunk)
-                    .map(|links| {
-                        s.spawn(move || {
-                            let started = Instant::now();
-                            let mut batch = NodeBatch::new();
-                            for link in links.iter_mut() {
-                                commit_link(&mut batch, link);
-                            }
-                            (batch, started.elapsed().as_nanos() as u64)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        let (batch, ns) = h.join().expect("commit worker panicked");
-                        busy_ns += ns;
-                        batch
-                    })
-                    .collect()
-            });
-            for batch in batches {
-                db.absorb_batch(batch);
-            }
-        }
-        // Children are now hash links (or sub-32-byte inlines); this
-        // hashes and stores just the root node.
-        let root = self.commit_into(db);
-        db.count_commit(hashed_before);
-        if mtpu_telemetry::enabled() {
-            crate::obs::metrics().par_busy_ns.add(busy_ns);
-        }
-        root
     }
 }
 
@@ -1058,5 +900,43 @@ mod tests {
             dirty <= 12,
             "one-key update must re-hash a path, not the trie ({dirty} nodes)"
         );
+    }
+
+    /// Fills `t` with `n` secure-style keys starting at `from`.
+    fn fill(db: &mut NodeDb<MemStore>, t: &mut Trie, from: u32, n: u32) {
+        for i in from..from + n {
+            let key = B256::keccak(&i.to_be_bytes());
+            t.insert(db, key.as_bytes(), &i.to_be_bytes());
+        }
+    }
+
+    #[test]
+    fn released_buffers_stay_within_the_spare_bound() {
+        let mut db = db();
+        let mut big = Trie::empty();
+        fill(&mut db, &mut big, 0, 6000);
+        big.commit(&mut db);
+        assert!(
+            db.store().len() > SPARE_BUFFERS,
+            "the released trie must overfill the spares ({} nodes)",
+            db.store().len()
+        );
+        big.release(&mut db);
+        assert!(db.store().is_empty(), "release leaves no node behind");
+        assert_eq!(db.spare_count, SPARE_BUFFERS, "the bound is reached");
+        assert_eq!(
+            db.spare_count,
+            db.spares.iter().map(Vec::len).sum::<usize>()
+        );
+        assert!(db.spares.iter().flatten().all(|b| b.len() <= SPARE_MAX_LEN));
+
+        let mut fresh = Trie::empty();
+        fill(&mut db, &mut fresh, 10_000, 256);
+        let root = fresh.commit(&mut db);
+        assert!(db.spare_count < SPARE_BUFFERS, "commits encode into spares");
+        let mut clean_db = NodeDb::new(MemStore::new());
+        let mut clean = Trie::empty();
+        fill(&mut clean_db, &mut clean, 10_000, 256);
+        assert_eq!(root, clean.commit(&mut clean_db));
     }
 }

@@ -1,9 +1,9 @@
 //! Differential tests for the bottom-up full build.
 //!
-//! Trie level: [`Trie::build_sorted`] into a [`NodeBatch`] must give the
-//! same root and the same `(hash, raw)` sequence as inserting the same
-//! keys into an empty [`Trie`] in shuffled order and committing it into
-//! a [`NodeBatch`].
+//! Trie level: [`Trie::build_sorted`] into a recording [`NodeSink`] must
+//! give the same root and the same `(hash, raw)` sequence as inserting
+//! the same keys into an empty [`Trie`] in shuffled order and committing
+//! it into another.
 //!
 //! Committer level: [`StateCommitter::bulk_load`] must leave the store
 //! (contents and append order), the node cache and [`TrieStats`] exactly
@@ -13,7 +13,9 @@
 //! the caches did.
 
 use mtpu_primitives::{Address, SplitMix64, B256, EMPTY_CODE_HASH, U256};
-use mtpu_statedb::{AccountUpdate, MemStore, NodeBatch, NodeDb, NodeStore, StateCommitter, Trie};
+use mtpu_statedb::{
+    AccountUpdate, MemStore, Node, NodeDb, NodeSink, NodeStore, StateCommitter, Trie,
+};
 
 fn random_key(rng: &mut SplitMix64) -> B256 {
     let mut k = [0u8; 32];
@@ -37,17 +39,23 @@ fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
 
 type Nodes = Vec<(B256, Vec<u8>)>;
 
-fn batch_nodes(batch: &NodeBatch) -> Nodes {
-    batch.iter().map(|(h, raw)| (*h, raw.to_vec())).collect()
+/// Records every sunk node's hash and encoding, in sink order.
+#[derive(Default)]
+struct Sunk(Nodes);
+
+impl NodeSink for Sunk {
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, _node: Node) {
+        self.0.push((hash, raw));
+    }
 }
 
 /// Root and sunk nodes of the bottom-up build over `entries`.
 fn built(entries: &[(B256, Vec<u8>)]) -> (B256, Nodes) {
     let mut leaves = entries.to_vec();
     leaves.sort_unstable_by_key(|&(key, _)| key);
-    let mut batch = NodeBatch::new();
-    let root = Trie::build_sorted(&mut batch, &mut leaves);
-    (root, batch_nodes(&batch))
+    let mut sunk = Sunk::default();
+    let root = Trie::build_sorted(&mut sunk, &mut leaves);
+    (root, sunk.0)
 }
 
 /// Root and sunk nodes of the insert path over `entries`, inserted in a
@@ -60,9 +68,9 @@ fn inserted(rng: &mut SplitMix64, entries: &[(B256, Vec<u8>)]) -> (B256, Nodes) 
     for (key, value) in &order {
         trie.insert(&mut db, key.as_bytes(), value);
     }
-    let mut batch = NodeBatch::new();
-    let root = trie.commit_into(&mut batch);
-    (root, batch_nodes(&batch))
+    let mut sunk = Sunk::default();
+    let root = trie.commit_into(&mut sunk);
+    (root, sunk.0)
 }
 
 fn assert_same_build(rng: &mut SplitMix64, entries: &[(B256, Vec<u8>)], what: &str) -> Nodes {
@@ -145,7 +153,7 @@ fn a_single_short_entry_is_a_hashed_root_leaf() {
 #[should_panic(expected = "strictly ascending")]
 fn build_sorted_rejects_unsorted_keys() {
     let mut leaves = vec![(B256::new([2; 32]), vec![1]), (B256::new([1; 32]), vec![1])];
-    Trie::build_sorted(&mut NodeBatch::new(), &mut leaves);
+    Trie::build_sorted(&mut Sunk::default(), &mut leaves);
 }
 
 /// A [`MemStore`] that also records every put, in order.

@@ -1,11 +1,10 @@
-//! Property test for the parallel commit path: the same random
+//! Property test for incremental commitment under churn: random
 //! account/storage churn — creates, overwrites, slot deletes,
 //! `reset_storage` wipes and selfdestructs (including delete-then-
-//! recreate in one round) — is driven through committers configured for
-//! 1, 4 and 8 worker threads, and after every round all three must land
-//! on the same root as a from-scratch rebuild of a plain `HashMap`
-//! reference model. Any divergence in the deterministic batch merge,
-//! the dirty-account buffering or the subtrie fan-out panics here.
+//! recreate in one round) — is driven through one long-lived committer,
+//! and after every round it must land on the same root as a from-scratch
+//! rebuild of a plain `HashMap` reference model. Any divergence in the
+//! dirty-account buffering or the incremental re-hash panics here.
 
 // The reference model keeps std's HashMap: it shares no hasher with the committer it checks.
 #![allow(clippy::disallowed_types)]
@@ -15,8 +14,7 @@ use mtpu_statedb::{AccountUpdate, MemStore, StateCommitter};
 use std::collections::HashMap;
 
 const ROUNDS: usize = 16;
-/// Ops per round; most rounds dirty well past the parallel fan-out
-/// thresholds (4 subtries / 4 root-branch children).
+/// Ops per round; most rounds dirty over a dozen accounts.
 const OPS_PER_ROUND: usize = 18;
 /// Address pool size — small enough that deletes and recreates hit.
 const POOL: u64 = 48;
@@ -99,41 +97,31 @@ fn scratch_root(model: &Model) -> B256 {
 }
 
 #[test]
-fn parallel_commit_matches_sequential_and_scratch_rebuild() {
+fn incremental_commit_matches_a_scratch_rebuild_every_round() {
     let mut rng = SplitMix64::new(0x9a7a_11e1);
     let mut model = Model::new();
-    let mut seq = StateCommitter::new(MemStore::new());
-    let mut par4 = StateCommitter::new(MemStore::new()).with_threads(4);
-    let mut par8 = StateCommitter::new(MemStore::new()).with_threads(8);
+    let mut committer = StateCommitter::new(MemStore::new());
 
     for round in 1..=ROUNDS {
         let ops = round_ops(&mut rng, &mut model);
-        apply(&mut seq, &ops);
-        apply(&mut par4, &ops);
-        apply(&mut par8, &ops);
-
-        let want = scratch_root(&model);
-        let r1 = seq.commit();
+        apply(&mut committer, &ops);
         assert_eq!(
-            r1, want,
-            "sequential root diverged from model at round {round}"
+            committer.commit(),
+            scratch_root(&model),
+            "incremental root diverged from model at round {round}"
         );
-        assert_eq!(par4.commit(), r1, "4-thread root diverged at round {round}");
-        assert_eq!(par8.commit(), r1, "8-thread root diverged at round {round}");
     }
 
-    // The parallel committers must also *read* back the full model —
-    // records and every storage slot — not just hash to the right root.
+    // The committer must also *read* back the full model — records and
+    // every storage slot — not just hash to the right root.
     for (addr, acct) in &model {
-        for committer in [&mut par4, &mut par8] {
-            let record = committer
-                .account(addr)
-                .expect("live account missing after parallel commits");
-            assert_eq!(record.nonce, acct.nonce);
-            assert_eq!(record.balance, acct.balance);
-            for (&slot, &value) in &acct.storage {
-                assert_eq!(committer.storage_value(addr, slot), value);
-            }
+        let record = committer
+            .account(addr)
+            .expect("live account missing after incremental commits");
+        assert_eq!(record.nonce, acct.nonce);
+        assert_eq!(record.balance, acct.balance);
+        for (&slot, &value) in &acct.storage {
+            assert_eq!(committer.storage_value(addr, slot), value);
         }
     }
     assert!(!model.is_empty(), "churn must leave live accounts");

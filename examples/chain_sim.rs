@@ -52,7 +52,7 @@ fn main() {
     let mut table = ContractTable::new();
     let executor = ParExecutor::new(4);
 
-    let mut committer = StateCommitter::new(MemStore::new()).with_threads(4);
+    let mut committer = StateCommitter::new(MemStore::new());
     // Seed the trie with genesis so block deltas commit incrementally.
     let genesis_root = mtpu_repro::evm::commit_full(&mut committer, &generator.fx.state);
     assert_eq!(genesis_root, generator.fx.state.merkle_root());

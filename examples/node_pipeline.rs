@@ -64,7 +64,6 @@ fn main() {
         DriverConfig {
             blocks,
             threads: 4,
-            commit_threads: 4,
             ingest_batch: 128,
             prefill: 1024,
             background_ingest: true,

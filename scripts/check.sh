@@ -4,7 +4,8 @@
 # step (deep protocol explorer + parexec oracle loop + read-layer race
 # loop), the scheduler differential's deep sweep, the spine's build and
 # tests, the statedb fuzz smoke, the chain_sim golden, every other
-# example, and the golden diff of the paper's tables. Run before pushing.
+# example, the golden diff of the paper's tables, and the non-test line
+# count against the merge base with main. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,5 +82,14 @@ done
 
 echo "==> paper tables and figures vs crates/bench/golden/all.txt (exact)"
 cargo run --release -q -p mtpu-bench --bin all | diff -u crates/bench/golden/all.txt -
+
+# The CI job of the same name prints this for pull requests; it reports
+# and never fails.
+if git rev-parse --verify -q main >/dev/null; then
+    echo "==> non-test lines vs the merge base with main (report only)"
+    scripts/loc.sh "$(git merge-base HEAD main)" || true
+else
+    echo "==> no main branch: line count skipped"
+fi
 
 echo "All checks passed."

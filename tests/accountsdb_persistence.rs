@@ -352,10 +352,9 @@ fn kill_at_every_flush_resumes_at_the_last_snapshot() {
         let state = &chain.states[durable as usize];
         assert_reads_match(&db, state, &what);
 
-        // Resume: derive the trie from the store (serial or 4 workers,
-        // alternating with k), then commit the lost blocks on top.
-        let threads = if k % 2 == 0 { 4 } else { 1 };
-        let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
+        // Resume: derive the trie from the store, then commit the lost
+        // blocks on top.
+        let mut committer = StateCommitter::new(MemStore::new());
         let derived = commit_full(&mut committer, &db.export_state());
         assert_eq!(derived, chain.root(durable), "{what}: derived root");
         for h in durable + 1..=BLOCKS {

@@ -123,7 +123,7 @@ fn packed_blocks_parallel_equals_sequential() {
 
         // Pipelined: all commits submitted to the background thread,
         // handles joined only at the end.
-        let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
+        let mut committer = StateCommitter::new(MemStore::new());
         commit_full(&mut committer, &genesis);
         committer.commit();
         let committer = AsyncCommitter::new(committer);
@@ -223,7 +223,7 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
 
         // The trie stays commitment-only: updates derive from the delta
         // against the flat base, never from a materialized `State`.
-        let mut committer = StateCommitter::new(MemStore::new()).with_threads(threads);
+        let mut committer = StateCommitter::new(MemStore::new());
         commit_full(&mut committer, &genesis);
         assert_eq!(committer.commit(), genesis.merkle_root());
 

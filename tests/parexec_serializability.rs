@@ -163,8 +163,8 @@ fn async_commit_pipeline_matches_synchronous_roots() {
         blocks.push(block);
     }
 
-    let seeded = |threads: usize| {
-        let mut c = StateCommitter::new(MemStore::new()).with_threads(threads);
+    let seeded = || {
+        let mut c = StateCommitter::new(MemStore::new());
         commit_full(&mut c, &genesis);
         c.commit();
         c
@@ -175,7 +175,7 @@ fn async_commit_pipeline_matches_synchronous_roots() {
 
         // Synchronous: commit each block's delta before executing
         // the next.
-        let mut committer = seeded(threads);
+        let mut committer = seeded();
         let mut state = genesis.clone();
         let mut sync_roots = Vec::new();
         for block in &blocks {
@@ -191,7 +191,7 @@ fn async_commit_pipeline_matches_synchronous_roots() {
         // Pipelined: submit every block's commit to the background
         // thread, joining the handles only at the end — block N+1
         // executes while block N hashes.
-        let committer = AsyncCommitter::new(seeded(threads));
+        let committer = AsyncCommitter::new(seeded());
         let mut state = genesis.clone();
         let mut handles = Vec::new();
         for block in &blocks {

@@ -8,8 +8,8 @@
 //! slot writes and deletes, `reset_storage`, selfdestructs, delete-then-
 //! recreate of one account inside a round, and mid-round `account()`
 //! reads that commit an open storage trie early. Every round is checked
-//! at 1 and 4 commit threads against a fresh `bulk_load` of a plain
-//! model: same root, same number of stored nodes.
+//! against a fresh `bulk_load` of a plain model: same root, same number
+//! of stored nodes.
 
 use mtpu_repro::primitives::map::FastMap;
 use mtpu_repro::primitives::{Address, SplitMix64, B256, EMPTY_CODE_HASH, U256};
@@ -154,13 +154,13 @@ fn check_working_set(c: &StateCommitter<MemStore>, root: B256, at: &str) {
     );
 }
 
-fn churn(seed: u64, threads: usize) {
+fn churn(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut model = Model::new();
-    let mut c = StateCommitter::new(MemStore::new()).with_threads(threads);
+    let mut c = StateCommitter::new(MemStore::new());
     let mut shared = false;
     for round in 1..=ROUNDS {
-        let at = format!("seed {seed}, {threads} threads, round {round}");
+        let at = format!("seed {seed}, round {round}");
         for _ in 0..OPS_PER_ROUND {
             let addr = Address::from_low_u64(rng.random_range(0..POOL) * 0x0101 + 3);
             match rng.random_range(0..20) {
@@ -217,7 +217,6 @@ fn churn(seed: u64, threads: usize) {
 #[test]
 fn store_is_exactly_the_live_trie_after_every_commit() {
     for seed in 0..SEEDS {
-        churn(seed, 1);
-        churn(seed, 4);
+        churn(seed);
     }
 }
