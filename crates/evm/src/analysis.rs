@@ -220,12 +220,16 @@ impl AnalysisCache {
             if let Some(found) = guard.memo.get(&hash) {
                 let found = Arc::clone(found);
                 guard.hits += 1;
-                crate::obs::metrics().analysis_hits.inc();
+                if mtpu_telemetry::enabled() {
+                    crate::obs::metrics().analysis_hits.inc();
+                }
                 return found;
             }
             guard.misses += 1;
         }
-        crate::obs::metrics().analysis_misses.inc();
+        if mtpu_telemetry::enabled() {
+            crate::obs::metrics().analysis_misses.inc();
+        }
         // Analyze without holding the lock; re-probe before inserting in
         // case another thread finished the same bytecode meanwhile.
         let analysis = Arc::new(CodeAnalysis::analyze(code));
@@ -235,7 +239,9 @@ impl AnalysisCache {
         }
         let evicted = guard.memo.insert(hash, Arc::clone(&analysis));
         guard.evictions += evicted;
-        crate::obs::metrics().analysis_evictions.add(evicted);
+        if mtpu_telemetry::enabled() {
+            crate::obs::metrics().analysis_evictions.add(evicted);
+        }
         analysis
     }
 

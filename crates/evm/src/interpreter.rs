@@ -13,6 +13,7 @@ use crate::stack::{Stack, StackError, STACK_LIMIT};
 use crate::state::StateOps;
 use crate::trace::{CallKind, FrameInfo, Tracer};
 use crate::tx::{BlockHeader, Log};
+use mtpu_primitives::map::BoundedMemo;
 use mtpu_primitives::{keccak256, Address, B256, U256};
 use std::cell::RefCell;
 
@@ -212,6 +213,44 @@ thread_local! {
 const FRAME_POOL_MAX: usize = 64;
 /// Pooled memories above this capacity are dropped rather than retained.
 const FRAME_POOL_MAX_MEMORY: usize = 1 << 20;
+
+/// Most `SHA3` inputs a thread's memo holds. Full, a memo is ~1.2 MB: 8 192
+/// map buckets of 105 bytes plus a 4 096-entry queue of 72 bytes.
+const SHA3_MEMO_CAPACITY: usize = 4096;
+
+thread_local! {
+    /// Per-thread memo of `SHA3` over 64-byte inputs, the Solidity
+    /// mapping-slot shape `keccak(key ‖ slot)`. The node's lane runs a
+    /// transaction's admission and its block execution on one thread, so
+    /// the first warms the memo for the second.
+    static SHA3_MEMO: RefCell<BoundedMemo<[u8; 64], [u8; 32]>> =
+        RefCell::new(BoundedMemo::new(SHA3_MEMO_CAPACITY));
+}
+
+/// The `SHA3` opcode's digest of `input`: through this thread's memo when
+/// the input is 64 bytes, [`keccak256`] directly otherwise.
+fn sha3(input: &[u8]) -> [u8; 32] {
+    let Ok(key) = <&[u8; 64]>::try_from(input) else {
+        return keccak256(input);
+    };
+    SHA3_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        let hit = memo.get(key).copied();
+        if mtpu_telemetry::enabled() {
+            let m = crate::obs::metrics();
+            if hit.is_some() {
+                m.sha3_hits.inc()
+            } else {
+                m.sha3_misses.inc()
+            }
+        }
+        hit.unwrap_or_else(|| {
+            let hash = keccak256(key);
+            memo.insert(*key, hash);
+            hash
+        })
+    })
+}
 
 /// RAII handle that returns its buffers (cleared) to the pool on drop, so
 /// every `return` path of the dispatch loop recycles them.
@@ -453,7 +492,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
                     };
                     let new_words = gas::words_for(end as u64);
                     let cost = gas::memory_expansion_cost($memory.words(), new_words);
-                    if cost > 0 {
+                    if cost > 0 && mtpu_telemetry::enabled() {
                         crate::obs::metrics().mem_expansions.inc();
                     }
                     charge!(cost);
@@ -669,7 +708,7 @@ impl<'a, S: StateOps, T: Tracer> Evm<'a, S, T> {
                     );
                     charge!(gas::SHA3_WORD * gas::words_for(len as u64));
                     mem_charge!(memory, off, len);
-                    let hash = keccak256(memory.slice(off, len));
+                    let hash = sha3(memory.slice(off, len));
                     stack.push_unchecked(U256::from_be_bytes(hash));
                 }
                 Address => stack.push_unchecked(params.storage_address.to_u256()),
@@ -1044,6 +1083,7 @@ mod tests {
     use super::*;
     use crate::state::State;
     use crate::trace::NoopTracer;
+    use mtpu_primitives::SplitMix64;
 
     fn run_code(code: Vec<u8>, gas: u64) -> (FrameResult, State) {
         let mut state = State::new();
@@ -1312,5 +1352,76 @@ mod tests {
         assert!(res.success());
         let reported = U256::from_be_slice(&res.output).low_u64();
         assert_eq!(reported, gas - 2); // only GAS's own cost deducted so far
+    }
+
+    /// Empties this thread's `SHA3` memo, so a test sees only its own
+    /// inputs.
+    fn fresh_sha3_memo() {
+        SHA3_MEMO.with(|memo| *memo.borrow_mut() = BoundedMemo::new(SHA3_MEMO_CAPACITY));
+    }
+
+    fn sha3_memo_len() -> usize {
+        SHA3_MEMO.with(|memo| memo.borrow().len())
+    }
+
+    /// Whether this thread's memo holds `input`.
+    fn memoized(input: &[u8]) -> bool {
+        <&[u8; 64]>::try_from(input)
+            .is_ok_and(|key| SHA3_MEMO.with(|memo| memo.borrow().get(key).is_some()))
+    }
+
+    fn random_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn sha3_memo_matches_keccak_on_miss_and_hit() {
+        fresh_sha3_memo();
+        let mut rng = SplitMix64::new(0x5aa3);
+        for len in [0, 1, 31, 32, 33, 63, 64, 65, 136, 137] {
+            let input = random_bytes(&mut rng, len);
+            // The same key in the next mapping slot: the two inputs share
+            // every byte but the last.
+            let mut sibling = input.clone();
+            if let Some(last) = sibling.last_mut() {
+                *last ^= 1;
+            }
+            for bytes in [&input, &sibling] {
+                let want = keccak256(bytes);
+                assert_eq!(sha3(bytes), want, "len {len}, first lookup");
+                assert_eq!(sha3(bytes), want, "len {len}, second lookup");
+            }
+            for bytes in [&input, &sibling] {
+                assert_eq!(memoized(bytes), len == 64, "len {len}: memoized");
+            }
+        }
+        assert_eq!(sha3_memo_len(), 2, "only the two 64-byte inputs");
+    }
+
+    #[test]
+    fn sha3_memo_stays_bounded_past_capacity() {
+        fresh_sha3_memo();
+        let mut rng = SplitMix64::new(0xb0b0);
+        let inputs: Vec<Vec<u8>> = (0..10 * SHA3_MEMO_CAPACITY)
+            .map(|_| random_bytes(&mut rng, 64))
+            .collect();
+        for input in &inputs {
+            assert_eq!(sha3(input), keccak256(input));
+            assert!(sha3_memo_len() <= SHA3_MEMO_CAPACITY);
+        }
+        assert_eq!(sha3_memo_len(), SHA3_MEMO_CAPACITY);
+        // FIFO: the last `capacity` inputs are held, every earlier one is
+        // gone. Retained ones are re-hashed first, so the evicted ones'
+        // re-insertion cannot push them out before they are checked.
+        let (evicted, retained) = inputs.split_at(inputs.len() - SHA3_MEMO_CAPACITY);
+        for input in retained {
+            assert!(memoized(input));
+            assert_eq!(sha3(input), keccak256(input), "retained input");
+        }
+        for input in evicted {
+            assert!(!memoized(input));
+            assert_eq!(sha3(input), keccak256(input), "evicted input");
+        }
+        assert_eq!(sha3_memo_len(), SHA3_MEMO_CAPACITY);
     }
 }

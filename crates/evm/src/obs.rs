@@ -40,6 +40,11 @@ pub struct EvmMetrics {
     /// Code-analysis cache entries dropped at capacity
     /// (`evm.analysis.evict`).
     pub analysis_evictions: Counter,
+    /// 64-byte `SHA3` inputs served from the thread's memo
+    /// (`evm.sha3.hit`).
+    pub sha3_hits: Counter,
+    /// 64-byte `SHA3` inputs hashed and memoized (`evm.sha3.miss`).
+    pub sha3_misses: Counter,
     /// Fused superinstruction sites discovered at analysis time
     /// (`evm.fusion.sites`).
     pub fusion_sites: Counter,
@@ -83,6 +88,8 @@ pub fn metrics() -> &'static EvmMetrics {
             analysis_hits: reg.counter("evm.analysis.hit"),
             analysis_misses: reg.counter("evm.analysis.miss"),
             analysis_evictions: reg.counter("evm.analysis.evict"),
+            sha3_hits: reg.counter("evm.sha3.hit"),
+            sha3_misses: reg.counter("evm.sha3.miss"),
             fusion_sites: reg.counter("evm.fusion.sites"),
             fusion_hits: reg.counter("evm.fusion.hits"),
             fusion_folded_consts: reg.counter("evm.fusion.folded_consts"),
@@ -92,6 +99,9 @@ pub fn metrics() -> &'static EvmMetrics {
 
 /// Records a frame outcome (revert/exception counters).
 pub(crate) fn frame_halt(halt: &crate::interpreter::Halt) {
+    if !mtpu_telemetry::enabled() {
+        return;
+    }
     match halt {
         crate::interpreter::Halt::Revert => metrics().reverts.inc(),
         crate::interpreter::Halt::Exception(_) => metrics().exceptions.inc(),
