@@ -70,6 +70,10 @@ struct Head {
     index: FlatIndex,
     /// The accounts absorbed since their last flush.
     queue: FlushQueue,
+    /// Height of the last absorbed block: set under the same write
+    /// lock as the index, so a reader sees a height and the values
+    /// written at it together.
+    height: u64,
 }
 
 impl Head {
@@ -173,7 +177,6 @@ pub struct AccountsDb {
     /// Hashes of the code blobs some storage file holds. Holding it
     /// serializes flush and snapshot.
     filed_code: Mutex<FastSet<B256>>,
-    head_height: AtomicU64,
     flushed_height: AtomicU64,
     /// Root recorded by the last snapshot (or found in the manifest).
     snapshot_root: Mutex<Option<B256>>,
@@ -209,7 +212,6 @@ impl AccountsDb {
             head: RwLock::new(Head::default()),
             file_lens: RwLock::new(Vec::new()),
             filed_code: Mutex::new(FastSet::default()),
-            head_height: AtomicU64::new(0),
             flushed_height: AtomicU64::new(0),
             snapshot_root: Mutex::new(None),
             flushes: AtomicU64::new(0),
@@ -220,6 +222,7 @@ impl AccountsDb {
         };
         {
             let mut head = db.head.write().expect("head poisoned");
+            head.height = height;
             let mut filed = db.filed_code.lock().expect("flush lock poisoned");
             for (id, &len) in lens.iter().enumerate() {
                 let mut bytes = std::fs::read(storage_path(&dir, id as u32))?;
@@ -239,7 +242,6 @@ impl AccountsDb {
             }
         }
         *db.file_lens.write().expect("file set poisoned") = lens;
-        db.head_height.store(height, Ordering::SeqCst);
         db.flushed_height.store(height, Ordering::SeqCst);
         *db.snapshot_root.lock().expect("snapshot root poisoned") = root;
         Ok(db)
@@ -247,7 +249,7 @@ impl AccountsDb {
 
     /// Height of the last absorbed block.
     pub fn head_height(&self) -> u64 {
-        self.head_height.load(Ordering::SeqCst)
+        self.head().height
     }
 
     /// Height the storage files cover.
@@ -298,8 +300,8 @@ impl AccountsDb {
             let code = (!acc.code.is_empty()).then_some(acc.code.as_slice());
             head.write(addr, height, meta, code, &acc.storage);
         }
+        head.height = height;
         drop(head);
-        self.head_height.store(height, Ordering::SeqCst);
         self.update_gauges();
     }
 
@@ -342,11 +344,8 @@ impl AccountsDb {
     /// relies on it); concurrent readers are fine, concurrent absorbs are
     /// not.
     pub fn absorb(&self, delta: &BlockDelta, height: u64) {
-        debug_assert!(
-            height >= self.head_height(),
-            "absorb heights must not go back"
-        );
         let mut head = self.head.write().expect("head poisoned");
+        debug_assert!(height >= head.height, "absorb heights must not go back");
         for (addr, d) in delta.iter() {
             if d.deleted {
                 apply_record(&mut head.index, &Record::Tombstone { addr });
@@ -370,8 +369,8 @@ impl AccountsDb {
             let code = code.filter(|code| !code.is_empty());
             head.write(addr, height, meta, code, &d.storage);
         }
+        head.height = height;
         drop(head);
-        self.head_height.store(height, Ordering::SeqCst);
         self.update_gauges();
     }
 
@@ -388,15 +387,23 @@ impl AccountsDb {
     pub fn flush_up_to(&self, up_to: u64) -> io::Result<usize> {
         let mut filed = self.filed_code.lock().expect("flush lock poisoned");
         self.flush_locked(&mut filed, up_to)
+            .map(|(accounts, _)| accounts)
     }
 
-    fn flush_locked(&self, filed: &mut FastSet<B256>, up_to: u64) -> io::Result<usize> {
-        let up_to = up_to.min(self.head_height());
+    /// [`AccountsDb::flush_up_to`], returning the accounts written and
+    /// the height the storage files now cover: `up_to`, capped at the
+    /// head height read under the same guard as the flushed values.
+    fn flush_locked(&self, filed: &mut FastSet<B256>, up_to: u64) -> io::Result<(usize, u64)> {
         let mut buf = Vec::new();
-        let (accounts, blobs) = self.head().encode_flush(up_to, filed, &mut buf);
+        let (up_to, accounts, blobs) = {
+            let head = self.head();
+            let up_to = up_to.min(head.height);
+            let (accounts, blobs) = head.encode_flush(up_to, filed, &mut buf);
+            (up_to, accounts, blobs)
+        };
         if accounts == 0 {
             self.flushed_height.fetch_max(up_to, Ordering::SeqCst);
-            return Ok(0);
+            return Ok((0, up_to));
         }
 
         let file_id = self.file_lens.read().expect("file set poisoned").len() as u32;
@@ -415,13 +422,15 @@ impl AccountsDb {
             obs::metrics().flush.inc();
         }
         self.update_gauges();
-        Ok(accounts)
+        Ok((accounts, up_to))
     }
 
     /// Flushes everything and writes the MANIFEST atomically: after this
     /// returns, [`AccountsDb::open`] on the same directory reproduces the
     /// current state exactly. `root` (typically the MPT root at the head
-    /// height) rides along for end-to-end verification on restore.
+    /// height) rides along for end-to-end verification on restore. The
+    /// MANIFEST names the height the final flush covered, so a block
+    /// absorbed while the snapshot writes is left to the next one.
     ///
     /// # Errors
     ///
@@ -429,12 +438,11 @@ impl AccountsDb {
     /// previous manifest in place (temp file + rename).
     pub fn snapshot(&self, root: Option<B256>) -> io::Result<()> {
         let mut filed = self.filed_code.lock().expect("flush lock poisoned");
-        self.flush_locked(&mut filed, u64::MAX)?;
+        let (_, height) = self.flush_locked(&mut filed, u64::MAX)?;
         let manifest = {
             let lens = self.file_lens.read().expect("file set poisoned");
             let mut text = format!(
-                "{MANIFEST_SCHEMA}\n{}\n{}\n{}\n",
-                self.head_height(),
+                "{MANIFEST_SCHEMA}\n{height}\n{}\n{}\n",
                 root.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
                 lens.len()
             );
@@ -822,6 +830,59 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(acc.storage, slots, "a cleared slot must not export");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs the real file system, but absorbs `block` into the store the
+    /// first time it writes a storage file: a block landing while a
+    /// snapshot is on disk.
+    #[derive(Debug)]
+    struct AbsorbOnWrite {
+        db: std::sync::OnceLock<std::sync::Weak<AccountsDb>>,
+        block: Mutex<Option<(TxDelta, u64)>>,
+    }
+
+    impl Fs for AbsorbOnWrite {
+        fn apply(&self, op: &FsOp) -> io::Result<()> {
+            RealFs.apply(op)?;
+            if let FsOp::Write(path, _) = op {
+                if path.parent().is_some_and(|p| p.ends_with(STORAGE_DIR)) {
+                    let block = self.block.lock().unwrap().take();
+                    if let Some((tx, height)) = block {
+                        let db = self.db.get().and_then(|db| db.upgrade()).unwrap();
+                        absorb_tx(&db, &tx, height);
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_block_absorbed_during_a_snapshot_is_not_in_its_manifest() {
+        let dir = scratch_dir("snapshot-race");
+        let fs = Arc::new(AbsorbOnWrite {
+            db: std::sync::OnceLock::new(),
+            block: Mutex::new(Some((creation(addr(9), 900, 0, None, &[(1, 1)]), 3))),
+        });
+        let db = Arc::new(AccountsDb::open_with_fs(&dir, fs.clone()).unwrap());
+        fs.db.set(Arc::downgrade(&db)).unwrap();
+        absorb_tx(&db, &creation(addr(1), 100, 0, None, &[(1, 11)]), 1);
+        absorb_tx(&db, &creation(addr(2), 200, 0, None, &[]), 2);
+        let before = db.export_state().merkle_root();
+
+        db.snapshot(None).unwrap();
+        assert_eq!(db.head_height(), 3, "the block landed mid-snapshot");
+        assert!(db.read_exists(addr(9)));
+        drop(db);
+
+        let reopened = AccountsDb::open(&dir).unwrap();
+        assert_eq!(
+            reopened.head_height(),
+            2,
+            "MANIFEST names the flushed height"
+        );
+        assert_eq!(reopened.export_state().merkle_root(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Authenticated state commitment for the MTPU reproduction: an
-//! Ethereum-style Merkle Patricia Trie with incremental roots and a
-//! bounded node cache, over a hash-addressed node store.
+//! Ethereum-style Merkle Patricia Trie with incremental roots, over a
+//! hash-addressed store of encoded nodes.
 //!
 //! The paper's execution pipeline validates blocks against a
 //! *commitment* to post-state; this crate supplies that commitment as
@@ -15,9 +15,9 @@
 //!   process. The trie is derived, not archived: the durable checkpoint
 //!   is the flat accounts store's MANIFEST, and a restart rebuilds the
 //!   trie from it with [`StateCommitter::bulk_load`]. Every node counts
-//!   the hash links to it, so the store holds exactly the live trie;
-//! * [`NodeCache`] — bounded FIFO cache of decoded nodes in front of the
-//!   store, which reads share and mutations take out;
+//!   the hash links to it, so the store holds exactly the live trie.
+//!   Its encodings are the only copy of a committed node: there is no
+//!   decoded-node cache, and every hash link resolves by decoding them;
 //! * [`Trie`] over a [`NodeDb`] — get/insert/remove plus **incremental**
 //!   [`Trie::commit`]: between commits the root is a hash link, mutations
 //!   splice in-memory nodes along touched paths only, and commit
@@ -35,7 +35,6 @@
 //! trie mirrors its work counters as `statedb.*` metrics; disabled, each
 //! site costs one relaxed atomic load, per the workspace contract.
 
-pub mod cache;
 pub mod committer;
 pub mod nibbles;
 pub mod node;
@@ -43,7 +42,6 @@ pub mod obs;
 pub mod store;
 pub mod trie;
 
-pub use cache::{NodeCache, DEFAULT_CACHE_CAPACITY};
 pub use committer::{AccountRecord, AccountUpdate, StateCommitter};
 pub use node::{Link, Node, NodeError};
 pub use store::{MemStore, NodeStore};

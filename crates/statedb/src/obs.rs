@@ -12,19 +12,14 @@ use std::sync::OnceLock;
 
 /// Cached handles for the trie's metrics.
 pub struct StatedbMetrics {
-    /// Node-cache hits (`statedb.cache.hit`).
-    pub cache_hit: Counter,
-    /// Node-cache misses (`statedb.cache.miss`).
-    pub cache_miss: Counter,
-    /// Node-cache evictions (`statedb.cache.evict`).
-    pub cache_evict: Counter,
     /// Nodes encoded + keccak-hashed during commits
     /// (`statedb.node.hashed`) — the incremental-commit work metric.
     pub nodes_hashed: Counter,
     /// Encoded nodes written to the backing store
     /// (`statedb.node.stored`).
     pub nodes_stored: Counter,
-    /// Nodes decoded from the backing store (`statedb.node.loaded`).
+    /// Nodes decoded from the backing store, one per resolution of a
+    /// hash link (`statedb.node.loaded`).
     pub nodes_loaded: Counter,
     /// Nodes removed from the backing store when their last link was
     /// dropped (`statedb.node.released`).
@@ -42,9 +37,6 @@ pub fn metrics() -> &'static StatedbMetrics {
     METRICS.get_or_init(|| {
         let reg = mtpu_telemetry::global();
         StatedbMetrics {
-            cache_hit: reg.counter("statedb.cache.hit"),
-            cache_miss: reg.counter("statedb.cache.miss"),
-            cache_evict: reg.counter("statedb.cache.evict"),
             nodes_hashed: reg.counter("statedb.node.hashed"),
             nodes_stored: reg.counter("statedb.node.stored"),
             nodes_loaded: reg.counter("statedb.node.loaded"),

@@ -14,6 +14,13 @@
 //! storage root). A node leaves the store when its count reaches zero,
 //! so the store holds exactly the live trie, and a root becomes
 //! unreadable once a later mutation supersedes its nodes.
+//!
+//! The store is also the trie's one node structure: nothing holds a
+//! decoded copy of a committed node. A read or a mutation resolves a
+//! hash link by decoding the bytes stored here, and a commit hands over
+//! a node's encoding and drops the node. Decoded nodes take about 3.6×
+//! the heap of their encodings, so keeping them instead would not fit a
+//! wide state's memory bound.
 
 use mtpu_primitives::map::FastMap;
 use mtpu_primitives::B256;

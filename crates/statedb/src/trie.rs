@@ -15,13 +15,17 @@
 //! ([`NodeDb`]'s `take_node`), so the version it supersedes leaves the
 //! store at once unless another link still shares it, and a commit's
 //! puts add the links of the nodes it writes.
+//!
+//! Committed nodes live only as encodings in the store: a read walk
+//! decodes each node on its path into an owned [`Node`], a mutation
+//! decodes the node it takes, and a commit stores each encoding and
+//! drops the node. [`TrieStats::nodes_loaded`] counts every such decode.
 
-use crate::cache::NodeCache;
 use crate::nibbles::{common_prefix, to_nibbles};
 use crate::node::{Link, Node};
 use crate::store::NodeStore;
 use mtpu_primitives::B256;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Most released encodings a [`NodeDb`] keeps as spares. A mutation
 /// releases the node it supersedes and the next commit encodes its
@@ -48,15 +52,16 @@ pub struct TrieStats {
     /// Nodes keccak-hashed (and stored) by commits — the incremental
     /// commit's work metric.
     pub nodes_hashed: u64,
-    /// Nodes decoded from the backing store (cache misses that hit disk
-    /// or the in-memory map).
+    /// Nodes decoded from the backing store: every resolution of a hash
+    /// link, by a read walk or a mutation.
     pub nodes_loaded: u64,
-    /// Node-cache hits.
+    /// Always 0: the trie keeps no decoded-node cache, and every
+    /// resolution decodes from the store (counted in
+    /// [`TrieStats::nodes_loaded`]). Kept because the spine's
+    /// `statedb.node_cache_hit_ratio` row reads it.
     pub cache_hits: u64,
-    /// Node-cache misses.
+    /// Always 0, as [`TrieStats::cache_hits`].
     pub cache_misses: u64,
-    /// Node-cache evictions.
-    pub cache_evictions: u64,
     /// Root commits performed.
     pub commits: u64,
     /// Nodes removed from the store because their last link was dropped
@@ -86,13 +91,12 @@ pub trait NodeSink {
     }
 }
 
-/// A node store wrapped with the decoded-node cache and work counters;
-/// shared by every trie (account trie and per-account storage tries)
-/// committing into the same backend.
+/// A node store wrapped with work counters and a pool of spare encode
+/// buffers; shared by every trie (account trie and per-account storage
+/// tries) committing into the same backend.
 #[derive(Debug)]
 pub struct NodeDb<S: NodeStore> {
     store: S,
-    cache: NodeCache,
     nodes_hashed: u64,
     nodes_loaded: u64,
     nodes_released: u64,
@@ -103,11 +107,10 @@ pub struct NodeDb<S: NodeStore> {
 }
 
 impl<S: NodeStore> NodeDb<S> {
-    /// Wraps `store` with the default-capacity cache.
+    /// Wraps `store`.
     pub fn new(store: S) -> Self {
         NodeDb {
             store,
-            cache: NodeCache::default(),
             nodes_hashed: 0,
             nodes_loaded: 0,
             nodes_released: 0,
@@ -122,15 +125,13 @@ impl<S: NodeStore> NodeDb<S> {
         &self.store
     }
 
-    /// Work-counter snapshot (cache counters folded in).
+    /// Work-counter snapshot.
     pub fn stats(&self) -> TrieStats {
-        let (cache_hits, cache_misses, cache_evictions) = self.cache.counters();
         TrieStats {
             nodes_hashed: self.nodes_hashed,
             nodes_loaded: self.nodes_loaded,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
+            cache_hits: 0,
+            cache_misses: 0,
             commits: self.commits,
             nodes_released: self.nodes_released,
         }
@@ -161,42 +162,27 @@ impl<S: NodeStore> NodeDb<S> {
         }
     }
 
-    /// A committed node for a read walk, shared with the cache (and
-    /// cached on a miss).
-    fn read_node(&mut self, hash: B256) -> Arc<Node> {
-        if let Some(n) = self.cache.get(&hash) {
-            return n;
-        }
-        let node = Arc::new(self.load_node(hash));
-        self.cache.put(hash, Arc::clone(&node));
-        node
-    }
-
     /// The node behind `link`, owned for mutation, together with the
-    /// links it holds. A committed node is taken out of the cache (or
-    /// decoded, and not cached, on a miss): the mutation supersedes it,
-    /// and its successor enters the cache when it commits. `link` was
-    /// one link to the node: if it was the last, the node leaves the
-    /// store and its child links move into the copy; if the node is
-    /// shared, it stays stored and the copy retains its own child links.
+    /// links it holds. A committed node is decoded: the mutation
+    /// supersedes it. `link` was one link to the node: if it was the
+    /// last, the node leaves the store and its child links move into the
+    /// decoded copy; if the node is shared, it stays stored and the copy
+    /// retains its own child links.
     fn take_node(&mut self, link: Link) -> Node {
         let hash = match link {
             Link::Node(boxed) => return *boxed,
             Link::Hash(h) => h,
         };
-        let cached = self.cache.take(&hash);
         match self.store.release(&hash) {
             Some(raw) => {
                 self.count_released();
-                let node = cached.unwrap_or_else(|| {
-                    self.count_loaded();
-                    Node::decode(&raw).expect("stored trie node decodes")
-                });
+                self.count_loaded();
+                let node = Node::decode(&raw).expect("stored trie node decodes");
                 self.keep_spare(raw);
                 node
             }
             None => {
-                let node = cached.unwrap_or_else(|| self.load_node(hash));
+                let node = self.load_node(hash);
                 for_each_hash_link(&node, &mut |child| self.store.retain(&child));
                 node
             }
@@ -204,14 +190,13 @@ impl<S: NodeStore> NodeDb<S> {
     }
 
     /// Drops one link to the stored node `hash`. When it was the last,
-    /// the node leaves the store and the cache, and the links it held
-    /// are released in turn.
+    /// the node leaves the store and the links it held are released in
+    /// turn.
     fn release(&mut self, hash: B256) {
         let Some(raw) = self.store.release(&hash) else {
             return;
         };
         self.count_released();
-        self.cache.remove(&hash);
         let node = Node::decode(&raw).expect("stored trie node decodes");
         self.keep_spare(raw);
         for_each_hash_link(&node, &mut |child| self.release(child));
@@ -244,15 +229,14 @@ impl<S: NodeStore> NodeDb<S> {
 }
 
 impl<S: NodeStore> NodeSink for NodeDb<S> {
-    /// Adds the link to a freshly hashed node: stores it (or counts one
-    /// more link to the stored copy) and moves it into the cache.
+    /// Adds the link to a freshly hashed node: stores its encoding (or
+    /// counts one more link to the stored copy) and drops the node.
     fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: Node) {
         self.nodes_hashed += 1;
         if !self.store.put(hash, raw) {
             // The stored copy already holds this node's child links.
             for_each_hash_link(&node, &mut |child| self.release(child));
         }
-        self.cache.put(hash, Arc::new(node));
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.inc();
@@ -561,7 +545,7 @@ fn get_at<S: NodeStore>(db: &mut NodeDb<S>, link: &Link, path: &[u8]) -> Option<
     match link {
         Link::Node(n) => get_in(db, n, path),
         Link::Hash(h) => {
-            let n = db.read_node(*h);
+            let n = db.load_node(*h);
             get_in(db, &n, path)
         }
     }
@@ -900,6 +884,26 @@ mod tests {
             dirty <= 12,
             "one-key update must re-hash a path, not the trie ({dirty} nodes)"
         );
+    }
+
+    #[test]
+    fn every_read_decodes_its_path_from_the_store() {
+        let mut db = db();
+        let mut t = Trie::empty();
+        fill(&mut db, &mut t, 0, 512);
+        t.commit(&mut db);
+        let key = B256::keccak(&7u32.to_be_bytes());
+        let mut loads = Vec::new();
+        for _ in 0..2 {
+            let before = db.stats().nodes_loaded;
+            assert_eq!(
+                t.get(&mut db, key.as_bytes()),
+                Some(7u32.to_be_bytes().to_vec())
+            );
+            loads.push(db.stats().nodes_loaded - before);
+        }
+        assert!(loads[0] > 0, "a committed path is read from the store");
+        assert_eq!(loads[0], loads[1], "the second read decodes the same path");
     }
 
     /// Fills `t` with `n` secure-style keys starting at `from`.

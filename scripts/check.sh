@@ -27,7 +27,7 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> stress (release): the deep protocol explorer, the deep crash sweep and the deep index model sweep once, then the parexec oracles and the read-layer race x20"
+echo "==> stress (release): the deep protocol explorer, the deep crash sweep and the deep index model sweep once, then the parexec oracles, the read-layer race and the driver's flush-then-snapshot test x20"
 # The explorer (tests/parexec_protocol.rs) checks every interleaving of the
 # lane/speculator hand-off table; its deep search (every DAG of 5
 # transactions, 3 speculators) is ignored in the tier-1 run and runs here.
@@ -48,9 +48,13 @@ for _ in $(seq 20); do
         --skip merkle_root --skip async_commit --skip fusion_is_invisible >/dev/null
 done
 # tests/readserve.rs races readers against the writer; a race there once
-# failed 2 runs in 10, which a single tier-1 run does not see.
+# failed 2 runs in 10, which a single tier-1 run does not see. The driver's
+# flush-then-snapshot test in tests/node_pipeline.rs once read the store's
+# stats before its queued flushes ran, and failed about 1 run in 5.
 for _ in $(seq 20); do
     cargo test --release -q --test readserve >/dev/null
+    cargo test --release -q --test node_pipeline -- --exact \
+        flat_driver_replays_sequentially_and_survives_snapshot_restore >/dev/null
 done
 
 echo "==> scheduler differential deep sweep (release): simulate_st against its plain re-statement"
